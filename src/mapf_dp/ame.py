@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
-from .model import (Conflict, ConflictKind, Instance, Path, Plan,
+from .model import (Conflict, ConflictKind, Instance, Occupancy, Path, Plan,
                     enumerate_conflicts, find_earliest_conflict,
                     shortest_path_distances)
 
@@ -73,35 +73,19 @@ def branch_constraints(conflict: Conflict) -> tuple[Constraint, Constraint]:
             Constraint(conflict.agent_j, v, x))
 
 
-def count_path_conflicts(prefix: Sequence[int], other_paths: Sequence[Path]) -> int:
-    """Validity violations between a path prefix and goal-padded other paths.
+class _OtherAgents(Occupancy):
+    """The fixed labeled paths of every agent but `agent`, in id order: their
+    occupancy for conflict counts, plus wait bounds from their labels."""
 
-    Counts one per (other agent, index) pair: shared vertex at equal index,
-    or either agent at index x+1 on the vertex the other holds at index x.
-    """
-    total = 0
-    for x, v in enumerate(prefix):
-        for other in other_paths:
-            if other.vertex_padded(x) == v:
-                total += 1
-            if x >= 1 and other.vertex_padded(x - 1) == v:
-                total += 1
-            if other.vertex_padded(x + 1) == v:
-                total += 1
-    return total
-
-
-class _OtherAgents:
-    """Query structure over the fixed paths/labels of the non-replanned agents."""
-
-    def __init__(self, paths: Sequence[Path]):
-        self.paths = list(paths)
+    def __init__(self, paths: Sequence[Path], agent: int):
+        super().__init__(paths)
         # per vertex: visit indices x'' (with x'' < X_j) sorted, with prefix-max
         # of the labels at x'' + 1 -- the earliest admissible entry follows the
         # latest qualifying departure
         entries: dict[int, list[tuple[int, float]]] = {}
-        for p in self.paths:
-            assert p.labels is not None
+        for k, p in enumerate(paths):
+            if p.labels is None:
+                raise ValueError(f"agent {k + (k >= agent)}: the low level needs labeled paths")
             for xpp in range(p.last_index):
                 entries.setdefault(p.vertices[xpp], []).append(
                     (xpp, p.labels[xpp + 1]))
@@ -127,17 +111,6 @@ class _OtherAgents:
         if k == 0:
             return -math.inf
         return self.visit_maxlabel[vertex][k - 1]
-
-    def conflict_increment(self, vertex: int, x: int) -> int:
-        inc = 0
-        for p in self.paths:
-            if p.vertex_padded(x) == vertex:
-                inc += 1
-            if x >= 1 and p.vertex_padded(x - 1) == vertex:
-                inc += 1
-            if p.vertex_padded(x + 1) == vertex:
-                inc += 1
-        return inc
 
 
 def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path],
@@ -165,7 +138,7 @@ def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path]
     if (spec.start, 0) in banned:
         raise LowLevelFailure("exhausted")
 
-    others = _OtherAgents(other_paths)
+    others = _OtherAgents(other_paths, agent)
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS

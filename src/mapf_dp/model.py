@@ -5,6 +5,13 @@ at the same local-state index (vertex rule) and no agent is scheduled at
 index x+1 where another agent sits at index x (follow rule).  Both rules
 are checked on paths padded with the goal vertex to a common length,
 because a finished agent keeps occupying its goal during execution.
+
+Every conflict query goes through one occupancy index (`Occupancy`, the
+conflict avoidance table of CBS): it maps (vertex, index) to the agents
+there for indices below each path's last index, plus one "parked at this
+goal from index X_j on" entry per path, so the goal padding stays implicit.
+Validation, earliest-conflict search and the low level's per-state conflict
+counts all read it.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 from typing import Optional, Sequence
 
 INF = math.inf
@@ -289,26 +297,70 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
     return errors
 
 
+class Occupancy:
+    """Agents at each (vertex, index) of goal-padded paths, numbered by their
+    position in `paths`; needs no labels.  `at` lists path j at (l_j(x), x)
+    for x < X_j; `parked` holds (X_j, j) under j's goal, where it stays."""
+
+    def __init__(self, paths: Sequence[Path]):
+        self.at: dict[tuple[int, int], list[int]] = {}
+        self.parked: dict[int, list[tuple[int, int]]] = {}
+        for j, p in enumerate(paths):
+            for key in zip(p.vertices, range(p.last_index)):
+                self.at.setdefault(key, []).append(j)
+            self.parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
+
+    def count(self, vertex: int, x: int) -> int:
+        n = len(self.at.get((vertex, x), ()))
+        for since, _ in self.parked.get(vertex, ()):
+            n += since <= x
+        return n
+
+    def conflict_increment(self, vertex: int, x: int) -> int:
+        """Violations of one more agent at (vertex, x) with the indexed paths,
+        one per agent there at x, x-1 (followed) and x+1 (following)."""
+        return self.count(vertex, x - 1) + self.count(vertex, x) + self.count(vertex, x + 1)
+
+
 def enumerate_conflicts(plan: Plan) -> list[Conflict]:
-    """All vertex/follow violations between goal-padded paths."""
-    conflicts = []
-    m = plan.n_agents
+    """All vertex/follow violations between goal-padded paths.
+
+    Each path's own states (x < X_a) are looked up in the plan's `Occupancy`,
+    whose parked entries stand in for the padding; two agents parked on one
+    goal conflict from their parked entries alone.  The order is pair-major:
+    (lower id, higher id), vertex before follow, index, then follow direction.
+    """
+    occ = Occupancy(plan.paths)
     x_max = plan.max_index
-    for i in range(m):
-        pi = plan.paths[i]
-        for j in range(i + 1, m):
-            pj = plan.paths[j]
-            for x in range(x_max + 1):
-                if pi.vertex_padded(x) == pj.vertex_padded(x):
-                    conflicts.append(Conflict(ConflictKind.VERTEX, i, j,
-                                              pi.vertex_padded(x), x))
-            for x in range(x_max):
-                if pi.vertex_padded(x + 1) == pj.vertex_padded(x):
-                    conflicts.append(Conflict(ConflictKind.FOLLOW, i, j,
-                                              pj.vertex_padded(x), x))
-                if pj.vertex_padded(x + 1) == pi.vertex_padded(x):
-                    conflicts.append(Conflict(ConflictKind.FOLLOW, j, i,
-                                              pi.vertex_padded(x), x))
+    conflicts = []
+    for a, p in enumerate(plan.paths):
+        for x, v in enumerate(p.vertices[:-1]):
+            for b in occ.at[(v, x)]:
+                if b > a:
+                    conflicts.append(Conflict(ConflictKind.VERTEX, a, b, v, x))
+            for b in occ.at.get((v, x - 1), ()):
+                if b != a:
+                    conflicts.append(Conflict(ConflictKind.FOLLOW, a, b, v, x - 1))
+            # b's own pass ends at X_b, so a reports both follow directions
+            for since, b in occ.parked.get(v, ()):   # b sits on v from `since` on
+                if b != a and since <= x + 1:
+                    if since <= x:
+                        conflicts.append(
+                            Conflict(ConflictKind.VERTEX, min(a, b), max(a, b), v, x))
+                    if since < x:
+                        conflicts.append(Conflict(ConflictKind.FOLLOW, a, b, v, x - 1))
+                    conflicts.append(Conflict(ConflictKind.FOLLOW, b, a, v, x))
+    for g, parked in occ.parked.items():   # only plans with shared goals
+        for (xa, a), (xb, b) in combinations(parked, 2):
+            conflicts += [Conflict(ConflictKind.VERTEX, a, b, g, x)
+                          for x in range(max(xa, xb), x_max + 1)]
+            conflicts += [Conflict(ConflictKind.FOLLOW, a, b, g, x)
+                          for x in range(max(xa - 1, xb), x_max)]
+            conflicts += [Conflict(ConflictKind.FOLLOW, b, a, g, x)
+                          for x in range(max(xb - 1, xa), x_max)]
+    conflicts.sort(key=lambda c: (min(c.agent_i, c.agent_j), max(c.agent_i, c.agent_j),
+                                  c.kind is ConflictKind.FOLLOW, c.index,
+                                  c.agent_i > c.agent_j))
     return conflicts
 
 

@@ -7,10 +7,9 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
                      find_earliest_conflict, generate_random_instance,
                      solve_ame, validate_plan)
 from mapf_dp.ame import (Constraint, LowLevelFailure, SolveLimits,
-                         _OtherAgents, branch_constraints,
-                         count_path_conflicts, low_level_search)
+                         _OtherAgents, branch_constraints, low_level_search)
 from mapf_dp.dependency import move_cost
-from mapf_dp.model import ConflictKind, shortest_path_distances
+from mapf_dp.model import ConflictKind, Occupancy, shortest_path_distances
 from tests.conftest import C2, POCKET
 
 
@@ -65,6 +64,13 @@ class TestBranchConstraints:
         assert trail == Constraint(0, C2, 0)
 
 
+def count_path_conflicts(prefix, other_paths):
+    """The low level's accumulated conflict count of a path prefix: the
+    occupancy index's per-state increment, summed over the prefix."""
+    occ = Occupancy(other_paths)
+    return sum(occ.conflict_increment(v, x) for x, v in enumerate(prefix))
+
+
 class TestCountPathConflicts:
     def test_empty_others(self):
         assert count_path_conflicts((1, 2, 3), []) == 0
@@ -88,26 +94,39 @@ class TestCountPathConflicts:
 
 class TestOtherAgents:
     def test_wait_bound_requires_two_index_gap(self):
-        others = _OtherAgents([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
+        others = _OtherAgents([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))], 1)
         assert others.wait_bound(0, 1) == -math.inf
         assert others.wait_bound(0, 2) == 2.0   # departure label of state 1
         assert others.wait_bound(1, 2) == -math.inf
         assert others.wait_bound(1, 3) == 4.0
 
     def test_final_state_is_not_a_departure(self):
-        others = _OtherAgents([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
+        others = _OtherAgents([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))], 1)
         assert others.wait_bound(2, 10) == -math.inf
 
     def test_unvisited_vertex(self):
-        others = _OtherAgents([Path((0, 1), labels=(0.0, 2.0))])
+        others = _OtherAgents([Path((0, 1), labels=(0.0, 2.0))], 1)
         assert others.wait_bound(9, 5) == -math.inf
 
     def test_prefix_max_over_repeat_visits(self):
         others = _OtherAgents([Path((0, 1, 0, 1, 2),
-                                    labels=(0.0, 2.0, 4.0, 6.0, 8.0))])
+                                    labels=(0.0, 2.0, 4.0, 6.0, 8.0))], 1)
         # vertex 0 visited at x''=0 (departure 2.0) and x''=2 (departure 6.0)
         assert others.wait_bound(0, 2) == 2.0
         assert others.wait_bound(0, 4) == 6.0
+
+    def test_unlabeled_path_names_its_agent(self):
+        labeled = Path((0, 1), labels=(0.0, 2.0))
+        with pytest.raises(ValueError, match="agent 2"):
+            # others of agent 1 are agents 0 and 2, in id order
+            _OtherAgents([labeled, Path((3, 4))], 1)
+
+    def test_low_level_rejects_unlabeled_others(self):
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        inst = Instance(g, (AgentSpec(0, 0, 2, 0.5), AgentSpec(1, 1, 1, 0.5)))
+        with pytest.raises(ValueError, match="agent 1"):
+            low_level_search(inst, 0, [Path((1,))], (), 0.0,
+                             shortest_path_distances(g, 2))
 
 
 class TestLowLevel:
