@@ -38,22 +38,26 @@ class DependencyGraph:
 
 
 def build_partial_order(plan: Plan) -> DependencyGraph:
-    """Unreduced partial order implied by a valid plan."""
+    """Unreduced partial order implied by a valid plan, built from visits
+    (j, x') with x' < X_j grouped by vertex: one step per same-vertex pair."""
     nodes = [(i, x) for i, p in enumerate(plan.paths) for x in range(p.last_index + 1)]
     edges: set[tuple[Node, Node]] = set()
     for i, p in enumerate(plan.paths):
         for x in range(p.last_index):
             edges.add(((i, x), (i, x + 1)))
-    # last visit index of each vertex per agent, scanned in index order
+    visits: dict[int, list[tuple[int, int]]] = defaultdict(list)   # v -> [(x', j)]
+    for j, pj in enumerate(plan.paths):
+        for xp in range(pj.last_index):
+            visits[pj.vertices[xp]].append((xp, j))
+    for vs in visits.values():
+        vs.sort()
     for i, pi in enumerate(plan.paths):
-        for j, pj in enumerate(plan.paths):
-            if i == j:
-                continue
-            for x in range(pi.last_index):   # target (i, x + 1)
-                v = pi.vertices[x + 1]
-                for xp in range(min(x, pj.last_index)):   # x' < x, x' < X_j
-                    if pj.vertices[xp] == v:
-                        edges.add(((j, xp + 1), (i, x + 1)))
+        for x in range(1, pi.last_index):   # target (i, x + 1), needs x' < x
+            for xp, j in visits.get(pi.vertices[x + 1], ()):
+                if xp >= x:
+                    break
+                if j != i:
+                    edges.add(((j, xp + 1), (i, x + 1)))
     for (j, y), (i, x) in edges:
         if y >= x:
             raise DependencyError(
@@ -95,48 +99,55 @@ def transitive_reduction(dg: DependencyGraph) -> DependencyGraph:
 
 @dataclass
 class MessageSchedule:
-    """Who messages whom on local-state entry, and cumulative GO thresholds.
+    """Who messages whom on local-state entry, and what each agent waits for.
 
     senders[(j, y)] = sorted recipients that j notifies when entering state y.
-    thresholds[i][x] = {j: count} -- messages agent i must hold from each j
-    before it may leave local state x; absent senders need zero.
+    waits[i][x] = sorted (j, y) pairs, one per reduced edge (j, y) -> (i, x+1):
+    agent i may leave local state x once it holds j's message from state y,
+    that is, once it knows j has entered y.  waits[i][X_i] is empty.
     """
 
     senders: dict[Node, tuple[int, ...]] = field(default_factory=dict)
-    thresholds: dict[int, list[dict[int, int]]] = field(default_factory=dict)
+    waits: dict[int, list[tuple[Node, ...]]] = field(default_factory=dict)
     total_messages: int = 0
 
 
 def message_schedule(dg: DependencyGraph, plan: Plan) -> MessageSchedule:
+    """Messages and waits of a reduced graph, one message per inter-agent edge.
+
+    The reduced edges from one agent j to another agent i rise strictly in
+    both sender and target state.  Proof: any two of them that cross or share
+    a state can be named (j, y1) -> (i, x1) and (j, y2) -> (i, x2) with
+    y1 <= y2 and x2 <= x1.  Every edge raises the index, so the reduction
+    keeps all chain edges, and (j, y1) ->* (j, y2) -> (i, x2) ->* (i, x1)
+    then implies the first edge, which the reduction would have removed.
+    Hence i holds k messages from j exactly when j has entered the sender
+    state of the k-th edge from j to i.  A graph marked reduced that breaks
+    this, or has an edge outside the plan's states, raises DependencyError.
+    """
     if not dg.reduced:
         raise DependencyError("message schedule requires a reduced dependency graph")
-    inter = dg.inter_agent_edges
     send_map: dict[Node, set[int]] = defaultdict(set)
-    # (sender-state, recipient) pairs; one message even if several target states
-    targets: dict[tuple[Node, int], set[int]] = defaultdict(set)
-    for (j, y), (i, x) in inter:
+    waits: dict[int, list[list[Node]]] = {
+        i: [[] for _ in range(p.last_index + 1)] for i, p in enumerate(plan.paths)}
+    between: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for (j, y), (i, x) in dg.inter_agent_edges:
+        if not (0 < x <= plan.paths[i].last_index and 0 < y <= plan.paths[j].last_index):
+            raise DependencyError(f"edge ({j},{y}) -> ({i},{x}) is outside the plan")
         send_map[(j, y)].add(i)
-        targets[((j, y), i)].add(x)
-    # a sender state with reduced edges to two states of one recipient would make
-    # edge-counting and message-counting diverge; not observed for valid plans
-    for (node, i), xs in targets.items():
-        assert len(xs) == 1, f"sender state {node} feeds recipient {i} at {sorted(xs)}"
+        waits[i][x - 1].append((j, y))
+        between[(j, i)].append((x, y))
+    for (j, i), pairs in between.items():
+        pairs.sort()
+        for (xa, ya), (xb, yb) in zip(pairs, pairs[1:]):
+            if ya >= yb or xa == xb:
+                raise DependencyError(
+                    f"reduced edges ({j},{ya}) -> ({i},{xa}) and ({j},{yb}) -> ({i},{xb}) "
+                    "cross or share a state; the graph is not a transitive reduction")
     schedule = MessageSchedule()
     schedule.senders = {n: tuple(sorted(rs)) for n, rs in send_map.items()}
     schedule.total_messages = sum(len(rs) for rs in send_map.values())
-    for i, path in enumerate(plan.paths):
-        per_x: list[dict[int, int]] = []
-        cum: dict[int, int] = defaultdict(int)
-        # incoming message (from (j, y) -> (i, x)) is required before i leaves x - 1
-        incoming: dict[int, list[int]] = defaultdict(list)
-        for (j, y), (ti, x) in inter:
-            if ti == i:
-                incoming[x].append(j)
-        for x in range(path.last_index + 1):
-            for j in incoming.get(x + 1, ()):
-                cum[j] += 1
-            per_x.append(dict(cum))
-        schedule.thresholds[i] = per_x
+    schedule.waits = {i: [tuple(sorted(w)) for w in per_x] for i, per_x in waits.items()}
     return schedule
 
 

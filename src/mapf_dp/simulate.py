@@ -4,12 +4,31 @@ Each step runs synchronously: commands are computed from the state at the
 start of the step, moves succeed with probability 1 - p_i (waits always
 succeed), and messages emitted on local-state entry become readable at the
 next step (plus an optional delivery latency, default 0).
+
+No message is stored.  Agent j sends on entering each local state, and a
+message sent in step s is read from step s + 1 + latency on.  So at step t
+every agent has read all that j sent up to `seen[j]`, j's local state at
+the start of step t - latency (0 before step latency), kept in a ring of
+pre-step state vectors.  Comparing `seen` with indices equals counting
+messages:
+
+* fsp: j broadcasts on every advance, so i may leave x iff seen[j] >= x
+  for every other agent j not seen to finish.
+* mcp: i may leave x iff seen[j] >= y for each reduced edge
+  (j, y) -> (i, x + 1), listed in `MessageSchedule.waits[i][x]`.  By the
+  property proved in `message_schedule`, that is i holding a message from
+  j for every reduced edge from j into its states up to x + 1: edges into
+  earlier states held when i left them, and seen only grows.
+
+A run deadlocks when no agent is commanded GO and no message was sent in
+the last `latency` steps, so none is in flight.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -17,9 +36,6 @@ import numpy as np
 
 from .dependency import MessageSchedule, build_partial_order, message_schedule, transitive_reduction
 from .model import Instance, Plan
-
-GO = True
-STOP = False
 
 POLICIES = ("mcp", "fsp", "dummy")
 
@@ -44,6 +60,9 @@ class ExecutionTrace:
 
 @dataclass
 class RunStats:
+    """Monte Carlo summary.  `messages` is the per-run count of the last
+    completed run, the same for every completed mcp or fsp run."""
+
     n_runs: int
     mean_makespan: float
     ci95: float
@@ -83,71 +102,6 @@ def mcp_schedule(plan: Plan) -> MessageSchedule:
     return message_schedule(transitive_reduction(build_partial_order(plan)), plan)
 
 
-def step(local: list[int], commands: list[bool], plan: Plan,
-         delay_probs: list[float], rng) -> list[int]:
-    """Advance each agent per its command; returns indices of advanced agents."""
-    advanced = []
-    for i, path in enumerate(plan.paths):
-        x = local[i]
-        if not commands[i] or x == path.last_index:
-            continue
-        if path.vertices[x] == path.vertices[x + 1]:   # wait never fails
-            local[i] = x + 1
-            advanced.append(i)
-        elif rng.random() >= delay_probs[i]:
-            local[i] = x + 1
-            advanced.append(i)
-    return advanced
-
-
-def commands_dummy(local: list[int], plan: Plan) -> list[bool]:
-    return [x < p.last_index for x, p in zip(local, plan.paths)]
-
-
-def commands_fsp(local: list[int], delivered: list[int], plan: Plan) -> list[bool]:
-    """GO iff every other agent has finished or holds at least x messages sent."""
-    last = [p.last_index for p in plan.paths]
-    m = len(local)
-    # two smallest delivered counts among unfinished senders, for self-exclusion
-    lo1 = lo2 = math.inf
-    arg1 = -1
-    for j in range(m):
-        if delivered[j] < last[j]:
-            if delivered[j] < lo1:
-                lo2, lo1, arg1 = lo1, delivered[j], j
-            elif delivered[j] < lo2:
-                lo2 = delivered[j]
-    cmds = []
-    for i in range(m):
-        if local[i] >= last[i]:
-            cmds.append(STOP)
-            continue
-        bound = lo2 if arg1 == i else lo1
-        cmds.append(local[i] <= bound)
-    return cmds
-
-
-def commands_mcp(local: list[int], received: list[dict[int, int]], plan: Plan,
-                 thresholds: list[list[tuple[tuple[int, int], ...]]]) -> list[bool]:
-    cmds = []
-    for i, path in enumerate(plan.paths):
-        x = local[i]
-        if x >= path.last_index:
-            cmds.append(STOP)
-            continue
-        ok = all(received[i].get(j, 0) >= need for j, need in thresholds[i][x])
-        cmds.append(ok)
-    return cmds
-
-
-def _pack_thresholds(schedule: MessageSchedule, plan: Plan):
-    packed = []
-    for i, path in enumerate(plan.paths):
-        per_x = schedule.thresholds[i]
-        packed.append([tuple(sorted(d.items())) for d in per_x])
-    return packed
-
-
 def run_execution(instance: Instance, plan: Plan, policy: str, rng,
                   schedule: Optional[MessageSchedule] = None,
                   horizon_cap: Optional[int] = None,
@@ -156,6 +110,8 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
     """Execute a plan once under the given policy and seeded rng."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    if latency < 0:
+        raise ValueError(f"latency must be >= 0, got {latency}")
     if isinstance(rng, int):
         rng = random.Random(rng)
     if policy == "mcp" and schedule is None:
@@ -164,82 +120,108 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
         horizon_cap = default_horizon_cap(plan)
 
     m = plan.n_agents
+    verts = [p.vertices for p in plan.paths]
     last = [p.last_index for p in plan.paths]
     delay = [a.delay_prob for a in instance.agents]
     local = [0] * m
-    delivered = [0] * m                         # fsp: broadcasts readable per sender
-    received: list[dict[int, int]] = [dict() for _ in range(m)]   # mcp counts
-    pending: list[tuple[int, int, tuple[int, ...]]] = []  # (deliver_t, sender, recipients)
-    thresholds = _pack_thresholds(schedule, plan) if policy == "mcp" else None
+    snapshots = [tuple(local)] if record else None
+    unfinished = sum(lx > 0 for lx in last)
+    if not unfinished:
+        return ExecutionTrace("done", 0, 0, [], snapshots)
+
+    fsp, mcp = policy == "fsp", policy == "mcp"
+    # sends[i][y]: messages agent i emits on entering local state y
+    sends = [[m - 1 if fsp else 0] * (lx + 1) for lx in last]
+    if mcp:
+        waits = schedule.waits
+        for (j, y), recipients in schedule.senders.items():
+            sends[j][y] = len(recipients)
+    history: deque[list[int]] = deque(maxlen=latency + 1)   # pre-step vectors
+    never_seen = [0] * m
+    last_sent = -latency - 1          # step of the latest message emitted
     messages_sent = 0
     collisions: list[Collision] = []
-    snapshots = [tuple(local)] if record else None
-
-    if all(x == lx for x, lx in zip(local, last)):
-        return ExecutionTrace("done", 0, 0, [], snapshots)
+    # per-vertex occupancy and the number of vertices holding two or more agents
+    occ = [0] * (1 + max(max(p) for p in verts))
+    for p in verts:
+        occ[p[0]] += 1
+    crowded = sum(occ[v] > 1 for v in {p[0] for p in verts})
 
     t = 0
     while t < horizon_cap:
-        if pending:
-            still = []
-            for dt, sender, recips in pending:
-                if dt <= t:
-                    delivered[sender] += 1
-                    for r in recips:
-                        received[r][sender] = received[r].get(sender, 0) + 1
-                else:
-                    still.append((dt, sender, recips))
-            pending = still
+        history.append(local[:])
+        seen = history[0] if len(history) > latency else never_seen
+        if fsp:
+            # two smallest seen states among unfinished agents, for self-exclusion
+            lo1 = lo2 = math.inf
+            arg1 = -1
+            for j in range(m):
+                s = seen[j]
+                if s < last[j]:
+                    if s < lo1:
+                        lo2, lo1, arg1 = lo1, s, j
+                    elif s < lo2:
+                        lo2 = s
+        any_go = False
+        moved = []
+        for i in range(m):
+            x = local[i]
+            if x == last[i]:
+                continue
+            if fsp:
+                if x > (lo2 if i == arg1 else lo1):
+                    continue
+            elif mcp:
+                w = waits[i][x]
+                if w and not all(seen[j] >= y for j, y in w):
+                    continue
+            any_go = True
+            path = verts[i]
+            if path[x] != path[x + 1]:      # a wait never fails
+                if rng.random() < delay[i]:
+                    continue
+                moved.append(i)
+            x += 1
+            local[i] = x
+            if x == last[i]:
+                unfinished -= 1
+            if sends[i][x]:
+                messages_sent += sends[i][x]
+                last_sent = t
 
-        if policy == "fsp":
-            cmds = commands_fsp(local, delivered, plan)
-        elif policy == "mcp":
-            cmds = commands_mcp(local, received, plan, thresholds)
-        else:
-            cmds = commands_dummy(local, plan)
-
-        if not any(cmds) and not pending:
+        if not any_go and last_sent < t - latency:   # no GO, nothing in flight
             return ExecutionTrace("deadlock", None, messages_sent, collisions, snapshots)
 
-        before = list(local)
-        advanced = step(local, cmds, plan, delay, rng)
-
-        # vertex collisions: shared occupancy at end of step
-        occupancy: dict[int, list[int]] = {}
-        for i in range(m):
-            occupancy.setdefault(plan.paths[i].vertices[local[i]], []).append(i)
-        for v, occupants in occupancy.items():
-            if len(occupants) > 1:
-                for a in range(len(occupants)):
-                    for b in range(a + 1, len(occupants)):
-                        collisions.append(
-                            Collision(t, "vertex", occupants[a], occupants[b], (v,)))
-        # edge collisions: opposite traversal of one edge in the same step
-        moves: dict[tuple[int, int], int] = {}
-        for i in advanced:
-            u = plan.paths[i].vertices[before[i]]
-            v = plan.paths[i].vertices[local[i]]
-            if u != v:
-                moves[(u, v)] = i
-        for (u, v), i in moves.items():
-            j = moves.get((v, u))
-            if j is not None and i < j:
-                collisions.append(Collision(t, "edge", i, j, (u, v)))
-
-        if policy != "dummy":
-            for j in advanced:
-                if policy == "fsp":
-                    recips = tuple(k for k in range(m) if k != j)
-                else:
-                    recips = schedule.senders.get((j, local[j]), ())
-                if recips:
-                    messages_sent += len(recips)
-                    pending.append((t + 1 + latency, j, recips))
+        if moved:
+            swaps: dict[tuple[int, int], int] = {}
+            for i in moved:
+                x = local[i]
+                u, v = verts[i][x - 1], verts[i][x]
+                swaps[(u, v)] = i
+                occ[u] -= 1
+                if occ[u] == 1:
+                    crowded -= 1
+                occ[v] += 1
+                if occ[v] == 2:
+                    crowded += 1
+        if crowded:   # full scan, in the order of the agents' first occupancy
+            occupancy: dict[int, list[int]] = {}
+            for i, x in enumerate(local):
+                occupancy.setdefault(verts[i][x], []).append(i)
+            collisions.extend(Collision(t, "vertex", a, b, (v,))
+                              for v, occupants in occupancy.items()
+                              for k, a in enumerate(occupants) for b in occupants[k + 1:])
+        if len(moved) > 1:
+            # edge collisions: opposite traversal of one edge in the same step
+            for (u, v), i in swaps.items():
+                j = swaps.get((v, u))
+                if j is not None and i < j:
+                    collisions.append(Collision(t, "edge", i, j, (u, v)))
 
         t += 1
         if record:
             snapshots.append(tuple(local))
-        if all(x == lx for x, lx in zip(local, last)):
+        if not unfinished:
             return ExecutionTrace("done", t, messages_sent, collisions, snapshots)
 
     return ExecutionTrace("timeout", None, messages_sent, collisions, snapshots)

@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from mapf_dp import AgentSpec, Graph, Instance, Path, Plan
+
+# No per-example deadline: several tests run many solves or simulations per
+# example, and wall time on a shared machine drifts by tens of percent.
+settings.register_profile("mapf-dp", deadline=None)
+settings.load_profile("mapf-dp")
 
 # filled by tests/test_acceptance.py, echoed after the test summary
 acceptance_lines: list[str] = []

@@ -10,6 +10,39 @@ from mapf_dp.dependency import DependencyError, DependencyGraph
 from tests.conftest import C1, C2, C3, C4
 
 
+def pairwise_partial_order_edges(plan):
+    """The all-pairs loop `build_partial_order` ran before it indexed visits."""
+    edges = set()
+    for i, p in enumerate(plan.paths):
+        for x in range(p.last_index):
+            edges.add(((i, x), (i, x + 1)))
+    # last visit index of each vertex per agent, scanned in index order
+    for i, pi in enumerate(plan.paths):
+        for j, pj in enumerate(plan.paths):
+            if i == j:
+                continue
+            for x in range(pi.last_index):   # target (i, x + 1)
+                v = pi.vertices[x + 1]
+                for xp in range(min(x, pj.last_index)):   # x' < x, x' < X_j
+                    if pj.vertices[xp] == v:
+                        edges.add(((j, xp + 1), (i, x + 1)))
+    return edges
+
+
+def rising_between_agents(red):
+    """Reduced edges from each sender agent to each recipient rise strictly
+    in both sender and target state."""
+    between = {}
+    for (j, y), (i, x) in red.inter_agent_edges:
+        between.setdefault((j, i), []).append((x, y))
+    for pairs in between.values():
+        pairs.sort()
+        for (xa, ya), (xb, yb) in zip(pairs, pairs[1:]):
+            if not (xa < xb and ya < yb):
+                return False
+    return True
+
+
 def brute_force_reduction(nodes, edges):
     """Drop an edge iff its target stays reachable via a different path."""
     edges = set(edges)
@@ -57,6 +90,16 @@ class TestPartialOrder:
         dg = build_partial_order(pocket_long_plan)
         assert all(y < x for (_, y), (_, x) in dg.edges)
 
+    @given(st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                    min_size=1, max_size=5))
+    @settings(max_examples=300)
+    def test_matches_pairwise_loop(self, paths):
+        plan = Plan(tuple(Path(tuple(p)) for p in paths))
+        dg = build_partial_order(plan)
+        assert dg.edges == pairwise_partial_order_edges(plan)
+        # the proof in message_schedule needs no valid plan, only a reduction
+        assert rising_between_agents(transitive_reduction(dg))
+
 
 class TestTransitiveReduction:
     def test_worked_example_removes_implied_edge(self, pocket_long_plan):
@@ -86,7 +129,7 @@ class TestTransitiveReduction:
             transitive_reduction(dg)
 
     @given(st.integers(2, 12), st.data())
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=120)
     def test_matches_brute_force_on_random_dags(self, n, data):
         # nodes (0, k) ordered by k; forward edges only, so always a DAG
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -124,10 +167,10 @@ class TestMessageSchedule:
         red = transitive_reduction(build_partial_order(pocket_long_plan))
         sched = message_schedule(red, pocket_long_plan)
         # agent 1 waits at local state 3 for exactly one message from agent 0
-        assert sched.thresholds[1][3] == {0: 1}
-        assert sched.thresholds[1][2] == {}
+        assert sched.waits[1][3] == ((0, 3),)
+        assert sched.waits[1][2] == ()
         # once received, nothing further is required of agent 0
-        assert all(sched.thresholds[1][x] == {0: 1} for x in range(3, 7))
+        assert all(sched.waits[1][x] == () for x in range(4, 7))
 
     def test_total_matches_reduced_pairs(self, pocket_long_plan):
         red = transitive_reduction(build_partial_order(pocket_long_plan))
@@ -146,6 +189,19 @@ class TestMessageSchedule:
         with pytest.raises(DependencyError):
             message_schedule(build_partial_order(pocket_long_plan),
                              pocket_long_plan)
+
+    @pytest.mark.parametrize("inter", [
+        {((0, 1), (1, 3)), ((0, 2), (1, 2))},    # crossing pair
+        {((0, 1), (1, 2)), ((0, 1), (1, 3))},    # one sender state, two targets
+        {((0, 1), (1, 3)), ((0, 2), (1, 3))},    # two sender states, one target
+        {((0, 1), (1, 0))},                      # target state 0 is never entered
+    ])
+    def test_rejects_edges_a_reduction_cannot_keep(self, inter):
+        plan = Plan((Path((C1, C2, C3, C4)), Path((C4, C3, C2, C1))))
+        dg = build_partial_order(plan)
+        dg = DependencyGraph(dg.nodes, dg.chain_edges | inter, reduced=True)
+        with pytest.raises(DependencyError):
+            message_schedule(dg, plan)
 
 
 class TestComputeLabels:
@@ -205,6 +261,9 @@ class TestOnSolvedPlans:
         dg = build_partial_order(result.plan)
         red = transitive_reduction(dg)
         assert red.edges == brute_force_reduction(list(dg.nodes), dg.edges)
+        # the property the simulator's index test rests on
+        assert rising_between_agents(red)
+        message_schedule(red, result.plan)
         # recomputing labels from scratch never lowers the makespan estimate
         fresh = compute_labels(result.plan,
                                [a.delay_prob for a in inst.agents])

@@ -1,9 +1,12 @@
-"""Golden plans: SHA-256 of `plan_to_json` for three fixed solves.
+"""Golden plans: SHA-256 of `plan_to_json` for three fixed solves, and
+Monte Carlo statistics of one of them.
 
 The digests and search counters were recorded before conflict detection and
 low-level conflict counting moved onto the occupancy index.  A change to
 conflict handling, tie-breaking or node ordering that alters any plan fails
-here.
+here.  The Monte Carlo statistics were recorded on the message-passing
+simulator that the lagged-state loop replaced; a change that alters any
+trajectory, message count or collision count fails here.
 """
 
 import hashlib
@@ -11,7 +14,8 @@ import hashlib
 import pytest
 
 from mapf_dp import (WarehouseParams, generate_random_instance,
-                     generate_warehouse_instance, solve_adapted_cbs, solve_ame)
+                     generate_warehouse_instance, monte_carlo,
+                     solve_adapted_cbs, solve_ame)
 from mapf_dp.mapio import instance_checksum, plan_to_json
 
 P_RANGE = (0, 0.5)
@@ -41,3 +45,24 @@ def test_plan_digest_is_pinned(name):
     solver = "ame" if solve is solve_ame else "cbs"
     text = plan_to_json(result.plan, instance_checksum(instance), solver)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# monte_carlo(..., 40 runs, seed 7, latency).as_dict() on ame-warehouse-10a-s1001
+GOLDEN_MC = {
+    ("mcp", 0): (43.925, 1.4777483825236557, 106, 0.0),
+    ("fsp", 0): (74.25, 1.6274174917050914, 2079, 0.0),
+    ("dummy", 0): (43.625, 1.6059975332867347, 0, 11.275),
+    ("mcp", 2): (47.7, 1.8530513712834253, 106, 0.0),
+}
+
+
+def test_monte_carlo_is_pinned():
+    _, make, *_ = GOLDEN["ame-warehouse-10a-s1001"]
+    instance = make()
+    plan = solve_ame(instance).plan
+    for (policy, latency), (mean, ci95, messages, collisions) in GOLDEN_MC.items():
+        stats = monte_carlo(instance, plan, policy, 40, 7, latency=latency)
+        assert stats.as_dict() == {
+            "n_runs": 40, "mean_makespan": mean, "ci95": ci95,
+            "messages": messages, "mean_collisions": collisions,
+            "timeouts": 0, "policy": policy}

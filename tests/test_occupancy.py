@@ -62,14 +62,14 @@ SHARED_GOAL = Plan((Path((0, 1, 2)), Path((3, 2)), Path((2,)), Path((4, 4, 1, 2,
 
 @given(plans_st)
 @example(SHARED_GOAL)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_enumerate_conflicts_matches_pairwise_loop(plan):
     assert enumerate_conflicts(plan) == pairwise_conflicts(plan)
 
 
 @given(plans_st)
 @example(SHARED_GOAL)
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 def test_earliest_conflict_matches_pairwise_loop(plan):
     scan = pairwise_conflicts(plan)
     expected = min(scan, key=Conflict.sort_key) if scan else None
@@ -78,7 +78,7 @@ def test_earliest_conflict_matches_pairwise_loop(plan):
 
 @given(plans_st)
 @example(SHARED_GOAL)
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 def test_low_level_increment_matches_pairwise_sum(plan):
     others = _OtherAgents([labeled(p.vertices) for p in plan.paths], plan.n_agents)
     for vertex in range(6):

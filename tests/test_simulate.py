@@ -1,12 +1,17 @@
+import functools
 import math
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
+from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan,
                      generate_random_instance, monte_carlo, run_execution,
                      solve_ame, stats_ci)
-from mapf_dp.simulate import (commands_dummy, commands_fsp, commands_mcp,
-                              mcp_schedule, run_seed, step, _pack_thresholds)
+from mapf_dp.simulate import POLICIES, mcp_schedule, run_seed
+from tests import sim_oracle
+from tests.conftest import C1, C2, C3, C4
 
 
 class StubRng:
@@ -24,77 +29,94 @@ def line_instance(n, p=0.5):
     return Instance(g, (AgentSpec(0, 0, n - 1, p),))
 
 
+def two_lines(plan, p=0.5):
+    """Instance with one agent per path of the plan; runs never read the graph."""
+    n = 1 + max(v for path in plan.paths for v in path.vertices)
+    g = Graph.from_edges(n, [])
+    return Instance(g, tuple(AgentSpec(i, path.vertices[0], path.vertices[-1], p)
+                             for i, path in enumerate(plan.paths)))
+
+
+def scripted(instance, plan, policy, draws, **kw):
+    """Run on scripted draws; every draw must be used."""
+    rng = StubRng(draws)
+    tr = run_execution(instance, plan, policy, rng, record=True, **kw)
+    assert rng.draws == []
+    return tr
+
+
 class TestStep:
     def test_finished_agent_ignores_go(self):
-        inst = line_instance(4)
-        plan = Plan((Path((0, 1, 2, 3)),))
-        local = [3]
-        advanced = step(local, [True], plan, [0.5], StubRng([0.99]))
-        assert local == [3] and advanced == []
+        plan = Plan((Path((0, 1)), Path((2, 3, 4))))
+        # agent 0 finishes in step 0 and draws nothing afterwards
+        tr = scripted(two_lines(plan), plan, "dummy", [0.9, 0.9, 0.9])
+        assert tr.snapshots == [(0, 0), (1, 1), (1, 2)]
 
     def test_wait_never_fails(self):
         plan = Plan((Path((0, 0, 1)),))
-        local = [0]
-        step(local, [True], plan, [0.9], StubRng([0.0]))
-        assert local == [1]
+        tr = scripted(line_instance(2, p=0.9), plan, "dummy", [0.95])
+        assert tr.snapshots == [(0,), (1,), (2,)]
 
     def test_move_fails_with_delay_probability(self):
         plan = Plan((Path((0, 1)),))
-        local = [0]
-        step(local, [True], plan, [0.5], StubRng([0.2]))   # 0.2 < p: delayed
-        assert local == [0]
-        step(local, [True], plan, [0.5], StubRng([0.8]))   # 0.8 >= p: moves
-        assert local == [1]
+        # 0.2 < p: delayed; 0.8 >= p: moves
+        tr = scripted(line_instance(2), plan, "dummy", [0.2, 0.8])
+        assert tr.snapshots == [(0,), (0,), (1,)]
 
-    def test_stop_freezes(self):
-        plan = Plan((Path((0, 1)),))
-        local = [0]
-        step(local, [False], plan, [0.5], StubRng([]))
-        assert local == [0]
+    def test_stop_freezes(self, pocket_instance, pocket_long_plan):
+        # agent 0 keeps failing its first move; agent 1 walks its waits to
+        # state 3, then holds there without drawing
+        tr = scripted(pocket_instance, pocket_long_plan, "mcp", [0.0] * 6,
+                      horizon_cap=6)
+        assert tr.status == "timeout"
+        assert [s[1] for s in tr.snapshots] == [0, 1, 2, 3, 3, 3, 3]
 
     def test_coins_drawn_in_agent_order(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
         plan = Plan((Path((0, 1)), Path((2, 3))))
-        local = [0, 0]
-        step(local, [True, True], plan, [0.5, 0.5], StubRng([0.1, 0.9]))
-        assert local == [0, 1]
+        tr = scripted(two_lines(plan), plan, "dummy", [0.1, 0.9, 0.9])
+        assert tr.snapshots == [(0, 0), (0, 1), (1, 1)]
 
 
 class TestCommands:
     def test_fsp_all_at_zero_go(self):
         plan = Plan((Path((0, 1)), Path((2, 3))))
-        assert commands_fsp([0, 0], [0, 0], plan) == [True, True]
+        tr = scripted(two_lines(plan), plan, "fsp", [0.9, 0.9])
+        assert tr.snapshots == [(0, 0), (1, 1)]
 
     def test_fsp_leader_stops_for_laggard(self):
-        plan = Plan((Path((0, 1, 2, 3, 0)), Path((4, 5, 6, 4))))
-        # agent 0 at x=3, agent 1 unfinished at x=2 -> agent 0 stops
-        assert commands_fsp([3, 2], [3, 2], plan) == [False, True]
+        plan = Plan((Path((0, 1, 2)), Path((3, 4, 5))))
+        # agent 1 fails twice; agent 0 holds at state 1 until it catches up
+        tr = scripted(two_lines(plan), plan, "fsp",
+                      [0.9, 0.1, 0.1, 0.9, 0.9, 0.9])
+        assert tr.snapshots == [(0, 0), (1, 0), (1, 0), (1, 1), (2, 2)]
 
     def test_fsp_finished_others_always_go(self):
-        plan = Plan((Path((0, 1, 2, 3, 0)), Path((4, 5))))
-        assert commands_fsp([3, 1], [3, 1], plan) == [True, False]
+        plan = Plan((Path((0, 1, 2, 3)), Path((4, 5))))
+        tr = scripted(two_lines(plan), plan, "fsp", [0.9] * 4)
+        assert tr.snapshots == [(0, 0), (1, 1), (2, 1), (3, 1)]
 
     def test_dummy_go_unless_done(self):
         plan = Plan((Path((0, 1)), Path((2,))))
-        assert commands_dummy([0, 0], plan) == [True, False]
+        tr = scripted(two_lines(plan), plan, "dummy", [0.9])
+        assert tr.snapshots == [(0, 0), (1, 0)]
 
-    def test_mcp_waits_for_threshold(self, pocket_long_plan):
-        sched = mcp_schedule(pocket_long_plan)
-        thr = _pack_thresholds(sched, pocket_long_plan)
-        # agent 1 at state 3 with no message from agent 0: STOP
-        cmds = commands_mcp([0, 3], [dict(), dict()], pocket_long_plan, thr)
-        assert cmds == [True, False]
-        cmds = commands_mcp([0, 3], [dict(), {0: 1}], pocket_long_plan, thr)
-        assert cmds == [True, True]
+    def test_mcp_waits_for_threshold(self, pocket_instance, pocket_long_plan):
+        # agent 0 reaches state 3 in step 2; agent 1, waiting at state 3 for
+        # that one message, leaves it in step 3 + latency
+        assert mcp_schedule(pocket_long_plan).waits[1][3] == ((0, 3),)
+        for latency in (0, 1, 2):
+            tr = scripted(pocket_instance, pocket_long_plan, "mcp", [0.9] * 4,
+                          horizon_cap=4 + latency, latency=latency)
+            agent1 = [s[1] for s in tr.snapshots]
+            assert agent1 == [0, 1, 2] + [3] * (1 + latency) + [4]
+            assert tr.snapshots[3][0] == 3
 
     def test_mcp_zero_thresholds_match_dummy(self):
         plan = Plan((Path((0, 1)), Path((2, 3))))
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        sched = mcp_schedule(plan)
-        thr = _pack_thresholds(sched, plan)
-        for local in ([0, 0], [1, 0], [1, 1]):
-            assert commands_mcp(local, [dict(), dict()], plan, thr) \
-                == commands_dummy(local, plan)
+        inst = two_lines(plan)
+        for k in range(20):
+            assert run_execution(inst, plan, "mcp", run_seed(8, k), record=True).snapshots \
+                == run_execution(inst, plan, "dummy", run_seed(8, k), record=True).snapshots
 
 
 class TestRunExecution:
@@ -150,6 +172,10 @@ class TestRunExecution:
         assert tr.status == "timeout"
         assert tr.makespan is None
 
+    def test_rejects_negative_latency(self, pocket_instance, pocket_valid_plan):
+        with pytest.raises(ValueError):
+            run_execution(pocket_instance, pocket_valid_plan, "mcp", 0, latency=-1)
+
     def test_trace_recording(self, pocket_instance, pocket_valid_plan):
         tr = run_execution(pocket_instance, pocket_valid_plan, "mcp",
                            run_seed(0, 0), record=True)
@@ -157,6 +183,23 @@ class TestRunExecution:
         assert tr.snapshots[-1] == tuple(
             p.last_index for p in pocket_valid_plan.paths)
         assert len(tr.snapshots) == tr.makespan + 1
+
+
+    def test_deadlock_once_messages_have_landed(self):
+        # a hand-made schedule no plan yields: agent 0 waits for agent 1's
+        # state 2, agent 1 waits at state 1 for agent 0's state 1
+        plan = Plan((Path((0, 0, 1)), Path((2, 2, 2))))
+        sched = MessageSchedule(senders={(1, 1): (0,)},
+                                waits={0: [((1, 2),), (), ()],
+                                       1: [(), ((0, 1),), ()]},
+                                total_messages=1)
+        for latency in (0, 2):
+            tr = run_execution(two_lines(plan), plan, "mcp", StubRng([]),
+                               schedule=sched, latency=latency, record=True)
+            # agent 1's message from step 0 is in flight until step latency
+            assert tr.status == "deadlock" and tr.makespan is None
+            assert tr.messages_sent == 1
+            assert tr.snapshots == [(0, 0)] + [(0, 1)] * (1 + latency)
 
 
 class TestMessageAccounting:
@@ -179,6 +222,79 @@ class TestMessageAccounting:
     def test_dummy_sends_nothing(self, pocket_instance, pocket_valid_plan):
         tr = run_execution(pocket_instance, pocket_valid_plan, "dummy", 3)
         assert tr.messages_sent == 0
+
+
+@functools.cache
+def solved_plans():
+    out = []
+    for seed in range(4):
+        inst = generate_random_instance(8, 8, 0.15, 5, (0, 0.6), seed)
+        result = solve_ame(inst)
+        assert result.solved
+        out.append((inst, result.plan))
+    return tuple(out)
+
+
+def assert_matches_oracle(instance, plan, policy, rng_of, horizon_cap=None,
+                          latency=0):
+    """Status, makespan, messages, collisions in order and snapshots agree."""
+    new = run_execution(instance, plan, policy, rng_of(), horizon_cap=horizon_cap,
+                        latency=latency, record=True)
+    old = sim_oracle.run_execution(instance, plan, policy, rng_of(),
+                                   horizon_cap=horizon_cap, latency=latency,
+                                   record=True)
+    assert new == old
+    return new
+
+
+class TestMatchesOracle:
+    @given(case=st.integers(0, 3), policy=st.sampled_from(POLICIES),
+           latency=st.integers(0, 3), seed=st.integers(0, 2**32),
+           capped=st.booleans())
+    @settings(max_examples=120)
+    def test_solved_plans(self, case, policy, latency, seed, capped):
+        inst, plan = solved_plans()[case]
+        cap = plan.max_index if capped else None
+        for k in range(4):
+            assert_matches_oracle(inst, plan, policy, lambda: run_seed(seed, k),
+                                  horizon_cap=cap, latency=latency)
+
+    @given(paths=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                          min_size=1, max_size=5),
+           policy=st.sampled_from(POLICIES), latency=st.integers(0, 3),
+           seed=st.integers(0, 2**32))
+    @settings(max_examples=150)
+    def test_arbitrary_plans(self, paths, policy, latency, seed):
+        # unvalidated plans: shared sender states, collisions of every kind;
+        # the runs read nothing of the instance but the delay probabilities
+        plan = Plan(tuple(Path(tuple(p)) for p in paths))
+        inst = SimpleNamespace(agents=[SimpleNamespace(delay_prob=0.2 + 0.15 * i)
+                                       for i in range(len(paths))])
+        for k in range(3):
+            assert_matches_oracle(inst, plan, policy, lambda: run_seed(seed, k),
+                                  latency=latency)
+
+    def test_pocket_plans(self, pocket_instance, pocket_valid_plan,
+                          pocket_long_plan):
+        for plan in (pocket_valid_plan, pocket_long_plan):
+            for policy in POLICIES:
+                for latency in range(4):
+                    for cap in (None, 5):
+                        for k in range(10):
+                            assert_matches_oracle(
+                                pocket_instance, plan, policy,
+                                lambda: run_seed(latency, k), cap, latency)
+
+    def test_invalid_plan_collisions(self, pocket_instance, pocket_invalid_plan):
+        # a head-on swap through C2-C3, besides the pocket plan's follower
+        swap = Plan((Path((C2, C2, C3, C4)), Path((C4, C3, C2, C1))))
+        kinds = set()
+        for plan in (pocket_invalid_plan, swap):
+            for k in range(100):
+                tr = assert_matches_oracle(pocket_instance, plan, "dummy",
+                                           lambda: run_seed(9, k))
+                kinds.update(c.kind for c in tr.collisions)
+        assert kinds == {"vertex", "edge"}
 
 
 class TestMonteCarlo:
