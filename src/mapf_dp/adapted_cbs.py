@@ -7,35 +7,25 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
-import time
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .ame import Constraint, LowLevelFailure, SolveLimits, SolveResult, branch_constraints
-from .model import Instance, Path, Plan, find_earliest_conflict, \
-    shortest_path_distances
+from .ame import (Constraint, LowLevelFailure, SolveLimits, SolveResult,
+                  conflict_tree_search, constraint_setup, trace_back)
+from .model import Instance, Path, Plan
 
 
 def shortest_path_under_constraints(instance: Instance, agent: int,
                                     constraints: Sequence[Constraint],
                                     dist_to_goal: Sequence[float],
                                     expansion_cap: int = 200_000,
-                                    max_index: Optional[int] = None) -> Path:
-    """Time-expanded A* minimizing the final index; ties toward deeper states."""
+                                    max_index: Optional[int] = None) -> tuple[Path, int]:
+    """Time-expanded A* minimizing the final index; ties toward deeper states.
+    Returns (path, expansions) or raises LowLevelFailure."""
     spec = instance.agents[agent]
     graph = instance.graph
-    banned = {(c.vertex, c.index) for c in constraints if c.agent == agent}
-    goal_con_max = max((c.index for c in constraints
-                        if c.agent == agent and c.vertex == spec.goal), default=-1)
-    if max_index is None:
-        con_max = max((c.index for c in constraints if c.agent == agent), default=0)
-        max_index = 4 * graph.n_vertices + con_max
-    if dist_to_goal[spec.start] == math.inf or (spec.start, 0) in banned:
-        raise LowLevelFailure("exhausted")
-
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    seen = {(spec.start, 0)}
+    banned, goal_con_max, max_index = constraint_setup(
+        instance, agent, constraints, dist_to_goal, max_index)
+    parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(spec.start, 0): None}
     counter = itertools.count()
     heap = [(dist_to_goal[spec.start], 0, spec.start, next(counter))]  # (f, -x, v, tie)
     expansions = 0
@@ -43,15 +33,7 @@ def shortest_path_under_constraints(instance: Instance, agent: int,
         f, negx, v, _ = heapq.heappop(heap)
         x = -negx
         if v == spec.goal and x >= goal_con_max:
-            verts = []
-            node = (v, x)
-            while True:
-                verts.append(node[0])
-                if node[1] == 0:
-                    break
-                node = parent[node]
-            verts.reverse()
-            return Path(tuple(verts))
+            return Path(tuple(s[0] for s in trace_back(parent, (v, x)))), expansions
         if expansions >= expansion_cap:
             raise LowLevelFailure("budget")
         expansions += 1
@@ -59,75 +41,28 @@ def shortest_path_under_constraints(instance: Instance, agent: int,
         if nx > max_index:
             continue
         for nv in (v,) + graph.adjacency[v]:
-            if (nv, nx) in banned or (nv, nx) in seen:
+            if (nv, nx) in banned or (nv, nx) in parent:
                 continue
-            seen.add((nv, nx))
             parent[(nv, nx)] = (v, x)
             heapq.heappush(heap, (nx + dist_to_goal[nv], -nx, nv, next(counter)))
     raise LowLevelFailure("exhausted")
-
-
-@dataclass
-class _Node:
-    constraints: frozenset[Constraint]
-    plan: Plan
-    seq: int
-
-    def heap_key(self) -> tuple:
-        return (self.plan.max_index, self.plan.sum_indices, self.seq)
 
 
 def solve_adapted_cbs(instance: Instance,
                       limits: Optional[SolveLimits] = None) -> SolveResult:
     """Conflict-tree search for a valid plan minimizing max_i X_i.
 
-    Ties break toward smaller total path length, then FIFO.
+    Ties break toward smaller total path length, then FIFO.  The low level
+    ignores the other agents' paths and the parent's key.
     """
-    if limits is None:
-        limits = SolveLimits()
-    t0 = time.monotonic()
-    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
-    seq = itertools.count()
-    hl_expanded = 0
+    def replan(instance, agent, other_paths, constraints, key, dist_to_goal, cap, max_index):
+        return shortest_path_under_constraints(instance, agent, constraints, dist_to_goal,
+                                               cap, max_index)
 
-    def replan(agent: int, constraints) -> Path:
-        return shortest_path_under_constraints(
-            instance, agent, [c for c in constraints if c.agent == agent],
-            dists[agent], limits.low_level_expansions, limits.max_index)
+    def evaluate(plan: Plan) -> tuple[Plan, float, tuple]:
+        return plan, float(plan.max_index), (plan.max_index, plan.sum_indices)
 
-    try:
-        root_paths = tuple(replan(i, ()) for i in range(instance.n_agents))
-    except LowLevelFailure as fail:
-        status = "no-solution" if fail.cause == "exhausted" else "timeout"
-        return SolveResult(status, None, wall_time=time.monotonic() - t0)
-
-    root = _Node(frozenset(), Plan(root_paths), next(seq))
-    heap = [(root.heap_key(), root)]
-    while heap:
-        if time.monotonic() - t0 > limits.time_s \
-                or hl_expanded >= limits.high_level_expansions:
-            return SolveResult("timeout", None, high_level_expanded=hl_expanded,
-                               wall_time=time.monotonic() - t0)
-        _, node = heapq.heappop(heap)
-        hl_expanded += 1
-        conflict = find_earliest_conflict(node.plan)
-        if conflict is None:
-            return SolveResult("solved", node.plan,
-                               key=float(node.plan.max_index),
-                               high_level_expanded=hl_expanded,
-                               wall_time=time.monotonic() - t0)
-        for con in branch_constraints(conflict):
-            child_constraints = node.constraints | {con}
-            try:
-                path = replan(con.agent, child_constraints)
-            except LowLevelFailure:
-                continue
-            new_paths = list(node.plan.paths)
-            new_paths[con.agent] = path
-            child = _Node(child_constraints, Plan(tuple(new_paths)), next(seq))
-            heapq.heappush(heap, (child.heap_key(), child))
-    return SolveResult("no-solution", None, high_level_expanded=hl_expanded,
-                       wall_time=time.monotonic() - t0)
+    return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate)
 
 
 def brute_force_optimal_makespan(instance: Instance, horizon: int) -> Optional[int]:

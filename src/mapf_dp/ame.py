@@ -1,11 +1,12 @@
 """Two-level solver for delay-aware multi-agent path finding.
 
-The high level is a conflict tree: pop the node with the smallest
-approximate average makespan, pick the earliest conflict in its plan,
-and branch by constraining one involved agent per child, replanning
-only that agent.  The low level is a focal search with re-expansions
-over (vertex, local-state) states whose g-values track the approximate
-average entry times of the other agents' stored labels.
+`conflict_tree_search` is the high level that AME and the adapted-CBS
+baseline share: pop the node with the smallest key, pick the earliest
+conflict in its plan, and branch by constraining one involved agent per
+child, replanning only that agent.  `solve_ame` keys nodes by the
+approximate average makespan.  Its low level is a focal search with
+re-expansions over (vertex, local-state) states whose g-values track the
+approximate average entry times of the other agents' stored labels.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
 from .model import (Conflict, ConflictKind, Instance, Occupancy, Path, Plan,
@@ -47,7 +48,7 @@ class SolveLimits:
 class SolveResult:
     status: str                    # "solved" | "no-solution" | "timeout"
     plan: Optional[Plan]
-    key: Optional[float] = None    # approximate average makespan of the plan
+    key: Optional[float] = None    # AME: approximate average makespan; adapted CBS: max index
     high_level_expanded: int = 0
     low_level_expanded: int = 0
     wall_time: float = 0.0
@@ -71,6 +72,98 @@ def branch_constraints(conflict: Conflict) -> tuple[Constraint, Constraint]:
                 Constraint(conflict.agent_j, v, x))
     return (Constraint(conflict.agent_i, v, x + 1),
             Constraint(conflict.agent_j, v, x))
+
+
+def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callable,
+                         evaluate: Callable[[Plan], tuple[Plan, float, tuple]]) -> SolveResult:
+    """The conflict tree of CBS (Sharon et al. 2015) over a given low level
+    `replan`, with the signature of `low_level_search`, and node key.
+
+    The root plans agents in id order against the paths planned so far, with
+    key 0; a child replans one agent against the others with its parent's
+    key.  `evaluate(plan)` returns (plan to store, key, order); nodes pop by
+    smallest order, ties first in, first out."""
+    t0 = time.monotonic()
+    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
+    ll_total = hl_expanded = key_decreases = 0
+
+    def result(status: str, plan: Optional[Plan] = None,
+               key: Optional[float] = None) -> SolveResult:
+        return SolveResult(status, plan, key, hl_expanded, ll_total,
+                           time.monotonic() - t0, key_decreases)
+
+    def plan_agent(agent: int, others: Sequence[Path], constraints, key: float) -> Path:
+        nonlocal ll_total
+        path, expansions = replan(instance, agent, others, constraints, key, dists[agent],
+                                  limits.low_level_expansions, limits.max_index)
+        ll_total += expansions
+        return path
+
+    root_paths: list[Path] = []
+    for i in range(instance.n_agents):
+        try:
+            root_paths.append(plan_agent(i, root_paths, (), 0.0))
+        except LowLevelFailure as fail:
+            return result("no-solution" if fail.cause == "exhausted" else "timeout")
+        if time.monotonic() - t0 > limits.time_s:
+            return result("timeout")
+
+    seq = itertools.count()
+    plan, key, order = evaluate(Plan(tuple(root_paths)))
+    heap = [(order, next(seq), frozenset(), plan, key)]
+    while heap:
+        if (time.monotonic() - t0 > limits.time_s
+                or hl_expanded >= limits.high_level_expansions):
+            return result("timeout")
+        _, _, constraints, plan, key = heapq.heappop(heap)
+        hl_expanded += 1
+        conflict = find_earliest_conflict(plan)
+        if conflict is None:
+            return result("solved", plan, key)
+        for con in branch_constraints(conflict):
+            child_constraints = constraints | {con}
+            others = [p for k, p in enumerate(plan.paths) if k != con.agent]
+            try:
+                path = plan_agent(con.agent, others, child_constraints, key)
+            except LowLevelFailure:
+                continue
+            new_paths = list(plan.paths)
+            new_paths[con.agent] = path
+            child_plan, child_key, child_order = evaluate(Plan(tuple(new_paths)))
+            if child_key < key - EPS:
+                key_decreases += 1
+            heapq.heappush(heap, (child_order, next(seq), child_constraints,
+                                  child_plan, child_key))
+    return result("no-solution")
+
+
+def constraint_setup(instance: Instance, agent: int, constraints: Sequence[Constraint],
+                     dist_to_goal: Sequence[float],
+                     max_index: Optional[int]) -> tuple[set[tuple[int, int]], int, int]:
+    """`agent`'s banned (vertex, index) pairs, the largest index of a constraint
+    on its goal (-1 if none; the path may end only from there on) and the
+    index cap (default 4|V| plus the largest constrained index).  Raises
+    LowLevelFailure("exhausted") if the start cannot reach the goal or is banned."""
+    own = [c for c in constraints if c.agent == agent]
+    spec = instance.agents[agent]
+    banned = {(c.vertex, c.index) for c in own}
+    goal_con_max = max((c.index for c in own if c.vertex == spec.goal), default=-1)
+    if max_index is None:
+        max_index = 4 * instance.graph.n_vertices + max((c.index for c in own), default=0)
+    if dist_to_goal[spec.start] == math.inf or (spec.start, 0) in banned:
+        raise LowLevelFailure("exhausted")
+    return banned, goal_con_max, max_index
+
+
+def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
+               state: tuple[int, int]) -> list[tuple[int, int]]:
+    """The (vertex, index) states from index 0 to `state` along `parent` links."""
+    states = [state]
+    while state[1] != 0:
+        state = parent[state]
+        states.append(state)
+    states.reverse()
+    return states
 
 
 class _OtherAgents(Occupancy):
@@ -127,17 +220,8 @@ def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path]
     """
     spec = instance.agents[agent]
     graph = instance.graph
-    banned = {(c.vertex, c.index) for c in constraints if c.agent == agent}
-    goal_con_max = max((c.index for c in constraints
-                        if c.agent == agent and c.vertex == spec.goal), default=-1)
-    if max_index is None:
-        con_max = max((c.index for c in constraints if c.agent == agent), default=0)
-        max_index = 4 * graph.n_vertices + con_max
-    if dist_to_goal[spec.start] == math.inf:
-        raise LowLevelFailure("exhausted")
-    if (spec.start, 0) in banned:
-        raise LowLevelFailure("exhausted")
-
+    banned, goal_con_max, max_index = constraint_setup(
+        instance, agent, constraints, dist_to_goal, max_index)
     others = _OtherAgents(other_paths, agent)
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
@@ -181,17 +265,8 @@ def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path]
                 raise LowLevelFailure("exhausted")
         v, x, gval = state
         if v == spec.goal and x >= goal_con_max:
-            verts, labels = [], []
-            node = (v, x)
-            while True:
-                verts.append(node[0])
-                labels.append(g[node])
-                if node[1] == 0:
-                    break
-                node = parent[node]
-            verts.reverse()
-            labels.reverse()
-            return Path(tuple(verts), tuple(labels)), expansions
+            states = trace_back(parent, (v, x))
+            return Path(tuple(s[0] for s in states), tuple(g[s] for s in states)), expansions
         prev = expanded_g.get((v, x))
         if prev is not None and abs(prev - gval) <= 1e-12:
             continue   # already expanded at this g
@@ -218,18 +293,6 @@ def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path]
                                    (conf[(nv, nx)], f_new, -nx, nv, g_new, next(counter)))
 
 
-@dataclass
-class HighLevelNode:
-    constraints: frozenset[Constraint]
-    plan: Plan
-    key: float
-    conflict_count: int
-    seq: int
-
-    def heap_key(self) -> tuple:
-        return (round(self.key, 9), self.conflict_count, self.seq)
-
-
 def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
               recompute_labels: bool = False) -> SolveResult:
     """Find a valid delay-aware plan with small approximate average makespan.
@@ -238,81 +301,12 @@ def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
     partial-order recurrence whenever a node's plan changes (off by default:
     stored labels of unchanged agents stay stale, as in the base algorithm).
     """
-    if limits is None:
-        limits = SolveLimits()
-    t0 = time.monotonic()
     probs = [a.delay_prob for a in instance.agents]
-    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
-    ll_total = 0
-    key_decreases = 0
 
-    def out_of_time() -> bool:
-        return time.monotonic() - t0 > limits.time_s
-
-    # root: plan agents one by one against the paths planned so far, key 0
-    root_paths: list[Path] = []
-    for i in range(instance.n_agents):
-        try:
-            path, exp = low_level_search(
-                instance, i, root_paths, (), 0.0, dists[i],
-                limits.low_level_expansions, limits.max_index)
-        except LowLevelFailure as fail:
-            status = "no-solution" if fail.cause == "exhausted" else "timeout"
-            return SolveResult(status, None, low_level_expanded=ll_total,
-                               wall_time=time.monotonic() - t0)
-        ll_total += exp
-        root_paths.append(path)
-        if out_of_time():
-            return SolveResult("timeout", None, low_level_expanded=ll_total,
-                               wall_time=time.monotonic() - t0)
-
-    seq = itertools.count()
-
-    def make_node(constraints: frozenset, plan: Plan) -> HighLevelNode:
-        nonlocal ll_total
+    def evaluate(plan: Plan) -> tuple[Plan, float, tuple]:
         if recompute_labels:
             plan = compute_labels(plan, probs)
         key = approximate_average_makespan(plan)
-        n_conf = len(enumerate_conflicts(plan))
-        return HighLevelNode(constraints, plan, key, n_conf, next(seq))
+        return plan, key, (round(key, 9), len(enumerate_conflicts(plan)))
 
-    root = make_node(frozenset(), Plan(tuple(root_paths)))
-    heap = [(root.heap_key(), root)]
-    hl_expanded = 0
-
-    while heap:
-        if out_of_time() or hl_expanded >= limits.high_level_expansions:
-            return SolveResult("timeout", None, high_level_expanded=hl_expanded,
-                               low_level_expanded=ll_total,
-                               wall_time=time.monotonic() - t0,
-                               key_decreases=key_decreases)
-        _, node = heapq.heappop(heap)
-        hl_expanded += 1
-        conflict = find_earliest_conflict(node.plan)
-        if conflict is None:
-            return SolveResult("solved", node.plan, key=node.key,
-                               high_level_expanded=hl_expanded,
-                               low_level_expanded=ll_total,
-                               wall_time=time.monotonic() - t0,
-                               key_decreases=key_decreases)
-        for con in branch_constraints(conflict):
-            child_constraints = node.constraints | {con}
-            others = [p for k, p in enumerate(node.plan.paths) if k != con.agent]
-            agent_cons = [c for c in child_constraints if c.agent == con.agent]
-            try:
-                path, exp = low_level_search(
-                    instance, con.agent, others, agent_cons, node.key,
-                    dists[con.agent], limits.low_level_expansions, limits.max_index)
-            except LowLevelFailure:
-                continue
-            ll_total += exp
-            new_paths = list(node.plan.paths)
-            new_paths[con.agent] = path
-            child = make_node(child_constraints, Plan(tuple(new_paths)))
-            if child.key < node.key - EPS:
-                key_decreases += 1
-            heapq.heappush(heap, (child.heap_key(), child))
-    return SolveResult("no-solution", None, high_level_expanded=hl_expanded,
-                       low_level_expanded=ll_total,
-                       wall_time=time.monotonic() - t0,
-                       key_decreases=key_decreases)
+    return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate)

@@ -12,8 +12,7 @@ from pathlib import Path as FilePath
 
 from . import bench as bench_mod
 from . import mapio
-from .adapted_cbs import solve_adapted_cbs
-from .ame import SolveLimits, solve_ame
+from .ame import SolveLimits
 from .dependency import dependency_stats
 from .generate import WarehouseParams, generate_random_instance, \
     generate_warehouse_instance, resample_delays
@@ -126,10 +125,7 @@ def cmd_generate(args) -> int:
 def cmd_solve(args) -> int:
     instance = mapio.read_instance(args.map, args.agents)
     limits = SolveLimits(time_s=args.time_limit)
-    if args.solver == "ame":
-        result = solve_ame(instance, limits, recompute_labels=args.recompute_labels)
-    else:
-        result = solve_adapted_cbs(instance, limits)
+    result = bench_mod.solve_with(args.solver, instance, limits, args.recompute_labels)
     print(f"solver={args.solver} status={result.status} "
           f"wall_time={result.wall_time:.3f}s "
           f"high_level_expanded={result.high_level_expanded} "

@@ -39,7 +39,8 @@ class DependencyGraph:
 
 def build_partial_order(plan: Plan) -> DependencyGraph:
     """Unreduced partial order implied by a valid plan, built from visits
-    (j, x') with x' < X_j grouped by vertex: one step per same-vertex pair."""
+    (j, x') with x' < X_j grouped by vertex: one step per same-vertex pair.
+    Validity is a precondition that is not checked here (see `validate_plan`)."""
     nodes = [(i, x) for i, p in enumerate(plan.paths) for x in range(p.last_index + 1)]
     edges: set[tuple[Node, Node]] = set()
     for i, p in enumerate(plan.paths):
@@ -58,11 +59,6 @@ def build_partial_order(plan: Plan) -> DependencyGraph:
                     break
                 if j != i:
                     edges.add(((j, xp + 1), (i, x + 1)))
-    for (j, y), (i, x) in edges:
-        if y >= x:
-            raise DependencyError(
-                f"edge ({j},{y}) -> ({i},{x}) does not increase the index; "
-                "was the plan validated?")
     return DependencyGraph(nodes, edges, reduced=False)
 
 

@@ -24,10 +24,12 @@ def agents_to_text(instance: Instance) -> str:
 
 
 def agents_from_text(graph: Graph, text: str) -> tuple[AgentSpec, ...]:
+    """Inverse of `agents_to_text`; raises MapError naming the bad line."""
     meta = graph.grid
     if meta is None:
         raise MapError("agents file needs grid coordinates")
     agents = []
+    seen: set[int] = set()
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -35,9 +37,16 @@ def agents_from_text(graph: Graph, text: str) -> tuple[AgentSpec, ...]:
         parts = line.split(",")
         if len(parts) != 6:
             raise MapError(f"agents line {lineno}: expected 6 fields, got {len(parts)}")
-        aid, sx, sy, gx, gy = (int(p) for p in parts[:5])
-        agents.append(AgentSpec(aid, meta.vertex_at(sx, sy), meta.vertex_at(gx, gy),
-                                float(parts[5])))
+        try:
+            aid, sx, sy, gx, gy = (int(p) for p in parts[:5])
+            spec = AgentSpec(aid, meta.vertex_at(sx, sy), meta.vertex_at(gx, gy),
+                             float(parts[5]))
+        except ValueError as exc:   # int/float syntax, AgentSpec, or a MapError
+            raise MapError(f"agents line {lineno}: {exc}") from None
+        if aid in seen:
+            raise MapError(f"agents line {lineno}: duplicate agent id {aid}")
+        seen.add(aid)
+        agents.append(spec)
     return tuple(agents)
 
 
@@ -85,14 +94,37 @@ def plan_to_json(plan: Plan, checksum: str, solver: str = "",
 
 
 def plan_from_json(text: str) -> tuple[Plan, str]:
-    doc = json.loads(text)
-    entries = sorted(doc["agents"], key=lambda e: e["id"])
-    paths = tuple(
-        Path(tuple(e["path"]),
-             tuple(e["labels"]) if "labels" in e else None)
-        for e in entries
-    )
-    return Plan(paths), doc.get("checksum", "")
+    """Parse the document written by `plan_to_json`, paths sorted by agent id;
+    raises MapError when it is not one."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MapError(f"plan file is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise MapError("plan file must hold a JSON object")
+    entries = doc.get("agents")
+    checksum = doc.get("checksum", "")
+    if not isinstance(entries, list):
+        raise MapError("plan file needs an 'agents' list")
+    if not isinstance(checksum, str):
+        raise MapError("plan file 'checksum' must be a string")
+    by_id: dict[int, Path] = {}
+    for k, e in enumerate(entries):
+        if not (isinstance(e, dict) and type(e.get("id")) is int
+                and isinstance(e.get("path"), list) and e["path"]
+                and all(type(v) is int for v in e["path"])):
+            raise MapError(f"plan agents[{k}]: needs an integer 'id' and a non-empty "
+                           "'path' list of integer vertices")
+        labels = e.get("labels")
+        if labels is not None and not (
+                isinstance(labels, list) and len(labels) == len(e["path"])
+                and all(isinstance(v, (int, float)) for v in labels)):
+            raise MapError(f"plan agents[{k}]: 'labels' must be a list of numbers, "
+                           "one per path vertex")
+        if e["id"] in by_id:
+            raise MapError(f"plan agents[{k}]: duplicate agent id {e['id']}")
+        by_id[e["id"]] = Path(tuple(e["path"]), None if labels is None else tuple(labels))
+    return Plan(tuple(by_id[i] for i in sorted(by_id))), checksum
 
 
 def write_plan(path, plan: Plan, checksum: str, solver: str = "",

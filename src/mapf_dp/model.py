@@ -27,7 +27,7 @@ INF = math.inf
 
 
 class MapError(ValueError):
-    """Raised for malformed map or agent files."""
+    """Raised for malformed map, agent or plan files."""
 
 
 @dataclass
@@ -280,6 +280,9 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
     vs = path.vertices
     if not vs:
         return [f"agent {agent.id}: empty path"]
+    outside = [v for v in vs if not 0 <= v < instance.graph.n_vertices]
+    if outside:
+        return [f"agent {agent.id}: vertex {outside[0]} is not in the graph"]
     if vs[0] != agent.start:
         errors.append(f"agent {agent.id}: path starts at {vs[0]}, not {agent.start}")
     if vs[-1] != agent.goal:

@@ -13,14 +13,14 @@ class TestLowLevel:
     def test_single_agent_hop_distance(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
-        path = shortest_path_under_constraints(
+        path, _ = shortest_path_under_constraints(
             inst, 0, (), shortest_path_distances(g, 3))
         assert path.vertices == (0, 1, 2, 3)
 
     def test_constraint_forces_detour_or_wait(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5),))
-        path = shortest_path_under_constraints(
+        path, _ = shortest_path_under_constraints(
             inst, 0, (Constraint(0, 1, 1),), shortest_path_distances(g, 2))
         assert path.vertices[1] != 1
         assert path.vertices[-1] == 2
@@ -29,7 +29,7 @@ class TestLowLevel:
     def test_goal_constraint_delays_arrival(self):
         g = Graph.from_edges(2, [(0, 1)])
         inst = Instance(g, (AgentSpec(0, 0, 1, 0.5),))
-        path = shortest_path_under_constraints(
+        path, _ = shortest_path_under_constraints(
             inst, 0, (Constraint(0, 1, 1), Constraint(0, 1, 2)),
             shortest_path_distances(g, 1))
         assert path.last_index == 3

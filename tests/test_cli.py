@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -74,6 +75,8 @@ class TestSolveAndValidate:
         plan_p = tmp_path / "plan.json"
         assert main(["solve", str(map_p), str(agents_p), "--solver",
                      "adapted-cbs", "--out", str(plan_p)]) == EXIT_OK
+        expanded = re.search(r"low_level_expanded=(\d+)", capsys.readouterr().out)
+        assert expanded and int(expanded.group(1)) > 0
         assert main(["validate", str(map_p), str(agents_p),
                      str(plan_p)]) == EXIT_OK
 
@@ -189,3 +192,27 @@ class TestErrors:
     def test_missing_file_reported(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope.map"),
                      str(tmp_path / "nope.agents")]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("text", [
+        "{not json", "[]", '{"checksum": ""}', '{"agents": 3}', '{"agents": [{"id": 0}]}',
+        '{"agents": [{"id": 0, "path": [0]}, {"id": 0, "path": [3]}]}',
+    ])
+    def test_malformed_plan_file_reported(self, tmp_path, capsys, text):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        plan_p.write_text(text)
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_vertex_outside_map_is_invalid(self, tmp_path, capsys):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        plan_p.write_text('{"agents": [{"id": 0, "path": [0, 99, 3]}, '
+                          '{"id": 1, "path": [3, 2, 1, 0]}]}')
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_INVALID
+        assert "path error: agent 0: vertex 99 is not in the graph" in capsys.readouterr().out
+
+    def test_duplicate_agent_id_reported(self, tmp_path, capsys):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        agents_p.write_text("0,0,0,3,0,0.5\n0,3,0,0,0,0.5\n")
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: agents line 2: duplicate agent id 0\n"
