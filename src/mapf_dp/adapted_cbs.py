@@ -17,14 +17,13 @@ from .model import Instance, Path, Plan
 def shortest_path_under_constraints(instance: Instance, agent: int,
                                     constraints: Sequence[Constraint],
                                     dist_to_goal: Sequence[float],
-                                    expansion_cap: int = 200_000,
-                                    max_index: Optional[int] = None) -> tuple[Path, int]:
+                                    expansion_cap: int = 200_000) -> tuple[Path, int]:
     """Time-expanded A* minimizing the final index; ties toward deeper states.
     Returns (path, expansions) or raises LowLevelFailure."""
     spec = instance.agents[agent]
     graph = instance.graph
     banned, goal_con_max, max_index = constraint_setup(
-        instance, agent, constraints, dist_to_goal, max_index)
+        instance, agent, constraints, dist_to_goal)
     parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(spec.start, 0): None}
     counter = itertools.count()
     heap = [(dist_to_goal[spec.start], 0, spec.start, next(counter))]  # (f, -x, v, tie)
@@ -55,9 +54,8 @@ def solve_adapted_cbs(instance: Instance,
     Ties break toward smaller total path length, then FIFO.  The low level
     ignores the other agents' paths and the parent's key.
     """
-    def replan(instance, agent, other_paths, constraints, key, dist_to_goal, cap, max_index):
-        return shortest_path_under_constraints(instance, agent, constraints, dist_to_goal,
-                                               cap, max_index)
+    def replan(instance, agent, other_paths, constraints, key, dist_to_goal, cap):
+        return shortest_path_under_constraints(instance, agent, constraints, dist_to_goal, cap)
 
     def evaluate(plan: Plan) -> tuple[Plan, float, tuple]:
         return plan, float(plan.max_index), (plan.max_index, plan.sum_indices)

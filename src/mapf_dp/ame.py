@@ -41,7 +41,6 @@ class SolveLimits:
     time_s: float = 60.0
     high_level_expansions: int = 50_000
     low_level_expansions: int = 200_000
-    max_index: Optional[int] = None
 
 
 @dataclass
@@ -95,7 +94,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     def plan_agent(agent: int, others: Sequence[Path], constraints, key: float) -> Path:
         nonlocal ll_total
         path, expansions = replan(instance, agent, others, constraints, key, dists[agent],
-                                  limits.low_level_expansions, limits.max_index)
+                                  limits.low_level_expansions)
         ll_total += expansions
         return path
 
@@ -138,18 +137,16 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
 
 
 def constraint_setup(instance: Instance, agent: int, constraints: Sequence[Constraint],
-                     dist_to_goal: Sequence[float],
-                     max_index: Optional[int]) -> tuple[set[tuple[int, int]], int, int]:
+                     dist_to_goal: Sequence[float]) -> tuple[set[tuple[int, int]], int, int]:
     """`agent`'s banned (vertex, index) pairs, the largest index of a constraint
     on its goal (-1 if none; the path may end only from there on) and the
-    index cap (default 4|V| plus the largest constrained index).  Raises
+    index cap (4|V| plus the largest constrained index).  Raises
     LowLevelFailure("exhausted") if the start cannot reach the goal or is banned."""
     own = [c for c in constraints if c.agent == agent]
     spec = instance.agents[agent]
     banned = {(c.vertex, c.index) for c in own}
     goal_con_max = max((c.index for c in own if c.vertex == spec.goal), default=-1)
-    if max_index is None:
-        max_index = 4 * instance.graph.n_vertices + max((c.index for c in own), default=0)
+    max_index = 4 * instance.graph.n_vertices + max((c.index for c in own), default=0)
     if dist_to_goal[spec.start] == math.inf or (spec.start, 0) in banned:
         raise LowLevelFailure("exhausted")
     return banned, goal_con_max, max_index
@@ -209,8 +206,7 @@ class _OtherAgents(Occupancy):
 def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path],
                      constraints: Sequence[Constraint], key: float,
                      dist_to_goal: Sequence[float],
-                     expansion_cap: int = 200_000,
-                     max_index: Optional[int] = None) -> tuple[Path, int]:
+                     expansion_cap: int = 200_000) -> tuple[Path, int]:
     """Plan one agent against the fixed labeled paths of the others.
 
     Returns (labeled path, expansions).  Phase 1 expands, among queued
@@ -221,7 +217,7 @@ def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path]
     spec = instance.agents[agent]
     graph = instance.graph
     banned, goal_con_max, max_index = constraint_setup(
-        instance, agent, constraints, dist_to_goal, max_index)
+        instance, agent, constraints, dist_to_goal)
     others = _OtherAgents(other_paths, agent)
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]

@@ -174,9 +174,11 @@ def cmd_simulate(args) -> int:
     instance, plan, ok = _load_checked(args)
     if not ok:
         return EXIT_INVALID
-    if args.policy != "dummy" and not validate_plan(instance, plan).is_valid:
-        print("plan is invalid; robust policies require a valid plan",
-              file=sys.stderr)
+    report = validate_plan(instance, plan)
+    for err in report.path_errors:
+        print(f"path error: {err}", file=sys.stderr)
+    if report.path_errors or (args.policy != "dummy" and report.conflicts):
+        print(f"plan is invalid for policy {args.policy}", file=sys.stderr)
         return EXIT_INVALID
     stats = monte_carlo(instance, plan, args.policy, args.runs, args.seed)
     for k, v in stats.as_dict().items():

@@ -1,6 +1,7 @@
 """Execution partial order over local states, its transitive reduction,
 message schedules for minimal-communication execution, and approximate
-average entry-time labels.
+average entry-time labels, which one sweep in index order computes exactly
+without the partial order (see `compute_labels`).
 
 Nodes of the dependency graph are (agent, index) pairs.  Intra-agent chain
 edges (i, x) -> (i, x+1) always exist; an inter-agent edge
@@ -151,28 +152,31 @@ def move_cost(delay_prob: float) -> float:
     return 1.0 / (1.0 - delay_prob)
 
 
-def compute_labels(plan: Plan, delay_probs: list[float],
-                   dg: DependencyGraph | None = None) -> Plan:
-    """Approximate average entry-time labels, evaluated in index order.
+def compute_labels(plan: Plan, delay_probs: list[float]) -> Plan:
+    """Approximate average entry-time labels, in one sweep in index order.
 
     label(i, 0) = 0; label(i, x) = max over all partial-order predecessors of
     their labels, plus 1 for a wait step or 1/(1-p_i) for a move step.
+    A departure is (j, x'+1) from vertex l_j(x'), x' < X_j; the sweep keeps
+    the largest label of the departures entered so far from each vertex and
+    sets label(i, x) = max(label(i, x-1), that at l_i(x) over x' < x-1) + t_hat.
+    This equals the recurrence exactly: for j != i those departures are i's
+    predecessors on j; labels rise along each path (a float sum with t_hat > 0
+    never falls), so i's own departures never exceed label(i, x-1); max is exact.
     """
-    if dg is None:
-        dg = build_partial_order(plan)
-    preds: dict[Node, list[Node]] = defaultdict(list)
-    for u, v in dg.edges:
-        preds[v].append(u)
     labels: list[list[float]] = [[0.0] * (p.last_index + 1) for p in plan.paths]
-    max_x = plan.max_index
-    for x in range(1, max_x + 1):
+    departed: dict[int, float] = {}   # vertex -> largest label of its departures
+    for x in range(1, plan.max_index + 1):
+        entered = []
         for i, path in enumerate(plan.paths):
             if x > path.last_index:
                 continue
-            t_hat = 1.0 if path.vertices[x] == path.vertices[x - 1] \
-                else move_cost(delay_probs[i])
-            best = max(labels[j][y] for j, y in preds[(i, x)])
-            labels[i][x] = best + t_hat
+            u, v = path.vertices[x - 1], path.vertices[x]
+            t_hat = 1.0 if v == u else move_cost(delay_probs[i])
+            labels[i][x] = max(labels[i][x - 1], departed.get(v, 0.0)) + t_hat
+            entered.append((u, labels[i][x]))
+        for u, label in entered:   # departures (i, x) count from index x + 1 on
+            departed[u] = max(label, departed.get(u, 0.0))
     return plan.with_labels(labels)
 
 

@@ -127,7 +127,6 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
     rng = np.random.default_rng(seed)
     graph = warehouse_graph(params)
     meta = graph.grid
-    assert meta is not None
     comp = set(_largest_component(graph))
     left = [meta.vertex_at(x, y)
             for y in range(meta.height) for x in range(params.side_width)

@@ -150,6 +150,23 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "mean_collisions=" in out
 
+    @pytest.mark.parametrize("paths, error", [
+        ([[0, 1, 2, 3]], "plan has 1 paths for 2 agents"),
+        ([[0, 999, 3], [3, 2, 1, 0]], "agent 0: vertex 999 is not in the graph"),
+    ], ids=["one-path-for-two-agents", "vertex-outside-map"])
+    @pytest.mark.parametrize("policy", ["dummy", "mcp"])
+    def test_path_errors_rejected_for_every_policy(self, tmp_path, capsys,
+                                                    paths, error, policy):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        plan_p.write_text(json.dumps(
+            {"agents": [{"id": k, "path": p} for k, p in enumerate(paths)]}))
+        assert main(["simulate", str(map_p), str(agents_p), str(plan_p),
+                     "--policy", policy, "--runs", "5"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert f"path error: {error}" in captured.err
+        assert "Traceback" not in captured.out + captured.err
+        assert "mean_makespan" not in captured.out
+
     def test_invalid_validate_exit(self, tmp_path):
         map_p, agents_p, plan_p = head_on_fixture(tmp_path)
         assert main(["validate", str(map_p), str(agents_p),

@@ -1,12 +1,15 @@
+from collections import defaultdict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapf_dp import (Graph, Path, Plan,
+from mapf_dp import (Graph, Path, Plan, WarehouseParams,
                      approximate_average_makespan, build_partial_order,
                      compute_labels, message_schedule, transitive_reduction,
-                     generate_random_instance, solve_ame, validate_plan)
-from mapf_dp.dependency import DependencyError, DependencyGraph
+                     generate_random_instance, generate_warehouse_instance,
+                     solve_ame, validate_plan)
+from mapf_dp.dependency import DependencyError, DependencyGraph, Node, move_cost
 from tests.conftest import C1, C2, C3, C4
 
 
@@ -27,6 +30,26 @@ def pairwise_partial_order_edges(plan):
                     if pj.vertices[xp] == v:
                         edges.add(((j, xp + 1), (i, x + 1)))
     return edges
+
+
+def partial_order_labels(plan, delay_probs, dg=None):
+    """The partial-order recurrence `compute_labels` ran before its sweep."""
+    if dg is None:
+        dg = build_partial_order(plan)
+    preds: dict[Node, list[Node]] = defaultdict(list)
+    for u, v in dg.edges:
+        preds[v].append(u)
+    labels: list[list[float]] = [[0.0] * (p.last_index + 1) for p in plan.paths]
+    max_x = plan.max_index
+    for x in range(1, max_x + 1):
+        for i, path in enumerate(plan.paths):
+            if x > path.last_index:
+                continue
+            t_hat = 1.0 if path.vertices[x] == path.vertices[x - 1] \
+                else move_cost(delay_probs[i])
+            best = max(labels[j][y] for j, y in preds[(i, x)])
+            labels[i][x] = best + t_hat
+    return plan.with_labels(labels)
 
 
 def rising_between_agents(red):
@@ -239,10 +262,32 @@ class TestComputeLabels:
         # chain monotonicity makes the reduction label-preserving
         dg = build_partial_order(pocket_long_plan)
         red = transitive_reduction(dg)
-        full = compute_labels(pocket_long_plan, [0.4, 0.2], dg)
-        reduced = compute_labels(pocket_long_plan, [0.4, 0.2], red)
-        for a, b in zip(full.paths, reduced.paths):
-            assert a.labels == pytest.approx(b.labels, abs=1e-9)
+        swept = compute_labels(pocket_long_plan, [0.4, 0.2])
+        assert partial_order_labels(pocket_long_plan, [0.4, 0.2], dg) == swept
+        assert partial_order_labels(pocket_long_plan, [0.4, 0.2], red) == swept
+
+    @given(st.lists(st.tuples(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                              st.floats(0.0, 0.9)),
+                    min_size=1, max_size=6))
+    @settings(max_examples=300)
+    def test_matches_partial_order_recurrence(self, agents):
+        # arbitrary plans, most of them invalid: the sweep needs no validity
+        plan = Plan(tuple(Path(tuple(p)) for p, _ in agents))
+        probs = [q for _, q in agents]
+        assert compute_labels(plan, probs) == partial_order_labels(plan, probs)
+
+    @pytest.mark.parametrize("make", [
+        lambda: generate_random_instance(20, 20, 0.1, 20, (0, 0.5), 1),
+        lambda: generate_warehouse_instance(WarehouseParams(), 8, (0, 0.5), 1000),
+    ], ids=["random-20a-s1", "warehouse-8a-s1000"])
+    def test_matches_partial_order_recurrence_on_solved_plans(self, make):
+        inst = make()
+        probs = [a.delay_prob for a in inst.agents]
+        for recompute in (False, True):
+            result = solve_ame(inst, recompute_labels=recompute)
+            assert result.solved
+            assert compute_labels(result.plan, probs) \
+                == partial_order_labels(result.plan, probs)
 
     def test_monotone_by_at_least_one(self, pocket_long_plan):
         lp = compute_labels(pocket_long_plan, [0.5, 0.5])
@@ -265,7 +310,8 @@ class TestOnSolvedPlans:
         assert rising_between_agents(red)
         message_schedule(red, result.plan)
         # recomputing labels from scratch never lowers the makespan estimate
-        fresh = compute_labels(result.plan,
-                               [a.delay_prob for a in inst.agents])
+        probs = [a.delay_prob for a in inst.agents]
+        fresh = compute_labels(result.plan, probs)
+        assert fresh == partial_order_labels(result.plan, probs)
         assert approximate_average_makespan(fresh) \
             >= approximate_average_makespan(result.plan) - 1e-9

@@ -1,17 +1,20 @@
-"""Golden plans: SHA-256 of `plan_to_json` for three fixed solves, and
+"""Golden plans: SHA-256 of `plan_to_json` for four fixed solves, and
 Monte Carlo statistics of one of them.
 
 The digests and search counters were recorded before conflict detection and
-low-level conflict counting moved onto the occupancy index.  The one
-exception is the adapted-CBS low-level count, recorded when that solver
-began to report it (it had always read 0).  A change to conflict handling,
-tie-breaking or node ordering that alters any plan fails here.  The Monte
-Carlo statistics were recorded on the message-passing simulator that the
-lagged-state loop replaced; a change that alters any trajectory, message
-count or collision count fails here.
+low-level conflict counting moved onto the occupancy index, with two
+exceptions.  The adapted-CBS low-level count was recorded when that solver
+began to report it (it had always read 0).  The AME solve with
+`recompute_labels=True`, the only solve that relabels every node, was
+recorded before labels were computed without the partial order.  A change
+to conflict handling, tie-breaking, node ordering or labels that alters any
+plan fails here.  The Monte Carlo statistics were recorded on the
+message-passing simulator that the lagged-state loop replaced; a change
+that alters any trajectory, message count or collision count fails here.
 """
 
 import hashlib
+from functools import partial
 
 import pytest
 
@@ -29,6 +32,10 @@ GOLDEN = {
         solve_ame,
         lambda: generate_warehouse_instance(WarehouseParams(), 10, P_RANGE, 1001),
         6, 2198, "ef54b944c3f957c84e95d78136dabc9677aa59711006cdb5589aa9dad356a965"),
+    "ame-relabel-random-20x20-20a-s0": (
+        partial(solve_ame, recompute_labels=True),
+        lambda: generate_random_instance(20, 20, 0.1, 20, P_RANGE, 0),
+        8, 1422, "8cb403173b5d216468e8ec20b29d2a37eee580dd960013837d62ac9b762e9c63"),
     "cbs-warehouse-7a-s1002": (
         solve_adapted_cbs,
         lambda: generate_warehouse_instance(WarehouseParams(), 7, P_RANGE, 1002),
@@ -44,7 +51,7 @@ def test_plan_digest_is_pinned(name):
     assert result.solved
     assert (result.high_level_expanded, result.low_level_expanded) == \
         (hl_expanded, ll_expanded)
-    solver = "ame" if solve is solve_ame else "cbs"
+    solver = name.split("-")[0]
     text = plan_to_json(result.plan, instance_checksum(instance), solver)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
