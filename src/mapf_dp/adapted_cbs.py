@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 
 from .ame import (Constraint, LowLevelFailure, SolveLimits, SolveResult,
                   conflict_tree_search, constraint_setup, trace_back)
-from .model import Instance, Path, Plan
+from .model import Instance, Occupancy, Path
 
 
 def shortest_path_under_constraints(instance: Instance, agent: int,
@@ -54,11 +54,12 @@ def solve_adapted_cbs(instance: Instance,
     Ties break toward smaller total path length, then FIFO.  The low level
     ignores the other agents' paths and the parent's key.
     """
-    def replan(instance, agent, other_paths, constraints, key, dist_to_goal, cap):
+    def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
         return shortest_path_under_constraints(instance, agent, constraints, dist_to_goal, cap)
 
-    def evaluate(plan: Plan) -> tuple[Plan, float, tuple]:
-        return plan, float(plan.max_index), (plan.max_index, plan.sum_indices)
+    def evaluate(occ: Occupancy) -> tuple[Occupancy, float, tuple, None]:
+        lengths = [p.last_index for p in occ.paths]
+        return occ, float(max(lengths)), (max(lengths), sum(lengths)), None
 
     return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate)
 

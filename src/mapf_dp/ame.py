@@ -3,24 +3,27 @@
 `conflict_tree_search` is the high level that AME and the adapted-CBS
 baseline share: pop the node with the smallest key, pick the earliest
 conflict in its plan, and branch by constraining one involved agent per
-child, replanning only that agent.  `solve_ame` keys nodes by the
-approximate average makespan.  Its low level is a focal search with
-re-expansions over (vertex, local-state) states whose g-values track the
-approximate average entry times of the other agents' stored labels.
+child, replanning only that agent.  Each node keeps one occupancy index of
+its plan (`Occupancy`), and a child's index is its parent's with the
+replanned path swapped in.  `solve_ame` keys nodes by the approximate
+average makespan.  Its low level is a focal search with re-expansions over
+(vertex, local-state) states whose g-values track the approximate average
+entry times of the other agents' stored labels; it reads the other agents
+as the node's index minus the replanned one.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import time
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
-from .model import (Conflict, ConflictKind, Instance, Occupancy, Path, Plan,
+from .model import (INF, Conflict, ConflictKind, Instance, Occupancy, Path, Plan,
                     enumerate_conflicts, find_earliest_conflict,
                     shortest_path_distances)
 
@@ -74,14 +77,16 @@ def branch_constraints(conflict: Conflict) -> tuple[Constraint, Constraint]:
 
 
 def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callable,
-                         evaluate: Callable[[Plan], tuple[Plan, float, tuple]]) -> SolveResult:
+                         evaluate: Callable[[Occupancy], tuple]) -> SolveResult:
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
 
-    The root plans agents in id order against the paths planned so far, with
-    key 0; a child replans one agent against the others with its parent's
-    key.  `evaluate(plan)` returns (plan to store, key, order); nodes pop by
-    smallest order, ties first in, first out."""
+    Each node keeps one `Occupancy` of its plan.  The root plans agents in id
+    order against the paths planned so far, with key 0; a child replans one
+    agent against its parent's index, minus that agent, with its parent's
+    key, and swaps the new path into that index.  `evaluate(index)` returns
+    (index to store, key, order, the plan's conflicts or None if it did not
+    find them); nodes pop by smallest order, ties first in, first out."""
     t0 = time.monotonic()
     dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     ll_total = hl_expanded = key_decreases = 0
@@ -91,48 +96,47 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
         return SolveResult(status, plan, key, hl_expanded, ll_total,
                            time.monotonic() - t0, key_decreases)
 
-    def plan_agent(agent: int, others: Sequence[Path], constraints, key: float) -> Path:
+    def plan_agent(agent: int, occ: Occupancy, constraints, key: float) -> Path:
         nonlocal ll_total
-        path, expansions = replan(instance, agent, others, constraints, key, dists[agent],
+        path, expansions = replan(instance, agent, occ, constraints, key, dists[agent],
                                   limits.low_level_expansions)
         ll_total += expansions
         return path
 
-    root_paths: list[Path] = []
+    occ = Occupancy(())
     for i in range(instance.n_agents):
         try:
-            root_paths.append(plan_agent(i, root_paths, (), 0.0))
+            occ = occ.swap(i, plan_agent(i, occ, (), 0.0))
         except LowLevelFailure as fail:
             return result("no-solution" if fail.cause == "exhausted" else "timeout")
         if time.monotonic() - t0 > limits.time_s:
             return result("timeout")
 
     seq = itertools.count()
-    plan, key, order = evaluate(Plan(tuple(root_paths)))
-    heap = [(order, next(seq), frozenset(), plan, key)]
+    occ, key, order, conflicts = evaluate(occ)
+    heap = [(order, next(seq), frozenset(), occ, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
                 or hl_expanded >= limits.high_level_expansions):
             return result("timeout")
-        _, _, constraints, plan, key = heapq.heappop(heap)
+        _, _, constraints, occ, key, conflicts = heappop(heap)
         hl_expanded += 1
-        conflict = find_earliest_conflict(plan)
+        plan = Plan(occ.paths)
+        conflict = find_earliest_conflict(plan, conflicts)
         if conflict is None:
             return result("solved", plan, key)
         for con in branch_constraints(conflict):
             child_constraints = constraints | {con}
-            others = [p for k, p in enumerate(plan.paths) if k != con.agent]
             try:
-                path = plan_agent(con.agent, others, child_constraints, key)
+                path = plan_agent(con.agent, occ, child_constraints, key)
             except LowLevelFailure:
                 continue
-            new_paths = list(plan.paths)
-            new_paths[con.agent] = path
-            child_plan, child_key, child_order = evaluate(Plan(tuple(new_paths)))
+            child_occ, child_key, child_order, child_conflicts = evaluate(
+                occ.swap(con.agent, path))
             if child_key < key - EPS:
                 key_decreases += 1
-            heapq.heappush(heap, (child_order, next(seq), child_constraints,
-                                  child_plan, child_key))
+            heappush(heap, (child_order, next(seq), child_constraints,
+                            child_occ, child_key, child_conflicts))
     return result("no-solution")
 
 
@@ -163,69 +167,37 @@ def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
     return states
 
 
-class _OtherAgents(Occupancy):
-    """The fixed labeled paths of every agent but `agent`, in id order: their
-    occupancy for conflict counts, plus wait bounds from their labels."""
-
-    def __init__(self, paths: Sequence[Path], agent: int):
-        super().__init__(paths)
-        # per vertex: visit indices x'' (with x'' < X_j) sorted, with prefix-max
-        # of the labels at x'' + 1 -- the earliest admissible entry follows the
-        # latest qualifying departure
-        entries: dict[int, list[tuple[int, float]]] = {}
-        for k, p in enumerate(paths):
-            if p.labels is None:
-                raise ValueError(f"agent {k + (k >= agent)}: the low level needs labeled paths")
-            for xpp in range(p.last_index):
-                entries.setdefault(p.vertices[xpp], []).append(
-                    (xpp, p.labels[xpp + 1]))
-        self.visit_x: dict[int, list[int]] = {}
-        self.visit_maxlabel: dict[int, list[float]] = {}
-        for v, lst in entries.items():
-            lst.sort()
-            xs, prefix = [], []
-            best = -math.inf
-            for xpp, lab in lst:
-                best = max(best, lab)
-                xs.append(xpp)
-                prefix.append(best)
-            self.visit_x[v] = xs
-            self.visit_maxlabel[v] = prefix
-
-    def wait_bound(self, vertex: int, x: int) -> float:
-        """Max stored label over departures (j, x''+1) with x'' < x-1 through vertex."""
-        xs = self.visit_x.get(vertex)
-        if not xs:
-            return -math.inf
-        k = bisect_right(xs, x - 2)
-        if k == 0:
-            return -math.inf
-        return self.visit_maxlabel[vertex][k - 1]
-
-
-def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path],
+def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
                      constraints: Sequence[Constraint], key: float,
                      dist_to_goal: Sequence[float],
                      expansion_cap: int = 200_000) -> tuple[Path, int]:
-    """Plan one agent against the fixed labeled paths of the others.
+    """Plan one agent against the fixed labeled paths of the others: those
+    that `occupancy` indexes by agent id, minus `agent`'s own, if any.
 
     Returns (labeled path, expansions).  Phase 1 expands, among queued
     states with f <= key, one with the fewest accumulated path conflicts;
     once no queued state fits the bound the search permanently switches to
     Phase 2 and expands by smallest f.  Raises LowLevelFailure otherwise.
+    A successor (v, x) costs one lookup of v's row, which leaves `agent`
+    out (`Occupancy.row`), and one bisect for its wait bound.
     """
     spec = instance.agents[agent]
-    graph = instance.graph
+    adjacency = instance.graph.adjacency
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
-    others = _OtherAgents(other_paths, agent)
+    for j, p in enumerate(occupancy.paths):
+        if p.labels is None:
+            raise ValueError(f"agent {j}: the low level needs labeled paths")
+    rows = dict(occupancy.rows)   # the rows read so far, without `agent`
+    for v in occupancy.paths[agent].vertices if agent < len(occupancy.paths) else ():
+        rows.pop(v, None)
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
 
-    g: dict[tuple[int, int], float] = {(spec.start, 0): 0.0}
-    conf: dict[tuple[int, int], int] = {
-        (spec.start, 0): others.conflict_increment(spec.start, 0)}
+    start = (spec.start, 0)
+    g: dict[tuple[int, int], float] = {start: 0.0}
+    conf: dict[tuple[int, int], int] = {start: occupancy.row(spec.start, agent)[0][0]}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     expanded_g: dict[tuple[int, int], float] = {}
 
@@ -234,75 +206,71 @@ def low_level_search(instance: Instance, agent: int, other_paths: Sequence[Path]
     open_heap = [(f0, 0, spec.start, 0.0, next(counter))]   # (f, -x, v, g, tie)
     focal_heap = []
     if f0 <= bound:
-        focal_heap.append((conf[(spec.start, 0)], f0, 0, spec.start, 0.0, next(counter)))
+        focal_heap.append((conf[start], f0, 0, spec.start, 0.0, next(counter)))
     phase = 1
     expansions = 0
 
-    def current(v: int, x: int, gval: float) -> bool:
-        return abs(g.get((v, x), math.inf) - gval) <= 1e-12
-
     while True:
-        state = None
-        if phase == 1:
-            while focal_heap:
-                c, f, negx, v, gval, _ = heapq.heappop(focal_heap)
-                if current(v, -negx, gval):
-                    state = (v, -negx, gval)
-                    break
-            if state is None:
+        here = None   # the next queued state whose g is still current
+        while here is None:
+            if phase == 1 and not focal_heap:
                 phase = 2
-        if phase == 2:
-            while open_heap:
-                f, negx, v, gval, _ = heapq.heappop(open_heap)
-                if current(v, -negx, gval):
-                    state = (v, -negx, gval)
-                    break
-            if state is None:
+            heap = focal_heap if phase == 1 else open_heap
+            if not heap:
                 raise LowLevelFailure("exhausted")
-        v, x, gval = state
+            *_, negx, v, gval, _ = heappop(heap)
+            if abs(g.get((v, -negx), INF) - gval) <= 1e-12:
+                here = (v, -negx)
+        x = here[1]
         if v == spec.goal and x >= goal_con_max:
-            states = trace_back(parent, (v, x))
+            states = trace_back(parent, here)
             return Path(tuple(s[0] for s in states), tuple(g[s] for s in states)), expansions
-        prev = expanded_g.get((v, x))
+        prev = expanded_g.get(here)
         if prev is not None and abs(prev - gval) <= 1e-12:
             continue   # already expanded at this g
         if expansions >= expansion_cap:
             raise LowLevelFailure("budget")
-        expanded_g[(v, x)] = gval
+        expanded_g[here] = gval
         expansions += 1
         nx = x + 1
         if nx > max_index:
             continue
-        for nv in (v,) + graph.adjacency[v]:
-            if (nv, nx) in banned:
+        for nv in (v,) + adjacency[v]:
+            succ = (nv, nx)
+            if succ in banned:
                 continue
-            t_hat = 1.0 if nv == v else t_move
-            g_new = max(gval, others.wait_bound(nv, nx)) + t_hat
-            if g_new < g.get((nv, nx), math.inf) - 1e-12:
-                g[(nv, nx)] = g_new
-                conf[(nv, nx)] = conf[(v, x)] + others.conflict_increment(nv, nx)
-                parent[(nv, nx)] = (v, x)
+            counts, xs, best = rows.get(nv) or rows.setdefault(nv, occupancy.row(nv, agent))
+            # the others' latest departure from nv at an index below nx - 1
+            wait = best[bisect_right(xs, x - 1)]
+            g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
+            if g_new < g.get(succ, INF) - 1e-12:
+                g[succ] = g_new
+                c = conf[succ] = conf[here] + (counts[nx] if nx < len(counts) else counts[-1])
+                parent[succ] = here
                 f_new = g_new + h[nv]
-                heapq.heappush(open_heap, (f_new, -nx, nv, g_new, next(counter)))
+                heappush(open_heap, (f_new, -nx, nv, g_new, next(counter)))
                 if f_new <= bound:
-                    heapq.heappush(focal_heap,
-                                   (conf[(nv, nx)], f_new, -nx, nv, g_new, next(counter)))
+                    heappush(focal_heap, (c, f_new, -nx, nv, g_new, next(counter)))
 
 
 def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
               recompute_labels: bool = False) -> SolveResult:
     """Find a valid delay-aware plan with small approximate average makespan.
 
-    With recompute_labels=True, all agents' labels are refreshed from the
-    partial-order recurrence whenever a node's plan changes (off by default:
-    stored labels of unchanged agents stay stale, as in the base algorithm).
+    With recompute_labels=True, all agents' labels are recomputed by the
+    index-order sweep of `compute_labels` whenever a node's plan changes,
+    and the node's index is built anew (off by default: stored labels of
+    unchanged agents stay stale, as in the base algorithm).
     """
     probs = [a.delay_prob for a in instance.agents]
 
-    def evaluate(plan: Plan) -> tuple[Plan, float, tuple]:
+    def evaluate(occ: Occupancy) -> tuple[Occupancy, float, tuple, list[Conflict]]:
+        plan = Plan(occ.paths)
         if recompute_labels:
             plan = compute_labels(plan, probs)
+            occ = Occupancy(plan.paths)
         key = approximate_average_makespan(plan)
-        return plan, key, (round(key, 9), len(enumerate_conflicts(plan)))
+        conflicts = enumerate_conflicts(plan)
+        return occ, key, (round(key, 9), len(conflicts)), conflicts
 
     return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate)

@@ -33,10 +33,6 @@ class DependencyGraph:
     def inter_agent_edges(self) -> set[tuple[Node, Node]]:
         return {(u, v) for u, v in self.edges if u[0] != v[0]}
 
-    @property
-    def chain_edges(self) -> set[tuple[Node, Node]]:
-        return {(u, v) for u, v in self.edges if u[0] == v[0]}
-
 
 def build_partial_order(plan: Plan) -> DependencyGraph:
     """Unreduced partial order implied by a valid plan, built from visits

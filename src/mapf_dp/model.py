@@ -10,8 +10,8 @@ Every conflict query goes through one occupancy index (`Occupancy`, the
 conflict avoidance table of CBS): it maps (vertex, index) to the agents
 there for indices below each path's last index, plus one "parked at this
 goal from index X_j on" entry per path, so the goal padding stays implicit.
-Validation, earliest-conflict search and the low level's per-state conflict
-counts all read it.
+Validation and earliest-conflict search read it.  The conflict-tree driver
+keeps one per node, whose per-vertex rows AME's low level reads.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -99,9 +100,6 @@ class Graph:
     @property
     def n_edges(self) -> int:
         return sum(len(a) for a in self.adjacency) // 2
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
 
 
 def parse_map(text: str) -> Graph:
@@ -191,12 +189,6 @@ class Instance:
     def n_agents(self) -> int:
         return len(self.agents)
 
-    def check_connectivity(self) -> None:
-        for a in self.agents:
-            dist = shortest_path_distances(self.graph, a.goal)
-            if dist[a.start] == INF:
-                raise ValueError(f"agent {a.id}: goal unreachable from start")
-
 
 @dataclass
 class Path:
@@ -215,9 +207,6 @@ class Path:
     @property
     def last_index(self) -> int:
         return len(self.vertices) - 1
-
-    def vertex_padded(self, x: int) -> int:
-        return self.vertices[x] if x < len(self.vertices) else self.vertices[-1]
 
 
 @dataclass
@@ -302,27 +291,70 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
 
 class Occupancy:
     """Agents at each (vertex, index) of goal-padded paths, numbered by their
-    position in `paths`; needs no labels.  `at` lists path j at (l_j(x), x)
-    for x < X_j; `parked` holds (X_j, j) under j's goal, where it stays."""
+    position in `paths`: `at` lists path j at (l_j(x), x) for x < X_j, and
+    `parked` holds (X_j, j) under j's goal, where it stays.  Both are built on
+    first use, and `rows` caches the rows AME's low level reads, so adapted
+    CBS pays for none of them.  `swap(j, path)` replaces (or appends) j's
+    path and keeps the rows of the vertices that neither of j's paths visits."""
 
     def __init__(self, paths: Sequence[Path]):
-        self.at: dict[tuple[int, int], list[int]] = {}
-        self.parked: dict[int, list[tuple[int, int]]] = {}
-        for j, p in enumerate(paths):
+        self.paths = tuple(paths)
+        self.rows: dict[int, tuple[list[int], list[int], list[float]]] = {}
+
+    @cached_property
+    def at(self) -> dict[tuple[int, int], list[int]]:
+        at: dict[tuple[int, int], list[int]] = {}
+        for j, p in enumerate(self.paths):
             for key in zip(p.vertices, range(p.last_index)):
-                self.at.setdefault(key, []).append(j)
-            self.parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
+                at.setdefault(key, []).append(j)
+        return at
 
-    def count(self, vertex: int, x: int) -> int:
-        n = len(self.at.get((vertex, x), ()))
-        for since, _ in self.parked.get(vertex, ()):
-            n += since <= x
-        return n
+    @cached_property
+    def parked(self) -> dict[int, list[tuple[int, int]]]:
+        parked: dict[int, list[tuple[int, int]]] = {}
+        for j, p in enumerate(self.paths):
+            parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
+        return parked
 
-    def conflict_increment(self, vertex: int, x: int) -> int:
-        """Violations of one more agent at (vertex, x) with the indexed paths,
-        one per agent there at x, x-1 (followed) and x+1 (following)."""
-        return self.count(vertex, x - 1) + self.count(vertex, x) + self.count(vertex, x + 1)
+    @cached_property
+    def horizon(self) -> int:   # exceeds every X_j
+        return max((p.last_index for p in self.paths), default=0) + 1
+
+    def row(self, v: int, leave_out: int = -1) -> tuple[list[int], list[int], list[float]]:
+        """(counts, xs, best) of vertex v over every path but `leave_out`'s,
+        kept in `rows` unless that path visits v.  Needs labels.
+
+        counts[x] is the conflict increment of one more agent at (v, x), one
+        per path at v at x-1, x and x+1; the last entry holds for every later
+        index.  xs are the departures from v, the x < X_j with l_j(x) = v, in
+        order; best[k] is the largest label at x+1 of the first k (-inf if 0)."""
+        mine = 0 <= leave_out < len(self.paths) and v in self.paths[leave_out].vertices
+        if v in self.rows and not mine:
+            return self.rows[v]
+        at, paths, end = self.at, self.paths, self.horizon
+        counts, xs, best = [0] * (end + 1), [], [-INF]
+        for x in range(end - 1):
+            for j in at.get((v, x), ()):
+                if j != leave_out:
+                    for y in range(max(x - 1, 0), x + 2):
+                        counts[y] += 1
+                    xs.append(x)
+                    best.append(max(best[-1], paths[j].labels[x + 1]))
+        for since, j in self.parked.get(v, ()):
+            if j != leave_out:
+                for y in range(max(since - 1, 0), end + 1):
+                    counts[y] += min(y - since + 2, 3)
+        if not mine:
+            self.rows[v] = (counts, xs, best)
+        return counts, xs, best
+
+    def swap(self, j: int, path: Path) -> "Occupancy":
+        child = Occupancy(self.paths[:j] + (path,) + self.paths[j + 1:])
+        if self.rows:
+            child.rows = dict(self.rows)
+            for v in path.vertices + (self.paths[j].vertices if j < len(self.paths) else ()):
+                child.rows.pop(v, None)
+        return child
 
 
 def enumerate_conflicts(plan: Plan) -> list[Conflict]:
@@ -334,18 +366,19 @@ def enumerate_conflicts(plan: Plan) -> list[Conflict]:
     (lower id, higher id), vertex before follow, index, then follow direction.
     """
     occ = Occupancy(plan.paths)
+    at, parked = occ.at, occ.parked
     x_max = plan.max_index
     conflicts = []
     for a, p in enumerate(plan.paths):
         for x, v in enumerate(p.vertices[:-1]):
-            for b in occ.at[(v, x)]:
+            for b in at[(v, x)]:
                 if b > a:
                     conflicts.append(Conflict(ConflictKind.VERTEX, a, b, v, x))
-            for b in occ.at.get((v, x - 1), ()):
+            for b in at.get((v, x - 1), ()):
                 if b != a:
                     conflicts.append(Conflict(ConflictKind.FOLLOW, a, b, v, x - 1))
             # b's own pass ends at X_b, so a reports both follow directions
-            for since, b in occ.parked.get(v, ()):   # b sits on v from `since` on
+            for since, b in parked.get(v, ()):   # b sits on v from `since` on
                 if b != a and since <= x + 1:
                     if since <= x:
                         conflicts.append(
@@ -353,8 +386,8 @@ def enumerate_conflicts(plan: Plan) -> list[Conflict]:
                     if since < x:
                         conflicts.append(Conflict(ConflictKind.FOLLOW, a, b, v, x - 1))
                     conflicts.append(Conflict(ConflictKind.FOLLOW, b, a, v, x))
-    for g, parked in occ.parked.items():   # only plans with shared goals
-        for (xa, a), (xb, b) in combinations(parked, 2):
+    for g, sharing in parked.items():   # only plans with shared goals
+        for (xa, a), (xb, b) in combinations(sharing, 2):
             conflicts += [Conflict(ConflictKind.VERTEX, a, b, g, x)
                           for x in range(max(xa, xb), x_max + 1)]
             conflicts += [Conflict(ConflictKind.FOLLOW, a, b, g, x)
@@ -382,15 +415,15 @@ def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:
     return report
 
 
-def find_earliest_conflict(plan: Plan) -> Optional[Conflict]:
-    """The conflict with the smallest larger involved index, or None if valid.
+def find_earliest_conflict(plan: Plan, conflicts: Optional[list] = None) -> Optional[Conflict]:
+    """The conflict with the smallest larger involved index among `conflicts`
+    (by default all of the plan's), or None if there is none.
 
     Ties broken by vertex-rule before follow-rule, then agent ids, then vertex.
     """
-    conflicts = enumerate_conflicts(plan)
-    if not conflicts:
-        return None
-    return min(conflicts, key=Conflict.sort_key)
+    if conflicts is None:
+        conflicts = enumerate_conflicts(plan)
+    return min(conflicts, key=Conflict.sort_key, default=None)
 
 
 def shortest_path_distances(graph: Graph, goal: int) -> list[float]:

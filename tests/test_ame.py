@@ -7,10 +7,11 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
                      find_earliest_conflict, generate_random_instance,
                      solve_ame, validate_plan)
 from mapf_dp.ame import (Constraint, LowLevelFailure, SolveLimits,
-                         _OtherAgents, branch_constraints, low_level_search)
+                         branch_constraints, low_level_search)
 from mapf_dp.dependency import move_cost
 from mapf_dp.model import ConflictKind, Occupancy, shortest_path_distances
 from tests.conftest import C2, POCKET
+from tests.test_occupancy import conflict_increment, wait_bound
 
 
 def enumerate_goal_paths(graph, start, goal, horizon):
@@ -68,7 +69,7 @@ def count_path_conflicts(prefix, other_paths):
     """The low level's accumulated conflict count of a path prefix: the
     occupancy index's per-state increment, summed over the prefix."""
     occ = Occupancy(other_paths)
-    return sum(occ.conflict_increment(v, x) for x, v in enumerate(prefix))
+    return sum(conflict_increment(occ, v, x) for x, v in enumerate(prefix))
 
 
 class TestCountPathConflicts:
@@ -93,39 +94,46 @@ class TestCountPathConflicts:
 
 
 class TestOtherAgents:
+    """The other agents as the low level reads them: a node's index without
+    the replanned agent (here agent 1, which the index does not hold)."""
+
     def test_wait_bound_requires_two_index_gap(self):
-        others = _OtherAgents([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))], 1)
-        assert others.wait_bound(0, 1) == -math.inf
-        assert others.wait_bound(0, 2) == 2.0   # departure label of state 1
-        assert others.wait_bound(1, 2) == -math.inf
-        assert others.wait_bound(1, 3) == 4.0
+        others = Occupancy([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
+        assert wait_bound(others, 1, 0, 1) == -math.inf
+        assert wait_bound(others, 1, 0, 2) == 2.0   # departure label of state 1
+        assert wait_bound(others, 1, 1, 2) == -math.inf
+        assert wait_bound(others, 1, 1, 3) == 4.0
 
     def test_final_state_is_not_a_departure(self):
-        others = _OtherAgents([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))], 1)
-        assert others.wait_bound(2, 10) == -math.inf
+        others = Occupancy([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
+        assert wait_bound(others, 1, 2, 10) == -math.inf
 
     def test_unvisited_vertex(self):
-        others = _OtherAgents([Path((0, 1), labels=(0.0, 2.0))], 1)
-        assert others.wait_bound(9, 5) == -math.inf
+        others = Occupancy([Path((0, 1), labels=(0.0, 2.0))])
+        assert wait_bound(others, 1, 9, 5) == -math.inf
 
     def test_prefix_max_over_repeat_visits(self):
-        others = _OtherAgents([Path((0, 1, 0, 1, 2),
-                                    labels=(0.0, 2.0, 4.0, 6.0, 8.0))], 1)
+        others = Occupancy([Path((0, 1, 0, 1, 2),
+                                 labels=(0.0, 2.0, 4.0, 6.0, 8.0))])
         # vertex 0 visited at x''=0 (departure 2.0) and x''=2 (departure 6.0)
-        assert others.wait_bound(0, 2) == 2.0
-        assert others.wait_bound(0, 4) == 6.0
+        assert wait_bound(others, 1, 0, 2) == 2.0
+        assert wait_bound(others, 1, 0, 4) == 6.0
 
     def test_unlabeled_path_names_its_agent(self):
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        inst = Instance(g, (AgentSpec(0, 0, 1, 0.5), AgentSpec(1, 5, 5, 0.5),
+                            AgentSpec(2, 3, 4, 0.5)))
         labeled = Path((0, 1), labels=(0.0, 2.0))
         with pytest.raises(ValueError, match="agent 2"):
             # others of agent 1 are agents 0 and 2, in id order
-            _OtherAgents([labeled, Path((3, 4))], 1)
+            low_level_search(inst, 1, Occupancy([labeled, Path((5,), (0.0,)), Path((3, 4))]),
+                             (), 0.0, shortest_path_distances(g, 5))
 
     def test_low_level_rejects_unlabeled_others(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5), AgentSpec(1, 1, 1, 0.5)))
         with pytest.raises(ValueError, match="agent 1"):
-            low_level_search(inst, 0, [Path((1,))], (), 0.0,
+            low_level_search(inst, 0, Occupancy([Path((0,), (0.0,)), Path((1,))]), (), 0.0,
                              shortest_path_distances(g, 2))
 
 
@@ -134,7 +142,7 @@ class TestLowLevel:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
         dist = shortest_path_distances(g, 3)
-        path, _ = low_level_search(inst, 0, [], (), 0.0, dist)
+        path, _ = low_level_search(inst, 0, Occupancy(()), (), 0.0, dist)
         assert path.vertices == (0, 1, 2, 3)
         assert path.labels == (0.0, 2.0, 4.0, 6.0)
 
@@ -142,7 +150,7 @@ class TestLowLevel:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         p = 0.75
         inst = Instance(g, (AgentSpec(0, 0, 2, p),))
-        path, _ = low_level_search(inst, 0, [], (), 0.0,
+        path, _ = low_level_search(inst, 0, Occupancy(()), (), 0.0,
                                    shortest_path_distances(g, 2))
         assert path.labels[-1] == pytest.approx(2 * move_cost(p))
 
@@ -151,7 +159,7 @@ class TestLowLevel:
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
         dist = shortest_path_distances(g, 3)
         cons = (Constraint(0, 1, 1),)
-        path, _ = low_level_search(inst, 0, [], cons, 0.0, dist)
+        path, _ = low_level_search(inst, 0, Occupancy(()), cons, 0.0, dist)
         assert path.vertices[1] != 1
         assert path.vertices[-1] == 3
 
@@ -161,7 +169,7 @@ class TestLowLevel:
         dist = shortest_path_distances(g, 1)
         # goal banned at states 1 and 2: path must end at index >= 3
         cons = (Constraint(0, 1, 1), Constraint(0, 1, 2))
-        path, _ = low_level_search(inst, 0, [], cons, 0.0, dist)
+        path, _ = low_level_search(inst, 0, Occupancy(()), cons, 0.0, dist)
         assert path.vertices[-1] == 1
         assert path.last_index >= 3
         assert path.vertices[1] != 1 and path.vertices[2] != 1
@@ -171,7 +179,7 @@ class TestLowLevel:
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5),))
         dist = shortest_path_distances(g, 2)
         with pytest.raises(LowLevelFailure) as err:
-            low_level_search(inst, 0, [], (), 0.0, dist)
+            low_level_search(inst, 0, Occupancy(()), (), 0.0, dist)
         assert err.value.cause == "exhausted"
 
     def test_budget_failure(self):
@@ -179,7 +187,7 @@ class TestLowLevel:
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
         dist = shortest_path_distances(g, 3)
         with pytest.raises(LowLevelFailure) as err:
-            low_level_search(inst, 0, [], (), 0.0, dist, expansion_cap=1)
+            low_level_search(inst, 0, Occupancy(()), (), 0.0, dist, expansion_cap=1)
         assert err.value.cause == "budget"
 
     def test_waits_for_labeled_blocker(self):
@@ -190,11 +198,29 @@ class TestLowLevel:
                             AgentSpec(1, 1, 1, 0.5)))
         other = Path((1, 1, 1, 2, 1), labels=(0.0, 1.0, 2.0, 10.0, 12.0))
         dist = shortest_path_distances(g, 2)
-        path, _ = low_level_search(inst, 0, [other], (), 0.0, dist)
+        path, _ = low_level_search(inst, 0, Occupancy([Path((0,), (0.0,)), other]), (), 0.0, dist)
         assert validate_plan(inst, Plan((path, other))).path_errors == []
         for x in range(1, len(path.labels)):
             lo = path.labels[x] - path.labels[x - 1]
             assert lo >= 1.0 - 1e-9
+
+    def test_own_old_path_is_left_out(self):
+        # agent 0's old path leaves vertex 1 late, at label 30; replanned
+        # to enter 1 only at index 3, agent 0 must wait for agent 1's
+        # departures there, not for its own old one
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        inst = Instance(g, (AgentSpec(0, 0, 2, 0.5), AgentSpec(1, 1, 1, 0.5)))
+        other = Path((1, 1, 1, 2, 1), labels=(0.0, 1.0, 2.0, 10.0, 12.0))
+        old = Path((0, 1, 1, 2), labels=(0.0, 20.0, 30.0, 40.0))
+        dist = shortest_path_distances(g, 2)
+        cons = (Constraint(0, 1, 1), Constraint(0, 1, 2))
+        fresh, _ = low_level_search(inst, 0, Occupancy([Path((0,), (0.0,)), other]), cons, 0.0,
+                                    dist)
+        assert (fresh.vertices, fresh.labels) == ((0, 0, 0, 1, 2), (0.0, 1.0, 2.0, 4.0, 6.0))
+        occ = Occupancy([old, other])
+        for v in range(3):   # rows that an earlier search at this node kept
+            occ.row(v)
+        assert low_level_search(inst, 0, occ, cons, 0.0, dist)[0] == fresh
 
 
 class TestSolveAme:

@@ -6,6 +6,14 @@ from mapf_dp.generate import GenerationError, warehouse_graph
 from mapf_dp.model import shortest_path_distances
 
 
+def check_connectivity(inst):
+    """Raise ValueError unless every agent's goal is reachable from its start."""
+    for a in inst.agents:
+        dist = shortest_path_distances(inst.graph, a.goal)
+        if dist[a.start] == float("inf"):
+            raise ValueError(f"agent {a.id}: goal unreachable from start")
+
+
 class TestRandomInstance:
     def test_table1_style_parameters(self):
         inst = generate_random_instance(30, 30, 0.10, 35, (0, 0.5), 42)
@@ -16,7 +24,7 @@ class TestRandomInstance:
     def test_single_agent_open_grid(self):
         inst = generate_random_instance(5, 5, 0.0, 1, (0, 0.5), 1)
         assert inst.n_agents == 1
-        inst.check_connectivity()
+        check_connectivity(inst)
 
     def test_deterministic_under_seed(self):
         a = generate_random_instance(12, 12, 0.2, 5, (0, 0.5), 9)
@@ -31,7 +39,7 @@ class TestRandomInstance:
         goals = [a.goal for a in inst.agents]
         assert len(set(starts)) == len(starts)
         assert len(set(goals)) == len(goals)
-        inst.check_connectivity()
+        check_connectivity(inst)
         # all 2m endpoints live in one component
         dist = shortest_path_distances(inst.graph, starts[0])
         assert all(dist[v] < float("inf") for v in starts + goals)
@@ -51,7 +59,7 @@ class TestWarehouseInstance:
     def test_default_layout(self):
         inst = generate_warehouse_instance(WarehouseParams(), 10, (0, 0.5), 2)
         assert inst.n_agents == 10
-        inst.check_connectivity()
+        check_connectivity(inst)
         meta = inst.graph.grid
         side = WarehouseParams().side_width
         for a in inst.agents:

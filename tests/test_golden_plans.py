@@ -1,12 +1,15 @@
-"""Golden plans: SHA-256 of `plan_to_json` for four fixed solves, and
+"""Golden plans: SHA-256 of `plan_to_json` for five fixed solves, and
 Monte Carlo statistics of one of them.
 
 The digests and search counters were recorded before conflict detection and
-low-level conflict counting moved onto the occupancy index, with two
+low-level conflict counting moved onto the occupancy index, with three
 exceptions.  The adapted-CBS low-level count was recorded when that solver
 began to report it (it had always read 0).  The AME solve with
 `recompute_labels=True`, the only solve that relabels every node, was
-recorded before labels were computed without the partial order.  A change
+recorded before labels were computed without the partial order.  The AME
+solve on warehouse with 15 agents, the longest low-level search of the
+benchmark's warehouse workload, was recorded before the conflict-tree driver
+kept one occupancy index per node.  A change
 to conflict handling, tie-breaking, node ordering or labels that alters any
 plan fails here.  The Monte Carlo statistics were recorded on the
 message-passing simulator that the lagged-state loop replaced; a change
@@ -22,6 +25,7 @@ from mapf_dp import (WarehouseParams, generate_random_instance,
                      generate_warehouse_instance, monte_carlo,
                      solve_adapted_cbs, solve_ame)
 from mapf_dp.mapio import instance_checksum, plan_to_json
+from mapf_dp.model import Occupancy
 
 P_RANGE = (0, 0.5)
 GOLDEN = {
@@ -32,6 +36,10 @@ GOLDEN = {
         solve_ame,
         lambda: generate_warehouse_instance(WarehouseParams(), 10, P_RANGE, 1001),
         6, 2198, "ef54b944c3f957c84e95d78136dabc9677aa59711006cdb5589aa9dad356a965"),
+    "ame-warehouse-15a-s1001": (
+        solve_ame,
+        lambda: generate_warehouse_instance(WarehouseParams(), 15, P_RANGE, 1001),
+        26, 25899, "dcfa3408b551e6f37d4312fb1866029c1e23eaf89dc82b91f322fe2114811e89"),
     "ame-relabel-random-20x20-20a-s0": (
         partial(solve_ame, recompute_labels=True),
         lambda: generate_random_instance(20, 20, 0.1, 20, P_RANGE, 0),
@@ -54,6 +62,18 @@ def test_plan_digest_is_pinned(name):
     solver = name.split("-")[0]
     text = plan_to_json(result.plan, instance_checksum(instance), solver)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_only_ame_reads_departure_rows(monkeypatch):
+    # adapted CBS plans carry no labels, and its low level reads no index
+    built = []
+    row = Occupancy.row
+    monkeypatch.setattr(Occupancy, "row", lambda occ, *args: built.append(args) or row(occ, *args))
+    for name in ("cbs-warehouse-7a-s1002", "ame-warehouse-10a-s1001"):
+        solve, make, *_ = GOLDEN[name]
+        built.clear()
+        assert solve(make()).solved
+        assert bool(built) == name.startswith("ame")
 
 
 # monte_carlo(..., 40 runs, seed 7, latency).as_dict() on ame-warehouse-10a-s1001

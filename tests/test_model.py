@@ -11,6 +11,11 @@ from mapf_dp.model import MapError, enumerate_conflicts
 from tests.conftest import C1, C2, C3, C4
 
 
+def vertex_padded(path, x):
+    """Vertex of `path` at index x, padded with its goal past the end."""
+    return path.vertices[x] if x < len(path.vertices) else path.vertices[-1]
+
+
 class TestParseMap:
     def test_single_cell(self):
         g = parse_map(".")
@@ -182,5 +187,5 @@ def test_padding_closure_double_loop(pocket_valid_plan):
             if i == j:
                 continue
             for x in range(x_max + 1):
-                assert pi.vertex_padded(x) != pj.vertex_padded(x)
-                assert pi.vertex_padded(x + 1) != pj.vertex_padded(x)
+                assert vertex_padded(pi, x) != vertex_padded(pj, x)
+                assert vertex_padded(pi, x + 1) != vertex_padded(pj, x)

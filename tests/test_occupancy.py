@@ -1,18 +1,58 @@
-"""The occupancy index against the pairwise scans it replaced.
+"""The occupancy index against the pairwise scans it replaced, and the
+per-node index of the conflict-tree driver against fresh builds and the
+low level's former per-call view of the other agents.
 
 `pairwise_conflicts` and `pairwise_increment` are the former
 `enumerate_conflicts` and `_OtherAgents.conflict_increment`, kept verbatim
-as reference oracles for the index-based versions.
+as reference oracles for the index-based versions.  `count`,
+`conflict_increment`, `others_increment` and `wait_bound` read an index the
+way its former methods did and the way the low level does.
 """
+
+import math
+from bisect import bisect_right
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapf_dp.ame import _OtherAgents
 from mapf_dp.model import (Conflict, ConflictKind, Occupancy, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict)
+from tests.occupancy_oracle import _OtherAgents
 
 V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
+
+
+def vertex_padded(path, x):
+    """Vertex of `path` at index x, padded with its goal past the end."""
+    return path.vertices[x] if x < len(path.vertices) else path.vertices[-1]
+
+
+def count(occ, vertex, x):
+    """Paths of `occ` at (vertex, x), the parked ones included."""
+    n = len(occ.at.get((vertex, x), ()))
+    for since, _ in occ.parked.get(vertex, ()):
+        n += since <= x
+    return n
+
+
+def conflict_increment(occ, vertex, x):
+    """Violations of one more agent at (vertex, x) with the indexed paths,
+    one per agent there at x, x-1 (followed) and x+1 (following)."""
+    return count(occ, vertex, x - 1) + count(occ, vertex, x) + count(occ, vertex, x + 1)
+
+
+def others_increment(occ, agent, vertex, x):
+    """The low level's conflict increment at (vertex, x) against every path
+    in `occ` but `agent`'s."""
+    counts = occ.row(vertex, agent)[0]
+    return counts[x] if x < len(counts) else counts[-1]
+
+
+def wait_bound(occ, agent, vertex, x):
+    """The low level's wait bound at (vertex, x): the largest label of a
+    departure from vertex at an index below x - 1 by any agent but `agent`."""
+    _, xs, best = occ.row(vertex, agent)
+    return best[bisect_right(xs, x - 2)]
 
 
 def pairwise_conflicts(plan: Plan) -> list[Conflict]:
@@ -25,27 +65,27 @@ def pairwise_conflicts(plan: Plan) -> list[Conflict]:
         for j in range(i + 1, m):
             pj = plan.paths[j]
             for x in range(x_max + 1):
-                if pi.vertex_padded(x) == pj.vertex_padded(x):
+                if vertex_padded(pi, x) == vertex_padded(pj, x):
                     conflicts.append(Conflict(ConflictKind.VERTEX, i, j,
-                                              pi.vertex_padded(x), x))
+                                              vertex_padded(pi, x), x))
             for x in range(x_max):
-                if pi.vertex_padded(x + 1) == pj.vertex_padded(x):
+                if vertex_padded(pi, x + 1) == vertex_padded(pj, x):
                     conflicts.append(Conflict(ConflictKind.FOLLOW, i, j,
-                                              pj.vertex_padded(x), x))
-                if pj.vertex_padded(x + 1) == pi.vertex_padded(x):
+                                              vertex_padded(pj, x), x))
+                if vertex_padded(pj, x + 1) == vertex_padded(pi, x):
                     conflicts.append(Conflict(ConflictKind.FOLLOW, j, i,
-                                              pi.vertex_padded(x), x))
+                                              vertex_padded(pi, x), x))
     return conflicts
 
 
 def pairwise_increment(paths, vertex: int, x: int) -> int:
     inc = 0
     for p in paths:
-        if p.vertex_padded(x) == vertex:
+        if vertex_padded(p, x) == vertex:
             inc += 1
-        if x >= 1 and p.vertex_padded(x - 1) == vertex:
+        if x >= 1 and vertex_padded(p, x - 1) == vertex:
             inc += 1
-        if p.vertex_padded(x + 1) == vertex:
+        if vertex_padded(p, x + 1) == vertex:
             inc += 1
     return inc
 
@@ -80,10 +120,11 @@ def test_earliest_conflict_matches_pairwise_loop(plan):
 @example(SHARED_GOAL)
 @settings(max_examples=200)
 def test_low_level_increment_matches_pairwise_sum(plan):
-    others = _OtherAgents([labeled(p.vertices) for p in plan.paths], plan.n_agents)
+    occ = Occupancy([labeled(p.vertices) for p in plan.paths])
     for vertex in range(6):
         for x in range(plan.max_index + 3):
-            assert others.conflict_increment(vertex, x) == \
+            assert others_increment(occ, plan.n_agents, vertex, x) == \
+                conflict_increment(occ, vertex, x) == \
                 pairwise_increment(plan.paths, vertex, x)
 
 
@@ -106,6 +147,82 @@ def test_conflict_order_is_pinned():
 
 def test_parked_goal_occupies_every_later_index():
     occ = Occupancy((Path((0, 1, 2)), Path((3, 2, 2, 2))))
-    assert [occ.count(2, x) for x in range(-1, 6)] == [0, 0, 1, 2, 2, 2, 2]
-    assert occ.count(1, 1) == 1 and occ.count(1, 2) == 0
+    assert [count(occ, 2, x) for x in range(-1, 6)] == [0, 0, 1, 2, 2, 2, 2]
+    assert count(occ, 1, 1) == 1 and count(occ, 1, 2) == 0
     assert occ.parked == {2: [(2, 0), (3, 1)]}
+
+
+# labeled paths over vertices 0-5; small integer labels make ties between agents
+labeled_path_st = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)),
+                           min_size=1, max_size=8).map(
+    lambda vl: Path(tuple(v for v, _ in vl), tuple(float(lab) for _, lab in vl)))
+# (agent slot, new path, read every row before this swap so that it keeps some)
+swaps_st = st.lists(st.tuples(st.integers(0, 5), labeled_path_st, st.booleans()),
+                    max_size=8)
+
+
+def read_all(occ, agent):
+    """Read every row of `occ` as the low level does when it replans `agent`,
+    so that a swap has rows to keep."""
+    for v in range(6):
+        wait_bound(occ, agent, v, 0)
+
+
+def assert_same_index(occ, paths):
+    """`occ` indexes `paths` exactly as a fresh build and, for every
+    excluded agent, as the former per-call view of the other agents."""
+    fresh = Occupancy(paths)
+    assert (occ.paths, occ.at, occ.parked, occ.horizon) == \
+        (fresh.paths, fresh.at, fresh.parked, fresh.horizon)
+    x_end = max(p.last_index for p in paths) + 3
+    for agent in range(len(paths) + 1):
+        oracle = _OtherAgents([p for k, p in enumerate(paths) if k != agent], agent)
+        for v in range(7):
+            for x in range(x_end):
+                expected = oracle.conflict_increment(v, x)
+                assert others_increment(occ, agent, v, x) == expected
+                assert others_increment(fresh, agent, v, x) == expected
+                expected = oracle.wait_bound(v, x)
+                assert wait_bound(occ, agent, v, x) == expected
+                assert wait_bound(fresh, agent, v, x) == expected
+
+
+@given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
+@settings(max_examples=300, deadline=None)
+def test_swapped_index_matches_fresh_build_and_former_view(paths, swaps):
+    # the root appends paths one by one; each child swaps one path
+    occ = Occupancy(())
+    for j, p in enumerate(paths):
+        read_all(occ, j)
+        occ = occ.swap(j, p)
+    paths = list(paths)
+    for slot, p, read in swaps:
+        j = slot % len(paths)
+        if read:
+            read_all(occ, j)
+        occ = occ.swap(j, p)
+        paths[j] = p
+    assert_same_index(occ, paths)
+
+
+def test_wait_bound_leaves_the_replanned_agents_labels_out():
+    # agent 0 departs vertex 0 with the larger labels; leaving it out must
+    # fall back to agent 1's best, not to -inf or to agent 0's own
+    occ = Occupancy((Path((0, 0, 0, 1), (0.0, 5.0, 9.0, 10.0)),
+                     Path((2, 0, 1), (0.0, 1.0, 3.0))))
+    inf = math.inf
+    assert [wait_bound(occ, 2, 0, x) for x in (1, 2, 3, 4)] == [-inf, 5.0, 9.0, 10.0]
+    assert [wait_bound(occ, 1, 0, x) for x in (1, 2, 3, 4)] == [-inf, 5.0, 9.0, 10.0]
+    assert [wait_bound(occ, 0, 0, x) for x in (1, 2, 3, 4)] == [-inf, -inf, 3.0, 3.0]
+
+
+def test_row_leaves_the_replanned_agent_out():
+    # agent 0 parks on vertex 2 from index 1 on; agent 1 leaves 2 at index 0
+    # and parks on 3 from index 1 on
+    occ = Occupancy((Path((0, 2), (0.0, 1.0)), Path((2, 3), (0.0, 1.0))))
+    assert [[others_increment(occ, 0, v, x) for x in range(4)] for v in range(4)] == [
+        [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 2, 3, 3]]
+    # rows without agent 0 on its own vertices are not kept for the node
+    assert sorted(occ.rows) == [1, 3]
+    assert [others_increment(occ, 2, 2, x) for x in range(4)] == [2, 3, 3, 3]
+    assert sorted(occ.rows) == [1, 2, 3]
