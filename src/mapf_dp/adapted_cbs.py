@@ -9,15 +9,15 @@ import heapq
 import itertools
 from typing import Optional, Sequence
 
-from .ame import (Constraint, LowLevelFailure, SolveLimits, SolveResult,
-                  conflict_tree_search, constraint_setup, trace_back)
+from .ame import (LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure, SolveLimits,
+                  SolveResult, conflict_tree_search, constraint_setup, trace_back)
 from .model import Instance, Occupancy, Path
 
 
-def shortest_path_under_constraints(instance: Instance, agent: int,
-                                    constraints: Sequence[Constraint],
-                                    dist_to_goal: Sequence[float],
-                                    expansion_cap: int = 200_000) -> tuple[Path, int]:
+def shortest_path_under_constraints(
+        instance: Instance, agent: int, constraints: Sequence[Constraint],
+        dist_to_goal: Sequence[float],
+        expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
     """Time-expanded A* minimizing the final index; ties toward deeper states.
     Returns (path, expansions) or raises LowLevelFailure."""
     spec = instance.agents[agent]

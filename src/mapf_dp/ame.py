@@ -9,7 +9,10 @@ replanned path swapped in.  `solve_ame` keys nodes by the approximate
 average makespan.  Its low level is a focal search with re-expansions over
 (vertex, local-state) states whose g-values track the approximate average
 entry times of the other agents' stored labels; it reads the other agents
-as the node's index minus the replanned one.
+as the node's index minus the replanned one.  One heap serves both of its
+phases: a state is queued once per improvement of its g, an entry is
+current iff its g is the state's g, and Phase 2 (smallest f first), once
+begun, is permanent.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from .model import (INF, Conflict, ConflictKind, Instance, Occupancy, Path, Plan
                     shortest_path_distances)
 
 EPS = 1e-9
+LOW_LEVEL_EXPANSIONS = 200_000   # budget of one low-level search, both solvers
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,6 @@ class Constraint:
 class SolveLimits:
     time_s: float = 60.0
     high_level_expansions: int = 50_000
-    low_level_expansions: int = 200_000
 
 
 @dataclass
@@ -99,7 +102,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     def plan_agent(agent: int, occ: Occupancy, constraints, key: float) -> Path:
         nonlocal ll_total
         path, expansions = replan(instance, agent, occ, constraints, key, dists[agent],
-                                  limits.low_level_expansions)
+                                  LOW_LEVEL_EXPANSIONS)
         ll_total += expansions
         return path
 
@@ -170,14 +173,18 @@ def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
 def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
                      constraints: Sequence[Constraint], key: float,
                      dist_to_goal: Sequence[float],
-                     expansion_cap: int = 200_000) -> tuple[Path, int]:
+                     expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
     """Plan one agent against the fixed labeled paths of the others: those
     that `occupancy` indexes by agent id, minus `agent`'s own, if any.
 
     Returns (labeled path, expansions).  Phase 1 expands, among queued
     states with f <= key, one with the fewest accumulated path conflicts;
-    once no queued state fits the bound the search permanently switches to
-    Phase 2 and expands by smallest f.  Raises LowLevelFailure otherwise.
+    once none is left the search expands by smallest f (Phase 2).  Raises
+    LowLevelFailure otherwise.  One heap holds both phases: a successor of
+    a Phase-1 state with f <= key is queued as (0, conflicts, f, -x, v, g,
+    tie), every other one as (1, f, -x, v, g, tie), so Phase 2 begins at the
+    first rank-1 pop and is permanent.  A state is queued once per
+    improvement of its g, and an entry is current iff its g is `g[state]`.
     A successor (v, x) costs one lookup of v's row, which leaves `agent`
     out (`Occupancy.row`), and one bisect for its wait bound.
     """
@@ -188,53 +195,36 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     for j, p in enumerate(occupancy.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
-    rows = dict(occupancy.rows)   # the rows read so far, without `agent`
-    for v in occupancy.paths[agent].vertices if agent < len(occupancy.paths) else ():
-        rows.pop(v, None)
+    rows = {spec.start: occupancy.row(spec.start, agent)}   # this search's rows
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
 
-    start = (spec.start, 0)
-    g: dict[tuple[int, int], float] = {start: 0.0}
-    conf: dict[tuple[int, int], int] = {start: occupancy.row(spec.start, agent)[0][0]}
+    g: dict[tuple[int, int], float] = {(spec.start, 0): 0.0}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
-    expanded_g: dict[tuple[int, int], float] = {}
-
-    counter = itertools.count()
+    tie = itertools.count()
     f0 = h[spec.start]
-    open_heap = [(f0, 0, spec.start, 0.0, next(counter))]   # (f, -x, v, g, tie)
-    focal_heap = []
-    if f0 <= bound:
-        focal_heap.append((conf[start], f0, 0, spec.start, 0.0, next(counter)))
-    phase = 1
+    queue = [(0, rows[spec.start][0][0], f0, 0, spec.start, 0.0, next(tie)) if f0 <= bound
+             else (1, f0, 0, spec.start, 0.0, next(tie))]
     expansions = 0
 
-    while True:
-        here = None   # the next queued state whose g is still current
-        while here is None:
-            if phase == 1 and not focal_heap:
-                phase = 2
-            heap = focal_heap if phase == 1 else open_heap
-            if not heap:
-                raise LowLevelFailure("exhausted")
-            *_, negx, v, gval, _ = heappop(heap)
-            if abs(g.get((v, -negx), INF) - gval) <= 1e-12:
-                here = (v, -negx)
-        x = here[1]
+    while queue:
+        entry = heappop(queue)
+        *_, negx, v, gval, _ = entry
+        x = -negx
+        here = (v, x)
+        if g[here] != gval:
+            continue   # stale: g[here] has improved since
         if v == spec.goal and x >= goal_con_max:
             states = trace_back(parent, here)
             return Path(tuple(s[0] for s in states), tuple(g[s] for s in states)), expansions
-        prev = expanded_g.get(here)
-        if prev is not None and abs(prev - gval) <= 1e-12:
-            continue   # already expanded at this g
         if expansions >= expansion_cap:
             raise LowLevelFailure("budget")
-        expanded_g[here] = gval
         expansions += 1
         nx = x + 1
         if nx > max_index:
             continue
+        focal = entry[0] == 0
         for nv in (v,) + adjacency[v]:
             succ = (nv, nx)
             if succ in banned:
@@ -245,12 +235,14 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
             g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
             if g_new < g.get(succ, INF) - 1e-12:
                 g[succ] = g_new
-                c = conf[succ] = conf[here] + (counts[nx] if nx < len(counts) else counts[-1])
                 parent[succ] = here
                 f_new = g_new + h[nv]
-                heappush(open_heap, (f_new, -nx, nv, g_new, next(counter)))
-                if f_new <= bound:
-                    heappush(focal_heap, (c, f_new, -nx, nv, g_new, next(counter)))
+                if focal and f_new <= bound:
+                    c = entry[1] + (counts[nx] if nx < len(counts) else counts[-1])
+                    heappush(queue, (0, c, f_new, -nx, nv, g_new, next(tie)))
+                else:
+                    heappush(queue, (1, f_new, -nx, nv, g_new, next(tie)))
+    raise LowLevelFailure("exhausted")
 
 
 def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,

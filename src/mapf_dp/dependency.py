@@ -20,7 +20,8 @@ Node = tuple[int, int]  # (agent, local-state index)
 
 
 class DependencyError(ValueError):
-    """Structural problem in a dependency graph (bad edge direction, cycle)."""
+    """Structural problem in a dependency graph (bad edge direction, cycle,
+    unknown endpoint)."""
 
 
 @dataclass
@@ -62,15 +63,18 @@ def build_partial_order(plan: Plan) -> DependencyGraph:
 def transitive_reduction(dg: DependencyGraph) -> DependencyGraph:
     """Unique transitive reduction of a DAG via reachability bitsets.
 
-    Every edge increases the local-state index, so sorting nodes by index
-    gives a topological order directly.
+    Every edge must join two of `dg.nodes` and increase the local-state
+    index (else DependencyError), so sorting nodes by index gives a
+    topological order directly.
     """
     order = sorted(dg.nodes, key=lambda n: n[1])
     pos = {n: k for k, n in enumerate(order)}
     succ: dict[Node, list[Node]] = defaultdict(list)
     for u, v in dg.edges:
-        if pos[u] >= pos[v] and u[1] >= v[1]:
-            raise DependencyError("cycle or non-monotone edge in dependency graph")
+        if u not in pos or v not in pos:
+            raise DependencyError(f"edge {u} -> {v} leaves the graph's nodes")
+        if u[1] >= v[1]:
+            raise DependencyError(f"edge {u} -> {v} does not increase the index")
         succ[u].append(v)
     # reach[n] = bitmask of nodes reachable from n (including n)
     reach: dict[Node, int] = {}

@@ -5,7 +5,6 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path as FilePath
-from typing import Optional
 
 from .model import AgentSpec, Graph, Instance, MapError, Path, Plan, parse_map, serialize_map
 
@@ -74,8 +73,7 @@ def read_instance(map_path, agents_path) -> Instance:
     return Instance(graph, agents)
 
 
-def plan_to_json(plan: Plan, checksum: str, solver: str = "",
-                 extra: Optional[dict] = None) -> str:
+def plan_to_json(plan: Plan, checksum: str, solver: str = "") -> str:
     doc = {
         "checksum": checksum,
         "solver": solver,
@@ -88,8 +86,6 @@ def plan_to_json(plan: Plan, checksum: str, solver: str = "",
             for i, p in enumerate(plan.paths)
         ],
     }
-    if extra:
-        doc.update(extra)
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
@@ -127,9 +123,8 @@ def plan_from_json(text: str) -> tuple[Plan, str]:
     return Plan(tuple(by_id[i] for i in sorted(by_id))), checksum
 
 
-def write_plan(path, plan: Plan, checksum: str, solver: str = "",
-               extra: Optional[dict] = None) -> None:
-    FilePath(path).write_text(plan_to_json(plan, checksum, solver, extra))
+def write_plan(path, plan: Plan, checksum: str, solver: str = "") -> None:
+    FilePath(path).write_text(plan_to_json(plan, checksum, solver))
 
 
 def read_plan(path) -> tuple[Plan, str]:

@@ -253,6 +253,12 @@ class Conflict:
         kind_rank = 0 if self.kind is ConflictKind.VERTEX else 1
         return (self.larger_index, kind_rank, self.agent_i, self.agent_j, self.vertex)
 
+    def pair_key(self) -> tuple:
+        """Pair-major, as `validate_plan` reports: (lower id, higher id),
+        vertex before follow, index, then follow direction."""
+        return (min(self.agent_i, self.agent_j), max(self.agent_i, self.agent_j),
+                self.kind is ConflictKind.FOLLOW, self.index, self.agent_i > self.agent_j)
+
 
 @dataclass
 class ValidationReport:
@@ -362,8 +368,8 @@ def enumerate_conflicts(plan: Plan) -> list[Conflict]:
 
     Each path's own states (x < X_a) are looked up in the plan's `Occupancy`,
     whose parked entries stand in for the padding; two agents parked on one
-    goal conflict from their parked entries alone.  The order is pair-major:
-    (lower id, higher id), vertex before follow, index, then follow direction.
+    goal conflict from their parked entries alone.  The list is unordered:
+    the solvers read its length and its minimum by `Conflict.sort_key`.
     """
     occ = Occupancy(plan.paths)
     at, parked = occ.at, occ.parked
@@ -394,14 +400,12 @@ def enumerate_conflicts(plan: Plan) -> list[Conflict]:
                           for x in range(max(xa - 1, xb), x_max)]
             conflicts += [Conflict(ConflictKind.FOLLOW, b, a, g, x)
                           for x in range(max(xb - 1, xa), x_max)]
-    conflicts.sort(key=lambda c: (min(c.agent_i, c.agent_j), max(c.agent_i, c.agent_j),
-                                  c.kind is ConflictKind.FOLLOW, c.index,
-                                  c.agent_i > c.agent_j))
     return conflicts
 
 
 def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:
-    """Check well-formedness and both validity rules; return every violation."""
+    """Check well-formedness and both validity rules; return every
+    violation, the conflicts ordered by `Conflict.pair_key`."""
     report = ValidationReport()
     if plan.n_agents != instance.n_agents:
         report.path_errors.append(
@@ -411,7 +415,7 @@ def validate_plan(instance: Instance, plan: Plan) -> ValidationReport:
         report.path_errors.extend(check_path_wellformed(instance, agent, path))
     if report.path_errors:
         return report
-    report.conflicts = enumerate_conflicts(plan)
+    report.conflicts = sorted(enumerate_conflicts(plan), key=Conflict.pair_key)
     return report
 
 

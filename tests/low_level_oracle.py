@@ -1,0 +1,107 @@
+"""AME's low level as it stood with two heaps, before it queued each
+improved state once.
+
+`low_level_search` is kept verbatim as a test oracle for
+`mapf_dp.ame.low_level_search`: Phase 1 pops a focal heap ordered by
+(conflicts, f, -x, v, g, tie), Phase 2 an open heap ordered by
+(f, -x, v, g, tie); every successor with f <= key goes into both, so
+`expanded_g` skips a state already expanded at the same g, and `conf`
+holds each state's accumulated conflicts.
+"""
+
+from __future__ import annotations
+
+import itertools
+from bisect import bisect_right
+from heapq import heappop, heappush
+from typing import Sequence
+
+from mapf_dp.ame import EPS, Constraint, LowLevelFailure, constraint_setup, trace_back
+from mapf_dp.dependency import move_cost
+from mapf_dp.model import INF, Instance, Occupancy, Path
+
+
+def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
+                     constraints: Sequence[Constraint], key: float,
+                     dist_to_goal: Sequence[float],
+                     expansion_cap: int = 200_000) -> tuple[Path, int]:
+    """Plan one agent against the fixed labeled paths of the others: those
+    that `occupancy` indexes by agent id, minus `agent`'s own, if any.
+
+    Returns (labeled path, expansions).  Phase 1 expands, among queued
+    states with f <= key, one with the fewest accumulated path conflicts;
+    once no queued state fits the bound the search permanently switches to
+    Phase 2 and expands by smallest f.  Raises LowLevelFailure otherwise.
+    A successor (v, x) costs one lookup of v's row, which leaves `agent`
+    out (`Occupancy.row`), and one bisect for its wait bound.
+    """
+    spec = instance.agents[agent]
+    adjacency = instance.graph.adjacency
+    banned, goal_con_max, max_index = constraint_setup(
+        instance, agent, constraints, dist_to_goal)
+    for j, p in enumerate(occupancy.paths):
+        if p.labels is None:
+            raise ValueError(f"agent {j}: the low level needs labeled paths")
+    rows = dict(occupancy.rows)   # the rows read so far, without `agent`
+    for v in occupancy.paths[agent].vertices if agent < len(occupancy.paths) else ():
+        rows.pop(v, None)
+    t_move = move_cost(spec.delay_prob)
+    h = [d * t_move for d in dist_to_goal]
+    bound = key + EPS
+
+    start = (spec.start, 0)
+    g: dict[tuple[int, int], float] = {start: 0.0}
+    conf: dict[tuple[int, int], int] = {start: occupancy.row(spec.start, agent)[0][0]}
+    parent: dict[tuple[int, int], tuple[int, int]] = {}
+    expanded_g: dict[tuple[int, int], float] = {}
+
+    counter = itertools.count()
+    f0 = h[spec.start]
+    open_heap = [(f0, 0, spec.start, 0.0, next(counter))]   # (f, -x, v, g, tie)
+    focal_heap = []
+    if f0 <= bound:
+        focal_heap.append((conf[start], f0, 0, spec.start, 0.0, next(counter)))
+    phase = 1
+    expansions = 0
+
+    while True:
+        here = None   # the next queued state whose g is still current
+        while here is None:
+            if phase == 1 and not focal_heap:
+                phase = 2
+            heap = focal_heap if phase == 1 else open_heap
+            if not heap:
+                raise LowLevelFailure("exhausted")
+            *_, negx, v, gval, _ = heappop(heap)
+            if abs(g.get((v, -negx), INF) - gval) <= 1e-12:
+                here = (v, -negx)
+        x = here[1]
+        if v == spec.goal and x >= goal_con_max:
+            states = trace_back(parent, here)
+            return Path(tuple(s[0] for s in states), tuple(g[s] for s in states)), expansions
+        prev = expanded_g.get(here)
+        if prev is not None and abs(prev - gval) <= 1e-12:
+            continue   # already expanded at this g
+        if expansions >= expansion_cap:
+            raise LowLevelFailure("budget")
+        expanded_g[here] = gval
+        expansions += 1
+        nx = x + 1
+        if nx > max_index:
+            continue
+        for nv in (v,) + adjacency[v]:
+            succ = (nv, nx)
+            if succ in banned:
+                continue
+            counts, xs, best = rows.get(nv) or rows.setdefault(nv, occupancy.row(nv, agent))
+            # the others' latest departure from nv at an index below nx - 1
+            wait = best[bisect_right(xs, x - 1)]
+            g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
+            if g_new < g.get(succ, INF) - 1e-12:
+                g[succ] = g_new
+                c = conf[succ] = conf[here] + (counts[nx] if nx < len(counts) else counts[-1])
+                parent[succ] = here
+                f_new = g_new + h[nv]
+                heappush(open_heap, (f_new, -nx, nv, g_new, next(counter)))
+                if f_new <= bound:
+                    heappush(focal_heap, (c, f_new, -nx, nv, g_new, next(counter)))

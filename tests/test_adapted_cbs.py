@@ -1,5 +1,6 @@
 import pytest
 
+from mapf_dp import ame
 from mapf_dp import (AgentSpec, Graph, Instance,
                      brute_force_optimal_makespan, generate_random_instance,
                      solve_adapted_cbs, validate_plan)
@@ -97,6 +98,10 @@ class TestSolver:
         g = Graph.from_edges(3, [(0, 1)])
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5),))
         assert solve_adapted_cbs(inst).status == "no-solution"
+
+    def test_budget_exhaustion_is_timeout(self, pocket_instance, monkeypatch):
+        monkeypatch.setattr(ame, "LOW_LEVEL_EXPANSIONS", 1)
+        assert solve_adapted_cbs(pocket_instance).status == "timeout"
 
     @pytest.mark.parametrize("seed", range(25))
     def test_optimal_on_tiny_instances(self, seed):

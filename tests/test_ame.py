@@ -1,7 +1,10 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mapf_dp import ame
 from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
                      approximate_average_makespan, compute_labels,
                      find_earliest_conflict, generate_random_instance,
@@ -9,8 +12,9 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
 from mapf_dp.ame import (Constraint, LowLevelFailure, SolveLimits,
                          branch_constraints, low_level_search)
 from mapf_dp.dependency import move_cost
-from mapf_dp.model import ConflictKind, Occupancy, shortest_path_distances
+from mapf_dp.model import ConflictKind, Occupancy, parse_map, shortest_path_distances
 from tests.conftest import C2, POCKET
+from tests.low_level_oracle import low_level_search as two_heap_search
 from tests.test_occupancy import conflict_increment, wait_bound
 
 
@@ -246,9 +250,9 @@ class TestSolveAme:
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5),))
         assert solve_ame(inst).status == "no-solution"
 
-    def test_budget_exhaustion_is_timeout(self, pocket_instance):
-        limits = SolveLimits(low_level_expansions=1)
-        assert solve_ame(pocket_instance, limits).status == "timeout"
+    def test_budget_exhaustion_is_timeout(self, pocket_instance, monkeypatch):
+        monkeypatch.setattr(ame, "LOW_LEVEL_EXPANSIONS", 1)
+        assert solve_ame(pocket_instance).status == "timeout"
 
     def test_time_limit(self):
         inst = generate_random_instance(20, 20, 0.1, 10, (0, 0.5), 0)
@@ -295,3 +299,75 @@ def test_children_satisfy_their_branching_constraint(pocket_instance):
     for i, path in enumerate(plan.paths):
         assert path.vertices[0] == pocket_instance.agents[i].start
         assert path.vertices[-1] == pocket_instance.agents[i].goal
+
+
+@st.composite
+def low_level_cases(draw):
+    """A replan on a small grid: 1-4 agents, random labeled walks for the
+    agents in the index (the replanned one included or not yet indexed),
+    random constraints, a key, a small expansion cap, and the hop distances
+    to the goal or, at random, arbitrary ones."""
+    w, h = draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    blocked = draw(st.sets(st.integers(0, w * h - 1), max_size=w * h // 3))
+    graph = parse_map("\n".join("".join("@" if y * w + x in blocked else "."
+                                         for x in range(w)) for y in range(h)))
+    n_free = graph.n_vertices
+    n = draw(st.integers(1, min(4, n_free)))
+    starts = draw(st.permutations(range(n_free)))[:n]
+    goals = draw(st.permutations(range(n_free)))[:n]
+    probs = st.sampled_from([0.1, 0.25, 0.5, 0.75])
+    inst = Instance(graph, tuple(AgentSpec(i, starts[i], goals[i], draw(probs))
+                                 for i in range(n)))
+    paths = []
+    for i in range(n):
+        vertices, labels = [starts[i]], [0.0]
+        for _ in range(draw(st.integers(0, 7))):
+            options = (vertices[-1],) + graph.adjacency[vertices[-1]]
+            vertices.append(options[draw(st.integers(0, 4)) % len(options)])
+            labels.append(labels[-1] + draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))
+        paths.append(Path(tuple(vertices), tuple(labels)))
+    agent = draw(st.integers(0, n - 1))
+    if not draw(st.booleans()):
+        paths = paths[:agent]   # the root plans `agent` before indexing it
+    dist = shortest_path_distances(graph, goals[agent])
+    if draw(st.booleans()):
+        # along an edge, f never falls under hop distances; under random
+        # ones it can, so a Phase-2 successor may have f <= key
+        dist = [d if d == math.inf else draw(st.integers(0, 6)) for d in dist]
+    constraints = tuple(Constraint(*c) for c in draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n_free - 1), st.integers(0, 8)),
+        max_size=6)))
+    f0 = dist[starts[agent]] * move_cost(inst.agents[agent].delay_prob)
+    key = draw(st.one_of(st.just(0.0), st.integers(0, 40).map(lambda k: k / 2),
+                         st.integers(0, 6).map(lambda k: f0 + k), st.just(1e9)))
+    cap = draw(st.one_of(st.integers(1, 40), st.just(ame.LOW_LEVEL_EXPANSIONS)))
+    read = draw(st.lists(st.integers(0, n_free - 1), max_size=4))
+    return inst, paths, agent, constraints, key, cap, read, dist
+
+
+# corridor 0-1-2: agent 1 starts in Phase 2 at vertex 1 (f > key), and both
+# its moves reach f <= key; the move to 0, where agent 0 stays, conflicts
+PHASE_2_DROP = (Instance(parse_map("..."), (AgentSpec(0, 0, 2, 0.1), AgentSpec(1, 1, 0, 0.1))),
+                [Path((0, 0, 0), (0.0, 1.0, 2.0))], 1, (), 1.5, ame.LOW_LEVEL_EXPANSIONS, [],
+                [0, 2, 0])
+
+
+@given(low_level_cases())
+@example(PHASE_2_DROP)
+@settings(max_examples=400)
+def test_low_level_matches_two_heap_oracle(case):
+    # the one-queue search against the former two-heap one: the same path,
+    # labels and expansions, or the same failure cause
+    inst, paths, agent, constraints, key, cap, read, dist = case
+
+    def outcome(search):
+        occ = Occupancy(paths)
+        for v in read:   # rows that an earlier search at this node kept
+            occ.row(v)
+        try:
+            path, expansions = search(inst, agent, occ, constraints, key, dist, cap)
+        except LowLevelFailure as fail:
+            return fail.cause
+        return path.vertices, path.labels, expansions
+
+    assert outcome(low_level_search) == outcome(two_heap_search)

@@ -156,6 +156,16 @@ class TestTransitiveReduction:
         with pytest.raises(DependencyError):
             transitive_reduction(dg)
 
+    def test_same_index_edge_rejected(self):
+        dg = DependencyGraph([(0, 1), (1, 1)], {((0, 1), (1, 1))})
+        with pytest.raises(DependencyError):
+            transitive_reduction(dg)
+
+    def test_edge_to_unknown_node_rejected(self):
+        dg = DependencyGraph([(0, 0), (0, 1)], {((0, 0), (0, 1)), ((0, 1), (1, 2))})
+        with pytest.raises(DependencyError):
+            transitive_reduction(dg)
+
     @given(st.integers(2, 12), st.data())
     @settings(max_examples=120)
     def test_matches_brute_force_on_random_dags(self, n, data):

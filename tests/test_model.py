@@ -132,6 +132,17 @@ class TestValidatePlan:
         report = validate_plan(inst, plan)
         assert not report.is_valid
 
+    def test_conflicts_reported_pair_major(self):
+        # pair (0, 2) before pair (1, 2), whatever order they are found in
+        g = Graph.from_edges(6, [(i, i + 1) for i in range(5)])
+        inst = Instance(g, (AgentSpec(0, 2, 4, 0.5), AgentSpec(1, 4, 1, 0.5),
+                            AgentSpec(2, 1, 0, 0.5)))
+        plan = Plan((Path((2, 3, 4)), Path((4, 3, 2, 1)), Path((1, 2, 1, 0))))
+        V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
+        assert [(c.kind, c.agent_i, c.agent_j, c.vertex, c.index)
+                for c in validate_plan(inst, plan).conflicts] == [
+            (V, 0, 1, 3, 1), (F, 2, 0, 2, 0), (F, 1, 2, 2, 1), (F, 1, 2, 1, 2)]
+
     def test_label_monotonicity_checked(self, pocket_instance):
         plan = Plan((Path((C2, C3), labels=(0.0, 0.5)),
                      Path((C1, C1, C1, C2, C3, C4))))
