@@ -57,9 +57,9 @@ def solve_adapted_cbs(instance: Instance,
     def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
         return shortest_path_under_constraints(instance, agent, constraints, dist_to_goal, cap)
 
-    def evaluate(occ: Occupancy) -> tuple[Occupancy, float, tuple, None]:
+    def evaluate(occ: Occupancy, conflicts) -> tuple[Occupancy, float, tuple]:
         lengths = [p.last_index for p in occ.paths]
-        return occ, float(max(lengths)), (max(lengths), sum(lengths)), None
+        return occ, float(max(lengths)), (max(lengths), sum(lengths))
 
     return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate)
 

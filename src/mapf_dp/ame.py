@@ -5,7 +5,10 @@ baseline share: pop the node with the smallest key, pick the earliest
 conflict in its plan, and branch by constraining one involved agent per
 child, replanning only that agent.  Each node keeps one occupancy index of
 its plan (`Occupancy`), and a child's index is its parent's with the
-replanned path swapped in.  `solve_ame` keys nodes by the approximate
+replanned path swapped in.  Each node also keeps its plan's conflicts: a
+child's are its parent's minus those that name the replanned agent, plus
+those of the new path, found through the parent's index, so only the root
+enumerates its whole plan.  `solve_ame` keys nodes by the approximate
 average makespan.  Its low level is a focal search with re-expansions over
 (vertex, local-state) states whose g-values track the approximate average
 entry times of the other agents' stored labels; it reads the other agents
@@ -27,7 +30,7 @@ from typing import Callable, Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
 from .model import (INF, Conflict, ConflictKind, Instance, Occupancy, Path, Plan,
-                    enumerate_conflicts, find_earliest_conflict,
+                    enumerate_conflicts, find_earliest_conflict, path_conflicts,
                     shortest_path_distances)
 
 EPS = 1e-9
@@ -79,17 +82,30 @@ def branch_constraints(conflict: Conflict) -> tuple[Constraint, Constraint]:
             Constraint(conflict.agent_j, v, x))
 
 
+def carry_conflicts(occ: Occupancy, conflicts: list[Conflict], j: int,
+                    path: Path) -> list[Conflict]:
+    """The conflicts of `occ`'s plan with j's path replaced by `path`, from
+    `conflicts`, those of `occ`'s plan: the ones that do not name j, plus
+    those of `path` with the other paths, found through `occ`."""
+    kept = [c for c in conflicts if c.agent_i != j and c.agent_j != j]
+    return kept + path_conflicts(occ, j, path)
+
+
 def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callable,
-                         evaluate: Callable[[Occupancy], tuple]) -> SolveResult:
+                         evaluate: Callable[[Occupancy, list[Conflict]], tuple]) -> SolveResult:
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
 
-    Each node keeps one `Occupancy` of its plan.  The root plans agents in id
-    order against the paths planned so far, with key 0; a child replans one
-    agent against its parent's index, minus that agent, with its parent's
-    key, and swaps the new path into that index.  `evaluate(index)` returns
-    (index to store, key, order, the plan's conflicts or None if it did not
-    find them); nodes pop by smallest order, ties first in, first out."""
+    Each node keeps one `Occupancy` of its plan and a list of its plan's
+    conflicts, which equals `enumerate_conflicts` of the plan as a multiset.
+    The root plans agents in id order against the paths planned so far, with
+    key 0, and enumerates its conflicts over its index.  A child replans one
+    agent j against its parent's index, minus j, with its parent's key,
+    swaps the new path into that index and carries its parent's conflicts
+    over (`carry_conflicts`).  `evaluate(index, conflicts)` returns (index to
+    store, key, order); it may relabel the paths but not move them, so the
+    list stays exact.  Nodes pop by smallest order, ties first in, first
+    out."""
     t0 = time.monotonic()
     dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     ll_total = hl_expanded = key_decreases = 0
@@ -116,7 +132,8 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             return result("timeout")
 
     seq = itertools.count()
-    occ, key, order, conflicts = evaluate(occ)
+    conflicts = enumerate_conflicts(Plan(occ.paths), occ)
+    occ, key, order = evaluate(occ, conflicts)
     heap = [(order, next(seq), frozenset(), occ, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
@@ -129,13 +146,14 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
         if conflict is None:
             return result("solved", plan, key)
         for con in branch_constraints(conflict):
+            j = con.agent
             child_constraints = constraints | {con}
             try:
-                path = plan_agent(con.agent, occ, child_constraints, key)
+                path = plan_agent(j, occ, child_constraints, key)
             except LowLevelFailure:
                 continue
-            child_occ, child_key, child_order, child_conflicts = evaluate(
-                occ.swap(con.agent, path))
+            child_conflicts = carry_conflicts(occ, conflicts, j, path)
+            child_occ, child_key, child_order = evaluate(occ.swap(j, path), child_conflicts)
             if child_key < key - EPS:
                 key_decreases += 1
             heappush(heap, (child_order, next(seq), child_constraints,
@@ -256,13 +274,12 @@ def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
     """
     probs = [a.delay_prob for a in instance.agents]
 
-    def evaluate(occ: Occupancy) -> tuple[Occupancy, float, tuple, list[Conflict]]:
+    def evaluate(occ: Occupancy, conflicts: list[Conflict]) -> tuple[Occupancy, float, tuple]:
         plan = Plan(occ.paths)
         if recompute_labels:
             plan = compute_labels(plan, probs)
             occ = Occupancy(plan.paths)
         key = approximate_average_makespan(plan)
-        conflicts = enumerate_conflicts(plan)
-        return occ, key, (round(key, 9), len(conflicts)), conflicts
+        return occ, key, (round(key, 9), len(conflicts))
 
     return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate)

@@ -15,7 +15,7 @@ from . import mapio
 from .ame import SolveLimits
 from .dependency import dependency_stats
 from .generate import WarehouseParams, generate_random_instance, \
-    generate_warehouse_instance, resample_delays
+    generate_warehouse_instance, resample_delays, sweep_delay_bound
 from .model import validate_plan
 from .simulate import POLICIES, monte_carlo
 
@@ -72,6 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--policy", choices=POLICIES, default="mcp")
     sim.add_argument("--runs", type=int, default=200)
     sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--latency", type=int, default=0,
+                     help="steps a message takes to arrive (default 0)")
+    sim.add_argument("--horizon", type=int, default=None,
+                     help="step cap of one run (default max(1000, 50 * max index))")
 
     ben = sub.add_parser("bench", help="run an experiment suite")
     ben.add_argument("--experiment", choices=("exp1", "exp2", "exp3", "exp4"),
@@ -97,11 +101,11 @@ def cmd_generate(args) -> int:
     instances = []
     if args.t_hat_sweep:
         sweep = [int(tok) for tok in args.t_hat_sweep.split(",") if tok]
+        bounds = [sweep_delay_bound(t_max) for t_max in sweep]
         base = generate_random_instance(args.width, args.height, args.blocked,
                                         args.agents, (0.0, args.p_hi), args.seed)
-        for t_max in sweep:
-            inst = resample_delays(base, 1.0 - 1.0 / t_max,
-                                   args.seed + 7000 + t_max)
+        for t_max, hi in zip(sweep, bounds):
+            inst = resample_delays(base, hi, args.seed + 7000 + t_max)
             instances.append((f"t{t_max:02d}", inst))
     else:
         for k in range(args.count):
@@ -180,7 +184,8 @@ def cmd_simulate(args) -> int:
     if report.path_errors or (args.policy != "dummy" and report.conflicts):
         print(f"plan is invalid for policy {args.policy}", file=sys.stderr)
         return EXIT_INVALID
-    stats = monte_carlo(instance, plan, args.policy, args.runs, args.seed)
+    stats = monte_carlo(instance, plan, args.policy, args.runs, args.seed,
+                        horizon_cap=args.horizon, latency=args.latency)
     for k, v in stats.as_dict().items():
         print(f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}")
     return EXIT_OK

@@ -150,6 +150,14 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
     return _build_instance(graph, starts, goals, probs)
 
 
+def sweep_delay_bound(t_hat_max: int) -> float:
+    """The upper delay probability 1 - 1/t_hat_max of a t_hat_max sweep
+    value; a value below 2 leaves no delay range (or divides by zero)."""
+    if t_hat_max < 2:
+        raise GenerationError(f"t_hat_max must be at least 2, got {t_hat_max}")
+    return 1.0 - 1.0 / t_hat_max
+
+
 def resample_delays(instance: Instance, hi: float, seed: int) -> Instance:
     """Same layout and start/goal cells, fresh delay probabilities from (0, hi)."""
     rng = np.random.default_rng(seed)

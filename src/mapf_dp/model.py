@@ -10,8 +10,12 @@ Every conflict query goes through one occupancy index (`Occupancy`, the
 conflict avoidance table of CBS): it maps (vertex, index) to the agents
 there for indices below each path's last index, plus one "parked at this
 goal from index X_j on" entry per path, so the goal padding stays implicit.
-Validation and earliest-conflict search read it.  The conflict-tree driver
-keeps one per node, whose per-vertex rows AME's low level reads.
+`path_conflicts` finds one path's conflicts with the others through it, and
+holds the vertex, follow and parked rules; `enumerate_conflicts` (and so
+validation) runs it over a plan's own index.  The conflict tree
+(`ame.conflict_tree_search`) keeps one index per node, whose per-vertex rows
+AME's low level reads, and finds a child's new conflicts through its
+parent's index.
 """
 
 from __future__ import annotations
@@ -237,7 +241,7 @@ class ConflictKind(Enum):
     FOLLOW = "follow"   # agent_i at index x+1 where agent_j sits at index x
 
 
-@dataclass
+@dataclass(slots=True)
 class Conflict:
     kind: ConflictKind
     agent_i: int   # for FOLLOW: the agent entering at index x+1
@@ -363,36 +367,66 @@ class Occupancy:
         return child
 
 
-def enumerate_conflicts(plan: Plan) -> list[Conflict]:
+def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> list[Conflict]:
+    """The conflicts between `path`, as agent a's, and the goal-padded path
+    of each agent b of `occ` with b != a and b < `upto`; a's own entries in
+    `occ`, if any, are skipped.  The one home of the conflict rules: a state
+    of a at (v, x) conflicts with b at (v, x) (vertex), at (v, x - 1) (a
+    follows b) and at (v, x + 1) (b follows a).  a's states x < X_a meet b's
+    states in `at` and b's parked entry; a parked on its goal from X_a on
+    meets b's states in `at` from index X_a - 1 on.  Two agents parked on one
+    goal are not found here (see `enumerate_conflicts`)."""
+    V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
+    get, parked = occ.at.get, occ.parked
+    vs = path.vertices
+    conflicts = []
+    for x in range(len(vs) - 1):
+        v = vs[x]
+        for b in get((v, x), ()):
+            if b != a and b < upto:
+                conflicts.append(Conflict(V, min(a, b), max(a, b), v, x))
+        for b in get((v, x - 1), ()):
+            if b != a and b < upto:
+                conflicts.append(Conflict(F, a, b, v, x - 1))
+        for b in get((v, x + 1), ()):
+            if b != a and b < upto:
+                conflicts.append(Conflict(F, b, a, v, x))
+        for since, b in parked.get(v, ()):   # b sits on v from `since` on
+            if b != a and b < upto and since <= x + 1:
+                if since <= x:
+                    conflicts.append(Conflict(V, min(a, b), max(a, b), v, x))
+                if since < x:
+                    conflicts.append(Conflict(F, a, b, v, x - 1))
+                conflicts.append(Conflict(F, b, a, v, x))
+    goal, since = vs[-1], len(vs) - 1   # a sits on its goal from `since` on
+    for x in range(max(since - 1, 0), occ.horizon - 1):
+        for b in get((goal, x), ()):
+            if b != a and b < upto:
+                if since <= x:
+                    conflicts.append(Conflict(V, min(a, b), max(a, b), goal, x))
+                if since < x:
+                    conflicts.append(Conflict(F, b, a, goal, x - 1))
+                conflicts.append(Conflict(F, a, b, goal, x))
+    return conflicts
+
+
+def enumerate_conflicts(plan: Plan, occ: Optional[Occupancy] = None) -> list[Conflict]:
     """All vertex/follow violations between goal-padded paths.
 
-    Each path's own states (x < X_a) are looked up in the plan's `Occupancy`,
-    whose parked entries stand in for the padding; two agents parked on one
-    goal conflict from their parked entries alone.  The list is unordered:
-    the solvers read its length and its minimum by `Conflict.sort_key`.
+    Each pair is found once by `path_conflicts`, from its larger id's side,
+    over `occ`, the plan's index (built here if not given).  Two agents
+    parked on one goal, which only `validate_plan` can see (`Instance`
+    forbids shared goals), conflict from their parked entries alone.  The
+    list is unordered: the solvers read its length and its minimum by
+    `Conflict.sort_key`.
     """
-    occ = Occupancy(plan.paths)
-    at, parked = occ.at, occ.parked
-    x_max = plan.max_index
+    if occ is None:
+        occ = Occupancy(plan.paths)
     conflicts = []
     for a, p in enumerate(plan.paths):
-        for x, v in enumerate(p.vertices[:-1]):
-            for b in at[(v, x)]:
-                if b > a:
-                    conflicts.append(Conflict(ConflictKind.VERTEX, a, b, v, x))
-            for b in at.get((v, x - 1), ()):
-                if b != a:
-                    conflicts.append(Conflict(ConflictKind.FOLLOW, a, b, v, x - 1))
-            # b's own pass ends at X_b, so a reports both follow directions
-            for since, b in parked.get(v, ()):   # b sits on v from `since` on
-                if b != a and since <= x + 1:
-                    if since <= x:
-                        conflicts.append(
-                            Conflict(ConflictKind.VERTEX, min(a, b), max(a, b), v, x))
-                    if since < x:
-                        conflicts.append(Conflict(ConflictKind.FOLLOW, a, b, v, x - 1))
-                    conflicts.append(Conflict(ConflictKind.FOLLOW, b, a, v, x))
-    for g, sharing in parked.items():   # only plans with shared goals
+        conflicts += path_conflicts(occ, a, p, upto=a)
+    x_max = plan.max_index
+    for g, sharing in occ.parked.items():   # only plans with shared goals
         for (xa, a), (xb, b) in combinations(sharing, 2):
             conflicts += [Conflict(ConflictKind.VERTEX, a, b, g, x)
                           for x in range(max(xa, xb), x_max + 1)]

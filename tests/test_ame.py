@@ -8,11 +8,12 @@ from mapf_dp import ame
 from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
                      approximate_average_makespan, compute_labels,
                      find_earliest_conflict, generate_random_instance,
-                     solve_ame, validate_plan)
+                     solve_adapted_cbs, solve_ame, validate_plan)
 from mapf_dp.ame import (Constraint, LowLevelFailure, SolveLimits,
                          branch_constraints, low_level_search)
 from mapf_dp.dependency import move_cost
-from mapf_dp.model import ConflictKind, Occupancy, parse_map, shortest_path_distances
+from mapf_dp.model import (Conflict, ConflictKind, Occupancy, enumerate_conflicts,
+                           parse_map, shortest_path_distances)
 from tests.conftest import C2, POCKET
 from tests.low_level_oracle import low_level_search as two_heap_search
 from tests.test_occupancy import conflict_increment, wait_bound
@@ -299,6 +300,31 @@ def test_children_satisfy_their_branching_constraint(pocket_instance):
     for i, path in enumerate(plan.paths):
         assert path.vertices[0] == pocket_instance.agents[i].start
         assert path.vertices[-1] == pocket_instance.agents[i].goal
+
+
+@pytest.mark.parametrize("solve", [
+    solve_ame,
+    lambda inst, limits: solve_ame(inst, limits, recompute_labels=True),
+    solve_adapted_cbs,
+], ids=["ame", "ame-relabel", "adapted-cbs"])
+def test_every_popped_node_carries_its_plans_conflicts(monkeypatch, solve):
+    # conflict_tree_search hands each popped node's carried list to
+    # find_earliest_conflict
+    find = ame.find_earliest_conflict
+    checked = []
+
+    def checked_find(plan, conflicts):
+        key = Conflict.sort_key
+        assert sorted(conflicts, key=key) == sorted(enumerate_conflicts(plan), key=key)
+        checked.append(len(conflicts))
+        return find(plan, conflicts)
+
+    monkeypatch.setattr(ame, "find_earliest_conflict", checked_find)
+    for width, agents, seed in ((7, 8, 0), (7, 8, 3), (8, 10, 1), (8, 10, 3)):
+        inst = generate_random_instance(width, width, 0.1, agents, (0, 0.5), seed)
+        solve(inst, SolveLimits(high_level_expansions=40))
+    # most popped nodes are children, and most of those still conflict
+    assert len(checked) > 60 and sum(n > 0 for n in checked) > 50
 
 
 @st.composite

@@ -3,9 +3,12 @@ import re
 
 import pytest
 
-from mapf_dp import Path, Plan, mapio
+from mapf_dp import AgentSpec, Graph, Instance, Path, Plan, bench, mapio
+from mapf_dp.ame import SolveResult
+from mapf_dp.bench import BenchConfig, run_bench
 from mapf_dp.cli import (EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK,
                          EXIT_TIMEOUT, EXIT_USAGE, main)
+from mapf_dp.simulate import monte_carlo
 
 
 def gen_instance(tmp_path, **over):
@@ -43,6 +46,15 @@ class TestGenerate:
         assert m2 == m4
         assert (tmp_path / "t02.agents").read_text() \
             != (tmp_path / "t04.agents").read_text()
+
+    @pytest.mark.parametrize("sweep", ["0", "2,1", "4,-3"])
+    def test_t_hat_below_two_rejected(self, tmp_path, capsys, sweep):
+        assert main(["generate", "--width", "8", "--height", "8", "--agents", "3",
+                     "--t-hat-sweep", sweep, "--out", str(tmp_path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: t_hat_max must be at least 2, got ")
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_warehouse_kind(self, tmp_path):
         assert main(["generate", "--kind", "warehouse", "--agents", "5",
@@ -167,6 +179,35 @@ class TestSimulate:
         assert "Traceback" not in captured.out + captured.err
         assert "mean_makespan" not in captured.out
 
+    def test_latency_and_horizon_reach_monte_carlo(self, tmp_path, capsys):
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)])
+        instance = mapio.read_instance(map_p, agents_p)
+        plan, _ = mapio.read_plan(plan_p)
+        argv = ["simulate", str(map_p), str(agents_p), str(plan_p), "--runs", "20"]
+        for options, latency, horizon in (([], 0, None),
+                                          (["--latency", "2", "--horizon", "9"], 2, 9)):
+            capsys.readouterr()
+            assert main(argv + options) == EXIT_OK
+            stats = monte_carlo(instance, plan, "mcp", 20, 0,
+                                horizon_cap=horizon, latency=latency)
+            assert capsys.readouterr().out == "".join(
+                f"{k}={v:.4f}\n" if isinstance(v, float) else f"{k}={v}\n"
+                for k, v in stats.as_dict().items())
+
+    @pytest.mark.parametrize("options", [["--latency", "-1"], ["--horizon", "0"]])
+    def test_bad_latency_or_horizon_exit_one(self, tmp_path, capsys, options):
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)])
+        capsys.readouterr()
+        assert main(["simulate", str(map_p), str(agents_p), str(plan_p),
+                     "--runs", "5"] + options) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+        assert "mean_makespan" not in captured.out
+
     def test_invalid_validate_exit(self, tmp_path):
         map_p, agents_p, plan_p = head_on_fixture(tmp_path)
         assert main(["validate", str(map_p), str(agents_p),
@@ -193,6 +234,42 @@ class TestBench:
         main(self.bench_args(a))
         main(self.bench_args(b))
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
+
+    @pytest.mark.parametrize("field", [
+        {"instances_per_count": 0}, {"agent_counts": (5, 0)}, {"agent_counts": (-5,)},
+        {"t_hat_sweep": (2, 0)}, {"t_hat_sweep": (1,)},
+    ])
+    def test_config_rejects_empty_sweeps(self, field):
+        with pytest.raises(ValueError):
+            BenchConfig(**field)
+
+    def test_each_solved_plan_validated_once(self, monkeypatch):
+        validate = bench.validate_plan
+        calls = []
+        monkeypatch.setattr(bench, "validate_plan",
+                            lambda inst, plan: calls.append(plan) or validate(inst, plan))
+        rows, _ = run_bench(BenchConfig(
+            experiment="exp4", width=8, height=8, agents=4, n_instances=2,
+            policies=("mcp", "fsp", "dummy"), n_runs=5))
+        solved = {r["instance"] for r in rows if r["status"] == "solved"}
+        assert len(solved) == 2 and len(rows) == 6 and len(calls) == 2
+
+    @pytest.mark.parametrize("policies, raises", [
+        (("dummy",), False), (("dummy", "mcp"), True), (("fsp", "dummy"), True)])
+    def test_invalid_plan_raises_unless_dummy_only(self, monkeypatch, policies, raises):
+        # every solve returns the head-on plan on a 1x4 corridor
+        line = Instance(Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]),
+                        (AgentSpec(0, 0, 3, 0.5), AgentSpec(1, 3, 0, 0.5)))
+        head_on = Plan((Path((0, 1, 2, 3)), Path((3, 2, 1, 0))))
+        monkeypatch.setattr(bench, "generate_random_instance", lambda *a: line)
+        monkeypatch.setattr(bench, "solve_with",
+                            lambda *a: SolveResult("solved", head_on, 0.0))
+        config = BenchConfig(experiment="exp4", n_instances=1, policies=policies, n_runs=5)
+        if raises:
+            with pytest.raises(RuntimeError, match="invalid plan"):
+                run_bench(config)
+        else:
+            assert [r["policy"] for r in run_bench(config)[0]] == ["dummy"]
 
 
 class TestErrors:

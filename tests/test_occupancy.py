@@ -1,6 +1,8 @@
 """The occupancy index against the pairwise scans it replaced, and the
 per-node index of the conflict-tree driver against fresh builds and the
-low level's former per-call view of the other agents.
+low level's former per-call view of the other agents.  The conflicts a
+conflict-tree child carries from its parent are checked against a fresh
+enumeration after every swap.
 
 `pairwise_conflicts` and `pairwise_increment` are the former
 `enumerate_conflicts` and `_OtherAgents.conflict_increment`, kept verbatim
@@ -15,6 +17,7 @@ from bisect import bisect_right
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mapf_dp.ame import carry_conflicts
 from mapf_dp.model import (Conflict, ConflictKind, Occupancy, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict)
 from tests.occupancy_oracle import _OtherAgents
@@ -144,6 +147,41 @@ def test_conflict_order_is_pinned():
         (F, 2, 0, 2, 2),
         (F, 1, 2, 3, 0),
     ]
+
+
+@st.composite
+def goal_distinct_swaps(draw):
+    """1-6 paths over vertices 0-7 with distinct goals, and a sequence of
+    swaps (agent, new path to that agent's goal), as the conflict tree makes."""
+    goals = draw(st.lists(st.integers(0, 7), min_size=1, max_size=6, unique=True))
+    body = st.lists(st.integers(0, 7), max_size=7).map(tuple)
+    paths = [Path(draw(body) + (g,)) for g in goals]
+    swaps = draw(st.lists(st.tuples(st.integers(0, len(goals) - 1), body), max_size=8))
+    return paths, [(j, Path(b + (goals[j],))) for j, b in swaps]
+
+
+def by_sort_key(conflicts):
+    return sorted(conflicts, key=Conflict.sort_key)
+
+
+# agent 1's new path enters its goal 2 at index 1, right after agent 0 left
+# it: a follow conflict that only the new path's parked entry meets
+PARKED_RANGE = ([Path((2, 1)), Path((3, 3, 2))], [(1, Path((3, 2)))])
+
+
+@given(goal_distinct_swaps())
+@example(PARKED_RANGE)
+@settings(max_examples=500)
+def test_carried_conflicts_match_enumeration(case):
+    # the conflict tree's root enumerates over its index; each child carries
+    paths, swaps = case
+    occ = Occupancy(paths)
+    conflicts = enumerate_conflicts(Plan(paths), occ)
+    assert by_sort_key(conflicts) == by_sort_key(pairwise_conflicts(Plan(paths)))
+    for j, path in swaps:
+        conflicts = carry_conflicts(occ, conflicts, j, path)
+        occ = occ.swap(j, path)
+        assert by_sort_key(conflicts) == by_sort_key(enumerate_conflicts(Plan(occ.paths)))
 
 
 def test_parked_goal_occupies_every_later_index():
