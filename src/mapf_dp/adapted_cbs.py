@@ -1,6 +1,13 @@
 """Deterministic conflict-based baseline: minimizes the largest path index
 assuming perfect execution, plus a brute-force joint-search oracle for
 tiny instances.  Delay probabilities are ignored entirely.
+
+The low level, `shortest_path_under_constraints`, is a pure function of the
+agent, that agent's own constraints and inputs fixed for one solve (its
+distance table and the expansion budget): it reads neither the other agents'
+paths nor the parent's key.  So one solve plans each (agent, own constraint
+set) once, and `solve_adapted_cbs` keeps the outcomes in a table that lives
+as long as the solve.
 """
 
 from __future__ import annotations
@@ -52,10 +59,31 @@ def solve_adapted_cbs(instance: Instance,
     """Conflict-tree search for a valid plan minimizing max_i X_i.
 
     Ties break toward smaller total path length, then FIFO.  The low level
-    ignores the other agents' paths and the parent's key.
+    ignores the other agents' paths and the parent's key, so its outcome
+    depends only on the agent and the constraints that name it.  `planned`
+    maps each such (agent, own constraint set) to the path found for it, or
+    to the cause of its failure; a repeat returns the stored path with 0
+    expansions, or raises a fresh `LowLevelFailure` with the stored cause.
+    So `low_level_expanded` counts the expansions performed, and plans and
+    node counts are those of planning every time.
     """
+    planned: dict[tuple[int, frozenset[Constraint]], Path | str] = {}
+
     def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
-        return shortest_path_under_constraints(instance, agent, constraints, dist_to_goal, cap)
+        own = (agent, frozenset(c for c in constraints if c.agent == agent))
+        outcome = planned.get(own)
+        if outcome is None:
+            try:
+                path, expansions = shortest_path_under_constraints(
+                    instance, agent, constraints, dist_to_goal, cap)
+            except LowLevelFailure as fail:
+                planned[own] = fail.cause
+                raise
+            planned[own] = path
+            return path, expansions
+        if isinstance(outcome, str):
+            raise LowLevelFailure(outcome)
+        return outcome, 0
 
     def evaluate(occ: Occupancy, conflicts) -> tuple[Occupancy, float, tuple]:
         lengths = [p.last_index for p in occ.paths]

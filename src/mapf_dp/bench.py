@@ -62,6 +62,8 @@ class BenchConfig:
                   self.instances_per_count, *self.agent_counts):
             if v <= 0:
                 raise ValueError("counts must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for t_max in self.t_hat_sweep:
             sweep_delay_bound(t_max)
 

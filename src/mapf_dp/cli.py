@@ -83,8 +83,10 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--width", type=int, default=20)
     ben.add_argument("--height", type=int, default=20)
     ben.add_argument("--blocked", type=float, default=0.10)
-    ben.add_argument("--agents", type=int, default=10)
-    ben.add_argument("--instances", type=int, default=10)
+    ben.add_argument("--agents", type=int, default=None,
+                     help="agents per instance (default 10); exp3 sweeps 5, 10, 15, 20")
+    ben.add_argument("--instances", type=int, default=None,
+                     help="instances (default 10); for exp3, per agent count (default 5)")
     ben.add_argument("--p-hi", type=float, default=0.5)
     ben.add_argument("--solver", action="append", choices=bench_mod.SOLVERS)
     ben.add_argument("--policy", action="append", choices=POLICIES)
@@ -192,13 +194,19 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    sizes = {"agents": args.agents, "n_instances": args.instances}
+    if args.experiment == "exp3":
+        if args.agents is not None:
+            sweep = ", ".join(map(str, bench_mod.BenchConfig.agent_counts))
+            raise ValueError(f"exp3 sweeps {sweep} agents; --agents does not apply")
+        sizes = {"instances_per_count": args.instances}
     config = bench_mod.BenchConfig(
         experiment=args.experiment, width=args.width, height=args.height,
-        blocked_fraction=args.blocked, n_instances=args.instances,
-        agents=args.agents, p_hi=args.p_hi,
+        blocked_fraction=args.blocked, p_hi=args.p_hi,
         solvers=tuple(args.solver) if args.solver else ("ame",),
         policies=tuple(args.policy) if args.policy else ("mcp",),
-        n_runs=args.runs, seed=args.seed, time_limit=args.time_limit)
+        n_runs=args.runs, seed=args.seed, time_limit=args.time_limit,
+        **{k: v for k, v in sizes.items() if v is not None})
     rows, warnings = bench_mod.run_bench(config, log=print)
     out = FilePath(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -239,6 +239,8 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     """Aggregate makespan/collision/message statistics over seeded runs."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if horizon_cap is not None and horizon_cap < 1:
         raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
     schedule = mcp_schedule(plan) if policy == "mcp" else None

@@ -1,11 +1,11 @@
 import pytest
 
-from mapf_dp import ame
+from mapf_dp import adapted_cbs, ame
 from mapf_dp import (AgentSpec, Graph, Instance,
                      brute_force_optimal_makespan, generate_random_instance,
                      solve_adapted_cbs, validate_plan)
 from mapf_dp.adapted_cbs import shortest_path_under_constraints
-from mapf_dp.ame import Constraint, LowLevelFailure, SolveLimits
+from mapf_dp.ame import Constraint, LowLevelFailure, SolveLimits, conflict_tree_search
 from mapf_dp.model import shortest_path_distances
 from tests.conftest import C1, C2, C3, C4
 
@@ -111,3 +111,106 @@ class TestSolver:
         assert validate_plan(inst, result.plan).is_valid
         oracle = brute_force_optimal_makespan(inst, result.plan.max_index + 4)
         assert result.plan.max_index == oracle
+
+
+# (width = height, agents, generator seed): solved and node-capped searches
+TABLE_CASES = [(6, 3, 1), (6, 5, 3), (6, 8, 0), (7, 5, 1), (7, 8, 1),
+               (8, 5, 0), (8, 8, 0), (8, 8, 5)]
+TABLE_LIMITS = SolveLimits(time_s=1e9, high_level_expansions=200)
+
+
+def own_key(agent, constraints):
+    return agent, frozenset(c for c in constraints if c.agent == agent)
+
+
+def reference_cbs(instance, limits):
+    """Adapted CBS that runs the low level on every call."""
+    def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
+        return adapted_cbs.shortest_path_under_constraints(
+            instance, agent, constraints, dist_to_goal, cap)
+
+    def evaluate(occ, conflicts):
+        lengths = [p.last_index for p in occ.paths]
+        return occ, float(max(lengths)), (max(lengths), sum(lengths))
+
+    return conflict_tree_search(instance, limits, replan, evaluate)
+
+
+def spy_low_level(monkeypatch):
+    """Record (own key, cause or vertices, expansions) of each low-level run."""
+    calls = []
+
+    def spy(instance, agent, constraints, dist_to_goal, cap):
+        key = own_key(agent, constraints)
+        try:
+            path, expansions = shortest_path_under_constraints(
+                instance, agent, constraints, dist_to_goal, cap)
+        except LowLevelFailure as fail:
+            calls.append((key, fail.cause, 0))
+            raise
+        calls.append((key, path.vertices, expansions))
+        return path, expansions
+
+    monkeypatch.setattr(adapted_cbs, "shortest_path_under_constraints", spy)
+    return calls
+
+
+def assert_same_search(result, reference):
+    assert (result.status, result.high_level_expanded, result.key) \
+        == (reference.status, reference.high_level_expanded, reference.key)
+    if reference.plan is None:
+        assert result.plan is None
+    else:
+        assert [p.vertices for p in result.plan.paths] \
+            == [p.vertices for p in reference.plan.paths]
+
+
+class TestPlanTable:
+    """`solve_adapted_cbs` plans each (agent, own constraint set) once per
+    solve; the reference plans on every call."""
+
+    @pytest.mark.parametrize("size, agents, seed", TABLE_CASES)
+    def test_matches_planning_every_time(self, monkeypatch, size, agents, seed):
+        inst = generate_random_instance(size, size, 0.1, agents, (0, 0.5), seed)
+        ref_calls = spy_low_level(monkeypatch)
+        reference = reference_cbs(inst, TABLE_LIMITS)
+        calls = spy_low_level(monkeypatch)
+        result = solve_adapted_cbs(inst, TABLE_LIMITS)
+        assert_same_search(result, reference)
+        keys = [key for key, _, _ in calls]
+        assert len(keys) == len(set(keys)) == len({key for key, _, _ in ref_calls})
+        assert set(calls) <= set(ref_calls)
+        assert result.low_level_expanded == sum(e for _, _, e in calls)
+        assert result.low_level_expanded <= reference.low_level_expanded
+
+    @pytest.mark.parametrize("size, agents, seed, budget",
+                             [(6, 8, 0, 15), (8, 8, 0, 20), (8, 8, 5, 15)])
+    def test_repeated_failure_raises_stored_cause(self, monkeypatch, size, agents,
+                                                  seed, budget):
+        monkeypatch.setattr(ame, "LOW_LEVEL_EXPANSIONS", budget)
+        inst = generate_random_instance(size, size, 0.1, agents, (0, 0.5), seed)
+        reference = reference_cbs(inst, TABLE_LIMITS)
+        outcomes = []   # (own key, cause or vertices, raised failure or None)
+
+        def recording_search(instance, limits, replan, evaluate):
+            def recorded(instance, agent, occupancy, constraints, *rest):
+                key = own_key(agent, constraints)
+                try:
+                    path, expansions = replan(instance, agent, occupancy, constraints, *rest)
+                except LowLevelFailure as fail:
+                    outcomes.append((key, fail.cause, fail))
+                    raise
+                outcomes.append((key, path.vertices, None))
+                return path, expansions
+            return conflict_tree_search(instance, limits, recorded, evaluate)
+
+        monkeypatch.setattr(adapted_cbs, "conflict_tree_search", recording_search)
+        result = solve_adapted_cbs(inst, TABLE_LIMITS)
+        assert_same_search(result, reference)
+        first = {}
+        for key, outcome, _ in outcomes:
+            assert first.setdefault(key, outcome) == outcome
+        failures = [(key, fail) for key, _, fail in outcomes if fail is not None]
+        assert "budget" in {fail.cause for _, fail in failures}
+        assert len({key for key, _ in failures}) < len(failures)   # repeats occur
+        assert len({id(fail) for _, fail in failures}) == len(failures)   # each fresh

@@ -208,6 +208,17 @@ class TestSimulate:
         assert captured.err.startswith("error: ") and "Traceback" not in captured.err
         assert "mean_makespan" not in captured.out
 
+    def test_negative_seed_exit_one(self, tmp_path, capsys):
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)])
+        capsys.readouterr()
+        assert main(["simulate", str(map_p), str(agents_p), str(plan_p),
+                     "--runs", "5", "--seed", "-1"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be non-negative, got -1\n"
+        assert "mean_makespan" not in captured.out
+
     def test_invalid_validate_exit(self, tmp_path):
         map_p, agents_p, plan_p = head_on_fixture(tmp_path)
         assert main(["validate", str(map_p), str(agents_p),
@@ -242,6 +253,48 @@ class TestBench:
     def test_config_rejects_empty_sweeps(self, field):
         with pytest.raises(ValueError):
             BenchConfig(**field)
+
+    @pytest.fixture
+    def configs(self, monkeypatch):
+        """The `BenchConfig` of each `run_bench` call; nothing is run."""
+        seen = []
+        monkeypatch.setattr(bench, "run_bench",
+                            lambda config, log=None: seen.append(config) or ([], []))
+        return seen
+
+    @pytest.mark.parametrize("options, per_count", [([], 5), (["--instances", "2"], 2)],
+                             ids=["default", "explicit"])
+    def test_exp3_instances_reach_config(self, tmp_path, configs, options, per_count):
+        assert main(["bench", "--experiment", "exp3", "--out", str(tmp_path)]
+                    + options) == EXIT_OK
+        [config] = configs
+        assert (config.instances_per_count, config.agent_counts) == (per_count, (5, 10, 15, 20))
+
+    def test_exp3_rejects_agents(self, tmp_path, capsys, configs):
+        assert main(["bench", "--experiment", "exp3", "--agents", "8",
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            "error: exp3 sweeps 5, 10, 15, 20 agents; --agents does not apply\n"
+        assert configs == []
+
+    @pytest.mark.parametrize("options, agents, instances",
+                             [([], 10, 10), (["--agents", "4", "--instances", "3"], 4, 3)],
+                             ids=["default", "explicit"])
+    def test_agents_and_instances_reach_config(self, tmp_path, configs, options,
+                                               agents, instances):
+        assert main(["bench", "--experiment", "exp1", "--out", str(tmp_path)]
+                    + options) == EXIT_OK
+        [config] = configs
+        assert (config.agents, config.n_instances) == (agents, instances)
+
+    def test_negative_seed_exit_one(self, tmp_path, capsys, configs):
+        assert main(["bench", "--seed", "-1", "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+        assert configs == []
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="got -1$"):
+            BenchConfig(seed=-1)
 
     def test_each_solved_plan_validated_once(self, monkeypatch):
         validate = bench.validate_plan

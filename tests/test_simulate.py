@@ -319,6 +319,10 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 0, 1)
 
+    def test_rejects_negative_seed(self, pocket_instance, pocket_valid_plan):
+        with pytest.raises(ValueError, match="got -1$"):
+            monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 5, -1)
+
 
 class TestStatsCi:
     def test_constant_samples(self):
