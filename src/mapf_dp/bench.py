@@ -64,6 +64,8 @@ class BenchConfig:
                 raise ValueError("counts must be positive")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if not self.time_limit > 0:
+            raise ValueError(f"time limit must be positive, got {self.time_limit}")
         for t_max in self.t_hat_sweep:
             sweep_delay_bound(t_max)
 

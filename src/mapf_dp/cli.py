@@ -98,6 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, got {args.count}")
     out = FilePath(args.out)
     out.mkdir(parents=True, exist_ok=True)
     instances = []
@@ -129,6 +131,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    if not args.time_limit > 0:
+        raise ValueError(f"time limit must be positive, got {args.time_limit}")
     instance = mapio.read_instance(args.map, args.agents)
     limits = SolveLimits(time_s=args.time_limit)
     result = bench_mod.solve_with(args.solver, instance, limits, args.recompute_labels)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .model import Plan
+from .model import Occupancy, Plan
 
 Node = tuple[int, int]  # (agent, local-state index)
 
@@ -36,20 +36,16 @@ class DependencyGraph:
 
 
 def build_partial_order(plan: Plan) -> DependencyGraph:
-    """Unreduced partial order implied by a valid plan, built from visits
-    (j, x') with x' < X_j grouped by vertex: one step per same-vertex pair.
-    Validity is a precondition that is not checked here (see `validate_plan`)."""
+    """Unreduced partial order implied by a valid plan, built from the
+    visits (x', j) with x' < X_j of each vertex, in index order, that the
+    plan's occupancy index keeps: one step per same-vertex pair.  Validity
+    is a precondition that is not checked here (see `validate_plan`)."""
     nodes = [(i, x) for i, p in enumerate(plan.paths) for x in range(p.last_index + 1)]
     edges: set[tuple[Node, Node]] = set()
     for i, p in enumerate(plan.paths):
         for x in range(p.last_index):
             edges.add(((i, x), (i, x + 1)))
-    visits: dict[int, list[tuple[int, int]]] = defaultdict(list)   # v -> [(x', j)]
-    for j, pj in enumerate(plan.paths):
-        for xp in range(pj.last_index):
-            visits[pj.vertices[xp]].append((xp, j))
-    for vs in visits.values():
-        vs.sort()
+    visits = Occupancy(plan.paths).visits
     for i, pi in enumerate(plan.paths):
         for x in range(1, pi.last_index):   # target (i, x + 1), needs x' < x
             for xp, j in visits.get(pi.vertices[x + 1], ()):

@@ -61,6 +61,10 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
                              m: int, p_range: tuple[float, float],
                              seed: int) -> Instance:
     """Random 4-neighbor grid with uniformly blocked cells and m agents."""
+    if not 0.0 <= blocked_fraction <= 1.0:
+        raise GenerationError(f"blocked fraction must be in [0, 1], got {blocked_fraction}")
+    if m < 1:
+        raise GenerationError(f"need at least one agent, got {m}")
     rng = np.random.default_rng(seed)
     n_cells = width * height
     n_blocked = int(round(blocked_fraction * n_cells))
@@ -124,6 +128,8 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
                                 p_range: tuple[float, float],
                                 seed: int) -> Instance:
     """Warehouse instance: starts on one side corridor, goals on the other."""
+    if m < 1:
+        raise GenerationError(f"need at least one agent, got {m}")
     rng = np.random.default_rng(seed)
     graph = warehouse_graph(params)
     meta = graph.grid

@@ -46,6 +46,8 @@ def agents_from_text(graph: Graph, text: str) -> tuple[AgentSpec, ...]:
             raise MapError(f"agents line {lineno}: duplicate agent id {aid}")
         seen.add(aid)
         agents.append(spec)
+    if not agents:
+        raise MapError("agents file has no agent line")
     return tuple(agents)
 
 

@@ -7,25 +7,26 @@ are checked on paths padded with the goal vertex to a common length,
 because a finished agent keeps occupying its goal during execution.
 
 Every conflict query goes through one occupancy index (`Occupancy`, the
-conflict avoidance table of CBS): it maps (vertex, index) to the agents
-there for indices below each path's last index, plus one "parked at this
-goal from index X_j on" entry per path, so the goal padding stays implicit.
-`path_conflicts` finds one path's conflicts with the others through it, and
-holds the vertex, follow and parked rules; `enumerate_conflicts` (and so
-validation) runs it over a plan's own index.  The conflict tree
-(`ame.conflict_tree_search`) keeps one index per node, whose per-vertex rows
-AME's low level reads, and finds a child's new conflicts through its
-parent's index.
+conflict avoidance table of CBS), keyed by vertex: each vertex's (index,
+agent) visits below each path's last index, in index order, plus one
+"parked at this goal from index X_j on" entry per path, so the goal padding
+stays implicit and a query costs the visits at its vertex.  `path_conflicts`
+finds one path's conflicts with the others through it, and holds the
+vertex, follow and parked rules; `enumerate_conflicts` (and so validation)
+runs it over a plan's own index.  The conflict tree keeps one index per
+node, whose rows AME's low level reads, and finds a child's new conflicts
+through its parent's index.  `dependency.build_partial_order` reads it too.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Optional, Sequence
 
 INF = math.inf
@@ -300,24 +301,27 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
 
 
 class Occupancy:
-    """Agents at each (vertex, index) of goal-padded paths, numbered by their
-    position in `paths`: `at` lists path j at (l_j(x), x) for x < X_j, and
-    `parked` holds (X_j, j) under j's goal, where it stays.  Both are built on
-    first use, and `rows` caches the rows AME's low level reads, so adapted
-    CBS pays for none of them.  `swap(j, path)` replaces (or appends) j's
-    path and keeps the rows of the vertices that neither of j's paths visits."""
+    """The goal-padded paths `paths`, numbered by their position, indexed by
+    vertex: `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in
+    order, and `parked[v]` holds (X_j, j) for each path j that ends on v,
+    where it stays.  Both are built on first use, and `rows` caches the rows
+    that AME's low level reads, so adapted CBS builds no row.
+    `swap(j, path)` replaces (or appends) j's path and keeps the rows of the
+    vertices that neither of j's paths visits."""
 
     def __init__(self, paths: Sequence[Path]):
         self.paths = tuple(paths)
         self.rows: dict[int, tuple[list[int], list[int], list[float]]] = {}
 
     @cached_property
-    def at(self) -> dict[tuple[int, int], list[int]]:
-        at: dict[tuple[int, int], list[int]] = {}
+    def visits(self) -> dict[int, list[tuple[int, int]]]:
+        visits: dict[int, list[tuple[int, int]]] = {}
         for j, p in enumerate(self.paths):
-            for key in zip(p.vertices, range(p.last_index)):
-                at.setdefault(key, []).append(j)
-        return at
+            for x, v in enumerate(p.vertices[:-1]):
+                visits.setdefault(v, []).append((x, j))
+        for here in visits.values():
+            here.sort()
+        return visits
 
     @cached_property
     def parked(self) -> dict[int, list[tuple[int, int]]]:
@@ -341,15 +345,14 @@ class Occupancy:
         mine = 0 <= leave_out < len(self.paths) and v in self.paths[leave_out].vertices
         if v in self.rows and not mine:
             return self.rows[v]
-        at, paths, end = self.at, self.paths, self.horizon
+        paths, end = self.paths, self.horizon
         counts, xs, best = [0] * (end + 1), [], [-INF]
-        for x in range(end - 1):
-            for j in at.get((v, x), ()):
-                if j != leave_out:
-                    for y in range(max(x - 1, 0), x + 2):
-                        counts[y] += 1
-                    xs.append(x)
-                    best.append(max(best[-1], paths[j].labels[x + 1]))
+        for x, j in self.visits.get(v, ()):
+            if j != leave_out:
+                for y in range(max(x - 1, 0), x + 2):
+                    counts[y] += 1
+                xs.append(x)
+                best.append(max(best[-1], paths[j].labels[x + 1]))
         for since, j in self.parked.get(v, ()):
             if j != leave_out:
                 for y in range(max(since - 1, 0), end + 1):
@@ -373,24 +376,23 @@ def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> lis
     `occ`, if any, are skipped.  The one home of the conflict rules: a state
     of a at (v, x) conflicts with b at (v, x) (vertex), at (v, x - 1) (a
     follows b) and at (v, x + 1) (b follows a).  a's states x < X_a meet b's
-    states in `at` and b's parked entry; a parked on its goal from X_a on
-    meets b's states in `at` from index X_a - 1 on.  Two agents parked on one
-    goal are not found here (see `enumerate_conflicts`)."""
+    visits at x - 1 ... x + 1, one bisect into `visits[v]`, and b's parked
+    entry; a parked on its goal from X_a on meets b's visits of that goal
+    from index X_a - 1 on.  Two agents parked on one goal are not found here
+    (see `enumerate_conflicts`)."""
     V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
-    get, parked = occ.at.get, occ.parked
+    visits, parked = occ.visits, occ.parked
     vs = path.vertices
     conflicts = []
     for x in range(len(vs) - 1):
         v = vs[x]
-        for b in get((v, x), ()):
+        here = visits.get(v, ())
+        for y, b in islice(here, bisect_left(here, (x - 1,)), None):   # b at (v, y)
+            if y > x + 1:
+                break
             if b != a and b < upto:
-                conflicts.append(Conflict(V, min(a, b), max(a, b), v, x))
-        for b in get((v, x - 1), ()):
-            if b != a and b < upto:
-                conflicts.append(Conflict(F, a, b, v, x - 1))
-        for b in get((v, x + 1), ()):
-            if b != a and b < upto:
-                conflicts.append(Conflict(F, b, a, v, x))
+                conflicts.append(Conflict(V, min(a, b), max(a, b), v, x) if y == x else
+                                 Conflict(F, a, b, v, y) if y < x else Conflict(F, b, a, v, x))
         for since, b in parked.get(v, ()):   # b sits on v from `since` on
             if b != a and b < upto and since <= x + 1:
                 if since <= x:
@@ -399,14 +401,14 @@ def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> lis
                     conflicts.append(Conflict(F, a, b, v, x - 1))
                 conflicts.append(Conflict(F, b, a, v, x))
     goal, since = vs[-1], len(vs) - 1   # a sits on its goal from `since` on
-    for x in range(max(since - 1, 0), occ.horizon - 1):
-        for b in get((goal, x), ()):
-            if b != a and b < upto:
-                if since <= x:
-                    conflicts.append(Conflict(V, min(a, b), max(a, b), goal, x))
-                if since < x:
-                    conflicts.append(Conflict(F, b, a, goal, x - 1))
-                conflicts.append(Conflict(F, a, b, goal, x))
+    here = visits.get(goal, ())
+    for x, b in islice(here, bisect_left(here, (since - 1,)), None):
+        if b != a and b < upto:
+            if since <= x:
+                conflicts.append(Conflict(V, min(a, b), max(a, b), goal, x))
+            if since < x:
+                conflicts.append(Conflict(F, b, a, goal, x - 1))
+            conflicts.append(Conflict(F, a, b, goal, x))
     return conflicts
 
 

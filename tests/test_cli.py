@@ -56,6 +56,19 @@ class TestGenerate:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("option, value, message", [
+        ("blocked", "1.5", "blocked fraction must be in [0, 1], got 1.5"),
+        ("blocked", "-0.2", "blocked fraction must be in [0, 1], got -0.2"),
+        ("agents", "0", "need at least one agent, got 0"),
+        ("count", "0", "--count must be at least 1, got 0"),
+        ("count", "-1", "--count must be at least 1, got -1"),
+    ])
+    def test_degenerate_options_exit_one(self, tmp_path, capsys, option, value, message):
+        assert main(["generate", "--width", "8", "--height", "8", f"--{option}", value,
+                     "--out", str(tmp_path)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.iterdir())
+
     def test_warehouse_kind(self, tmp_path):
         assert main(["generate", "--kind", "warehouse", "--agents", "5",
                      "--out", str(tmp_path)]) == EXIT_OK
@@ -112,7 +125,25 @@ class TestSolveAndValidate:
     def test_timeout_exit_code(self, tmp_path):
         map_p, agents_p = gen_instance(tmp_path)
         assert main(["solve", str(map_p), str(agents_p),
-                     "--time-limit", "0"]) == EXIT_TIMEOUT
+                     "--time-limit", "1e-9"]) == EXIT_TIMEOUT
+
+    @pytest.mark.parametrize("limit", ["0", "-1", "nan"])
+    def test_nonpositive_time_limit_exit_one(self, tmp_path, capsys, limit):
+        map_p, agents_p = gen_instance(tmp_path)
+        capsys.readouterr()
+        assert main(["solve", str(map_p), str(agents_p), "--time-limit", limit,
+                     "--out", str(tmp_path / "plan.json")]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: time limit must be positive, got {float(limit)}\n"
+        assert not (tmp_path / "plan.json").exists()
+
+    @pytest.mark.parametrize("solver", ["ame", "adapted-cbs"])
+    def test_agents_file_without_agents_exit_one(self, tmp_path, capsys, solver):
+        map_p, agents_p = gen_instance(tmp_path)
+        agents_p.write_text("# id,sx,sy,gx,gy,p\n")
+        capsys.readouterr()
+        assert main(["solve", str(map_p), str(agents_p), "--solver", solver]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: agents file has no agent line\n"
 
     def test_checksum_mismatch_rejected(self, tmp_path, capsys):
         map_p, agents_p = gen_instance(tmp_path)
@@ -291,6 +322,14 @@ class TestBench:
         assert main(["bench", "--seed", "-1", "--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
         assert configs == []
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_nonpositive_time_limit_exit_one(self, tmp_path, capsys, configs, limit):
+        out = tmp_path / "bench"
+        assert main(["bench", "--time-limit", limit, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: time limit must be positive, got {float(limit)}\n"
+        assert configs == [] and not out.exists()
 
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="got -1$"):

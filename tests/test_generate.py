@@ -1,9 +1,9 @@
 import pytest
 
-from mapf_dp import WarehouseParams, generate_random_instance, \
+from mapf_dp import WarehouseParams, generate, generate_random_instance, \
     generate_warehouse_instance, resample_delays
 from mapf_dp.generate import GenerationError, warehouse_graph
-from mapf_dp.model import shortest_path_distances
+from mapf_dp.model import MapError, shortest_path_distances
 
 
 def check_connectivity(inst):
@@ -48,6 +48,25 @@ class TestRandomInstance:
         with pytest.raises(GenerationError):
             generate_random_instance(3, 3, 0.0, 50, (0, 0.5), 0)
 
+    @pytest.mark.parametrize("blocked, m, message", [
+        (1.5, 3, "blocked fraction must be in [0, 1], got 1.5"),
+        (-0.2, 3, "blocked fraction must be in [0, 1], got -0.2"),
+        (0.1, 0, "need at least one agent, got 0"),
+        (0.1, -2, "need at least one agent, got -2"),
+    ])
+    def test_degenerate_parameters_rejected_before_any_draw(self, monkeypatch,
+                                                            blocked, m, message):
+        monkeypatch.setattr(generate.np.random, "default_rng", None)
+        with pytest.raises(GenerationError) as err:
+            generate_random_instance(8, 8, blocked, m, (0, 0.5), 0)
+        assert str(err.value) == message
+
+    def test_blocked_fraction_bounds_are_accepted(self):
+        assert generate_random_instance(4, 4, 0.0, 1, (0, 0.5), 0).n_agents == 1
+        # 1.0 blocks every cell, which the map parser rejects
+        with pytest.raises(MapError, match="^map has no free cells$"):
+            generate_random_instance(4, 4, 1.0, 1, (0, 0.5), 0)
+
     def test_delay_sampling_through_move_duration(self):
         # p = 1 - 1/t with t uniform on (1, t_max); check the implied support
         inst = generate_random_instance(20, 20, 0.0, 30, (0, 0.8), 11)
@@ -85,6 +104,11 @@ class TestWarehouseInstance:
         with pytest.raises(GenerationError):
             generate_warehouse_instance(WarehouseParams(side_width=1), 500,
                                         (0, 0.5), 0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_no_agents_rejected(self, m):
+        with pytest.raises(GenerationError, match=f"need at least one agent, got {m}$"):
+            generate_warehouse_instance(WarehouseParams(), m, (0, 0.5), 0)
 
 
 class TestResampleDelays:

@@ -33,6 +33,11 @@ class TestAgentsFromText:
         with pytest.raises(MapError, match=r"^agents line 2: "):
             agents_from_text(GRID, f"1,0,2,3,2,0.5\n{line}\n")
 
+    @pytest.mark.parametrize("text", ["", "\n\n", "# id,sx,sy,gx,gy,p\n"])
+    def test_no_agent_line_raises(self, text):
+        with pytest.raises(MapError, match="^agents file has no agent line$"):
+            agents_from_text(GRID, text)
+
     def test_bad_probability_and_blocked_cell_name_line(self):
         with pytest.raises(MapError, match=r"^agents line 1: delay probability"):
             agents_from_text(GRID, "0,0,0,3,0,1.5\n")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from mapf_dp.ame import carry_conflicts
 from mapf_dp.model import (Conflict, ConflictKind, Occupancy, Path, Plan,
-                           enumerate_conflicts, find_earliest_conflict)
+                           enumerate_conflicts, find_earliest_conflict, path_conflicts)
 from tests.occupancy_oracle import _OtherAgents
 
 V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
@@ -32,7 +32,7 @@ def vertex_padded(path, x):
 
 def count(occ, vertex, x):
     """Paths of `occ` at (vertex, x), the parked ones included."""
-    n = len(occ.at.get((vertex, x), ()))
+    n = sum(y == x for y, _ in occ.visits.get(vertex, ()))
     for since, _ in occ.parked.get(vertex, ()):
         n += since <= x
     return n
@@ -189,6 +189,38 @@ def test_parked_goal_occupies_every_later_index():
     assert [count(occ, 2, x) for x in range(-1, 6)] == [0, 0, 1, 2, 2, 2, 2]
     assert count(occ, 1, 1) == 1 and count(occ, 1, 2) == 0
     assert occ.parked == {2: [(2, 0), (3, 1)]}
+    # visits below each path's last index, by index, then agent
+    assert occ.visits == {0: [(0, 0)], 1: [(1, 0)], 2: [(1, 1), (2, 1)], 3: [(0, 1)]}
+
+
+def pinned(occ, a, path):
+    found = [(c.kind, c.agent_i, c.agent_j, c.vertex, c.index)
+             for c in by_sort_key(path_conflicts(occ, a, path))]
+    paths = occ.paths[:a] + (path,) + occ.paths[a + 1:]
+    assert by_sort_key(path_conflicts(occ, a, path)) == \
+        by_sort_key(c for c in pairwise_conflicts(Plan(paths)) if a in (c.agent_i, c.agent_j))
+    return found
+
+
+def test_window_edges_are_pinned():
+    # the window x - 1 ... x + 1 of a state, and the parked-goal scan from
+    # X_a - 1, at their edges; agent 0 is the path queried
+    # a state at x = 0: agent 1 follows agent 0 onto vertex 1
+    occ = Occupancy((Path((1, 2)), Path((3, 1, 4))))
+    assert pinned(occ, 0, occ.paths[0]) == [(F, 1, 0, 1, 0)]
+    # X_0 = 0: agent 0 sits on vertex 5 from index 0 on, agent 1 is there
+    # at indices 0 and 2
+    occ = Occupancy((Path((5,)), Path((5, 6, 5, 7))))
+    assert pinned(occ, 0, occ.paths[0]) == [
+        (V, 0, 1, 5, 0), (F, 0, 1, 5, 0), (V, 0, 1, 5, 2), (F, 1, 0, 5, 1), (F, 0, 1, 5, 2)]
+    # repeated waits: agent 1 holds vertex 2 at indices 0-4; agent 0 at
+    # (2, 1) meets only indices 0, 1 and 2
+    occ = Occupancy((Path((4, 2, 5)), Path((2, 2, 2, 2, 2, 3))))
+    assert pinned(occ, 0, occ.paths[0]) == [(V, 0, 1, 2, 1), (F, 0, 1, 2, 0), (F, 1, 0, 2, 1)]
+    # agent 1 leaves agent 0's goal 2 at X_0 - 1 = 1; its visit at 0 is
+    # too early to meet agent 0 parked there from index 2 on
+    occ = Occupancy((Path((0, 1, 2)), Path((2, 2, 4))))
+    assert pinned(occ, 0, occ.paths[0]) == [(F, 0, 1, 2, 1)]
 
 
 # labeled paths over vertices 0-5; small integer labels make ties between agents
@@ -211,8 +243,8 @@ def assert_same_index(occ, paths):
     """`occ` indexes `paths` exactly as a fresh build and, for every
     excluded agent, as the former per-call view of the other agents."""
     fresh = Occupancy(paths)
-    assert (occ.paths, occ.at, occ.parked, occ.horizon) == \
-        (fresh.paths, fresh.at, fresh.parked, fresh.horizon)
+    assert (occ.paths, occ.visits, occ.parked, occ.horizon) == \
+        (fresh.paths, fresh.visits, fresh.parked, fresh.horizon)
     x_end = max(p.last_index for p in paths) + 3
     for agent in range(len(paths) + 1):
         oracle = _OtherAgents([p for k, p in enumerate(paths) if k != agent], agent)

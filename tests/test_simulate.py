@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan,
                      generate_random_instance, monte_carlo, run_execution,
                      solve_ame, stats_ci)
+from mapf_dp.dependency import build_partial_order, message_schedule, transitive_reduction
 from mapf_dp.simulate import POLICIES, mcp_schedule, run_seed
 from tests import sim_oracle
 from tests.conftest import C1, C2, C3, C4
@@ -352,3 +353,73 @@ def test_state_property_on_solved_plans():
                     for y, vy in enumerate(pj.vertices):
                         if vx == vy:
                             assert y not in (x, x + 1)
+
+
+def draws_before_move(plan, snapshots, j, y):
+    """The draws a run takes before j's move from state y - 1 to y, read
+    from its snapshots: one per move that changes vertex, in agent order
+    within a step.  Every move of the run must have succeeded."""
+    verts = [p.vertices for p in plan.paths]
+    n = 0
+    for before, after in zip(snapshots, snapshots[1:]):
+        for k, (x, nx) in enumerate(zip(before, after)):
+            if k == j and (x, nx) == (y - 1, y):
+                return n
+            n += nx > x and verts[k][x] != verts[k][nx]
+    raise AssertionError(f"agent {j} never entered state {y}")
+
+
+def held_run(plan, schedule, j, y):
+    """An mcp run, latency 0, in which j's move from y - 1 to y and every
+    later move of j fail, and every other move succeeds.
+
+    Up to that move the run is the one in which every move succeeds, which
+    gives the number of draws to let pass.  From there on, draws of 0.5 fail
+    only j, whose delay probability is 0.9 against 0.1 for the others."""
+    cap = plan.sum_indices + 1
+    probs = SimpleNamespace(agents=[SimpleNamespace(delay_prob=0.9 if k == j else 0.1)
+                                    for k in range(plan.n_agents)])
+    free = run_execution(probs, plan, "mcp", SimpleNamespace(random=lambda: 1.0),
+                         schedule=schedule, record=True)
+    passed = draws_before_move(plan, free.snapshots, j, y)
+    rng = StubRng([1.0] * passed + [0.5] * (cap * plan.n_agents))
+    trace = run_execution(probs, plan, "mcp", rng, schedule=schedule, horizon_cap=cap,
+                          record=True)
+    assert trace.snapshots[-1][j] == y - 1
+    return trace
+
+
+def without_wait(schedule, j, y, i, x):
+    """`schedule` less the wait of i in state x - 1 for j's message from y."""
+    waits = {k: list(per_x) for k, per_x in schedule.waits.items()}
+    waits[i][x - 1] = tuple(w for w in waits[i][x - 1] if w != (j, y))
+    senders = dict(schedule.senders)
+    senders[(j, y)] = tuple(r for r in senders[(j, y)] if r != i)
+    return MessageSchedule(senders, waits, schedule.total_messages - 1)
+
+
+class TestEveryMessageNeeded:
+    """Each mcp message is needed: for each reduced edge (j, y) -> (i, x),
+    hold j in state y - 1 for good and let every other move succeed.
+
+    Without that one wait, i enters x, at l_i(x) = l_j(y - 1), where j
+    stays: a collision.  Proof sketch: no other predecessor of (i, x) in the
+    reduction succeeds (j, y), or the edge would be implied and removed, so
+    every wait of i up to x is met without j entering y.  With the full
+    schedule, no run in which one agent is held collides.  Valid plans make
+    every sender state's entry a move, so a failed draw can hold j there."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_dropping_any_one_wait_collides(self, case):
+        _, plan = solved_plans()[case]
+        reduced = transitive_reduction(build_partial_order(plan))
+        schedule = message_schedule(reduced, plan)
+        edges = sorted(reduced.inter_agent_edges)
+        assert edges
+        for (j, y), (i, x) in edges:
+            v = plan.paths[j].vertices[y - 1]
+            assert v != plan.paths[j].vertices[y] and v == plan.paths[i].vertices[x]
+            assert not held_run(plan, schedule, j, y).collisions
+            collisions = held_run(plan, without_wait(schedule, j, y, i, x), j, y).collisions
+            assert any({c.agent_i, c.agent_j} == {i, j} and c.location == (v,)
+                       for c in collisions), ((j, y), (i, x))
