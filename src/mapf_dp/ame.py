@@ -12,7 +12,8 @@ enumerates its whole plan.  `solve_ame` keys nodes by the approximate
 average makespan.  Its low level is a focal search with re-expansions over
 (vertex, local-state) states whose g-values track the approximate average
 entry times of the other agents' stored labels; it reads the other agents
-as the node's index minus the replanned one.  One heap serves both of its
+as the node's index minus the replanned one, through rows that
+`departure_row` builds once per search.  One heap serves both of its
 phases: a state is queued once per improvement of its g, an entry is
 current iff its g is the state's g, and Phase 2 (smallest f first), once
 begun, is permanent.
@@ -188,6 +189,30 @@ def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
     return states
 
 
+def departure_row(occ: Occupancy, v: int,
+                  agent: int) -> tuple[list[int], list[int], list[float]]:
+    """(counts, xs, best) of vertex v over every labeled path of `occ` but
+    `agent`'s, the row that `low_level_search` reads for each state at v.
+
+    counts[x] is the conflict increment of one more agent at (v, x), one per
+    path at v at x-1, x and x+1; the last entry holds for every later index.
+    xs are the departures from v, the x < X_j with l_j(x) = v, in order;
+    best[k] is the largest label at x+1 of the first k (-inf if 0)."""
+    paths, end = occ.paths, occ.horizon
+    counts, xs, best = [0] * (end + 1), [], [-INF]
+    for x, j in occ.visits.get(v, ()):
+        if j != agent:
+            for y in range(max(x - 1, 0), x + 2):
+                counts[y] += 1
+            xs.append(x)
+            best.append(max(best[-1], paths[j].labels[x + 1]))
+    for since, j in occ.parked.get(v, ()):
+        if j != agent:
+            for y in range(max(since - 1, 0), end + 1):
+                counts[y] += min(y - since + 2, 3)
+    return counts, xs, best
+
+
 def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
                      constraints: Sequence[Constraint], key: float,
                      dist_to_goal: Sequence[float],
@@ -203,8 +228,8 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     tie), every other one as (1, f, -x, v, g, tie), so Phase 2 begins at the
     first rank-1 pop and is permanent.  A state is queued once per
     improvement of its g, and an entry is current iff its g is `g[state]`.
-    A successor (v, x) costs one lookup of v's row, which leaves `agent`
-    out (`Occupancy.row`), and one bisect for its wait bound.
+    A successor (v, x) costs one lookup of v's row, `departure_row(occupancy,
+    v, agent)`, built once per search, and one bisect for its wait bound.
     """
     spec = instance.agents[agent]
     adjacency = instance.graph.adjacency
@@ -213,7 +238,7 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     for j, p in enumerate(occupancy.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
-    rows = {spec.start: occupancy.row(spec.start, agent)}   # this search's rows
+    rows = {spec.start: departure_row(occupancy, spec.start, agent)}
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
@@ -247,7 +272,8 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
             succ = (nv, nx)
             if succ in banned:
                 continue
-            counts, xs, best = rows.get(nv) or rows.setdefault(nv, occupancy.row(nv, agent))
+            counts, xs, best = rows.get(nv) or rows.setdefault(
+                nv, departure_row(occupancy, nv, agent))
             # the others' latest departure from nv at an index below nx - 1
             wait = best[bisect_right(xs, x - 1)]
             g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)

@@ -5,8 +5,11 @@ exp2  fixed random layout, sweep of expected per-move durations
 exp3  agent-count sweep with success rates
 exp4  policy comparison (mcp / fsp / dummy) on random instances
 
-CSV output is byte-deterministic for a fixed config and seed; wall-clock
-runtimes therefore go to the text report only.
+CSV output is byte-deterministic for a fixed config and seed when every
+solve ends before `time_limit`; wall-clock runtimes therefore go to the
+text report only.  A solve that reaches the limit is written as
+`timeout`, and whether one does depends on the machine's speed, so its row
+may differ between machines or runs.
 """
 
 from __future__ import annotations

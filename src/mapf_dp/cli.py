@@ -100,11 +100,16 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     if args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    out = FilePath(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     instances = []
     if args.t_hat_sweep:
+        if args.kind != "random":
+            raise ValueError(f"--t-hat-sweep draws random grids; --kind {args.kind} "
+                             "does not apply")
         sweep = [int(tok) for tok in args.t_hat_sweep.split(",") if tok]
+        if not sweep:
+            raise ValueError(f"--t-hat-sweep {args.t_hat_sweep!r} names no value")
+        if len(set(sweep)) != len(sweep):
+            raise ValueError(f"--t-hat-sweep {args.t_hat_sweep!r} repeats a value")
         bounds = [sweep_delay_bound(t_max) for t_max in sweep]
         base = generate_random_instance(args.width, args.height, args.blocked,
                                         args.agents, (0.0, args.p_hi), args.seed)
@@ -122,6 +127,8 @@ def cmd_generate(args) -> int:
                     WarehouseParams(), args.agents, (0.0, args.p_hi),
                     args.seed + k)
             instances.append((f"{args.kind}-{k:03d}", inst))
+    out = FilePath(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for name, inst in instances:
         map_path = out / f"{name}.map"
         agents_path = out / f"{name}.agents"

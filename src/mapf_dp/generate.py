@@ -61,6 +61,9 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
                              m: int, p_range: tuple[float, float],
                              seed: int) -> Instance:
     """Random 4-neighbor grid with uniformly blocked cells and m agents."""
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise GenerationError(f"grid {name} must be at least 1, got {size}")
     if not 0.0 <= blocked_fraction <= 1.0:
         raise GenerationError(f"blocked fraction must be in [0, 1], got {blocked_fraction}")
     if m < 1:

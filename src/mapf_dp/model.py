@@ -14,7 +14,7 @@ stays implicit and a query costs the visits at its vertex.  `path_conflicts`
 finds one path's conflicts with the others through it, and holds the
 vertex, follow and parked rules; `enumerate_conflicts` (and so validation)
 runs it over a plan's own index.  The conflict tree keeps one index per
-node, whose rows AME's low level reads, and finds a child's new conflicts
+node, which its low level plans against, and finds a child's new conflicts
 through its parent's index.  `dependency.build_partial_order` reads it too.
 """
 
@@ -304,14 +304,12 @@ class Occupancy:
     """The goal-padded paths `paths`, numbered by their position, indexed by
     vertex: `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in
     order, and `parked[v]` holds (X_j, j) for each path j that ends on v,
-    where it stays.  Both are built on first use, and `rows` caches the rows
-    that AME's low level reads, so adapted CBS builds no row.
-    `swap(j, path)` replaces (or appends) j's path and keeps the rows of the
-    vertices that neither of j's paths visits."""
+    where it stays.  Both are built on first use, as is `horizon`, one more
+    than the largest X_j.  `swap(j, path)` is the index with j's path
+    replaced (or appended)."""
 
     def __init__(self, paths: Sequence[Path]):
         self.paths = tuple(paths)
-        self.rows: dict[int, tuple[list[int], list[int], list[float]]] = {}
 
     @cached_property
     def visits(self) -> dict[int, list[tuple[int, int]]]:
@@ -334,40 +332,8 @@ class Occupancy:
     def horizon(self) -> int:   # exceeds every X_j
         return max((p.last_index for p in self.paths), default=0) + 1
 
-    def row(self, v: int, leave_out: int = -1) -> tuple[list[int], list[int], list[float]]:
-        """(counts, xs, best) of vertex v over every path but `leave_out`'s,
-        kept in `rows` unless that path visits v.  Needs labels.
-
-        counts[x] is the conflict increment of one more agent at (v, x), one
-        per path at v at x-1, x and x+1; the last entry holds for every later
-        index.  xs are the departures from v, the x < X_j with l_j(x) = v, in
-        order; best[k] is the largest label at x+1 of the first k (-inf if 0)."""
-        mine = 0 <= leave_out < len(self.paths) and v in self.paths[leave_out].vertices
-        if v in self.rows and not mine:
-            return self.rows[v]
-        paths, end = self.paths, self.horizon
-        counts, xs, best = [0] * (end + 1), [], [-INF]
-        for x, j in self.visits.get(v, ()):
-            if j != leave_out:
-                for y in range(max(x - 1, 0), x + 2):
-                    counts[y] += 1
-                xs.append(x)
-                best.append(max(best[-1], paths[j].labels[x + 1]))
-        for since, j in self.parked.get(v, ()):
-            if j != leave_out:
-                for y in range(max(since - 1, 0), end + 1):
-                    counts[y] += min(y - since + 2, 3)
-        if not mine:
-            self.rows[v] = (counts, xs, best)
-        return counts, xs, best
-
     def swap(self, j: int, path: Path) -> "Occupancy":
-        child = Occupancy(self.paths[:j] + (path,) + self.paths[j + 1:])
-        if self.rows:
-            child.rows = dict(self.rows)
-            for v in path.vertices + (self.paths[j].vertices if j < len(self.paths) else ()):
-                child.rows.pop(v, None)
-        return child
+        return Occupancy(self.paths[:j] + (path,) + self.paths[j + 1:])
 
 
 def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> list[Conflict]:

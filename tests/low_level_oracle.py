@@ -16,7 +16,8 @@ from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Sequence
 
-from mapf_dp.ame import EPS, Constraint, LowLevelFailure, constraint_setup, trace_back
+from mapf_dp.ame import (EPS, Constraint, LowLevelFailure, constraint_setup, departure_row,
+                         trace_back)
 from mapf_dp.dependency import move_cost
 from mapf_dp.model import INF, Instance, Occupancy, Path
 
@@ -33,7 +34,7 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     once no queued state fits the bound the search permanently switches to
     Phase 2 and expands by smallest f.  Raises LowLevelFailure otherwise.
     A successor (v, x) costs one lookup of v's row, which leaves `agent`
-    out (`Occupancy.row`), and one bisect for its wait bound.
+    out (`departure_row`), and one bisect for its wait bound.
     """
     spec = instance.agents[agent]
     adjacency = instance.graph.adjacency
@@ -42,16 +43,14 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     for j, p in enumerate(occupancy.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
-    rows = dict(occupancy.rows)   # the rows read so far, without `agent`
-    for v in occupancy.paths[agent].vertices if agent < len(occupancy.paths) else ():
-        rows.pop(v, None)
+    rows = {}
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
 
     start = (spec.start, 0)
     g: dict[tuple[int, int], float] = {start: 0.0}
-    conf: dict[tuple[int, int], int] = {start: occupancy.row(spec.start, agent)[0][0]}
+    conf: dict[tuple[int, int], int] = {start: departure_row(occupancy, spec.start, agent)[0][0]}
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     expanded_g: dict[tuple[int, int], float] = {}
 
@@ -93,7 +92,8 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
             succ = (nv, nx)
             if succ in banned:
                 continue
-            counts, xs, best = rows.get(nv) or rows.setdefault(nv, occupancy.row(nv, agent))
+            counts, xs, best = rows.get(nv) or rows.setdefault(
+                nv, departure_row(occupancy, nv, agent))
             # the others' latest departure from nv at an index below nx - 1
             wait = best[bisect_right(xs, x - 1)]
             g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)

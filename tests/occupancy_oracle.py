@@ -1,12 +1,13 @@
 """The low level's view of the other agents as it stood before the
 conflict-tree driver kept one index per node.
 
-`_OtherAgents` is kept verbatim as a test oracle for `Occupancy.others`,
-`Occupancy.row` and `Occupancy.swap`: it is rebuilt from the other agents'
-paths on every call, and it answers each query with method calls.  It
-derives from the occupancy index of that time, kept verbatim here as
-`Occupancy` with the `count` and `conflict_increment` it read, so the oracle
-shares no code with `mapf_dp.model.Occupancy`.
+`_OtherAgents` is kept verbatim as a test oracle for the rows that
+`mapf_dp.ame.departure_row` builds from a node's index, and for the index
+that `Occupancy.swap` leaves: it is rebuilt from the other agents' paths on
+every call, and it answers each query with method calls.  It derives from
+the occupancy index of that time, kept verbatim here as `Occupancy` with
+the `count` and `conflict_increment` it read, so the oracle shares no code
+with `mapf_dp.model.Occupancy`.
 """
 
 from __future__ import annotations

@@ -223,8 +223,6 @@ class TestLowLevel:
                                     dist)
         assert (fresh.vertices, fresh.labels) == ((0, 0, 0, 1, 2), (0.0, 1.0, 2.0, 4.0, 6.0))
         occ = Occupancy([old, other])
-        for v in range(3):   # rows that an earlier search at this node kept
-            occ.row(v)
         assert low_level_search(inst, 0, occ, cons, 0.0, dist)[0] == fresh
 
 
@@ -367,14 +365,13 @@ def low_level_cases(draw):
     key = draw(st.one_of(st.just(0.0), st.integers(0, 40).map(lambda k: k / 2),
                          st.integers(0, 6).map(lambda k: f0 + k), st.just(1e9)))
     cap = draw(st.one_of(st.integers(1, 40), st.just(ame.LOW_LEVEL_EXPANSIONS)))
-    read = draw(st.lists(st.integers(0, n_free - 1), max_size=4))
-    return inst, paths, agent, constraints, key, cap, read, dist
+    return inst, paths, agent, constraints, key, cap, dist
 
 
 # corridor 0-1-2: agent 1 starts in Phase 2 at vertex 1 (f > key), and both
 # its moves reach f <= key; the move to 0, where agent 0 stays, conflicts
 PHASE_2_DROP = (Instance(parse_map("..."), (AgentSpec(0, 0, 2, 0.1), AgentSpec(1, 1, 0, 0.1))),
-                [Path((0, 0, 0), (0.0, 1.0, 2.0))], 1, (), 1.5, ame.LOW_LEVEL_EXPANSIONS, [],
+                [Path((0, 0, 0), (0.0, 1.0, 2.0))], 1, (), 1.5, ame.LOW_LEVEL_EXPANSIONS,
                 [0, 2, 0])
 
 
@@ -384,14 +381,12 @@ PHASE_2_DROP = (Instance(parse_map("..."), (AgentSpec(0, 0, 2, 0.1), AgentSpec(1
 def test_low_level_matches_two_heap_oracle(case):
     # the one-queue search against the former two-heap one: the same path,
     # labels and expansions, or the same failure cause
-    inst, paths, agent, constraints, key, cap, read, dist = case
+    inst, paths, agent, constraints, key, cap, dist = case
 
     def outcome(search):
-        occ = Occupancy(paths)
-        for v in read:   # rows that an earlier search at this node kept
-            occ.row(v)
         try:
-            path, expansions = search(inst, agent, occ, constraints, key, dist, cap)
+            path, expansions = search(inst, agent, Occupancy(paths), constraints, key, dist,
+                                      cap)
         except LowLevelFailure as fail:
             return fail.cause
         return path.vertices, path.labels, expansions

@@ -62,12 +62,26 @@ class TestGenerate:
         ("agents", "0", "need at least one agent, got 0"),
         ("count", "0", "--count must be at least 1, got 0"),
         ("count", "-1", "--count must be at least 1, got -1"),
+        ("width", "-3", "grid width must be at least 1, got -3"),
+        ("height", "0", "grid height must be at least 1, got 0"),
     ])
     def test_degenerate_options_exit_one(self, tmp_path, capsys, option, value, message):
         assert main(["generate", "--width", "8", "--height", "8", f"--{option}", value,
                      "--out", str(tmp_path)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("options, message", [
+        (["--kind", "warehouse", "--t-hat-sweep", "2,4"],
+         "--t-hat-sweep draws random grids; --kind warehouse does not apply"),
+        (["--t-hat-sweep", ","], "--t-hat-sweep ',' names no value"),
+        (["--t-hat-sweep", "2,2"], "--t-hat-sweep '2,2' repeats a value"),
+    ], ids=["warehouse", "empty", "repeat"])
+    def test_bad_t_hat_sweep_exit_one(self, tmp_path, capsys, options, message):
+        out = tmp_path / "gen"
+        assert main(["generate", "--agents", "3", "--out", str(out)] + options) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_warehouse_kind(self, tmp_path):
         assert main(["generate", "--kind", "warehouse", "--agents", "5",
@@ -330,6 +344,16 @@ class TestBench:
         assert capsys.readouterr().err == \
             f"error: time limit must be positive, got {float(limit)}\n"
         assert configs == [] and not out.exists()
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("width", "-3", "grid width must be at least 1, got -3"),
+        ("height", "0", "grid height must be at least 1, got 0"),
+    ])
+    def test_nonpositive_grid_size_exit_one(self, tmp_path, capsys, option, value, message):
+        out = tmp_path / "bench"
+        assert main(["bench", f"--{option}", value, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="got -1$"):

@@ -61,6 +61,19 @@ class TestRandomInstance:
             generate_random_instance(8, 8, blocked, m, (0, 0.5), 0)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("width, height, message", [
+        (-3, 8, "grid width must be at least 1, got -3"),
+        (0, 8, "grid width must be at least 1, got 0"),
+        (8, 0, "grid height must be at least 1, got 0"),
+        (8, -1, "grid height must be at least 1, got -1"),
+    ])
+    def test_nonpositive_size_rejected_before_any_draw(self, monkeypatch,
+                                                       width, height, message):
+        monkeypatch.setattr(generate.np.random, "default_rng", None)
+        with pytest.raises(GenerationError) as err:
+            generate_random_instance(width, height, 0.1, 3, (0, 0.5), 0)
+        assert str(err.value) == message
+
     def test_blocked_fraction_bounds_are_accepted(self):
         assert generate_random_instance(4, 4, 0.0, 1, (0, 0.5), 0).n_agents == 1
         # 1.0 blocks every cell, which the map parser rejects

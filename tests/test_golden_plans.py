@@ -24,11 +24,10 @@ from functools import partial
 
 import pytest
 
-from mapf_dp import (WarehouseParams, generate_random_instance,
+from mapf_dp import (WarehouseParams, ame, generate_random_instance,
                      generate_warehouse_instance, monte_carlo,
                      solve_adapted_cbs, solve_ame)
 from mapf_dp.mapio import instance_checksum, plan_to_json
-from mapf_dp.model import Occupancy
 
 P_RANGE = (0, 0.5)
 GOLDEN = {
@@ -70,8 +69,8 @@ def test_plan_digest_is_pinned(name):
 def test_only_ame_reads_departure_rows(monkeypatch):
     # adapted CBS plans carry no labels, and its low level reads no index
     built = []
-    row = Occupancy.row
-    monkeypatch.setattr(Occupancy, "row", lambda occ, *args: built.append(args) or row(occ, *args))
+    row = ame.departure_row
+    monkeypatch.setattr(ame, "departure_row", lambda *args: built.append(args) or row(*args))
     for name in ("cbs-warehouse-7a-s1002", "ame-warehouse-10a-s1001"):
         solve, make, *_ = GOLDEN[name]
         built.clear()

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapf_dp.ame import carry_conflicts
+from mapf_dp.ame import carry_conflicts, departure_row
 from mapf_dp.model import (Conflict, ConflictKind, Occupancy, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict, path_conflicts)
 from tests.occupancy_oracle import _OtherAgents
@@ -47,14 +47,14 @@ def conflict_increment(occ, vertex, x):
 def others_increment(occ, agent, vertex, x):
     """The low level's conflict increment at (vertex, x) against every path
     in `occ` but `agent`'s."""
-    counts = occ.row(vertex, agent)[0]
+    counts = departure_row(occ, vertex, agent)[0]
     return counts[x] if x < len(counts) else counts[-1]
 
 
 def wait_bound(occ, agent, vertex, x):
     """The low level's wait bound at (vertex, x): the largest label of a
     departure from vertex at an index below x - 1 by any agent but `agent`."""
-    _, xs, best = occ.row(vertex, agent)
+    _, xs, best = departure_row(occ, vertex, agent)
     return best[bisect_right(xs, x - 2)]
 
 
@@ -227,16 +227,8 @@ def test_window_edges_are_pinned():
 labeled_path_st = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)),
                            min_size=1, max_size=8).map(
     lambda vl: Path(tuple(v for v, _ in vl), tuple(float(lab) for _, lab in vl)))
-# (agent slot, new path, read every row before this swap so that it keeps some)
-swaps_st = st.lists(st.tuples(st.integers(0, 5), labeled_path_st, st.booleans()),
-                    max_size=8)
-
-
-def read_all(occ, agent):
-    """Read every row of `occ` as the low level does when it replans `agent`,
-    so that a swap has rows to keep."""
-    for v in range(6):
-        wait_bound(occ, agent, v, 0)
+# (agent slot, new path)
+swaps_st = st.lists(st.tuples(st.integers(0, 5), labeled_path_st), max_size=8)
 
 
 def assert_same_index(occ, paths):
@@ -264,13 +256,10 @@ def test_swapped_index_matches_fresh_build_and_former_view(paths, swaps):
     # the root appends paths one by one; each child swaps one path
     occ = Occupancy(())
     for j, p in enumerate(paths):
-        read_all(occ, j)
         occ = occ.swap(j, p)
     paths = list(paths)
-    for slot, p, read in swaps:
+    for slot, p in swaps:
         j = slot % len(paths)
-        if read:
-            read_all(occ, j)
         occ = occ.swap(j, p)
         paths[j] = p
     assert_same_index(occ, paths)
@@ -293,7 +282,4 @@ def test_row_leaves_the_replanned_agent_out():
     occ = Occupancy((Path((0, 2), (0.0, 1.0)), Path((2, 3), (0.0, 1.0))))
     assert [[others_increment(occ, 0, v, x) for x in range(4)] for v in range(4)] == [
         [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 2, 3, 3]]
-    # rows without agent 0 on its own vertices are not kept for the node
-    assert sorted(occ.rows) == [1, 3]
     assert [others_increment(occ, 2, 2, x) for x in range(4)] == [2, 3, 3, 3]
-    assert sorted(occ.rows) == [1, 2, 3]
