@@ -26,31 +26,38 @@ def shortest_path_under_constraints(
         dist_to_goal: Sequence[float],
         expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
     """Time-expanded A* minimizing the final index; ties toward deeper states.
-    Returns (path, expansions) or raises LowLevelFailure."""
+    Returns (path, expansions) or raises LowLevelFailure.
+
+    A state (v, x) has the id x * |V| + v.  Each state is queued once, when
+    it is first reached, as (f, -x, v); entries of two states differ in
+    (x, v), so none needs a tie counter."""
     spec = instance.agents[agent]
-    graph = instance.graph
+    adjacency = instance.graph.adjacency
+    n = instance.graph.n_vertices
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
-    parent: dict[tuple[int, int], Optional[tuple[int, int]]] = {(spec.start, 0): None}
-    counter = itertools.count()
-    heap = [(dist_to_goal[spec.start], 0, spec.start, next(counter))]  # (f, -x, v, tie)
+    parent: dict[int, Optional[int]] = {spec.start: None}   # (start, 0) has id start
+    heap = [(dist_to_goal[spec.start], 0, spec.start)]
     expansions = 0
     while heap:
-        f, negx, v, _ = heapq.heappop(heap)
+        f, negx, v = heapq.heappop(heap)
         x = -negx
         if v == spec.goal and x >= goal_con_max:
-            return Path(tuple(s[0] for s in trace_back(parent, (v, x)))), expansions
+            states = trace_back(parent, x * n + v, n)
+            return Path(tuple(s % n for s in states)), expansions
         if expansions >= expansion_cap:
             raise LowLevelFailure("budget")
         expansions += 1
         nx = x + 1
         if nx > max_index:
             continue
-        for nv in (v,) + graph.adjacency[v]:
-            if (nv, nx) in banned or (nv, nx) in parent:
+        here, base = x * n + v, nx * n
+        for nv in (v,) + adjacency[v]:
+            succ = base + nv
+            if succ in banned or succ in parent:
                 continue
-            parent[(nv, nx)] = (v, x)
-            heapq.heappush(heap, (nx + dist_to_goal[nv], -nx, nv, next(counter)))
+            parent[succ] = here
+            heapq.heappush(heap, (nx + dist_to_goal[nv], -nx, nv))
     raise LowLevelFailure("exhausted")
 
 

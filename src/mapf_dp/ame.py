@@ -10,11 +10,15 @@ child's are its parent's minus those that name the replanned agent, plus
 those of the new path, found through the parent's index, so only the root
 enumerates its whole plan.  `solve_ame` keys nodes by the approximate
 average makespan.  Its low level is a focal search with re-expansions over
-(vertex, local-state) states whose g-values track the approximate average
-entry times of the other agents' stored labels; it reads the other agents
-as the node's index minus the replanned one, through rows that
-`departure_row` builds once per search.  One heap serves both of its
-phases: a state is queued once per improvement of its g, an entry is
+(vertex, local-state) states, keyed by the integer id x * |V| + v, whose
+g-values track the approximate average entry times of the other agents'
+stored labels; it reads the other agents as the node's index minus the
+replanned one, through rows that `departure_row` builds once per search: a
+vertex's departures, their best labels and its parked paths, from which
+`departure_count` reads a conflict increment only where Phase 1 needs one.
+One heap serves both of its phases, with Phase-2 entries at an infinite
+conflict count: a state is queued once per strict improvement of its g, so
+no two entries are equal and none carries a tie counter; an entry is
 current iff its g is the state's g, and Phase 2 (smallest f first), once
 begun, is permanent.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
@@ -163,26 +167,28 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
 
 
 def constraint_setup(instance: Instance, agent: int, constraints: Sequence[Constraint],
-                     dist_to_goal: Sequence[float]) -> tuple[set[tuple[int, int]], int, int]:
-    """`agent`'s banned (vertex, index) pairs, the largest index of a constraint
-    on its goal (-1 if none; the path may end only from there on) and the
-    index cap (4|V| plus the largest constrained index).  Raises
-    LowLevelFailure("exhausted") if the start cannot reach the goal or is banned."""
+                     dist_to_goal: Sequence[float]) -> tuple[set[int], int, int]:
+    """`agent`'s banned states, as ids x * |V| + v of (vertex v, index x), the
+    largest index of a constraint on its goal (-1 if none; the path may end
+    only from there on) and the index cap (4|V| plus the largest constrained
+    index).  Raises LowLevelFailure("exhausted") if the start cannot reach
+    the goal or is banned."""
     own = [c for c in constraints if c.agent == agent]
     spec = instance.agents[agent]
-    banned = {(c.vertex, c.index) for c in own}
+    n = instance.graph.n_vertices
+    banned = {c.index * n + c.vertex for c in own}
     goal_con_max = max((c.index for c in own if c.vertex == spec.goal), default=-1)
-    max_index = 4 * instance.graph.n_vertices + max((c.index for c in own), default=0)
-    if dist_to_goal[spec.start] == math.inf or (spec.start, 0) in banned:
+    max_index = 4 * n + max((c.index for c in own), default=0)
+    if dist_to_goal[spec.start] == math.inf or spec.start in banned:   # (start, 0)
         raise LowLevelFailure("exhausted")
     return banned, goal_con_max, max_index
 
 
-def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
-               state: tuple[int, int]) -> list[tuple[int, int]]:
-    """The (vertex, index) states from index 0 to `state` along `parent` links."""
+def trace_back(parent: dict[int, int], state: int, n: int) -> list[int]:
+    """The state ids x * n + v from index 0 to `state` along `parent` links;
+    `v = id % n` recovers each vertex."""
     states = [state]
-    while state[1] != 0:
+    while state >= n:
         state = parent[state]
         states.append(state)
     states.reverse()
@@ -190,27 +196,39 @@ def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
 
 
 def departure_row(occ: Occupancy, v: int,
-                  agent: int) -> tuple[list[int], list[int], list[float]]:
-    """(counts, xs, best) of vertex v over every labeled path of `occ` but
+                  agent: int) -> tuple[list[int], list[float], list[int]]:
+    """(xs, best, parked) of vertex v over every labeled path of `occ` but
     `agent`'s, the row that `low_level_search` reads for each state at v.
 
-    counts[x] is the conflict increment of one more agent at (v, x), one per
-    path at v at x-1, x and x+1; the last entry holds for every later index.
     xs are the departures from v, the x < X_j with l_j(x) = v, in order;
-    best[k] is the largest label at x+1 of the first k (-inf if 0)."""
-    paths, end = occ.paths, occ.horizon
-    counts, xs, best = [0] * (end + 1), [], [-INF]
+    best[k] is the largest label at x+1 of the first k (-inf if 0); parked
+    holds X_j of each path j that ends on v.  A row costs the visits at v;
+    `departure_count` reads a conflict increment from it."""
+    paths = occ.paths
+    xs, best = [], [-INF]
+    top = -INF
     for x, j in occ.visits.get(v, ()):
         if j != agent:
-            for y in range(max(x - 1, 0), x + 2):
-                counts[y] += 1
             xs.append(x)
-            best.append(max(best[-1], paths[j].labels[x + 1]))
-    for since, j in occ.parked.get(v, ()):
-        if j != agent:
-            for y in range(max(since - 1, 0), end + 1):
-                counts[y] += min(y - since + 2, 3)
-    return counts, xs, best
+            label = paths[j].labels[x + 1]
+            if label > top:
+                top = label
+            best.append(top)
+    parked = [since for since, j in occ.parked.get(v, ()) if j != agent]
+    return xs, best, parked
+
+
+def departure_count(row: tuple[list[int], list[float], list[int]], x: int) -> int:
+    """The conflict increment of one more agent at (v, x) against `row`, v's
+    `departure_row`: one per path at v at x-1, x and x+1.  A departure at y
+    meets x - 1 <= y <= x + 1; a path parked since s meets every index from
+    s on, so it counts min(x - s + 2, 3) once x >= s - 1."""
+    xs, _, parked = row
+    count = bisect_right(xs, x + 1) - bisect_left(xs, x - 1)
+    for since in parked:
+        if since <= x + 1:
+            count += min(x - since + 2, 3)
+    return count
 
 
 def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
@@ -223,57 +241,63 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     Returns (labeled path, expansions).  Phase 1 expands, among queued
     states with f <= key, one with the fewest accumulated path conflicts;
     once none is left the search expands by smallest f (Phase 2).  Raises
-    LowLevelFailure otherwise.  One heap holds both phases: a successor of
-    a Phase-1 state with f <= key is queued as (0, conflicts, f, -x, v, g,
-    tie), every other one as (1, f, -x, v, g, tie), so Phase 2 begins at the
-    first rank-1 pop and is permanent.  A state is queued once per
-    improvement of its g, and an entry is current iff its g is `g[state]`.
+    LowLevelFailure otherwise.  A state (v, x) has the id x * |V| + v, the
+    key of `g`, `parent` and the banned set.  One heap holds both phases: a
+    successor of a Phase-1 state with f <= key is queued as (conflicts, f,
+    -x, v, g), every other one as (inf, f, -x, v, g), so Phase 2 begins at
+    the first pop of an inf entry and is permanent.  A state is queued once
+    per strict improvement of its g, so two entries of one state differ in
+    g, and entries of two states in (x, v): no two entries are equal, and
+    none needs a tie counter.  An entry is current iff its g is `g[state]`.
     A successor (v, x) costs one lookup of v's row, `departure_row(occupancy,
-    v, agent)`, built once per search, and one bisect for its wait bound.
+    v, agent)`, built once per search, and one bisect for its wait bound; a
+    Phase-1 successor also reads its conflict increment (`departure_count`).
     """
     spec = instance.agents[agent]
     adjacency = instance.graph.adjacency
+    n = instance.graph.n_vertices
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
     for j, p in enumerate(occupancy.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
-    rows = {spec.start: departure_row(occupancy, spec.start, agent)}
+    rows: list = [None] * n   # departure_row of each vertex, built on first read
+    rows[spec.start] = departure_row(occupancy, spec.start, agent)
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
 
-    g: dict[tuple[int, int], float] = {(spec.start, 0): 0.0}
-    parent: dict[tuple[int, int], tuple[int, int]] = {}
-    tie = itertools.count()
+    g: dict[int, float] = {spec.start: 0.0}   # the id of (start, 0) is start
+    parent: dict[int, int] = {}
     f0 = h[spec.start]
-    queue = [(0, rows[spec.start][0][0], f0, 0, spec.start, 0.0, next(tie)) if f0 <= bound
-             else (1, f0, 0, spec.start, 0.0, next(tie))]
+    queue = [(departure_count(rows[spec.start], 0) if f0 <= bound else INF,
+              f0, 0, spec.start, 0.0)]
     expansions = 0
 
     while queue:
-        entry = heappop(queue)
-        *_, negx, v, gval, _ = entry
+        conflicts, _, negx, v, gval = heappop(queue)
         x = -negx
-        here = (v, x)
+        here = x * n + v
         if g[here] != gval:
             continue   # stale: g[here] has improved since
         if v == spec.goal and x >= goal_con_max:
-            states = trace_back(parent, here)
-            return Path(tuple(s[0] for s in states), tuple(g[s] for s in states)), expansions
+            states = trace_back(parent, here, n)
+            return Path(tuple(s % n for s in states), tuple(g[s] for s in states)), expansions
         if expansions >= expansion_cap:
             raise LowLevelFailure("budget")
         expansions += 1
         nx = x + 1
         if nx > max_index:
             continue
-        focal = entry[0] == 0
+        base = nx * n   # the id of (vertex 0, index nx)
         for nv in (v,) + adjacency[v]:
-            succ = (nv, nx)
+            succ = base + nv
             if succ in banned:
                 continue
-            counts, xs, best = rows.get(nv) or rows.setdefault(
-                nv, departure_row(occupancy, nv, agent))
+            row = rows[nv]
+            if row is None:
+                row = rows[nv] = departure_row(occupancy, nv, agent)
+            xs, best, _ = row
             # the others' latest departure from nv at an index below nx - 1
             wait = best[bisect_right(xs, x - 1)]
             g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
@@ -281,11 +305,10 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
                 g[succ] = g_new
                 parent[succ] = here
                 f_new = g_new + h[nv]
-                if focal and f_new <= bound:
-                    c = entry[1] + (counts[nx] if nx < len(counts) else counts[-1])
-                    heappush(queue, (0, c, f_new, -nx, nv, g_new, next(tie)))
+                if conflicts is not INF and f_new <= bound:   # a Phase-1 state
+                    heappush(queue, (conflicts + departure_count(row, nx), f_new, -nx, nv, g_new))
                 else:
-                    heappush(queue, (1, f_new, -nx, nv, g_new, next(tie)))
+                    heappush(queue, (INF, f_new, -nx, nv, g_new))
     raise LowLevelFailure("exhausted")
 
 

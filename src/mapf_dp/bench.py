@@ -9,7 +9,10 @@ CSV output is byte-deterministic for a fixed config and seed when every
 solve ends before `time_limit`; wall-clock runtimes therefore go to the
 text report only.  A solve that reaches the limit is written as
 `timeout`, and whether one does depends on the machine's speed, so its row
-may differ between machines or runs.
+may differ between machines or runs.  `node_limit` caps the conflict-tree
+nodes one solve expands; a solve that reaches it is written as `timeout`
+too, but at the same node on every machine, so the CSV stays deterministic
+when the node limit binds before the time limit.
 """
 
 from __future__ import annotations
@@ -51,6 +54,7 @@ class BenchConfig:
     n_runs: int = 200
     seed: int = 0
     time_limit: float = 60.0
+    node_limit: int = SolveLimits.high_level_expansions
     warehouse: WarehouseParams = field(default_factory=WarehouseParams)
 
     def __post_init__(self):
@@ -69,6 +73,8 @@ class BenchConfig:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not self.time_limit > 0:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
+        if self.node_limit < 1:
+            raise ValueError(f"node limit must be at least 1, got {self.node_limit}")
         for t_max in self.t_hat_sweep:
             sweep_delay_bound(t_max)
 
@@ -102,7 +108,7 @@ def _simulate_row(instance: Instance, plan: Plan, policy: str,
 def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
     """Returns (rows, warnings). `log(msg)` receives progress lines."""
     log = log or (lambda msg: None)
-    limits = SolveLimits(time_s=config.time_limit)
+    limits = SolveLimits(time_s=config.time_limit, high_level_expansions=config.node_limit)
     rows: list[dict] = []
     warnings: list[str] = []
 

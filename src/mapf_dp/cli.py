@@ -25,6 +25,8 @@ EXIT_NO_SOLUTION = 2
 EXIT_TIMEOUT = 3
 EXIT_INVALID = 4
 
+RANDOM_GRID = {"width": 20, "height": 20, "blocked": 0.10}   # `generate --kind random`
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -39,12 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write instance files")
     gen.add_argument("--kind", choices=("random", "warehouse"), default="random")
-    gen.add_argument("--width", type=int, default=20)
-    gen.add_argument("--height", type=int, default=20)
-    gen.add_argument("--blocked", type=float, default=0.10)
+    gen.add_argument("--width", type=int, default=None,
+                     help=f"grid width (default {RANDOM_GRID['width']}; random only)")
+    gen.add_argument("--height", type=int, default=None,
+                     help=f"grid height (default {RANDOM_GRID['height']}; random only)")
+    gen.add_argument("--blocked", type=float, default=None,
+                     help=f"blocked fraction (default {RANDOM_GRID['blocked']}; random only)")
     gen.add_argument("--agents", type=int, default=10)
     gen.add_argument("--p-hi", type=float, default=0.5)
-    gen.add_argument("--count", type=int, default=1)
+    gen.add_argument("--count", type=int, default=None,
+                     help="instances to write (default 1); not with --t-hat-sweep")
     gen.add_argument("--t-hat-sweep", default="",
                      help="comma-separated t_hat_max values; emits one instance "
                           "per value sharing one layout")
@@ -93,15 +99,27 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--runs", type=int, default=200)
     ben.add_argument("--seed", type=int, default=0)
     ben.add_argument("--time-limit", type=float, default=60.0)
+    ben.add_argument("--node-limit", type=int, default=None,
+                     help="conflict-tree nodes one solve may expand (default "
+                          f"{SolveLimits.high_level_expansions})")
     ben.add_argument("--out", default="bench_out")
     return parser
 
 
 def cmd_generate(args) -> int:
-    if args.count < 1:
+    if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
+    for name, default in RANDOM_GRID.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.kind == "warehouse":
+            raise ValueError(f"--kind warehouse draws a fixed shelf layout; --{name} "
+                             "does not apply")
     instances = []
     if args.t_hat_sweep:
+        if args.count is not None:
+            raise ValueError("--t-hat-sweep writes one instance per value; --count "
+                             "does not apply")
         if args.kind != "random":
             raise ValueError(f"--t-hat-sweep draws random grids; --kind {args.kind} "
                              "does not apply")
@@ -117,7 +135,7 @@ def cmd_generate(args) -> int:
             inst = resample_delays(base, hi, args.seed + 7000 + t_max)
             instances.append((f"t{t_max:02d}", inst))
     else:
-        for k in range(args.count):
+        for k in range(args.count or 1):
             if args.kind == "random":
                 inst = generate_random_instance(
                     args.width, args.height, args.blocked, args.agents,
@@ -211,6 +229,7 @@ def cmd_bench(args) -> int:
             sweep = ", ".join(map(str, bench_mod.BenchConfig.agent_counts))
             raise ValueError(f"exp3 sweeps {sweep} agents; --agents does not apply")
         sizes = {"instances_per_count": args.instances}
+    sizes["node_limit"] = args.node_limit
     config = bench_mod.BenchConfig(
         experiment=args.experiment, width=args.width, height=args.height,
         blocked_fraction=args.blocked, p_hi=args.p_hi,

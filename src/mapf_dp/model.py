@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -433,14 +432,21 @@ def find_earliest_conflict(plan: Plan, conflicts: Optional[list] = None) -> Opti
 
 
 def shortest_path_distances(graph: Graph, goal: int) -> list[float]:
-    """BFS hop distances from every vertex to goal; math.inf when unreachable."""
+    """BFS hop distances from every vertex to goal; math.inf when unreachable.
+    One level per round: the unlabeled neighbours of `frontier`, the
+    vertices at distance d - 1, get distance d."""
+    adjacency = graph.adjacency
     dist: list[float] = [INF] * graph.n_vertices
     dist[goal] = 0
-    q = deque([goal])
-    while q:
-        u = q.popleft()
-        for v in graph.adjacency[u]:
-            if dist[v] == INF:
-                dist[v] = dist[u] + 1
-                q.append(v)
+    frontier = [goal]
+    d = 0
+    while frontier:
+        d += 1
+        reached = []
+        for u in frontier:
+            for v in adjacency[u]:
+                if dist[v] is INF:
+                    dist[v] = d
+                    reached.append(v)
+        frontier = reached
     return dist

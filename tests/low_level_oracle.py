@@ -6,7 +6,11 @@ improved state once.
 (conflicts, f, -x, v, g, tie), Phase 2 an open heap ordered by
 (f, -x, v, g, tie); every successor with f <= key goes into both, so
 `expanded_g` skips a state already expanded at the same g, and `conf`
-holds each state's accumulated conflicts.
+holds each state's accumulated conflicts.  Its states are (vertex, index)
+tuples, and it reads the rows of `departure_row` and the paths of
+`trace_back` in their former shape: a horizon-long `counts` list per row,
+and tuple parent links.  Both are kept here verbatim; only the banned
+states of the shared `constraint_setup` are turned back into tuples.
 """
 
 from __future__ import annotations
@@ -16,10 +20,44 @@ from bisect import bisect_right
 from heapq import heappop, heappush
 from typing import Sequence
 
-from mapf_dp.ame import (EPS, Constraint, LowLevelFailure, constraint_setup, departure_row,
-                         trace_back)
+from mapf_dp.ame import EPS, Constraint, LowLevelFailure, constraint_setup
 from mapf_dp.dependency import move_cost
 from mapf_dp.model import INF, Instance, Occupancy, Path
+
+
+def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
+               state: tuple[int, int]) -> list[tuple[int, int]]:
+    """The (vertex, index) states from index 0 to `state` along `parent` links."""
+    states = [state]
+    while state[1] != 0:
+        state = parent[state]
+        states.append(state)
+    states.reverse()
+    return states
+
+
+def departure_row(occ: Occupancy, v: int,
+                  agent: int) -> tuple[list[int], list[int], list[float]]:
+    """(counts, xs, best) of vertex v over every labeled path of `occ` but
+    `agent`'s, the row that `low_level_search` reads for each state at v.
+
+    counts[x] is the conflict increment of one more agent at (v, x), one per
+    path at v at x-1, x and x+1; the last entry holds for every later index.
+    xs are the departures from v, the x < X_j with l_j(x) = v, in order;
+    best[k] is the largest label at x+1 of the first k (-inf if 0)."""
+    paths, end = occ.paths, occ.horizon
+    counts, xs, best = [0] * (end + 1), [], [-INF]
+    for x, j in occ.visits.get(v, ()):
+        if j != agent:
+            for y in range(max(x - 1, 0), x + 2):
+                counts[y] += 1
+            xs.append(x)
+            best.append(max(best[-1], paths[j].labels[x + 1]))
+    for since, j in occ.parked.get(v, ()):
+        if j != agent:
+            for y in range(max(since - 1, 0), end + 1):
+                counts[y] += min(y - since + 2, 3)
+    return counts, xs, best
 
 
 def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
@@ -40,6 +78,8 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     adjacency = instance.graph.adjacency
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
+    n = instance.graph.n_vertices
+    banned = {(s % n, s // n) for s in banned}
     for j, p in enumerate(occupancy.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")

@@ -76,7 +76,9 @@ class TestGenerate:
          "--t-hat-sweep draws random grids; --kind warehouse does not apply"),
         (["--t-hat-sweep", ","], "--t-hat-sweep ',' names no value"),
         (["--t-hat-sweep", "2,2"], "--t-hat-sweep '2,2' repeats a value"),
-    ], ids=["warehouse", "empty", "repeat"])
+        (["--count", "3", "--t-hat-sweep", "2,4"],
+         "--t-hat-sweep writes one instance per value; --count does not apply"),
+    ], ids=["warehouse", "empty", "repeat", "count"])
     def test_bad_t_hat_sweep_exit_one(self, tmp_path, capsys, options, message):
         out = tmp_path / "gen"
         assert main(["generate", "--agents", "3", "--out", str(out)] + options) == EXIT_USAGE
@@ -87,6 +89,25 @@ class TestGenerate:
         assert main(["generate", "--kind", "warehouse", "--agents", "5",
                      "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "warehouse-000.map").exists()
+
+    @pytest.mark.parametrize("option, value", [
+        ("width", "5"), ("height", "20"), ("blocked", "0.9")])
+    def test_warehouse_rejects_grid_options(self, tmp_path, capsys, option, value):
+        out = tmp_path / "gen"
+        assert main(["generate", "--kind", "warehouse", "--agents", "2", f"--{option}", value,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == \
+            f"error: --kind warehouse draws a fixed shelf layout; --{option} does not apply\n"
+        assert not out.exists()
+
+    def test_random_grid_defaults(self, tmp_path):
+        # omitted grid options read as 20 x 20 with 10% blocked
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--agents", "3", "--out", str(a)]) == EXIT_OK
+        assert main(["generate", "--agents", "3", "--width", "20", "--height", "20",
+                     "--blocked", "0.1", "--out", str(b)]) == EXIT_OK
+        for name in ("random-000.map", "random-000.agents"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 class TestSolveAndValidate:
@@ -354,6 +375,32 @@ class TestBench:
         assert main(["bench", f"--{option}", value, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
+
+    def test_node_limit_reaches_config(self, tmp_path, configs):
+        assert main(["bench", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["bench", "--node-limit", "7", "--out", str(tmp_path)]) == EXIT_OK
+        assert [c.node_limit for c in configs] == [50_000, 7]
+
+    @pytest.mark.parametrize("limit", ["0", "-2"])
+    def test_nonpositive_node_limit_exit_one(self, tmp_path, capsys, configs, limit):
+        out = tmp_path / "bench"
+        assert main(["bench", "--node-limit", limit, "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: node limit must be at least 1, got {limit}\n"
+        assert configs == [] and not out.exists()
+
+    def test_node_limit_makes_csv_independent_of_time_limit(self, tmp_path):
+        # 3 nodes stop some of these solves long before either time limit
+        csvs = []
+        for limit in ("5", "5000"):
+            out = tmp_path / limit
+            assert main(["bench", "--experiment", "exp1", "--width", "8", "--height", "8",
+                         "--agents", "6", "--instances", "2", "--runs", "10",
+                         "--node-limit", "3", "--time-limit", limit,
+                         "--out", str(out)]) == EXIT_OK
+            csvs.append((out / "results.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+        statuses = [line.split(",")[6] for line in csvs[0].decode().splitlines()[1:]]
+        assert sorted(set(statuses)) == ["solved", "timeout"]
 
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="got -1$"):

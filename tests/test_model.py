@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,39 @@ class TestShortestPaths:
     def test_disconnected_is_inf(self):
         g = Graph.from_edges(3, [(0, 1)])
         assert shortest_path_distances(g, 0)[2] == math.inf
+
+
+def deque_distances(graph, goal):
+    """Hop distances to goal by a plain first-in, first-out BFS."""
+    dist = [math.inf] * graph.n_vertices
+    dist[goal] = 0
+    queue = deque([goal])
+    while queue:
+        u = queue.popleft()
+        for v in graph.adjacency[u]:
+            if dist[v] == math.inf:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@st.composite
+def graphs_with_goal(draw):
+    """A graph on 1-12 vertices from random edges, so some vertices may be
+    unreachable from others, and a goal vertex."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = [(u, v) for u, v in draw(st.lists(pairs, max_size=20)) if u != v]
+    return Graph.from_edges(n, edges), draw(st.integers(0, n - 1))
+
+
+@given(graphs_with_goal())
+@settings(max_examples=300)
+def test_distances_match_deque_bfs(case):
+    graph, goal = case
+    dist = shortest_path_distances(graph, goal)
+    assert dist == deque_distances(graph, goal)
+    assert [type(d) for d in dist] == [type(d) for d in deque_distances(graph, goal)]
 
 
 def test_padding_closure_double_loop(pocket_valid_plan):

@@ -17,9 +17,10 @@ from bisect import bisect_right
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapf_dp.ame import carry_conflicts, departure_row
+from mapf_dp.ame import carry_conflicts, departure_count, departure_row
 from mapf_dp.model import (Conflict, ConflictKind, Occupancy, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict, path_conflicts)
+from tests.low_level_oracle import departure_row as former_row
 from tests.occupancy_oracle import _OtherAgents
 
 V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
@@ -47,14 +48,13 @@ def conflict_increment(occ, vertex, x):
 def others_increment(occ, agent, vertex, x):
     """The low level's conflict increment at (vertex, x) against every path
     in `occ` but `agent`'s."""
-    counts = departure_row(occ, vertex, agent)[0]
-    return counts[x] if x < len(counts) else counts[-1]
+    return departure_count(departure_row(occ, vertex, agent), x)
 
 
 def wait_bound(occ, agent, vertex, x):
     """The low level's wait bound at (vertex, x): the largest label of a
     departure from vertex at an index below x - 1 by any agent but `agent`."""
-    _, xs, best = departure_row(occ, vertex, agent)
+    xs, best, _ = departure_row(occ, vertex, agent)
     return best[bisect_right(xs, x - 2)]
 
 
@@ -263,6 +263,32 @@ def test_swapped_index_matches_fresh_build_and_former_view(paths, swaps):
         occ = occ.swap(j, p)
         paths[j] = p
     assert_same_index(occ, paths)
+
+
+# three paths parked on vertex 2, one since index 0, and one parked on 1
+SHARED_PARKING = ([Path((0, 2), (0.0, 1.0)), Path((1, 0, 2), (0.0, 1.0, 2.0)),
+                   Path((2,), (0.0,)), Path((2, 1), (0.0, 2.0))], [])
+
+
+@given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
+@example(*SHARED_PARKING)
+@settings(max_examples=300, deadline=None)
+def test_departure_count_matches_former_counts(paths, swaps):
+    # the count read from a row equals the former row's counts[x], or its
+    # last entry past the end, at every vertex and index, for every agent
+    # left out; the departures and their best labels are the former ones
+    occ = Occupancy(())
+    for j, p in enumerate(paths):
+        occ = occ.swap(j, p)
+    for slot, p in swaps:
+        occ = occ.swap(slot % len(paths), p)
+    for agent in range(len(paths) + 1):
+        for v in range(7):
+            counts, xs, best = former_row(occ, v, agent)
+            row = departure_row(occ, v, agent)
+            assert row[:2] == (xs, best)
+            for x in range(occ.horizon + 3):
+                assert departure_count(row, x) == counts[min(x, len(counts) - 1)]
 
 
 def test_wait_bound_leaves_the_replanned_agents_labels_out():
