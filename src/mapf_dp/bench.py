@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from .adapted_cbs import solve_adapted_cbs
 from .ame import SolveLimits, SolveResult, solve_ame
 from .dependency import approximate_average_makespan, compute_labels
-from .generate import WarehouseParams, generate_random_instance, \
-    generate_warehouse_instance, resample_delays, sweep_delay_bound
+from .generate import WarehouseParams, delay_sweep, generate_random_instance, \
+    generate_warehouse_instance, sweep_delay_bound
 from .model import Instance, Plan, validate_plan
 from .simulate import monte_carlo
 
@@ -62,6 +62,9 @@ class BenchConfig:
             raise ValueError("empty solver set")
         if not self.policies:
             raise ValueError("empty policy set")
+        if self.experiment != "exp4" and self.policies != ("mcp",):
+            raise ValueError(f"{self.experiment} simulates mcp only; --policy "
+                             "applies to exp4")
         bad = [s for s in self.solvers if s not in SOLVERS]
         if bad:
             raise ValueError(f"unknown solvers: {bad}")
@@ -92,25 +95,20 @@ def labeled(instance: Instance, plan: Plan) -> Plan:
     return compute_labels(plan, [a.delay_prob for a in instance.agents])
 
 
-def _simulate_row(instance: Instance, plan: Plan, policy: str,
-                  n_runs: int, seed: int) -> dict:
-    stats = monte_carlo(instance, plan, policy, n_runs, seed)
-    return {
-        "policy": policy,
-        "mean_makespan": stats.mean_makespan,
-        "ci95": stats.ci95,
-        "messages": stats.messages,
-        "mean_collisions": stats.mean_collisions,
-        "timeouts": stats.timeouts,
-    }
-
-
 def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
-    """Returns (rows, warnings). `log(msg)` receives progress lines."""
+    """Run `config.experiment` and return (rows, warnings): one row per
+    solve and policy, or per solve that ends unsolved, and for exp3 one
+    success-rate row per agent count.  Every random grid is drawn by
+    `random_instance` below, exp2's sweep by `delay_sweep`.  `log(msg)`
+    receives progress lines."""
     log = log or (lambda msg: None)
     limits = SolveLimits(time_s=config.time_limit, high_level_expansions=config.node_limit)
     rows: list[dict] = []
     warnings: list[str] = []
+
+    def random_instance(m, seed):
+        return generate_random_instance(config.width, config.height, config.blocked_fraction,
+                                        m, (0.0, config.p_hi), seed)
 
     def base_row(instance_id, solver, agents, t_hat_max=""):
         return {c: "" for c in CSV_COLUMNS} | {
@@ -118,8 +116,8 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
             "solver": solver, "agents": agents, "t_hat_max": t_hat_max,
         }
 
-    def bench_instance(instance_id, instance, solvers, policies, t_hat_max=""):
-        for solver in solvers:
+    def bench_instance(instance_id, instance, t_hat_max=""):
+        for solver in config.solvers:
             result = solve_with(solver, instance, limits)
             row = base_row(instance_id, solver, instance.n_agents, t_hat_max)
             row["status"] = result.status
@@ -129,43 +127,33 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
             if result.solved:
                 plan = labeled(instance, result.plan)
                 report = validate_plan(instance, plan)
-                if not report.is_valid and any(p != "dummy" for p in policies):
+                if not report.is_valid and any(p != "dummy" for p in config.policies):
                     raise RuntimeError(f"solver emitted an invalid plan "
                                        f"({len(report.conflicts)} conflicts)")
                 row["approx_makespan"] = approximate_average_makespan(plan)
-                for policy in policies:
-                    sim = _simulate_row(instance, plan, policy,
-                                        config.n_runs, config.seed)
-                    rows.append(row | sim)
+                for policy in config.policies:
+                    stats = monte_carlo(instance, plan, policy, config.n_runs, config.seed)
+                    rows.append(row | stats.as_dict())
             else:
                 rows.append(row)
 
     if config.experiment in ("exp1", "exp4"):
-        policies = config.policies if config.experiment == "exp4" else ("mcp",)
         for k in range(config.n_instances):
-            inst = generate_random_instance(
-                config.width, config.height, config.blocked_fraction,
-                config.agents, (0.0, config.p_hi), config.seed + k)
-            bench_instance(f"random-{k + 1}", inst, config.solvers, policies)
+            bench_instance(f"random-{k + 1}", random_instance(config.agents, config.seed + k))
         if config.experiment == "exp1":
             for k in range(config.n_instances):
                 inst = generate_warehouse_instance(
                     config.warehouse, config.agents, (0.0, config.p_hi),
                     config.seed + 1000 + k)
-                bench_instance(f"warehouse-{k + 1}", inst, config.solvers, policies)
+                bench_instance(f"warehouse-{k + 1}", inst)
 
     elif config.experiment == "exp2":
-        base = generate_random_instance(
-            config.width, config.height, config.blocked_fraction,
-            config.agents, (0.0, config.p_hi), config.seed)
+        base = random_instance(config.agents, config.seed)
         sweep_means = []
-        for t_max in config.t_hat_sweep:
-            inst = resample_delays(base, sweep_delay_bound(t_max),
-                                   config.seed + 7000 + t_max)
-            bench_instance(f"t{t_max}", inst, config.solvers, ("mcp",),
-                           t_hat_max=t_max)
-            solved = [r for r in rows if r["instance"] == f"t{t_max}"
-                      and r["status"] == "solved"]
+        for t_max, inst in delay_sweep(base, config.t_hat_sweep, config.seed):
+            before = len(rows)
+            bench_instance(f"t{t_max}", inst, t_hat_max=t_max)
+            solved = [r for r in rows[before:] if r["status"] == "solved"]
             if solved:
                 sweep_means.append((t_max, solved[0]["mean_makespan"]))
         for (ta, ma), (tb, mb) in zip(sweep_means, sweep_means[1:]):
@@ -179,11 +167,8 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
         for m in config.agent_counts:
             solved = 0
             for k in range(config.instances_per_count):
-                inst = generate_random_instance(
-                    config.width, config.height, config.blocked_fraction,
-                    m, (0.0, config.p_hi), config.seed + 100 * m + k)
                 before = len(rows)
-                bench_instance(f"m{m}-{k + 1}", inst, config.solvers, ("mcp",))
+                bench_instance(f"m{m}-{k + 1}", random_instance(m, config.seed + 100 * m + k))
                 if any(r["status"] == "solved" for r in rows[before:]):
                     solved += 1
             success.append((m, solved / config.instances_per_count))
@@ -193,11 +178,8 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
                     f"success rate increased from {ma} agents ({ra:.2f}) "
                     f"to {mb} agents ({rb:.2f})")
         for m, rate in success:
-            rows.append({c: "" for c in CSV_COLUMNS} | {
-                "experiment": "exp3", "instance": f"success-rate-{m}",
-                "solver": "+".join(config.solvers), "agents": m,
-                "status": f"{rate:.2f}",
-            })
+            rows.append(base_row(f"success-rate-{m}", "+".join(config.solvers), m)
+                        | {"status": f"{rate:.2f}"})
     else:
         raise ValueError(f"unknown experiment {config.experiment!r}")
 

@@ -14,8 +14,8 @@ from . import bench as bench_mod
 from . import mapio
 from .ame import SolveLimits
 from .dependency import dependency_stats
-from .generate import WarehouseParams, generate_random_instance, \
-    generate_warehouse_instance, resample_delays, sweep_delay_bound
+from .generate import WarehouseParams, delay_sweep, generate_random_instance, \
+    generate_warehouse_instance
 from .model import validate_plan
 from .simulate import POLICIES, monte_carlo
 
@@ -26,6 +26,7 @@ EXIT_TIMEOUT = 3
 EXIT_INVALID = 4
 
 RANDOM_GRID = {"width": 20, "height": 20, "blocked": 0.10}   # `generate --kind random`
+P_HI = 0.5   # upper delay probability when `--p-hi` is not given
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--blocked", type=float, default=None,
                      help=f"blocked fraction (default {RANDOM_GRID['blocked']}; random only)")
     gen.add_argument("--agents", type=int, default=10)
-    gen.add_argument("--p-hi", type=float, default=0.5)
+    gen.add_argument("--p-hi", type=float, default=None,
+                     help=f"upper delay probability (default {P_HI}); not with --t-hat-sweep")
     gen.add_argument("--count", type=int, default=None,
                      help="instances to write (default 1); not with --t-hat-sweep")
     gen.add_argument("--t-hat-sweep", default="",
@@ -92,8 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--agents", type=int, default=None,
                      help="agents per instance (default 10); exp3 sweeps 5, 10, 15, 20")
     ben.add_argument("--instances", type=int, default=None,
-                     help="instances (default 10); for exp3, per agent count (default 5)")
-    ben.add_argument("--p-hi", type=float, default=0.5)
+                     help="instances (default 10); for exp3, per agent count "
+                          "(default 5); not with exp2")
+    ben.add_argument("--p-hi", type=float, default=None,
+                     help="upper delay probability (default "
+                          f"{bench_mod.BenchConfig.p_hi}); not with exp2")
     ben.add_argument("--solver", action="append", choices=bench_mod.SOLVERS)
     ben.add_argument("--policy", action="append", choices=POLICIES)
     ben.add_argument("--runs", type=int, default=200)
@@ -123,27 +128,28 @@ def cmd_generate(args) -> int:
         if args.kind != "random":
             raise ValueError(f"--t-hat-sweep draws random grids; --kind {args.kind} "
                              "does not apply")
+        if args.p_hi is not None:
+            raise ValueError("--t-hat-sweep draws each delay probability from its "
+                             "t_hat_max; --p-hi does not apply")
         sweep = [int(tok) for tok in args.t_hat_sweep.split(",") if tok]
         if not sweep:
             raise ValueError(f"--t-hat-sweep {args.t_hat_sweep!r} names no value")
         if len(set(sweep)) != len(sweep):
             raise ValueError(f"--t-hat-sweep {args.t_hat_sweep!r} repeats a value")
-        bounds = [sweep_delay_bound(t_max) for t_max in sweep]
         base = generate_random_instance(args.width, args.height, args.blocked,
-                                        args.agents, (0.0, args.p_hi), args.seed)
-        for t_max, hi in zip(sweep, bounds):
-            inst = resample_delays(base, hi, args.seed + 7000 + t_max)
+                                        args.agents, (0.0, P_HI), args.seed)
+        for t_max, inst in delay_sweep(base, sweep, args.seed):
             instances.append((f"t{t_max:02d}", inst))
     else:
+        p_range = (0.0, P_HI if args.p_hi is None else args.p_hi)
         for k in range(args.count or 1):
             if args.kind == "random":
                 inst = generate_random_instance(
                     args.width, args.height, args.blocked, args.agents,
-                    (0.0, args.p_hi), args.seed + k)
+                    p_range, args.seed + k)
             else:
                 inst = generate_warehouse_instance(
-                    WarehouseParams(), args.agents, (0.0, args.p_hi),
-                    args.seed + k)
+                    WarehouseParams(), args.agents, p_range, args.seed + k)
             instances.append((f"{args.kind}-{k:03d}", inst))
     out = FilePath(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -224,15 +230,21 @@ def cmd_simulate(args) -> int:
 
 def cmd_bench(args) -> int:
     sizes = {"agents": args.agents, "n_instances": args.instances}
+    if args.experiment == "exp2":
+        if args.instances is not None:
+            raise ValueError("exp2 sweeps t_hat_max on one layout; --instances does not apply")
+        if args.p_hi is not None:
+            raise ValueError("exp2 draws each delay probability from its t_hat_max; "
+                             "--p-hi does not apply")
     if args.experiment == "exp3":
         if args.agents is not None:
             sweep = ", ".join(map(str, bench_mod.BenchConfig.agent_counts))
             raise ValueError(f"exp3 sweeps {sweep} agents; --agents does not apply")
         sizes = {"instances_per_count": args.instances}
-    sizes["node_limit"] = args.node_limit
+    sizes |= {"p_hi": args.p_hi, "node_limit": args.node_limit}
     config = bench_mod.BenchConfig(
         experiment=args.experiment, width=args.width, height=args.height,
-        blocked_fraction=args.blocked, p_hi=args.p_hi,
+        blocked_fraction=args.blocked,
         solvers=tuple(args.solver) if args.solver else ("ame",),
         policies=tuple(args.policy) if args.policy else ("mcp",),
         n_runs=args.runs, seed=args.seed, time_limit=args.time_limit,

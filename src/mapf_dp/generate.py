@@ -8,10 +8,11 @@ and set p = 1 - 1 / t_hat, so a range (0, 1/2) corresponds to t_hat_max = 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .model import AgentSpec, Graph, Instance, parse_map
+from .model import AgentSpec, Graph, Instance, grid_graph
 
 
 class GenerationError(ValueError):
@@ -72,11 +73,7 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
     n_cells = width * height
     n_blocked = int(round(blocked_fraction * n_cells))
     blocked = set(rng.choice(n_cells, size=n_blocked, replace=False).tolist())
-    rows = []
-    for y in range(height):
-        rows.append("".join("@" if y * width + x in blocked else "."
-                            for x in range(width)))
-    graph = parse_map("\n".join(rows))
+    graph = grid_graph(width, height, [c not in blocked for c in range(n_cells)])
     comp = _largest_component(graph)
     if len(comp) < m:
         raise GenerationError(
@@ -121,10 +118,7 @@ def warehouse_graph(params: WarehouseParams) -> Graph:
             for dy in range(params.shelf_height):
                 for dx in range(params.shelf_width):
                     blocked.add((x0 + dx, y0 + dy))
-    rows = []
-    for y in range(h):
-        rows.append("".join("@" if (x, y) in blocked else "." for x in range(w)))
-    return parse_map("\n".join(rows))
+    return grid_graph(w, h, [(x, y) not in blocked for y in range(h) for x in range(w)])
 
 
 def generate_warehouse_instance(params: WarehouseParams, m: int,
@@ -176,3 +170,14 @@ def resample_delays(instance: Instance, hi: float, seed: int) -> Instance:
         for a, p in zip(instance.agents, probs)
     )
     return Instance(instance.graph, agents)
+
+
+def delay_sweep(base: Instance, t_hat_maxes: Sequence[int],
+                seed: int) -> list[tuple[int, Instance]]:
+    """One (t_hat_max, instance) pair per sweep value: `base`'s layout and
+    start/goal cells with delay probabilities drawn from
+    (0, sweep_delay_bound(t_hat_max)), by a generator seeded 7000 + t_hat_max
+    above `seed`.  Every value is checked before any draw."""
+    bounds = [sweep_delay_bound(t_max) for t_max in t_hat_maxes]
+    return [(t_max, resample_delays(base, hi, seed + 7000 + t_max))
+            for t_max, hi in zip(t_hat_maxes, bounds)]

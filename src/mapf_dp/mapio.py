@@ -23,12 +23,14 @@ def agents_to_text(instance: Instance) -> str:
 
 
 def agents_from_text(graph: Graph, text: str) -> tuple[AgentSpec, ...]:
-    """Inverse of `agents_to_text`; raises MapError naming the bad line."""
+    """Inverse of `agents_to_text`: the agents ordered by id, which must run
+    from 0 to m - 1 over the m agent lines, in any order; raises MapError
+    naming the bad line."""
     meta = graph.grid
     if meta is None:
         raise MapError("agents file needs grid coordinates")
     agents = []
-    seen: set[int] = set()
+    seen: dict[int, int] = {}   # agent id -> line number
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -44,11 +46,15 @@ def agents_from_text(graph: Graph, text: str) -> tuple[AgentSpec, ...]:
             raise MapError(f"agents line {lineno}: {exc}") from None
         if aid in seen:
             raise MapError(f"agents line {lineno}: duplicate agent id {aid}")
-        seen.add(aid)
+        seen[aid] = lineno
         agents.append(spec)
     if not agents:
         raise MapError("agents file has no agent line")
-    return tuple(agents)
+    for aid, lineno in seen.items():
+        if not 0 <= aid < len(agents):
+            raise MapError(f"agents line {lineno}: agent id {aid} is outside "
+                           f"0 ... {len(agents) - 1}")
+    return tuple(sorted(agents, key=lambda a: a.id))
 
 
 def instance_checksum(instance: Instance) -> str:
@@ -92,8 +98,9 @@ def plan_to_json(plan: Plan, checksum: str, solver: str = "") -> str:
 
 
 def plan_from_json(text: str) -> tuple[Plan, str]:
-    """Parse the document written by `plan_to_json`, paths sorted by agent id;
-    raises MapError when it is not one."""
+    """Parse the document written by `plan_to_json`, paths sorted by agent id,
+    which must run from 0 to n - 1 over the n entries; raises MapError when
+    it is not one."""
     try:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -121,6 +128,9 @@ def plan_from_json(text: str) -> tuple[Plan, str]:
                            "one per path vertex")
         if e["id"] in by_id:
             raise MapError(f"plan agents[{k}]: duplicate agent id {e['id']}")
+        if not 0 <= e["id"] < len(entries):
+            raise MapError(f"plan agents[{k}]: agent id {e['id']} is outside "
+                           f"0 ... {len(entries) - 1}")
         by_id[e["id"]] = Path(tuple(e["path"]), None if labels is None else tuple(labels))
     return Plan(tuple(by_id[i] for i in sorted(by_id))), checksum
 

@@ -37,7 +37,7 @@ class MapError(ValueError):
 
 @dataclass
 class GridMeta:
-    """Grid provenance for a graph built from an ASCII map."""
+    """Grid provenance of a graph built by `grid_graph`."""
 
     width: int
     height: int
@@ -106,6 +106,26 @@ class Graph:
         return sum(len(a) for a in self.adjacency) // 2
 
 
+def grid_graph(width: int, height: int, free: Sequence[bool]) -> Graph:
+    """The 4-neighbor graph of a `width` x `height` grid whose row-major mask
+    `free` marks the cells that are not blocked; vertex ids number the free
+    cells row by row.  Raises MapError when no cell is free."""
+    meta = GridMeta(width, height, tuple(free))
+    if meta.n_free == 0:
+        raise MapError("map has no free cells")
+    edges = []
+    for y in range(height):
+        for x in range(width):
+            if not meta.free[y * width + x]:
+                continue
+            u = meta.vertex_at(x, y)
+            if x + 1 < width and meta.free[y * width + x + 1]:
+                edges.append((u, meta.vertex_at(x + 1, y)))
+            if y + 1 < height and meta.free[(y + 1) * width + x]:
+                edges.append((u, meta.vertex_at(x, y + 1)))
+    return Graph.from_edges(meta.n_free, edges, meta)
+
+
 def parse_map(text: str) -> Graph:
     """Parse an ASCII grid map ('.' free, '@'/'T' blocked) into a 4-neighbor graph.
 
@@ -130,21 +150,7 @@ def parse_map(text: str) -> Graph:
                 free.append(False)
             else:
                 raise MapError(f"unknown map character {ch!r}")
-    height = len(lines)
-    meta = GridMeta(width, height, tuple(free))
-    if meta.n_free == 0:
-        raise MapError("map has no free cells")
-    edges = []
-    for y in range(height):
-        for x in range(width):
-            if not free[y * width + x]:
-                continue
-            u = meta.vertex_at(x, y)
-            if x + 1 < width and free[y * width + x + 1]:
-                edges.append((u, meta.vertex_at(x + 1, y)))
-            if y + 1 < height and free[(y + 1) * width + x]:
-                edges.append((u, meta.vertex_at(x, y + 1)))
-    return Graph.from_edges(meta.n_free, edges, meta)
+    return grid_graph(width, len(lines), free)
 
 
 def serialize_map(graph: Graph) -> str:
@@ -303,9 +309,8 @@ class Occupancy:
     """The goal-padded paths `paths`, numbered by their position, indexed by
     vertex: `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in
     order, and `parked[v]` holds (X_j, j) for each path j that ends on v,
-    where it stays.  Both are built on first use, as is `horizon`, one more
-    than the largest X_j.  `swap(j, path)` is the index with j's path
-    replaced (or appended)."""
+    where it stays.  Both are built on first use.  `swap(j, path)` is the
+    index with j's path replaced (or appended)."""
 
     def __init__(self, paths: Sequence[Path]):
         self.paths = tuple(paths)
@@ -326,10 +331,6 @@ class Occupancy:
         for j, p in enumerate(self.paths):
             parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
         return parked
-
-    @cached_property
-    def horizon(self) -> int:   # exceeds every X_j
-        return max((p.last_index for p in self.paths), default=0) + 1
 
     def swap(self, j: int, path: Path) -> "Occupancy":
         return Occupancy(self.paths[:j] + (path,) + self.paths[j + 1:])

@@ -45,7 +45,7 @@ def departure_row(occ: Occupancy, v: int,
     path at v at x-1, x and x+1; the last entry holds for every later index.
     xs are the departures from v, the x < X_j with l_j(x) = v, in order;
     best[k] is the largest label at x+1 of the first k (-inf if 0)."""
-    paths, end = occ.paths, occ.horizon
+    paths, end = occ.paths, max((p.last_index for p in occ.paths), default=0) + 1
     counts, xs, best = [0] * (end + 1), [], [-INF]
     for x, j in occ.visits.get(v, ()):
         if j != agent:

@@ -78,7 +78,10 @@ class TestGenerate:
         (["--t-hat-sweep", "2,2"], "--t-hat-sweep '2,2' repeats a value"),
         (["--count", "3", "--t-hat-sweep", "2,4"],
          "--t-hat-sweep writes one instance per value; --count does not apply"),
-    ], ids=["warehouse", "empty", "repeat", "count"])
+        (["--p-hi", "0.1", "--t-hat-sweep", "2,4"],
+         "--t-hat-sweep draws each delay probability from its t_hat_max; "
+         "--p-hi does not apply"),
+    ], ids=["warehouse", "empty", "repeat", "count", "p-hi"])
     def test_bad_t_hat_sweep_exit_one(self, tmp_path, capsys, options, message):
         out = tmp_path / "gen"
         assert main(["generate", "--agents", "3", "--out", str(out)] + options) == EXIT_USAGE
@@ -99,6 +102,16 @@ class TestGenerate:
         assert capsys.readouterr().err == \
             f"error: --kind warehouse draws a fixed shelf layout; --{option} does not apply\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["random", "warehouse"])
+    def test_p_hi_default(self, tmp_path, kind):
+        # an omitted --p-hi reads as 0.5
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["generate", "--kind", kind, "--agents", "3", "--out", str(a)]) == EXIT_OK
+        assert main(["generate", "--kind", kind, "--agents", "3", "--p-hi", "0.5",
+                     "--out", str(b)]) == EXIT_OK
+        name = f"{kind}-000.agents"
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_random_grid_defaults(self, tmp_path):
         # omitted grid options read as 20 x 20 with 10% blocked
@@ -179,6 +192,24 @@ class TestSolveAndValidate:
         capsys.readouterr()
         assert main(["solve", str(map_p), str(agents_p), "--solver", solver]) == EXIT_USAGE
         assert capsys.readouterr().err == "error: agents file has no agent line\n"
+
+    def test_agent_lines_in_any_order(self, tmp_path, capsys):
+        # a plan numbers agents by id, whatever the order of the agent lines
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        assert main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)]) == EXIT_OK
+        lines = agents_p.read_text().splitlines(keepends=True)
+        assert [ln.split(",")[0] for ln in lines] == ["0", "1", "2", "3"]
+        agents_p.write_text("".join([lines[1], lines[0]] + lines[2:]))
+        capsys.readouterr()
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_OK
+        assert capsys.readouterr().out == "plan is valid\n"
+
+    def test_agent_id_outside_range_exit_one(self, tmp_path, capsys):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        agents_p.write_text("0,0,0,3,0,0.5\n2,3,0,0,0,0.5\n")
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: agents line 2: agent id 2 is outside 0 ... 1\n"
 
     def test_checksum_mismatch_rejected(self, tmp_path, capsys):
         map_p, agents_p = gen_instance(tmp_path)
@@ -401,6 +432,36 @@ class TestBench:
         assert csvs[0] == csvs[1]
         statuses = [line.split(",")[6] for line in csvs[0].decode().splitlines()[1:]]
         assert sorted(set(statuses)) == ["solved", "timeout"]
+
+    @pytest.mark.parametrize("experiment, option, value, message", [
+        *[(e, "policy", "fsp", f"{e} simulates mcp only; --policy applies to exp4")
+          for e in ("exp1", "exp2", "exp3")],
+        ("exp2", "instances", "7",
+         "exp2 sweeps t_hat_max on one layout; --instances does not apply"),
+        ("exp2", "p-hi", "0.2",
+         "exp2 draws each delay probability from its t_hat_max; --p-hi does not apply"),
+    ], ids=["exp1-policy", "exp2-policy", "exp3-policy", "exp2-instances", "exp2-p-hi"])
+    def test_unread_option_exit_one(self, tmp_path, capsys, configs, experiment, option,
+                                    value, message):
+        out = tmp_path / "bench"
+        assert main(["bench", "--experiment", experiment, f"--{option}", value,
+                     "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert configs == [] and not out.exists()
+
+    @pytest.mark.parametrize("policies", [("fsp",), ("mcp", "dummy")])
+    def test_config_rejects_policies_outside_exp4(self, policies):
+        with pytest.raises(ValueError, match="^exp1 simulates mcp only; --policy applies to exp4$"):
+            BenchConfig(experiment="exp1", policies=policies)
+        assert BenchConfig(experiment="exp4", policies=policies).policies == policies
+
+    @pytest.mark.parametrize("experiment", ["exp1", "exp2", "exp3", "exp4"])
+    def test_p_hi_reaches_config(self, tmp_path, configs, experiment):
+        assert main(["bench", "--experiment", experiment, "--out", str(tmp_path)]) == EXIT_OK
+        if experiment != "exp2":
+            assert main(["bench", "--experiment", experiment, "--p-hi", "0.3",
+                         "--out", str(tmp_path)]) == EXIT_OK
+        assert [c.p_hi for c in configs] == ([0.5] if experiment == "exp2" else [0.5, 0.3])
 
     def test_config_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="got -1$"):

@@ -2,7 +2,7 @@ import pytest
 
 from mapf_dp import WarehouseParams, generate, generate_random_instance, \
     generate_warehouse_instance, resample_delays
-from mapf_dp.generate import GenerationError, warehouse_graph
+from mapf_dp.generate import GenerationError, delay_sweep, warehouse_graph
 from mapf_dp.model import MapError, shortest_path_distances
 
 
@@ -134,3 +134,16 @@ class TestResampleDelays:
         assert all(0 < a.delay_prob < 1.0 - 1.0 / 8 for a in swept.agents)
         assert [a.delay_prob for a in swept.agents] \
             != [a.delay_prob for a in base.agents]
+
+    def test_delay_sweep_draws_each_value_from_its_own_seed(self):
+        base = generate_random_instance(10, 10, 0.1, 5, (0, 0.5), 7)
+        sweep = delay_sweep(base, [4, 2], 3)
+        assert [t for t, _ in sweep] == [4, 2]
+        for t, inst in sweep:
+            assert inst == resample_delays(base, 1.0 - 1.0 / t, 3 + 7000 + t)
+
+    def test_delay_sweep_checks_every_value_before_any_draw(self, monkeypatch):
+        base = generate_random_instance(10, 10, 0.1, 5, (0, 0.5), 7)
+        monkeypatch.setattr(generate.np.random, "default_rng", None)
+        with pytest.raises(GenerationError, match="^t_hat_max must be at least 2, got 1$"):
+            delay_sweep(base, [4, 1], 0)

@@ -1,0 +1,85 @@
+"""Golden outputs of the command line: SHA-256 of every file that five
+`generate` invocations write, and of `results.csv` for one small config of
+each experiment.
+
+The digests were recorded before both generators built their grids directly
+instead of parsing an ASCII map, and before `generate --t-hat-sweep` and
+exp2 shared one sweep.  The bench configs set a node limit that stops the
+solves that reach it long before the time limit, so each CSV is the same on
+every machine (see `bench`).  A change that alters a map, an agent line, a
+delay probability, a plan or a Monte Carlo statistic fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from mapf_dp.cli import EXIT_OK, main
+
+MAP_20X20_SEED0 = "ffc833ebd7759daea63b515dd9fc96a29c1e65cdacffb1c7d11f9d084f5fa832"
+WAREHOUSE_MAP = "f5d26349fc7575495012b2a44c467fabc8cafdd7f7b949d8ca79498f24cb86c0"
+
+GENERATE = {
+    "default": ([], {
+        "random-000.agents": "d7e12901e28865fec128d0d034b6a6176b6b19b34fa1e01d864d8eb7c58a56bc",
+        "random-000.map": MAP_20X20_SEED0,
+    }),
+    "grid-count-2": (["--width", "10", "--height", "7", "--blocked", "0.2", "--count", "2"], {
+        "random-000.agents": "a482c23f32f042ed3e62a5a0944c4d4ac4a7d287bf658d4e17652ebb9234ed95",
+        "random-000.map": "02b600b1586f9c0fe7204096ac835831a9ebb5548ed5dde47539b9f95f8abb07",
+        "random-001.agents": "57e771248789ce209f23531440e65c792e47349949d450ff1697f1e4c3665caa",
+        "random-001.map": "8d598f48afabe9245d251ff9d7e057935a9fe6d96d5ef4555ae8a206bbec40fb",
+    }),
+    "warehouse-count-2": (["--kind", "warehouse", "--count", "2"], {
+        "warehouse-000.agents": "ad97a999be329586a7d6b26fa0814b8bdda1f392b8eafd2fbd0dd63a6d4e53f5",
+        "warehouse-000.map": WAREHOUSE_MAP,
+        "warehouse-001.agents": "d35392d4dfe8b80122704b5d5c70f9762c31164171b02e418103668b943533b1",
+        "warehouse-001.map": WAREHOUSE_MAP,
+    }),
+    "sweep-2-4-8": (["--t-hat-sweep", "2,4,8"], {
+        "t02.agents": "651761b3617cf881c2ba342adb986b3854cc4258db0661be0f528ab5e1c02299",
+        "t02.map": MAP_20X20_SEED0,
+        "t04.agents": "6cfe7b5d393fc6e46f9bda8cf2df4516a084aa0a3562ce977a162d81c6295591",
+        "t04.map": MAP_20X20_SEED0,
+        "t08.agents": "59e4d48ed114c281f4d2caced8cb792741f2f357903600782c781d7b37be4643",
+        "t08.map": MAP_20X20_SEED0,
+    }),
+    "sweep-3": (["--t-hat-sweep", "3"], {
+        "t03.agents": "28e08457c1ca5c798e8c40eb6b213c291fe1d33c313dcb5107c4b787e8825c3c",
+        "t03.map": MAP_20X20_SEED0,
+    }),
+}
+
+# 8x8 grids, 20 runs, seed 5; 300 nodes end one exp1 and one exp3 solve
+BENCH_COMMON = ["--width", "8", "--height", "8", "--runs", "20", "--seed", "5",
+                "--node-limit", "300"]
+BENCH = {
+    "exp1": (["--agents", "4", "--instances", "2"],
+             "5446f54f8c0eaf70e6ff66734bc88754c7313adcf23a5b039eccd6dbb3fca952"),
+    "exp2": (["--agents", "4"],
+             "bacea8af6b918d8518439a01de4c220c985d1426efe5771885a131ef3956d26a"),
+    "exp3": (["--instances", "2"],
+             "fc867660b74cd2608be2e9eb0d5d98a5c4777230806bb17aebada13741ebdd47"),
+    "exp4": (["--agents", "4", "--instances", "2", "--policy", "mcp", "--policy", "fsp",
+              "--policy", "dummy", "--solver", "ame", "--solver", "adapted-cbs"],
+             "57e7e41189086bc4594b3d0605b3702df032289b226416b9192bac88454447fe"),
+}
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE))
+def test_generate_outputs_are_pinned(tmp_path, name):
+    options, digests = GENERATE[name]
+    assert main(["generate", "--out", str(tmp_path)] + options) == EXIT_OK
+    assert {p.name: sha256(p) for p in tmp_path.iterdir()} == digests
+
+
+@pytest.mark.parametrize("experiment", sorted(BENCH))
+def test_bench_csv_is_pinned(tmp_path, experiment):
+    options, digest = BENCH[experiment]
+    assert main(["bench", "--experiment", experiment, "--out", str(tmp_path)]
+                + BENCH_COMMON + options) == EXIT_OK
+    assert sha256(tmp_path / "results.csv") == digest

@@ -24,6 +24,19 @@ class TestAgentsFromText:
         assert [(a.id, a.start, a.goal, a.delay_prob) for a in agents] == \
             [(0, 0, 3, 0.5), (1, 7, 10, 0.25)]
 
+    def test_lines_in_any_order_come_back_by_id(self):
+        agents = agents_from_text(GRID, "1,0,2,3,2,0.25\n# comment\n0,0,0,3,0,0.5\n")
+        assert [(a.id, a.start) for a in agents] == [(0, 0), (1, 7)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("0,0,0,3,0,0.5\n5,0,2,3,2,0.5\n", "agents line 2: agent id 5 is outside 0 ... 1"),
+        ("\n-1,0,0,3,0,0.5\n", "agents line 2: agent id -1 is outside 0 ... 0"),
+    ], ids=["above", "negative"])
+    def test_id_outside_range_names_line(self, text, message):
+        with pytest.raises(MapError) as err:
+            agents_from_text(GRID, text)
+        assert str(err.value) == message
+
     def test_duplicate_id_names_id_and_line(self):
         with pytest.raises(MapError, match=r"line 3: duplicate agent id 0"):
             agents_from_text(GRID, "0,0,0,3,0,0.5\n\n0,0,2,3,2,0.5\n")
@@ -71,6 +84,16 @@ class TestPlanFromJson:
     def test_malformed_raises_map_error(self, text, message):
         with pytest.raises(MapError, match=message):
             plan_from_json(text)
+
+    @pytest.mark.parametrize("ids, message", [
+        ((0, 5), "plan agents[1]: agent id 5 is outside 0 ... 1"),
+        ((-1, 0), "plan agents[0]: agent id -1 is outside 0 ... 1"),
+    ], ids=["above", "negative"])
+    def test_id_outside_range_rejected(self, ids, message):
+        doc = {"agents": [{"id": i, "path": [0]} for i in ids]}
+        with pytest.raises(MapError) as err:
+            plan_from_json(json.dumps(doc))
+        assert str(err.value) == message
 
 
 # Parsers must return or raise MapError on any input, never another error.

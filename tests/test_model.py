@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mapf_dp import (AgentSpec, ConflictKind, Graph, Instance, Path, Plan,
                      find_earliest_conflict, parse_map, serialize_map,
                      shortest_path_distances, validate_plan)
-from mapf_dp.model import MapError, enumerate_conflicts
+from mapf_dp.model import MapError, enumerate_conflicts, grid_graph
 from tests.conftest import C1, C2, C3, C4
 
 
@@ -71,6 +71,21 @@ class TestParseMap:
         again = parse_map(serialize_map(g))
         assert again.grid.free == g.grid.free
         assert again.adjacency == g.adjacency
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 36 - 1))
+    @settings(max_examples=100)
+    def test_grid_graph_joins_free_cell_neighbours(self, w, h, mask):
+        free = [(mask >> k) & 1 == 1 for k in range(w * h)]
+        if not any(free):
+            with pytest.raises(MapError, match="^map has no free cells$"):
+                grid_graph(w, h, free)
+            return
+        g = grid_graph(w, h, free)
+        cells = [(x, y) for y in range(h) for x in range(w) if free[y * w + x]]
+        assert [g.grid.cell_of(v) for v in range(g.n_vertices)] == cells
+        assert g.adjacency == tuple(
+            tuple(v for v, (cx, cy) in enumerate(cells) if abs(cx - x) + abs(cy - y) == 1)
+            for x, y in cells)
 
 
 class TestGraphInvariants:

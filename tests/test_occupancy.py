@@ -235,8 +235,7 @@ def assert_same_index(occ, paths):
     """`occ` indexes `paths` exactly as a fresh build and, for every
     excluded agent, as the former per-call view of the other agents."""
     fresh = Occupancy(paths)
-    assert (occ.paths, occ.visits, occ.parked, occ.horizon) == \
-        (fresh.paths, fresh.visits, fresh.parked, fresh.horizon)
+    assert (occ.paths, occ.visits, occ.parked) == (fresh.paths, fresh.visits, fresh.parked)
     x_end = max(p.last_index for p in paths) + 3
     for agent in range(len(paths) + 1):
         oracle = _OtherAgents([p for k, p in enumerate(paths) if k != agent], agent)
@@ -287,7 +286,7 @@ def test_departure_count_matches_former_counts(paths, swaps):
             counts, xs, best = former_row(occ, v, agent)
             row = departure_row(occ, v, agent)
             assert row[:2] == (xs, best)
-            for x in range(occ.horizon + 3):
+            for x in range(max(p.last_index for p in occ.paths) + 4):
                 assert departure_count(row, x) == counts[min(x, len(counts) - 1)]
 
 
