@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .ame import (LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure, SolveLimits,
                   SolveResult, conflict_tree_search, constraint_setup, trace_back)
-from .model import Instance, Occupancy, Path
+from .model import Instance, Path, Plan
 
 
 def shortest_path_under_constraints(
@@ -76,7 +76,7 @@ def solve_adapted_cbs(instance: Instance,
     """
     planned: dict[tuple[int, frozenset[Constraint]], Path | str] = {}
 
-    def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
+    def replan(instance, agent, plan, constraints, key, dist_to_goal, cap):
         own = (agent, frozenset(c for c in constraints if c.agent == agent))
         outcome = planned.get(own)
         if outcome is None:
@@ -92,9 +92,9 @@ def solve_adapted_cbs(instance: Instance,
             raise LowLevelFailure(outcome)
         return outcome, 0
 
-    def evaluate(occ: Occupancy, conflicts) -> tuple[Occupancy, float, tuple]:
-        lengths = [p.last_index for p in occ.paths]
-        return occ, float(max(lengths)), (max(lengths), sum(lengths))
+    def evaluate(plan: Plan, conflicts) -> tuple[Plan, float, tuple]:
+        lengths = [p.last_index for p in plan.paths]
+        return plan, float(max(lengths)), (max(lengths), sum(lengths))
 
     return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate)
 

@@ -3,8 +3,8 @@
 `conflict_tree_search` is the high level that AME and the adapted-CBS
 baseline share: pop the node with the smallest key, pick the earliest
 conflict in its plan, and branch by constraining one involved agent per
-child, replanning only that agent.  Each node keeps one occupancy index of
-its plan (`Occupancy`), and a child's index is its parent's with the
+child, replanning only that agent.  Each node holds its `Plan`, which is
+its own occupancy index, and a child's plan is its parent's with the
 replanned path swapped in.  Each node also keeps its plan's conflicts: a
 child's are its parent's minus those that name the replanned agent, plus
 those of the new path, found through the parent's index, so only the root
@@ -12,7 +12,7 @@ enumerates its whole plan.  `solve_ame` keys nodes by the approximate
 average makespan.  Its low level is a focal search with re-expansions over
 (vertex, local-state) states, keyed by the integer id x * |V| + v, whose
 g-values track the approximate average entry times of the other agents'
-stored labels; it reads the other agents as the node's index minus the
+stored labels; it reads the other agents as the node's plan minus the
 replanned one, through rows that `departure_row` builds once per search: a
 vertex's departures, their best labels and its parked paths, from which
 `departure_count` reads a conflict increment only where Phase 1 needs one.
@@ -34,7 +34,7 @@ from heapq import heappop, heappush
 from typing import Callable, Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
-from .model import (INF, Conflict, ConflictKind, Instance, Occupancy, Path, Plan,
+from .model import (INF, Conflict, ConflictKind, Instance, Path, Plan,
                     enumerate_conflicts, find_earliest_conflict, path_conflicts,
                     shortest_path_distances)
 
@@ -87,30 +87,29 @@ def branch_constraints(conflict: Conflict) -> tuple[Constraint, Constraint]:
             Constraint(conflict.agent_j, v, x))
 
 
-def carry_conflicts(occ: Occupancy, conflicts: list[Conflict], j: int,
-                    path: Path) -> list[Conflict]:
-    """The conflicts of `occ`'s plan with j's path replaced by `path`, from
-    `conflicts`, those of `occ`'s plan: the ones that do not name j, plus
-    those of `path` with the other paths, found through `occ`."""
+def carry_conflicts(plan: Plan, conflicts: list[Conflict], j: int, path: Path) -> list[Conflict]:
+    """The conflicts of `plan` with j's path replaced by `path`, from
+    `conflicts`, those of `plan`: the ones that do not name j, plus those of
+    `path` with the other paths, found through `plan`'s index."""
     kept = [c for c in conflicts if c.agent_i != j and c.agent_j != j]
-    return kept + path_conflicts(occ, j, path)
+    return kept + path_conflicts(plan, j, path)
 
 
 def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callable,
-                         evaluate: Callable[[Occupancy, list[Conflict]], tuple]) -> SolveResult:
+                         evaluate: Callable[[Plan, list[Conflict]], tuple]) -> SolveResult:
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
 
-    Each node keeps one `Occupancy` of its plan and a list of its plan's
-    conflicts, which equals `enumerate_conflicts` of the plan as a multiset.
-    The root plans agents in id order against the paths planned so far, with
-    key 0, and enumerates its conflicts over its index.  A child replans one
-    agent j against its parent's index, minus j, with its parent's key,
-    swaps the new path into that index and carries its parent's conflicts
-    over (`carry_conflicts`).  `evaluate(index, conflicts)` returns (index to
-    store, key, order); it may relabel the paths but not move them, so the
-    list stays exact.  Nodes pop by smallest order, ties first in, first
-    out."""
+    Each node keeps its `Plan`, whose occupancy index is built once per
+    node, and a list of its plan's conflicts, which equals
+    `enumerate_conflicts` of the plan as a multiset.  The root plans agents
+    in id order against the paths planned so far, with key 0, and
+    enumerates its conflicts.  A child replans one agent j against its
+    parent's plan, minus j, with its parent's key, swaps the new path into
+    that plan and carries its parent's conflicts over (`carry_conflicts`).
+    `evaluate(plan, conflicts)` returns (plan to store, key, order); it may
+    relabel the paths but not move them, so the list stays exact.  Nodes pop
+    by smallest order, ties first in, first out."""
     t0 = time.monotonic()
     dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     ll_total = hl_expanded = key_decreases = 0
@@ -120,33 +119,32 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
         return SolveResult(status, plan, key, hl_expanded, ll_total,
                            time.monotonic() - t0, key_decreases)
 
-    def plan_agent(agent: int, occ: Occupancy, constraints, key: float) -> Path:
+    def plan_agent(agent: int, plan: Plan, constraints, key: float) -> Path:
         nonlocal ll_total
-        path, expansions = replan(instance, agent, occ, constraints, key, dists[agent],
+        path, expansions = replan(instance, agent, plan, constraints, key, dists[agent],
                                   LOW_LEVEL_EXPANSIONS)
         ll_total += expansions
         return path
 
-    occ = Occupancy(())
+    plan = Plan(())
     for i in range(instance.n_agents):
         try:
-            occ = occ.swap(i, plan_agent(i, occ, (), 0.0))
+            plan = plan.swap(i, plan_agent(i, plan, (), 0.0))
         except LowLevelFailure as fail:
             return result("no-solution" if fail.cause == "exhausted" else "timeout")
         if time.monotonic() - t0 > limits.time_s:
             return result("timeout")
 
     seq = itertools.count()
-    conflicts = enumerate_conflicts(Plan(occ.paths), occ)
-    occ, key, order = evaluate(occ, conflicts)
-    heap = [(order, next(seq), frozenset(), occ, key, conflicts)]
+    conflicts = enumerate_conflicts(plan)
+    plan, key, order = evaluate(plan, conflicts)
+    heap = [(order, next(seq), frozenset(), plan, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
                 or hl_expanded >= limits.high_level_expansions):
             return result("timeout")
-        _, _, constraints, occ, key, conflicts = heappop(heap)
+        _, _, constraints, plan, key, conflicts = heappop(heap)
         hl_expanded += 1
-        plan = Plan(occ.paths)
         conflict = find_earliest_conflict(plan, conflicts)
         if conflict is None:
             return result("solved", plan, key)
@@ -154,15 +152,15 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             j = con.agent
             child_constraints = constraints | {con}
             try:
-                path = plan_agent(j, occ, child_constraints, key)
+                path = plan_agent(j, plan, child_constraints, key)
             except LowLevelFailure:
                 continue
-            child_conflicts = carry_conflicts(occ, conflicts, j, path)
-            child_occ, child_key, child_order = evaluate(occ.swap(j, path), child_conflicts)
+            child_conflicts = carry_conflicts(plan, conflicts, j, path)
+            child_plan, child_key, child_order = evaluate(plan.swap(j, path), child_conflicts)
             if child_key < key - EPS:
                 key_decreases += 1
             heappush(heap, (child_order, next(seq), child_constraints,
-                            child_occ, child_key, child_conflicts))
+                            child_plan, child_key, child_conflicts))
     return result("no-solution")
 
 
@@ -195,26 +193,25 @@ def trace_back(parent: dict[int, int], state: int, n: int) -> list[int]:
     return states
 
 
-def departure_row(occ: Occupancy, v: int,
-                  agent: int) -> tuple[list[int], list[float], list[int]]:
-    """(xs, best, parked) of vertex v over every labeled path of `occ` but
+def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[float], list[int]]:
+    """(xs, best, parked) of vertex v over every labeled path of `plan` but
     `agent`'s, the row that `low_level_search` reads for each state at v.
 
     xs are the departures from v, the x < X_j with l_j(x) = v, in order;
     best[k] is the largest label at x+1 of the first k (-inf if 0); parked
     holds X_j of each path j that ends on v.  A row costs the visits at v;
     `departure_count` reads a conflict increment from it."""
-    paths = occ.paths
+    paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
-    for x, j in occ.visits.get(v, ()):
+    for x, j in plan.visits.get(v, ()):
         if j != agent:
             xs.append(x)
             label = paths[j].labels[x + 1]
             if label > top:
                 top = label
             best.append(top)
-    parked = [since for since, j in occ.parked.get(v, ()) if j != agent]
+    parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
     return xs, best, parked
 
 
@@ -231,12 +228,12 @@ def departure_count(row: tuple[list[int], list[float], list[int]], x: int) -> in
     return count
 
 
-def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
+def low_level_search(instance: Instance, agent: int, plan: Plan,
                      constraints: Sequence[Constraint], key: float,
                      dist_to_goal: Sequence[float],
                      expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
     """Plan one agent against the fixed labeled paths of the others: those
-    that `occupancy` indexes by agent id, minus `agent`'s own, if any.
+    of `plan`, numbered by agent id, minus `agent`'s own, if any.
 
     Returns (labeled path, expansions).  Phase 1 expands, among queued
     states with f <= key, one with the fewest accumulated path conflicts;
@@ -249,8 +246,8 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     per strict improvement of its g, so two entries of one state differ in
     g, and entries of two states in (x, v): no two entries are equal, and
     none needs a tie counter.  An entry is current iff its g is `g[state]`.
-    A successor (v, x) costs one lookup of v's row, `departure_row(occupancy,
-    v, agent)`, built once per search, and one bisect for its wait bound; a
+    A successor (v, x) costs one lookup of v's row, `departure_row(plan, v,
+    agent)`, built once per search, and one bisect for its wait bound; a
     Phase-1 successor also reads its conflict increment (`departure_count`).
     """
     spec = instance.agents[agent]
@@ -258,11 +255,11 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
     n = instance.graph.n_vertices
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
-    for j, p in enumerate(occupancy.paths):
+    for j, p in enumerate(plan.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
     rows: list = [None] * n   # departure_row of each vertex, built on first read
-    rows[spec.start] = departure_row(occupancy, spec.start, agent)
+    rows[spec.start] = departure_row(plan, spec.start, agent)
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
@@ -296,7 +293,7 @@ def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
                 continue
             row = rows[nv]
             if row is None:
-                row = rows[nv] = departure_row(occupancy, nv, agent)
+                row = rows[nv] = departure_row(plan, nv, agent)
             xs, best, _ = row
             # the others' latest departure from nv at an index below nx - 1
             wait = best[bisect_right(xs, x - 1)]
@@ -318,17 +315,15 @@ def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
 
     With recompute_labels=True, all agents' labels are recomputed by the
     index-order sweep of `compute_labels` whenever a node's plan changes,
-    and the node's index is built anew (off by default: stored labels of
+    and the node keeps the relabeled plan (off by default: stored labels of
     unchanged agents stay stale, as in the base algorithm).
     """
     probs = [a.delay_prob for a in instance.agents]
 
-    def evaluate(occ: Occupancy, conflicts: list[Conflict]) -> tuple[Occupancy, float, tuple]:
-        plan = Plan(occ.paths)
+    def evaluate(plan: Plan, conflicts: list[Conflict]) -> tuple[Plan, float, tuple]:
         if recompute_labels:
             plan = compute_labels(plan, probs)
-            occ = Occupancy(plan.paths)
         key = approximate_average_makespan(plan)
-        return occ, key, (round(key, 9), len(conflicts))
+        return plan, key, (round(key, 9), len(conflicts))
 
     return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate)

@@ -62,6 +62,10 @@ class BenchConfig:
             raise ValueError("empty solver set")
         if not self.policies:
             raise ValueError("empty policy set")
+        for option, values in (("--solver", self.solvers), ("--policy", self.policies)):
+            for k, v in enumerate(values):
+                if v in values[:k]:
+                    raise ValueError(f"{option} names {v} twice")
         if self.experiment != "exp4" and self.policies != ("mcp",):
             raise ValueError(f"{self.experiment} simulates mcp only; --policy "
                              "applies to exp4")
@@ -87,6 +91,9 @@ def solve_with(solver: str, instance: Instance, limits: SolveLimits,
     if solver == "ame":
         return solve_ame(instance, limits, recompute_labels=recompute_labels)
     if solver == "adapted-cbs":
+        if recompute_labels:
+            raise ValueError("adapted-cbs ignores delay probabilities; "
+                             "--recompute-labels does not apply")
         return solve_adapted_cbs(instance, limits)
     raise ValueError(f"unknown solver {solver!r}")
 

@@ -13,7 +13,7 @@ from pathlib import Path as FilePath
 from . import bench as bench_mod
 from . import mapio
 from .ame import SolveLimits
-from .dependency import dependency_stats
+from .dependency import approximate_average_makespan, dependency_stats
 from .generate import WarehouseParams, delay_sweep, generate_random_instance, \
     generate_warehouse_instance
 from .model import validate_plan
@@ -173,9 +173,8 @@ def cmd_solve(args) -> int:
           f"low_level_expanded={result.low_level_expanded}")
     if not result.solved:
         return EXIT_NO_SOLUTION if result.status == "no-solution" else EXIT_TIMEOUT
-    plan = result.plan
-    if args.solver == "ame":
-        print(f"approx_average_makespan={result.key:.6f}")
+    plan = bench_mod.labeled(instance, result.plan)
+    print(f"approx_average_makespan={approximate_average_makespan(plan):.6f}")
     print(f"max_index={plan.max_index}")
     mapio.write_plan(args.out, plan, mapio.instance_checksum(instance),
                      solver=args.solver)

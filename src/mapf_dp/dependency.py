@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .model import Occupancy, Plan
+from .model import Plan
 
 Node = tuple[int, int]  # (agent, local-state index)
 
@@ -37,15 +37,15 @@ class DependencyGraph:
 
 def build_partial_order(plan: Plan) -> DependencyGraph:
     """Unreduced partial order implied by a valid plan, built from the
-    visits (x', j) with x' < X_j of each vertex, in index order, that the
-    plan's occupancy index keeps: one step per same-vertex pair.  Validity
-    is a precondition that is not checked here (see `validate_plan`)."""
+    visits (x', j) with x' < X_j of each vertex, in index order, that
+    `plan.visits` keeps, the index that validation builds too: one step per
+    same-vertex pair.  Validity is a precondition not checked here."""
     nodes = [(i, x) for i, p in enumerate(plan.paths) for x in range(p.last_index + 1)]
     edges: set[tuple[Node, Node]] = set()
     for i, p in enumerate(plan.paths):
         for x in range(p.last_index):
             edges.add(((i, x), (i, x + 1)))
-    visits = Occupancy(plan.paths).visits
+    visits = plan.visits
     for i, pi in enumerate(plan.paths):
         for x in range(1, pi.last_index):   # target (i, x + 1), needs x' < x
             for xp, j in visits.get(pi.vertices[x + 1], ()):
@@ -57,36 +57,34 @@ def build_partial_order(plan: Plan) -> DependencyGraph:
 
 
 def transitive_reduction(dg: DependencyGraph) -> DependencyGraph:
-    """Unique transitive reduction of a DAG via reachability bitsets.
+    """Unique transitive reduction of a DAG via reachability bitsets, in one
+    pass in reverse topological order.
 
     Every edge must join two of `dg.nodes` and increase the local-state
     index (else DependencyError), so sorting nodes by index gives a
-    topological order directly.
+    topological order `order` directly.  Each node visits its out-neighbours
+    in `order` position and keeps u -> v unless v is reachable from a
+    neighbour visited before it.  That is exact: a neighbour that reaches v
+    has a smaller index, so it comes before v in `order`.
     """
     order = sorted(dg.nodes, key=lambda n: n[1])
     pos = {n: k for k, n in enumerate(order)}
-    succ: dict[Node, list[Node]] = defaultdict(list)
+    succ: list[list[int]] = [[] for _ in order]   # out-neighbours by position
     for u, v in dg.edges:
         if u not in pos or v not in pos:
             raise DependencyError(f"edge {u} -> {v} leaves the graph's nodes")
         if u[1] >= v[1]:
             raise DependencyError(f"edge {u} -> {v} does not increase the index")
-        succ[u].append(v)
-    # reach[n] = bitmask of nodes reachable from n (including n)
-    reach: dict[Node, int] = {}
-    for n in reversed(order):
-        mask = 1 << pos[n]
-        for s in succ.get(n, ()):
-            mask |= reach[s]
-        reach[n] = mask
+        succ[pos[u]].append(pos[v])
+    reach = [0] * len(order)   # bitmask of the positions reachable from k, k included
     kept: set[tuple[Node, Node]] = set()
-    for u in dg.nodes:
-        outs = succ.get(u, ())
-        for v in outs:
-            bit = 1 << pos[v]
-            implied = any(w != v and reach[w] & bit for w in outs)
-            if not implied:
-                kept.add((u, v))
+    for k in reversed(range(len(order))):
+        mask = 0   # reached from the out-neighbours visited so far
+        for q in sorted(succ[k]):
+            if not mask >> q & 1:
+                kept.add((order[k], order[q]))
+            mask |= reach[q]
+        reach[k] = mask | 1 << k
     return DependencyGraph(list(dg.nodes), kept, reduced=True)
 
 

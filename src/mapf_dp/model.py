@@ -6,16 +6,17 @@ index x+1 where another agent sits at index x (follow rule).  Both rules
 are checked on paths padded with the goal vertex to a common length,
 because a finished agent keeps occupying its goal during execution.
 
-Every conflict query goes through one occupancy index (`Occupancy`, the
-conflict avoidance table of CBS), keyed by vertex: each vertex's (index,
-agent) visits below each path's last index, in index order, plus one
-"parked at this goal from index X_j on" entry per path, so the goal padding
-stays implicit and a query costs the visits at its vertex.  `path_conflicts`
-finds one path's conflicts with the others through it, and holds the
-vertex, follow and parked rules; `enumerate_conflicts` (and so validation)
-runs it over a plan's own index.  The conflict tree keeps one index per
-node, which its low level plans against, and finds a child's new conflicts
-through its parent's index.  `dependency.build_partial_order` reads it too.
+Every conflict query goes through one occupancy index, which a `Plan` builds
+of itself on first use (the conflict avoidance table of CBS), keyed by
+vertex: each vertex's (index, agent) visits below each path's last index, in
+index order, plus one "parked at this goal from index X_j on" entry per
+path, so the goal padding stays implicit and a query costs the visits at its
+vertex.  `path_conflicts` finds one path's conflicts with the others through
+it, and holds the vertex, follow and parked rules; `enumerate_conflicts`
+(and so validation) runs it over a plan's own index, which
+`dependency.build_partial_order` reads too.  Each conflict-tree node holds
+one plan, which its low level plans against, and finds a child's new
+conflicts through its parent's index.
 """
 
 from __future__ import annotations
@@ -184,6 +185,10 @@ class Instance:
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
+        for k, a in enumerate(self.agents):
+            if a.id != k:
+                raise ValueError(f"agent at position {k} has id {a.id}; ids must "
+                                 "number the agents 0 ... m-1 in order")
         n = self.graph.n_vertices
         starts = [a.start for a in self.agents]
         goals = [a.goal for a in self.agents]
@@ -221,10 +226,36 @@ class Path:
 
 @dataclass
 class Plan:
+    """The paths, numbered by agent, and their occupancy index:
+    `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in order, and
+    `parked[v]` holds (X_j, j) for each path j that ends on v, where it
+    stays.  Both are built on first use.  `swap(j, path)` is the plan with
+    j's path replaced (or appended)."""
+
     paths: tuple[Path, ...]
 
     def __post_init__(self):
         self.paths = tuple(self.paths)
+
+    @cached_property
+    def visits(self) -> dict[int, list[tuple[int, int]]]:
+        visits: dict[int, list[tuple[int, int]]] = {}
+        for j, p in enumerate(self.paths):
+            for x, v in enumerate(p.vertices[:-1]):
+                visits.setdefault(v, []).append((x, j))
+        for here in visits.values():
+            here.sort()
+        return visits
+
+    @cached_property
+    def parked(self) -> dict[int, list[tuple[int, int]]]:
+        parked: dict[int, list[tuple[int, int]]] = {}
+        for j, p in enumerate(self.paths):
+            parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
+        return parked
+
+    def swap(self, j: int, path: Path) -> "Plan":
+        return Plan(self.paths[:j] + (path,) + self.paths[j + 1:])
 
     @property
     def n_agents(self) -> int:
@@ -305,41 +336,10 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
     return errors
 
 
-class Occupancy:
-    """The goal-padded paths `paths`, numbered by their position, indexed by
-    vertex: `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in
-    order, and `parked[v]` holds (X_j, j) for each path j that ends on v,
-    where it stays.  Both are built on first use.  `swap(j, path)` is the
-    index with j's path replaced (or appended)."""
-
-    def __init__(self, paths: Sequence[Path]):
-        self.paths = tuple(paths)
-
-    @cached_property
-    def visits(self) -> dict[int, list[tuple[int, int]]]:
-        visits: dict[int, list[tuple[int, int]]] = {}
-        for j, p in enumerate(self.paths):
-            for x, v in enumerate(p.vertices[:-1]):
-                visits.setdefault(v, []).append((x, j))
-        for here in visits.values():
-            here.sort()
-        return visits
-
-    @cached_property
-    def parked(self) -> dict[int, list[tuple[int, int]]]:
-        parked: dict[int, list[tuple[int, int]]] = {}
-        for j, p in enumerate(self.paths):
-            parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
-        return parked
-
-    def swap(self, j: int, path: Path) -> "Occupancy":
-        return Occupancy(self.paths[:j] + (path,) + self.paths[j + 1:])
-
-
-def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> list[Conflict]:
+def path_conflicts(plan: Plan, a: int, path: Path, upto: float = INF) -> list[Conflict]:
     """The conflicts between `path`, as agent a's, and the goal-padded path
-    of each agent b of `occ` with b != a and b < `upto`; a's own entries in
-    `occ`, if any, are skipped.  The one home of the conflict rules: a state
+    of each agent b of `plan` with b != a and b < `upto`; a's own entries in
+    `plan`, if any, are skipped.  The one home of the conflict rules: a state
     of a at (v, x) conflicts with b at (v, x) (vertex), at (v, x - 1) (a
     follows b) and at (v, x + 1) (b follows a).  a's states x < X_a meet b's
     visits at x - 1 ... x + 1, one bisect into `visits[v]`, and b's parked
@@ -347,7 +347,7 @@ def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> lis
     from index X_a - 1 on.  Two agents parked on one goal are not found here
     (see `enumerate_conflicts`)."""
     V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
-    visits, parked = occ.visits, occ.parked
+    visits, parked = plan.visits, plan.parked
     vs = path.vertices
     conflicts = []
     for x in range(len(vs) - 1):
@@ -378,23 +378,20 @@ def path_conflicts(occ: Occupancy, a: int, path: Path, upto: float = INF) -> lis
     return conflicts
 
 
-def enumerate_conflicts(plan: Plan, occ: Optional[Occupancy] = None) -> list[Conflict]:
+def enumerate_conflicts(plan: Plan) -> list[Conflict]:
     """All vertex/follow violations between goal-padded paths.
 
     Each pair is found once by `path_conflicts`, from its larger id's side,
-    over `occ`, the plan's index (built here if not given).  Two agents
-    parked on one goal, which only `validate_plan` can see (`Instance`
-    forbids shared goals), conflict from their parked entries alone.  The
-    list is unordered: the solvers read its length and its minimum by
-    `Conflict.sort_key`.
+    over the plan's own index.  Two agents parked on one goal, which only
+    `validate_plan` can see (`Instance` forbids shared goals), conflict from
+    their parked entries alone.  The list is unordered: the solvers read its
+    length and its minimum by `Conflict.sort_key`.
     """
-    if occ is None:
-        occ = Occupancy(plan.paths)
     conflicts = []
     for a, p in enumerate(plan.paths):
-        conflicts += path_conflicts(occ, a, p, upto=a)
+        conflicts += path_conflicts(plan, a, p, upto=a)
     x_max = plan.max_index
-    for g, sharing in occ.parked.items():   # only plans with shared goals
+    for g, sharing in plan.parked.items():   # only plans with shared goals
         for (xa, a), (xb, b) in combinations(sharing, 2):
             conflicts += [Conflict(ConflictKind.VERTEX, a, b, g, x)
                           for x in range(max(xa, xb), x_max + 1)]

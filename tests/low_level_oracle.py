@@ -22,7 +22,7 @@ from typing import Sequence
 
 from mapf_dp.ame import EPS, Constraint, LowLevelFailure, constraint_setup
 from mapf_dp.dependency import move_cost
-from mapf_dp.model import INF, Instance, Occupancy, Path
+from mapf_dp.model import INF, Instance, Path, Plan
 
 
 def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
@@ -36,7 +36,7 @@ def trace_back(parent: dict[tuple[int, int], tuple[int, int]],
     return states
 
 
-def departure_row(occ: Occupancy, v: int,
+def departure_row(occ: Plan, v: int,
                   agent: int) -> tuple[list[int], list[int], list[float]]:
     """(counts, xs, best) of vertex v over every labeled path of `occ` but
     `agent`'s, the row that `low_level_search` reads for each state at v.
@@ -60,7 +60,7 @@ def departure_row(occ: Occupancy, v: int,
     return counts, xs, best
 
 
-def low_level_search(instance: Instance, agent: int, occupancy: Occupancy,
+def low_level_search(instance: Instance, agent: int, occupancy: Plan,
                      constraints: Sequence[Constraint], key: float,
                      dist_to_goal: Sequence[float],
                      expansion_cap: int = 200_000) -> tuple[Path, int]:

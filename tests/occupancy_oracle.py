@@ -2,12 +2,12 @@
 conflict-tree driver kept one index per node.
 
 `_OtherAgents` is kept verbatim as a test oracle for the rows that
-`mapf_dp.ame.departure_row` builds from a node's index, and for the index
-that `Occupancy.swap` leaves: it is rebuilt from the other agents' paths on
+`mapf_dp.ame.departure_row` builds from a node's plan, and for the index
+that `Plan.swap` leaves: it is rebuilt from the other agents' paths on
 every call, and it answers each query with method calls.  It derives from
 the occupancy index of that time, kept verbatim here as `Occupancy` with
 the `count` and `conflict_increment` it read, so the oracle shares no code
-with `mapf_dp.model.Occupancy`.
+with the index of `mapf_dp.model.Plan`.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan,
 from mapf_dp.ame import (Constraint, LowLevelFailure, SolveLimits,
                          branch_constraints, low_level_search)
 from mapf_dp.dependency import move_cost
-from mapf_dp.model import (Conflict, ConflictKind, Occupancy, enumerate_conflicts,
+from mapf_dp.model import (Conflict, ConflictKind, enumerate_conflicts,
                            parse_map, shortest_path_distances)
 from tests.conftest import C2, POCKET
 from tests.low_level_oracle import low_level_search as two_heap_search
@@ -73,7 +73,7 @@ class TestBranchConstraints:
 def count_path_conflicts(prefix, other_paths):
     """The low level's accumulated conflict count of a path prefix: the
     occupancy index's per-state increment, summed over the prefix."""
-    occ = Occupancy(other_paths)
+    occ = Plan(other_paths)
     return sum(conflict_increment(occ, v, x) for x, v in enumerate(prefix))
 
 
@@ -103,22 +103,22 @@ class TestOtherAgents:
     the replanned agent (here agent 1, which the index does not hold)."""
 
     def test_wait_bound_requires_two_index_gap(self):
-        others = Occupancy([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
+        others = Plan([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
         assert wait_bound(others, 1, 0, 1) == -math.inf
         assert wait_bound(others, 1, 0, 2) == 2.0   # departure label of state 1
         assert wait_bound(others, 1, 1, 2) == -math.inf
         assert wait_bound(others, 1, 1, 3) == 4.0
 
     def test_final_state_is_not_a_departure(self):
-        others = Occupancy([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
+        others = Plan([Path((0, 1, 2), labels=(0.0, 2.0, 4.0))])
         assert wait_bound(others, 1, 2, 10) == -math.inf
 
     def test_unvisited_vertex(self):
-        others = Occupancy([Path((0, 1), labels=(0.0, 2.0))])
+        others = Plan([Path((0, 1), labels=(0.0, 2.0))])
         assert wait_bound(others, 1, 9, 5) == -math.inf
 
     def test_prefix_max_over_repeat_visits(self):
-        others = Occupancy([Path((0, 1, 0, 1, 2),
+        others = Plan([Path((0, 1, 0, 1, 2),
                                  labels=(0.0, 2.0, 4.0, 6.0, 8.0))])
         # vertex 0 visited at x''=0 (departure 2.0) and x''=2 (departure 6.0)
         assert wait_bound(others, 1, 0, 2) == 2.0
@@ -131,14 +131,14 @@ class TestOtherAgents:
         labeled = Path((0, 1), labels=(0.0, 2.0))
         with pytest.raises(ValueError, match="agent 2"):
             # others of agent 1 are agents 0 and 2, in id order
-            low_level_search(inst, 1, Occupancy([labeled, Path((5,), (0.0,)), Path((3, 4))]),
+            low_level_search(inst, 1, Plan([labeled, Path((5,), (0.0,)), Path((3, 4))]),
                              (), 0.0, shortest_path_distances(g, 5))
 
     def test_low_level_rejects_unlabeled_others(self):
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5), AgentSpec(1, 1, 1, 0.5)))
         with pytest.raises(ValueError, match="agent 1"):
-            low_level_search(inst, 0, Occupancy([Path((0,), (0.0,)), Path((1,))]), (), 0.0,
+            low_level_search(inst, 0, Plan([Path((0,), (0.0,)), Path((1,))]), (), 0.0,
                              shortest_path_distances(g, 2))
 
 
@@ -147,7 +147,7 @@ class TestLowLevel:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
         dist = shortest_path_distances(g, 3)
-        path, _ = low_level_search(inst, 0, Occupancy(()), (), 0.0, dist)
+        path, _ = low_level_search(inst, 0, Plan(()), (), 0.0, dist)
         assert path.vertices == (0, 1, 2, 3)
         assert path.labels == (0.0, 2.0, 4.0, 6.0)
 
@@ -155,7 +155,7 @@ class TestLowLevel:
         g = Graph.from_edges(3, [(0, 1), (1, 2)])
         p = 0.75
         inst = Instance(g, (AgentSpec(0, 0, 2, p),))
-        path, _ = low_level_search(inst, 0, Occupancy(()), (), 0.0,
+        path, _ = low_level_search(inst, 0, Plan(()), (), 0.0,
                                    shortest_path_distances(g, 2))
         assert path.labels[-1] == pytest.approx(2 * move_cost(p))
 
@@ -164,7 +164,7 @@ class TestLowLevel:
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
         dist = shortest_path_distances(g, 3)
         cons = (Constraint(0, 1, 1),)
-        path, _ = low_level_search(inst, 0, Occupancy(()), cons, 0.0, dist)
+        path, _ = low_level_search(inst, 0, Plan(()), cons, 0.0, dist)
         assert path.vertices[1] != 1
         assert path.vertices[-1] == 3
 
@@ -174,7 +174,7 @@ class TestLowLevel:
         dist = shortest_path_distances(g, 1)
         # goal banned at states 1 and 2: path must end at index >= 3
         cons = (Constraint(0, 1, 1), Constraint(0, 1, 2))
-        path, _ = low_level_search(inst, 0, Occupancy(()), cons, 0.0, dist)
+        path, _ = low_level_search(inst, 0, Plan(()), cons, 0.0, dist)
         assert path.vertices[-1] == 1
         assert path.last_index >= 3
         assert path.vertices[1] != 1 and path.vertices[2] != 1
@@ -184,7 +184,7 @@ class TestLowLevel:
         inst = Instance(g, (AgentSpec(0, 0, 2, 0.5),))
         dist = shortest_path_distances(g, 2)
         with pytest.raises(LowLevelFailure) as err:
-            low_level_search(inst, 0, Occupancy(()), (), 0.0, dist)
+            low_level_search(inst, 0, Plan(()), (), 0.0, dist)
         assert err.value.cause == "exhausted"
 
     def test_budget_failure(self):
@@ -192,7 +192,7 @@ class TestLowLevel:
         inst = Instance(g, (AgentSpec(0, 0, 3, 0.5),))
         dist = shortest_path_distances(g, 3)
         with pytest.raises(LowLevelFailure) as err:
-            low_level_search(inst, 0, Occupancy(()), (), 0.0, dist, expansion_cap=1)
+            low_level_search(inst, 0, Plan(()), (), 0.0, dist, expansion_cap=1)
         assert err.value.cause == "budget"
 
     def test_waits_for_labeled_blocker(self):
@@ -203,7 +203,7 @@ class TestLowLevel:
                             AgentSpec(1, 1, 1, 0.5)))
         other = Path((1, 1, 1, 2, 1), labels=(0.0, 1.0, 2.0, 10.0, 12.0))
         dist = shortest_path_distances(g, 2)
-        path, _ = low_level_search(inst, 0, Occupancy([Path((0,), (0.0,)), other]), (), 0.0, dist)
+        path, _ = low_level_search(inst, 0, Plan([Path((0,), (0.0,)), other]), (), 0.0, dist)
         assert validate_plan(inst, Plan((path, other))).path_errors == []
         for x in range(1, len(path.labels)):
             lo = path.labels[x] - path.labels[x - 1]
@@ -219,10 +219,10 @@ class TestLowLevel:
         old = Path((0, 1, 1, 2), labels=(0.0, 20.0, 30.0, 40.0))
         dist = shortest_path_distances(g, 2)
         cons = (Constraint(0, 1, 1), Constraint(0, 1, 2))
-        fresh, _ = low_level_search(inst, 0, Occupancy([Path((0,), (0.0,)), other]), cons, 0.0,
+        fresh, _ = low_level_search(inst, 0, Plan([Path((0,), (0.0,)), other]), cons, 0.0,
                                     dist)
         assert (fresh.vertices, fresh.labels) == ((0, 0, 0, 1, 2), (0.0, 1.0, 2.0, 4.0, 6.0))
-        occ = Occupancy([old, other])
+        occ = Plan([old, other])
         assert low_level_search(inst, 0, occ, cons, 0.0, dist)[0] == fresh
 
 
@@ -385,7 +385,7 @@ def test_low_level_matches_two_heap_oracle(case):
 
     def outcome(search):
         try:
-            path, expansions = search(inst, agent, Occupancy(paths), constraints, key, dist,
+            path, expansions = search(inst, agent, Plan(paths), constraints, key, dist,
                                       cap)
         except LowLevelFailure as fail:
             return fail.cause

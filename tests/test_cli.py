@@ -8,6 +8,7 @@ from mapf_dp.ame import SolveResult
 from mapf_dp.bench import BenchConfig, run_bench
 from mapf_dp.cli import (EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK,
                          EXIT_TIMEOUT, EXIT_USAGE, main)
+from mapf_dp.dependency import approximate_average_makespan
 from mapf_dp.simulate import monte_carlo
 
 
@@ -135,6 +136,36 @@ class TestSolveAndValidate:
         assert main(["validate", str(map_p), str(agents_p),
                      str(plan_p)]) == EXIT_OK
         assert "plan is valid" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("solver, size", [
+        # AME's stored labels of 9 of these 30 agents are stale in its result
+        ("ame", ["--agents", "30", "--seed", "5"]),
+        ("adapted-cbs", ["--width", "8", "--height", "8", "--agents", "4", "--seed", "3"]),
+    ])
+    def test_plan_is_written_with_its_own_labels(self, tmp_path, capsys, solver, size):
+        assert main(["generate", *size, "--out", str(tmp_path)]) == EXIT_OK
+        map_p, agents_p = tmp_path / "random-000.map", tmp_path / "random-000.agents"
+        plan_p = tmp_path / "plan.json"
+        capsys.readouterr()
+        assert main(["solve", str(map_p), str(agents_p), "--solver", solver,
+                     "--out", str(plan_p)]) == EXIT_OK
+        printed = re.search(r"approx_average_makespan=(\S+)", capsys.readouterr().out)
+        instance = mapio.read_instance(map_p, agents_p)
+        plan, _ = mapio.read_plan(plan_p)
+        fresh = bench.labeled(instance, plan)
+        assert [p.labels for p in plan.paths] == \
+            [tuple(round(v, 9) for v in p.labels) for p in fresh.paths]
+        assert printed and printed.group(1) == f"{approximate_average_makespan(fresh):.6f}"
+
+    def test_recompute_labels_with_adapted_cbs_exit_one(self, tmp_path, capsys):
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        capsys.readouterr()
+        assert main(["solve", str(map_p), str(agents_p), "--solver", "adapted-cbs",
+                     "--recompute-labels", "--out", str(plan_p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: adapted-cbs ignores delay probabilities; "
+                                           "--recompute-labels does not apply\n")
+        assert not plan_p.exists()
 
     def test_plan_file_byte_deterministic(self, tmp_path):
         map_p, agents_p = gen_instance(tmp_path)
@@ -448,6 +479,22 @@ class TestBench:
                      "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert configs == [] and not out.exists()
+
+    @pytest.mark.parametrize("option, field, values", [
+        ("solver", "solvers", ["ame", "adapted-cbs", "ame"]),
+        ("policy", "policies", ["mcp", "fsp", "fsp"]),
+    ])
+    def test_repeated_solver_or_policy_exit_one(self, tmp_path, capsys, configs, option,
+                                                 field, values):
+        out = tmp_path / "bench"
+        argv = ["bench", "--experiment", "exp4", "--out", str(out)]
+        for v in values:
+            argv += [f"--{option}", v]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: --{option} names {values[-1]} twice\n"
+        assert configs == [] and not out.exists()
+        with pytest.raises(ValueError, match=f"^--{option} names {values[-1]} twice$"):
+            BenchConfig(experiment="exp4", **{field: tuple(values)})
 
     @pytest.mark.parametrize("policies", [("fsp",), ("mcp", "dummy")])
     def test_config_rejects_policies_outside_exp4(self, policies):

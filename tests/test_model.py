@@ -108,6 +108,15 @@ class TestInstanceInvariants:
             Instance(pocket_graph, (AgentSpec(0, C1, C2, 0.5),
                                     AgentSpec(1, C1, C3, 0.5)))
 
+    def test_ids_must_match_positions(self):
+        # written and read back, these agents would come back ordered by id,
+        # under another checksum
+        specs = (AgentSpec(1, 0, 2, .2), AgentSpec(0, 2, 0, .3))
+        with pytest.raises(ValueError, match="^agent at position 0 has id 1; "):
+            Instance(grid_graph(3, 1, [True] * 3), specs)
+        with pytest.raises(ValueError, match="^agent at position 1 has id 2; "):
+            Instance(grid_graph(3, 1, [True] * 3), (AgentSpec(0, 0, 2, .2), AgentSpec(2, 2, 0, .3)))
+
     def test_delay_prob_domain(self):
         with pytest.raises(ValueError):
             AgentSpec(0, 0, 1, 0.0)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapf_dp.ame import carry_conflicts, departure_count, departure_row
-from mapf_dp.model import (Conflict, ConflictKind, Occupancy, Path, Plan,
+from mapf_dp.model import (Conflict, ConflictKind, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict, path_conflicts)
 from tests.low_level_oracle import departure_row as former_row
 from tests.occupancy_oracle import _OtherAgents
@@ -124,7 +124,7 @@ def test_earliest_conflict_matches_pairwise_loop(plan):
 @example(SHARED_GOAL)
 @settings(max_examples=200)
 def test_low_level_increment_matches_pairwise_sum(plan):
-    occ = Occupancy([labeled(p.vertices) for p in plan.paths])
+    occ = Plan([labeled(p.vertices) for p in plan.paths])
     for vertex in range(6):
         for x in range(plan.max_index + 3):
             assert others_increment(occ, plan.n_agents, vertex, x) == \
@@ -175,8 +175,8 @@ PARKED_RANGE = ([Path((2, 1)), Path((3, 3, 2))], [(1, Path((3, 2)))])
 def test_carried_conflicts_match_enumeration(case):
     # the conflict tree's root enumerates over its index; each child carries
     paths, swaps = case
-    occ = Occupancy(paths)
-    conflicts = enumerate_conflicts(Plan(paths), occ)
+    occ = Plan(paths)
+    conflicts = enumerate_conflicts(occ)
     assert by_sort_key(conflicts) == by_sort_key(pairwise_conflicts(Plan(paths)))
     for j, path in swaps:
         conflicts = carry_conflicts(occ, conflicts, j, path)
@@ -185,7 +185,7 @@ def test_carried_conflicts_match_enumeration(case):
 
 
 def test_parked_goal_occupies_every_later_index():
-    occ = Occupancy((Path((0, 1, 2)), Path((3, 2, 2, 2))))
+    occ = Plan((Path((0, 1, 2)), Path((3, 2, 2, 2))))
     assert [count(occ, 2, x) for x in range(-1, 6)] == [0, 0, 1, 2, 2, 2, 2]
     assert count(occ, 1, 1) == 1 and count(occ, 1, 2) == 0
     assert occ.parked == {2: [(2, 0), (3, 1)]}
@@ -206,20 +206,20 @@ def test_window_edges_are_pinned():
     # the window x - 1 ... x + 1 of a state, and the parked-goal scan from
     # X_a - 1, at their edges; agent 0 is the path queried
     # a state at x = 0: agent 1 follows agent 0 onto vertex 1
-    occ = Occupancy((Path((1, 2)), Path((3, 1, 4))))
+    occ = Plan((Path((1, 2)), Path((3, 1, 4))))
     assert pinned(occ, 0, occ.paths[0]) == [(F, 1, 0, 1, 0)]
     # X_0 = 0: agent 0 sits on vertex 5 from index 0 on, agent 1 is there
     # at indices 0 and 2
-    occ = Occupancy((Path((5,)), Path((5, 6, 5, 7))))
+    occ = Plan((Path((5,)), Path((5, 6, 5, 7))))
     assert pinned(occ, 0, occ.paths[0]) == [
         (V, 0, 1, 5, 0), (F, 0, 1, 5, 0), (V, 0, 1, 5, 2), (F, 1, 0, 5, 1), (F, 0, 1, 5, 2)]
     # repeated waits: agent 1 holds vertex 2 at indices 0-4; agent 0 at
     # (2, 1) meets only indices 0, 1 and 2
-    occ = Occupancy((Path((4, 2, 5)), Path((2, 2, 2, 2, 2, 3))))
+    occ = Plan((Path((4, 2, 5)), Path((2, 2, 2, 2, 2, 3))))
     assert pinned(occ, 0, occ.paths[0]) == [(V, 0, 1, 2, 1), (F, 0, 1, 2, 0), (F, 1, 0, 2, 1)]
     # agent 1 leaves agent 0's goal 2 at X_0 - 1 = 1; its visit at 0 is
     # too early to meet agent 0 parked there from index 2 on
-    occ = Occupancy((Path((0, 1, 2)), Path((2, 2, 4))))
+    occ = Plan((Path((0, 1, 2)), Path((2, 2, 4))))
     assert pinned(occ, 0, occ.paths[0]) == [(F, 0, 1, 2, 1)]
 
 
@@ -234,7 +234,7 @@ swaps_st = st.lists(st.tuples(st.integers(0, 5), labeled_path_st), max_size=8)
 def assert_same_index(occ, paths):
     """`occ` indexes `paths` exactly as a fresh build and, for every
     excluded agent, as the former per-call view of the other agents."""
-    fresh = Occupancy(paths)
+    fresh = Plan(paths)
     assert (occ.paths, occ.visits, occ.parked) == (fresh.paths, fresh.visits, fresh.parked)
     x_end = max(p.last_index for p in paths) + 3
     for agent in range(len(paths) + 1):
@@ -253,7 +253,7 @@ def assert_same_index(occ, paths):
 @settings(max_examples=300, deadline=None)
 def test_swapped_index_matches_fresh_build_and_former_view(paths, swaps):
     # the root appends paths one by one; each child swaps one path
-    occ = Occupancy(())
+    occ = Plan(())
     for j, p in enumerate(paths):
         occ = occ.swap(j, p)
     paths = list(paths)
@@ -276,7 +276,7 @@ def test_departure_count_matches_former_counts(paths, swaps):
     # the count read from a row equals the former row's counts[x], or its
     # last entry past the end, at every vertex and index, for every agent
     # left out; the departures and their best labels are the former ones
-    occ = Occupancy(())
+    occ = Plan(())
     for j, p in enumerate(paths):
         occ = occ.swap(j, p)
     for slot, p in swaps:
@@ -293,7 +293,7 @@ def test_departure_count_matches_former_counts(paths, swaps):
 def test_wait_bound_leaves_the_replanned_agents_labels_out():
     # agent 0 departs vertex 0 with the larger labels; leaving it out must
     # fall back to agent 1's best, not to -inf or to agent 0's own
-    occ = Occupancy((Path((0, 0, 0, 1), (0.0, 5.0, 9.0, 10.0)),
+    occ = Plan((Path((0, 0, 0, 1), (0.0, 5.0, 9.0, 10.0)),
                      Path((2, 0, 1), (0.0, 1.0, 3.0))))
     inf = math.inf
     assert [wait_bound(occ, 2, 0, x) for x in (1, 2, 3, 4)] == [-inf, 5.0, 9.0, 10.0]
@@ -304,7 +304,7 @@ def test_wait_bound_leaves_the_replanned_agents_labels_out():
 def test_row_leaves_the_replanned_agent_out():
     # agent 0 parks on vertex 2 from index 1 on; agent 1 leaves 2 at index 0
     # and parks on 3 from index 1 on
-    occ = Occupancy((Path((0, 2), (0.0, 1.0)), Path((2, 3), (0.0, 1.0))))
+    occ = Plan((Path((0, 2), (0.0, 1.0)), Path((2, 3), (0.0, 1.0))))
     assert [[others_increment(occ, 0, v, x) for x in range(4)] for v in range(4)] == [
         [0, 0, 0, 0], [0, 0, 0, 0], [1, 1, 0, 0], [1, 2, 3, 3]]
     assert [others_increment(occ, 2, 2, x) for x in range(4)] == [2, 3, 3, 3]
