@@ -19,12 +19,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
+
 from .adapted_cbs import solve_adapted_cbs
 from .ame import SolveLimits, SolveResult, solve_ame
 from .dependency import approximate_average_makespan, compute_labels
 from .generate import WarehouseParams, delay_sweep, generate_random_instance, \
-    generate_warehouse_instance, sweep_delay_bound
+    generate_warehouse_instance
 from .model import Instance, Plan, validate_plan
 from .simulate import monte_carlo
 
@@ -35,34 +37,51 @@ CSV_COLUMNS = [
 ]
 
 SOLVERS = ("ame", "adapted-cbs")
+EXP2_T_HAT_MAXES = (2, 4, 8)
+EXP3_AGENT_COUNTS = (5, 10, 15, 20)
+P_HI = 0.5   # upper delay probability when `p_hi` is not given
+UNREAD = {   # (experiment, field): what the experiment does instead of reading it
+    ("exp2", "n_instances"): "sweeps t_hat_max on one layout; --instances",
+    ("exp2", "p_hi"): "draws each delay probability from its t_hat_max; --p-hi",
+    ("exp3", "agents"): f"sweeps {', '.join(map(str, EXP3_AGENT_COUNTS))} agents; --agents",
+}
 
 
 @dataclass
 class BenchConfig:
+    """Every option of one `run_bench` call.  `n_instances`, `agents` and
+    `p_hi` default to `None`, which resolves to 10 instances (5 per agent
+    count for exp3), 10 agents and `P_HI`.  A value that `UNREAD` names for
+    the experiment, or a policy set but mcp outside exp4, raises
+    `ValueError`.  `solvers` and `policies` are stored as tuples."""
+
     experiment: str = "exp1"
     width: int = 20
     height: int = 20
     blocked_fraction: float = 0.10
-    n_instances: int = 10
-    agents: int = 10
-    agent_counts: tuple[int, ...] = (5, 10, 15, 20)
-    instances_per_count: int = 5
-    p_hi: float = 0.5
-    t_hat_sweep: tuple[int, ...] = (2, 4, 8)
+    n_instances: Optional[int] = None
+    agents: Optional[int] = None
+    p_hi: Optional[float] = None
     solvers: tuple[str, ...] = ("ame",)
     policies: tuple[str, ...] = ("mcp",)
     n_runs: int = 200
     seed: int = 0
     time_limit: float = 60.0
     node_limit: int = SolveLimits.high_level_expansions
-    warehouse: WarehouseParams = field(default_factory=WarehouseParams)
 
     def __post_init__(self):
-        if not self.solvers:
-            raise ValueError("empty solver set")
-        if not self.policies:
-            raise ValueError("empty policy set")
+        self.solvers, self.policies = tuple(self.solvers), tuple(self.policies)
+        for (experiment, name), instead in UNREAD.items():
+            if experiment == self.experiment and getattr(self, name) is not None:
+                raise ValueError(f"{experiment} {instead} does not apply")
+        defaults = {"n_instances": 5 if self.experiment == "exp3" else 10,
+                    "agents": 10, "p_hi": P_HI}
+        for name, value in defaults.items():
+            if getattr(self, name) is None:
+                setattr(self, name, value)
         for option, values in (("--solver", self.solvers), ("--policy", self.policies)):
+            if not values:
+                raise ValueError(f"empty {option[2:]} set")
             for k, v in enumerate(values):
                 if v in values[:k]:
                     raise ValueError(f"{option} names {v} twice")
@@ -72,8 +91,7 @@ class BenchConfig:
         bad = [s for s in self.solvers if s not in SOLVERS]
         if bad:
             raise ValueError(f"unknown solvers: {bad}")
-        for v in (self.n_instances, self.agents, self.n_runs,
-                  self.instances_per_count, *self.agent_counts):
+        for v in (self.n_instances, self.agents, self.n_runs):
             if v <= 0:
                 raise ValueError("counts must be positive")
         if self.seed < 0:
@@ -82,8 +100,6 @@ class BenchConfig:
             raise ValueError(f"time limit must be positive, got {self.time_limit}")
         if self.node_limit < 1:
             raise ValueError(f"node limit must be at least 1, got {self.node_limit}")
-        for t_max in self.t_hat_sweep:
-            sweep_delay_bound(t_max)
 
 
 def solve_with(solver: str, instance: Instance, limits: SolveLimits,
@@ -150,14 +166,14 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
         if config.experiment == "exp1":
             for k in range(config.n_instances):
                 inst = generate_warehouse_instance(
-                    config.warehouse, config.agents, (0.0, config.p_hi),
+                    WarehouseParams(), config.agents, (0.0, config.p_hi),
                     config.seed + 1000 + k)
                 bench_instance(f"warehouse-{k + 1}", inst)
 
     elif config.experiment == "exp2":
         base = random_instance(config.agents, config.seed)
         sweep_means = []
-        for t_max, inst in delay_sweep(base, config.t_hat_sweep, config.seed):
+        for t_max, inst in delay_sweep(base, EXP2_T_HAT_MAXES, config.seed):
             before = len(rows)
             bench_instance(f"t{t_max}", inst, t_hat_max=t_max)
             solved = [r for r in rows[before:] if r["status"] == "solved"]
@@ -171,14 +187,14 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
 
     elif config.experiment == "exp3":
         success = []
-        for m in config.agent_counts:
+        for m in EXP3_AGENT_COUNTS:
             solved = 0
-            for k in range(config.instances_per_count):
+            for k in range(config.n_instances):
                 before = len(rows)
                 bench_instance(f"m{m}-{k + 1}", random_instance(m, config.seed + 100 * m + k))
                 if any(r["status"] == "solved" for r in rows[before:]):
                     solved += 1
-            success.append((m, solved / config.instances_per_count))
+            success.append((m, solved / config.n_instances))
         for (ma, ra), (mb, rb) in zip(success, success[1:]):
             if rb > ra:
                 warnings.append(

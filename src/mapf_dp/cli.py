@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path as FilePath
 
 from . import bench as bench_mod
@@ -26,7 +27,7 @@ EXIT_TIMEOUT = 3
 EXIT_INVALID = 4
 
 RANDOM_GRID = {"width": 20, "height": 20, "blocked": 0.10}   # `generate --kind random`
-P_HI = 0.5   # upper delay probability when `--p-hi` is not given
+P_HI = bench_mod.P_HI   # upper delay probability when `--p-hi` is not given
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,26 +86,26 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--horizon", type=int, default=None,
                      help="step cap of one run (default max(1000, 50 * max index))")
 
+    # each dest is the `BenchConfig` field it sets; the config holds the defaults and rules
     ben = sub.add_parser("bench", help="run an experiment suite")
-    ben.add_argument("--experiment", choices=("exp1", "exp2", "exp3", "exp4"),
-                     default="exp1")
-    ben.add_argument("--width", type=int, default=20)
-    ben.add_argument("--height", type=int, default=20)
-    ben.add_argument("--blocked", type=float, default=0.10)
-    ben.add_argument("--agents", type=int, default=None,
+    ben.add_argument("--experiment", choices=("exp1", "exp2", "exp3", "exp4"))
+    ben.add_argument("--width", type=int)
+    ben.add_argument("--height", type=int)
+    ben.add_argument("--blocked", dest="blocked_fraction", type=float)
+    ben.add_argument("--agents", type=int,
                      help="agents per instance (default 10); exp3 sweeps 5, 10, 15, 20")
-    ben.add_argument("--instances", type=int, default=None,
+    ben.add_argument("--instances", dest="n_instances", type=int,
                      help="instances (default 10); for exp3, per agent count "
                           "(default 5); not with exp2")
-    ben.add_argument("--p-hi", type=float, default=None,
-                     help="upper delay probability (default "
-                          f"{bench_mod.BenchConfig.p_hi}); not with exp2")
-    ben.add_argument("--solver", action="append", choices=bench_mod.SOLVERS)
-    ben.add_argument("--policy", action="append", choices=POLICIES)
-    ben.add_argument("--runs", type=int, default=200)
-    ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--time-limit", type=float, default=60.0)
-    ben.add_argument("--node-limit", type=int, default=None,
+    ben.add_argument("--p-hi", type=float,
+                     help=f"upper delay probability (default {bench_mod.P_HI}); "
+                          "not with exp2")
+    ben.add_argument("--solver", dest="solvers", action="append", choices=bench_mod.SOLVERS)
+    ben.add_argument("--policy", dest="policies", action="append", choices=POLICIES)
+    ben.add_argument("--runs", dest="n_runs", type=int)
+    ben.add_argument("--seed", type=int)
+    ben.add_argument("--time-limit", type=float)
+    ben.add_argument("--node-limit", type=int,
                      help="conflict-tree nodes one solve may expand (default "
                           f"{SolveLimits.high_level_expansions})")
     ben.add_argument("--out", default="bench_out")
@@ -228,26 +229,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    sizes = {"agents": args.agents, "n_instances": args.instances}
-    if args.experiment == "exp2":
-        if args.instances is not None:
-            raise ValueError("exp2 sweeps t_hat_max on one layout; --instances does not apply")
-        if args.p_hi is not None:
-            raise ValueError("exp2 draws each delay probability from its t_hat_max; "
-                             "--p-hi does not apply")
-    if args.experiment == "exp3":
-        if args.agents is not None:
-            sweep = ", ".join(map(str, bench_mod.BenchConfig.agent_counts))
-            raise ValueError(f"exp3 sweeps {sweep} agents; --agents does not apply")
-        sizes = {"instances_per_count": args.instances}
-    sizes |= {"p_hi": args.p_hi, "node_limit": args.node_limit}
-    config = bench_mod.BenchConfig(
-        experiment=args.experiment, width=args.width, height=args.height,
-        blocked_fraction=args.blocked,
-        solvers=tuple(args.solver) if args.solver else ("ame",),
-        policies=tuple(args.policy) if args.policy else ("mcp",),
-        n_runs=args.runs, seed=args.seed, time_limit=args.time_limit,
-        **{k: v for k, v in sizes.items() if v is not None})
+    names = {f.name for f in fields(bench_mod.BenchConfig)}
+    config = bench_mod.BenchConfig(**{k: v for k, v in vars(args).items()
+                                      if k in names and v is not None})
     rows, warnings = bench_mod.run_bench(config, log=print)
     out = FilePath(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -29,6 +29,13 @@ def _sample_delay_probs(rng: np.random.Generator, m: int, hi: float) -> np.ndarr
     return 1.0 - 1.0 / t_hat
 
 
+def _delay_bound(p_range: tuple[float, float]) -> float:
+    """`p_range`'s upper bound hi; every delay probability is drawn from (0, hi)."""
+    if p_range[0] != 0:
+        raise GenerationError(f"the lower delay bound must be 0, got {p_range[0]}")
+    return p_range[1]
+
+
 def _largest_component(graph: Graph) -> list[int]:
     seen = [False] * graph.n_vertices
     best: list[int] = []
@@ -69,6 +76,7 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
         raise GenerationError(f"blocked fraction must be in [0, 1], got {blocked_fraction}")
     if m < 1:
         raise GenerationError(f"need at least one agent, got {m}")
+    hi = _delay_bound(p_range)
     rng = np.random.default_rng(seed)
     n_cells = width * height
     n_blocked = int(round(blocked_fraction * n_cells))
@@ -80,7 +88,7 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
             f"largest free component has {len(comp)} cells, need {m} for starts")
     starts = rng.choice(comp, size=m, replace=False)
     goals = rng.choice(comp, size=m, replace=False)
-    probs = _sample_delay_probs(rng, m, p_range[1])
+    probs = _sample_delay_probs(rng, m, hi)
     return _build_instance(graph, starts, goals, probs)
 
 
@@ -127,19 +135,13 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
     """Warehouse instance: starts on one side corridor, goals on the other."""
     if m < 1:
         raise GenerationError(f"need at least one agent, got {m}")
+    hi = _delay_bound(p_range)
     rng = np.random.default_rng(seed)
     graph = warehouse_graph(params)
     meta = graph.grid
-    comp = set(_largest_component(graph))
-    left = [meta.vertex_at(x, y)
-            for y in range(meta.height) for x in range(params.side_width)
-            if meta.free[y * meta.width + x]]
-    right = [meta.vertex_at(x, y)
-             for y in range(meta.height)
-             for x in range(meta.width - params.side_width, meta.width)
-             if meta.free[y * meta.width + x]]
-    left = [v for v in left if v in comp]
-    right = [v for v in right if v in comp]
+    comp = _largest_component(graph)   # sorted ids, so row by row
+    left = [v for v in comp if meta.cell_of(v)[0] < params.side_width]
+    right = [v for v in comp if meta.cell_of(v)[0] >= meta.width - params.side_width]
     if min(len(left), len(right)) < m:
         raise GenerationError(
             f"side corridors hold {len(left)}/{len(right)} cells, need {m}")
@@ -149,7 +151,7 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
     right_pick = rng.choice(right, size=m, replace=False)
     starts = np.where(eastbound, left_pick, right_pick)
     goals = np.where(eastbound, right_pick, left_pick)
-    probs = _sample_delay_probs(rng, m, p_range[1])
+    probs = _sample_delay_probs(rng, m, hi)
     return _build_instance(graph, starts, goals, probs)
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -66,21 +66,13 @@ class RunStats:
     n_runs: int
     mean_makespan: float
     ci95: float
-    mean_collisions: float
     messages: int
+    mean_collisions: float
     timeouts: int
     policy: str
 
     def as_dict(self) -> dict:
-        return {
-            "n_runs": self.n_runs,
-            "mean_makespan": self.mean_makespan,
-            "ci95": self.ci95,
-            "messages": self.messages,
-            "mean_collisions": self.mean_collisions,
-            "timeouts": self.timeouts,
-            "policy": self.policy,
-        }
+        return asdict(self)
 
 
 def stats_ci(samples) -> tuple[float, float]:
@@ -265,4 +257,4 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     else:
         mean, half = math.nan, math.nan
     mean_coll, _ = stats_ci(collision_counts)
-    return RunStats(n_runs, mean, half, mean_coll, messages, timeouts, policy)
+    return RunStats(n_runs, mean, half, messages, mean_coll, timeouts, policy)

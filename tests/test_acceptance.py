@@ -186,8 +186,7 @@ def test_8_trend_reproductions():
             warnings.warn(w)   # noisy trend, warning-level by design
 
         cfg3 = BenchConfig(experiment="exp3", width=20, height=20,
-                           agent_counts=(5, 10, 15, 20),
-                           instances_per_count=3, n_runs=50, seed=2,
+                           n_instances=3, n_runs=50, seed=2,
                            time_limit=6.0)
         rows3, _ = run_bench(cfg3)
         rates = [float(r["status"]) for r in rows3

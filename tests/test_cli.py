@@ -374,13 +374,16 @@ class TestBench:
         main(self.bench_args(b))
         assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
 
-    @pytest.mark.parametrize("field", [
-        {"instances_per_count": 0}, {"agent_counts": (5, 0)}, {"agent_counts": (-5,)},
-        {"t_hat_sweep": (2, 0)}, {"t_hat_sweep": (1,)},
-    ])
+    @pytest.mark.parametrize("field", [{"experiment": "exp3", "n_instances": 0}])
     def test_config_rejects_empty_sweeps(self, field):
         with pytest.raises(ValueError):
             BenchConfig(**field)
+
+    def test_exp3_runs_n_instances_per_agent_count(self, monkeypatch):
+        monkeypatch.setattr(bench, "solve_with", lambda *a: SolveResult("no-solution", None))
+        rows, _ = run_bench(BenchConfig(experiment="exp3", n_instances=2, n_runs=5))
+        assert [r["instance"] for r in rows if r["agents"] == 5] == \
+            ["m5-1", "m5-2", "success-rate-5"]
 
     @pytest.fixture
     def configs(self, monkeypatch):
@@ -396,14 +399,16 @@ class TestBench:
         assert main(["bench", "--experiment", "exp3", "--out", str(tmp_path)]
                     + options) == EXIT_OK
         [config] = configs
-        assert (config.instances_per_count, config.agent_counts) == (per_count, (5, 10, 15, 20))
+        assert config.n_instances == per_count
 
     def test_exp3_rejects_agents(self, tmp_path, capsys, configs):
         assert main(["bench", "--experiment", "exp3", "--agents", "8",
                      "--out", str(tmp_path)]) == EXIT_USAGE
-        assert capsys.readouterr().err == \
-            "error: exp3 sweeps 5, 10, 15, 20 agents; --agents does not apply\n"
+        message = "exp3 sweeps 5, 10, 15, 20 agents; --agents does not apply"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert configs == []
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchConfig(experiment="exp3", agents=8)
 
     @pytest.mark.parametrize("options, agents, instances",
                              [([], 10, 10), (["--agents", "4", "--instances", "3"], 4, 3)],
@@ -464,21 +469,24 @@ class TestBench:
         statuses = [line.split(",")[6] for line in csvs[0].decode().splitlines()[1:]]
         assert sorted(set(statuses)) == ["solved", "timeout"]
 
-    @pytest.mark.parametrize("experiment, option, value, message", [
-        *[(e, "policy", "fsp", f"{e} simulates mcp only; --policy applies to exp4")
+    @pytest.mark.parametrize("experiment, option, value, field, message", [
+        *[(e, "policy", "fsp", {"policies": ("fsp",)},
+           f"{e} simulates mcp only; --policy applies to exp4")
           for e in ("exp1", "exp2", "exp3")],
-        ("exp2", "instances", "7",
+        ("exp2", "instances", "7", {"n_instances": 7},
          "exp2 sweeps t_hat_max on one layout; --instances does not apply"),
-        ("exp2", "p-hi", "0.2",
+        ("exp2", "p-hi", "0.2", {"p_hi": 0.2},
          "exp2 draws each delay probability from its t_hat_max; --p-hi does not apply"),
     ], ids=["exp1-policy", "exp2-policy", "exp3-policy", "exp2-instances", "exp2-p-hi"])
     def test_unread_option_exit_one(self, tmp_path, capsys, configs, experiment, option,
-                                    value, message):
+                                    value, field, message):
         out = tmp_path / "bench"
         assert main(["bench", "--experiment", experiment, f"--{option}", value,
                      "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert configs == [] and not out.exists()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            BenchConfig(experiment=experiment, **field)
 
     @pytest.mark.parametrize("option, field, values", [
         ("solver", "solvers", ["ame", "adapted-cbs", "ame"]),

@@ -74,6 +74,14 @@ class TestRandomInstance:
             generate_random_instance(width, height, 0.1, 3, (0, 0.5), 0)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("p_range", [(0.3, 0.5), (0.6, 0.5)])
+    def test_nonzero_lower_delay_bound_rejected_before_any_draw(self, monkeypatch,
+                                                                p_range):
+        monkeypatch.setattr(generate.np.random, "default_rng", None)
+        message = f"^the lower delay bound must be 0, got {p_range[0]}$"
+        with pytest.raises(GenerationError, match=message):
+            generate_random_instance(10, 10, 0.0, 20, p_range, 0)
+
     def test_blocked_fraction_bounds_are_accepted(self):
         assert generate_random_instance(4, 4, 0.0, 1, (0, 0.5), 0).n_agents == 1
         # 1.0 blocks every cell, which the map parser rejects
@@ -117,6 +125,14 @@ class TestWarehouseInstance:
         with pytest.raises(GenerationError):
             generate_warehouse_instance(WarehouseParams(side_width=1), 500,
                                         (0, 0.5), 0)
+
+    @pytest.mark.parametrize("p_range", [(0.3, 0.5), (0.6, 0.5)])
+    def test_nonzero_lower_delay_bound_rejected_before_any_draw(self, monkeypatch,
+                                                                p_range):
+        monkeypatch.setattr(generate.np.random, "default_rng", None)
+        message = f"^the lower delay bound must be 0, got {p_range[0]}$"
+        with pytest.raises(GenerationError, match=message):
+            generate_warehouse_instance(WarehouseParams(), 5, p_range, 0)
 
     @pytest.mark.parametrize("m", [0, -1])
     def test_no_agents_rejected(self, m):

@@ -324,6 +324,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="got -1$"):
             monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 5, -1)
 
+    def test_as_dict_order(self, pocket_instance, pocket_valid_plan):
+        # `simulate` prints these keys in this order
+        s = monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 5, 1)
+        assert list(s.as_dict()) == ["n_runs", "mean_makespan", "ci95", "messages",
+                                     "mean_collisions", "timeouts", "policy"]
+        assert s.as_dict() == {k: getattr(s, k) for k in s.as_dict()}
+
 
 class TestStatsCi:
     def test_constant_samples(self):
