@@ -12,7 +12,7 @@ from .dependency import (DependencyGraph, MessageSchedule,
                          compute_labels, message_schedule, transitive_reduction)
 from .simulate import ExecutionTrace, RunStats, monte_carlo, run_execution, stats_ci
 from .ame import Constraint, SolveLimits, SolveResult, solve_ame
-from .adapted_cbs import brute_force_optimal_makespan, solve_adapted_cbs
+from .adapted_cbs import solve_adapted_cbs
 
 __all__ = [
     "AgentSpec", "Conflict", "ConflictKind", "Graph", "Instance", "Path", "Plan",
@@ -25,5 +25,5 @@ __all__ = [
     "transitive_reduction",
     "ExecutionTrace", "RunStats", "monte_carlo", "run_execution", "stats_ci",
     "Constraint", "SolveLimits", "SolveResult", "solve_ame",
-    "brute_force_optimal_makespan", "solve_adapted_cbs",
+    "solve_adapted_cbs",
 ]

@@ -1,6 +1,5 @@
 """Deterministic conflict-based baseline: minimizes the largest path index
-assuming perfect execution, plus a brute-force joint-search oracle for
-tiny instances.  Delay probabilities are ignored entirely.
+assuming perfect execution.  Delay probabilities are ignored entirely.
 
 The low level, `shortest_path_under_constraints`, is a pure function of the
 agent, that agent's own constraints and inputs fixed for one solve (its
@@ -13,7 +12,6 @@ as long as the solve.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Optional, Sequence
 
 from .ame import (LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure, SolveLimits,
@@ -97,38 +95,3 @@ def solve_adapted_cbs(instance: Instance,
         return plan, float(max(lengths)), (max(lengths), sum(lengths))
 
     return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate)
-
-
-def brute_force_optimal_makespan(instance: Instance, horizon: int) -> Optional[int]:
-    """Minimal max_i X_i over all valid plans, by breadth-first search over
-    joint configurations; None when no valid plan exists within the horizon.
-
-    A joint transition must keep all vertices pairwise distinct and no agent
-    may enter a vertex another agent occupied before the transition.
-    """
-    graph = instance.graph
-    starts = tuple(a.start for a in instance.agents)
-    goals = tuple(a.goal for a in instance.agents)
-    if starts == goals:
-        return 0
-    options = [(v,) + graph.adjacency[v] for v in range(graph.n_vertices)]
-    frontier = [starts]
-    depths = {starts: 0}
-    depth = 0
-    while frontier and depth < horizon:
-        depth += 1
-        nxt = []
-        for config in frontier:
-            for new in itertools.product(*(options[v] for v in config)):
-                if len(set(new)) != len(new):
-                    continue   # shared vertex at equal index
-                if any(new[i] == config[j]
-                       for i in range(len(new)) for j in range(len(new)) if i != j):
-                    continue   # following into a just-vacated vertex
-                if new == goals:
-                    return depth
-                if new not in depths:
-                    depths[new] = depth
-                    nxt.append(new)
-        frontier = nxt
-    return None

@@ -56,6 +56,12 @@ class SolveLimits:
     time_s: float = 60.0
     high_level_expansions: int = 50_000
 
+    def __post_init__(self):
+        if not self.time_s > 0:
+            raise ValueError(f"time limit must be positive, got {self.time_s}")
+        if self.high_level_expansions < 1:
+            raise ValueError(f"node limit must be at least 1, got {self.high_level_expansions}")
+
 
 @dataclass
 class SolveResult:

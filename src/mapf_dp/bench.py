@@ -25,9 +25,9 @@ from typing import Optional
 from .adapted_cbs import solve_adapted_cbs
 from .ame import SolveLimits, SolveResult, solve_ame
 from .dependency import approximate_average_makespan, compute_labels
-from .generate import WarehouseParams, delay_sweep, generate_random_instance, \
-    generate_warehouse_instance
-from .model import Instance, Plan, validate_plan
+from .generate import WarehouseParams, check_delay_bound, check_grid, delay_sweep, \
+    generate_random_instance, generate_warehouse_instance
+from .model import Instance, Plan, check_seed, validate_plan
 from .simulate import monte_carlo
 
 CSV_COLUMNS = [
@@ -36,6 +36,7 @@ CSV_COLUMNS = [
     "mean_collisions", "timeouts",
 ]
 
+EXPERIMENTS = ("exp1", "exp2", "exp3", "exp4")
 SOLVERS = ("ame", "adapted-cbs")
 EXP2_T_HAT_MAXES = (2, 4, 8)
 EXP3_AGENT_COUNTS = (5, 10, 15, 20)
@@ -53,7 +54,10 @@ class BenchConfig:
     `p_hi` default to `None`, which resolves to 10 instances (5 per agent
     count for exp3), 10 agents and `P_HI`.  A value that `UNREAD` names for
     the experiment, or a policy set but mcp outside exp4, raises
-    `ValueError`.  `solvers` and `policies` are stored as tuples."""
+    `ValueError`, and so do a seed, grid, `p_hi` or limit that the
+    generators or `SolveLimits` reject, with their messages.  `solvers` and
+    `policies` are stored as tuples, and `limits` is the `SolveLimits` of
+    every solve."""
 
     experiment: str = "exp1"
     width: int = 20
@@ -66,10 +70,12 @@ class BenchConfig:
     policies: tuple[str, ...] = ("mcp",)
     n_runs: int = 200
     seed: int = 0
-    time_limit: float = 60.0
+    time_limit: float = SolveLimits.time_s
     node_limit: int = SolveLimits.high_level_expansions
 
     def __post_init__(self):
+        if self.experiment not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment {self.experiment!r}")
         self.solvers, self.policies = tuple(self.solvers), tuple(self.policies)
         for (experiment, name), instead in UNREAD.items():
             if experiment == self.experiment and getattr(self, name) is not None:
@@ -94,12 +100,10 @@ class BenchConfig:
         for v in (self.n_instances, self.agents, self.n_runs):
             if v <= 0:
                 raise ValueError("counts must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if not self.time_limit > 0:
-            raise ValueError(f"time limit must be positive, got {self.time_limit}")
-        if self.node_limit < 1:
-            raise ValueError(f"node limit must be at least 1, got {self.node_limit}")
+        check_seed(self.seed)
+        self.limits = SolveLimits(self.time_limit, self.node_limit)
+        check_grid(self.width, self.height, self.blocked_fraction)
+        check_delay_bound(self.p_hi)
 
 
 def solve_with(solver: str, instance: Instance, limits: SolveLimits,
@@ -125,7 +129,6 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
     `random_instance` below, exp2's sweep by `delay_sweep`.  `log(msg)`
     receives progress lines."""
     log = log or (lambda msg: None)
-    limits = SolveLimits(time_s=config.time_limit, high_level_expansions=config.node_limit)
     rows: list[dict] = []
     warnings: list[str] = []
 
@@ -141,7 +144,7 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
 
     def bench_instance(instance_id, instance, t_hat_max=""):
         for solver in config.solvers:
-            result = solve_with(solver, instance, limits)
+            result = solve_with(solver, instance, config.limits)
             row = base_row(instance_id, solver, instance.n_agents, t_hat_max)
             row["status"] = result.status
             log(f"{instance_id} {solver}: {result.status} "
@@ -203,8 +206,6 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
         for m, rate in success:
             rows.append(base_row(f"success-rate-{m}", "+".join(config.solvers), m)
                         | {"status": f"{rate:.2f}"})
-    else:
-        raise ValueError(f"unknown experiment {config.experiment!r}")
 
     return rows, warnings
 

@@ -26,8 +26,7 @@ EXIT_NO_SOLUTION = 2
 EXIT_TIMEOUT = 3
 EXIT_INVALID = 4
 
-RANDOM_GRID = {"width": 20, "height": 20, "blocked": 0.10}   # `generate --kind random`
-P_HI = bench_mod.P_HI   # upper delay probability when `--p-hi` is not given
+DEFAULTS = bench_mod.BenchConfig()   # every subcommand's defaults
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,27 +43,28 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("generate", help="write instance files")
     gen.add_argument("--kind", choices=("random", "warehouse"), default="random")
     gen.add_argument("--width", type=int, default=None,
-                     help=f"grid width (default {RANDOM_GRID['width']}; random only)")
+                     help=f"grid width (default {DEFAULTS.width}; random only)")
     gen.add_argument("--height", type=int, default=None,
-                     help=f"grid height (default {RANDOM_GRID['height']}; random only)")
+                     help=f"grid height (default {DEFAULTS.height}; random only)")
     gen.add_argument("--blocked", type=float, default=None,
-                     help=f"blocked fraction (default {RANDOM_GRID['blocked']}; random only)")
-    gen.add_argument("--agents", type=int, default=10)
+                     help=f"blocked fraction (default {DEFAULTS.blocked_fraction}; random only)")
+    gen.add_argument("--agents", type=int, default=DEFAULTS.agents)
     gen.add_argument("--p-hi", type=float, default=None,
-                     help=f"upper delay probability (default {P_HI}); not with --t-hat-sweep")
+                     help=f"upper delay probability (default {DEFAULTS.p_hi}); "
+                          "not with --t-hat-sweep")
     gen.add_argument("--count", type=int, default=None,
                      help="instances to write (default 1); not with --t-hat-sweep")
     gen.add_argument("--t-hat-sweep", default="",
                      help="comma-separated t_hat_max values; emits one instance "
                           "per value sharing one layout")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=DEFAULTS.seed)
     gen.add_argument("--out", default=".")
 
     sol = sub.add_parser("solve", help="plan an instance")
     sol.add_argument("map")
     sol.add_argument("agents")
     sol.add_argument("--solver", choices=bench_mod.SOLVERS, default="ame")
-    sol.add_argument("--time-limit", type=float, default=60.0)
+    sol.add_argument("--time-limit", type=float, default=DEFAULTS.time_limit)
     sol.add_argument("--recompute-labels", action="store_true")
     sol.add_argument("--out", default="plan.json")
 
@@ -79,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("agents")
     sim.add_argument("plan")
     sim.add_argument("--policy", choices=POLICIES, default="mcp")
-    sim.add_argument("--runs", type=int, default=200)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--runs", type=int, default=DEFAULTS.n_runs)
+    sim.add_argument("--seed", type=int, default=DEFAULTS.seed)
     sim.add_argument("--latency", type=int, default=0,
                      help="steps a message takes to arrive (default 0)")
     sim.add_argument("--horizon", type=int, default=None,
@@ -88,17 +88,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each dest is the `BenchConfig` field it sets; the config holds the defaults and rules
     ben = sub.add_parser("bench", help="run an experiment suite")
-    ben.add_argument("--experiment", choices=("exp1", "exp2", "exp3", "exp4"))
+    ben.add_argument("--experiment", choices=bench_mod.EXPERIMENTS)
     ben.add_argument("--width", type=int)
     ben.add_argument("--height", type=int)
     ben.add_argument("--blocked", dest="blocked_fraction", type=float)
     ben.add_argument("--agents", type=int,
-                     help="agents per instance (default 10); exp3 sweeps 5, 10, 15, 20")
+                     help=f"agents per instance (default {DEFAULTS.agents}); exp3 sweeps "
+                          + ", ".join(map(str, bench_mod.EXP3_AGENT_COUNTS)))
     ben.add_argument("--instances", dest="n_instances", type=int,
-                     help="instances (default 10); for exp3, per agent count "
-                          "(default 5); not with exp2")
+                     help=f"instances (default {DEFAULTS.n_instances}); for exp3, per "
+                          "agent count (default "
+                          f"{bench_mod.BenchConfig(experiment='exp3').n_instances}); "
+                          "not with exp2")
     ben.add_argument("--p-hi", type=float,
-                     help=f"upper delay probability (default {bench_mod.P_HI}); "
+                     help=f"upper delay probability (default {DEFAULTS.p_hi}); "
                           "not with exp2")
     ben.add_argument("--solver", dest="solvers", action="append", choices=bench_mod.SOLVERS)
     ben.add_argument("--policy", dest="policies", action="append", choices=POLICIES)
@@ -107,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--time-limit", type=float)
     ben.add_argument("--node-limit", type=int,
                      help="conflict-tree nodes one solve may expand (default "
-                          f"{SolveLimits.high_level_expansions})")
+                          f"{DEFAULTS.node_limit})")
     ben.add_argument("--out", default="bench_out")
     return parser
 
@@ -115,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     if args.count is not None and args.count < 1:
         raise ValueError(f"--count must be at least 1, got {args.count}")
-    for name, default in RANDOM_GRID.items():
+    for name, field in (("width", "width"), ("height", "height"),
+                        ("blocked", "blocked_fraction")):
         if getattr(args, name) is None:
-            setattr(args, name, default)
+            setattr(args, name, getattr(DEFAULTS, field))
         elif args.kind == "warehouse":
             raise ValueError(f"--kind warehouse draws a fixed shelf layout; --{name} "
                              "does not apply")
@@ -138,11 +142,11 @@ def cmd_generate(args) -> int:
         if len(set(sweep)) != len(sweep):
             raise ValueError(f"--t-hat-sweep {args.t_hat_sweep!r} repeats a value")
         base = generate_random_instance(args.width, args.height, args.blocked,
-                                        args.agents, (0.0, P_HI), args.seed)
+                                        args.agents, (0.0, DEFAULTS.p_hi), args.seed)
         for t_max, inst in delay_sweep(base, sweep, args.seed):
             instances.append((f"t{t_max:02d}", inst))
     else:
-        p_range = (0.0, P_HI if args.p_hi is None else args.p_hi)
+        p_range = (0.0, DEFAULTS.p_hi if args.p_hi is None else args.p_hi)
         for k in range(args.count or 1):
             if args.kind == "random":
                 inst = generate_random_instance(
@@ -163,10 +167,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    if not args.time_limit > 0:
-        raise ValueError(f"time limit must be positive, got {args.time_limit}")
-    instance = mapio.read_instance(args.map, args.agents)
     limits = SolveLimits(time_s=args.time_limit)
+    instance = mapio.read_instance(args.map, args.agents)
     result = bench_mod.solve_with(args.solver, instance, limits, args.recompute_labels)
     print(f"solver={args.solver} status={result.status} "
           f"wall_time={result.wall_time:.3f}s "

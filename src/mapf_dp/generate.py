@@ -12,16 +12,30 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AgentSpec, Graph, Instance, grid_graph
+from .model import AgentSpec, Graph, Instance, check_seed, grid_graph
 
 
 class GenerationError(ValueError):
     """Raised when the requested parameters cannot yield a feasible instance."""
 
 
-def _sample_delay_probs(rng: np.random.Generator, m: int, hi: float) -> np.ndarray:
+def check_grid(width: int, height: int, blocked_fraction: float) -> None:
+    """The size and blocked-fraction rules of a random grid, also `bench`'s."""
+    for name, size in (("width", width), ("height", height)):
+        if size < 1:
+            raise GenerationError(f"grid {name} must be at least 1, got {size}")
+    if not 0.0 <= blocked_fraction <= 1.0:
+        raise GenerationError(f"blocked fraction must be in [0, 1], got {blocked_fraction}")
+
+
+def check_delay_bound(hi: float) -> None:
+    """The rule of an upper delay probability, also `bench`'s `p_hi`."""
     if not 0.0 < hi < 1.0:
         raise GenerationError(f"upper delay probability must be in (0, 1), got {hi}")
+
+
+def _sample_delay_probs(rng: np.random.Generator, m: int, hi: float) -> np.ndarray:
+    check_delay_bound(hi)
     t_hat_max = 1.0 / (1.0 - hi)
     t_hat = rng.uniform(1.0, t_hat_max, size=m)
     # uniform(1, t_max) can return exactly 1.0, which would give p = 0
@@ -69,14 +83,11 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
                              m: int, p_range: tuple[float, float],
                              seed: int) -> Instance:
     """Random 4-neighbor grid with uniformly blocked cells and m agents."""
-    for name, size in (("width", width), ("height", height)):
-        if size < 1:
-            raise GenerationError(f"grid {name} must be at least 1, got {size}")
-    if not 0.0 <= blocked_fraction <= 1.0:
-        raise GenerationError(f"blocked fraction must be in [0, 1], got {blocked_fraction}")
+    check_grid(width, height, blocked_fraction)
     if m < 1:
         raise GenerationError(f"need at least one agent, got {m}")
     hi = _delay_bound(p_range)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     n_cells = width * height
     n_blocked = int(round(blocked_fraction * n_cells))
@@ -136,6 +147,7 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
     if m < 1:
         raise GenerationError(f"need at least one agent, got {m}")
     hi = _delay_bound(p_range)
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     graph = warehouse_graph(params)
     meta = graph.grid
@@ -165,6 +177,7 @@ def sweep_delay_bound(t_hat_max: int) -> float:
 
 def resample_delays(instance: Instance, hi: float, seed: int) -> Instance:
     """Same layout and start/goal cells, fresh delay probabilities from (0, hi)."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     probs = _sample_delay_probs(rng, instance.n_agents, hi)
     agents = tuple(

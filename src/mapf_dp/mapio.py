@@ -58,15 +58,11 @@ def agents_from_text(graph: Graph, text: str) -> tuple[AgentSpec, ...]:
 
 
 def instance_checksum(instance: Instance) -> str:
-    """Stable digest of the map layout and agent list, for plan/instance pairing."""
+    """Stable digest of a grid instance's map and agents files, for
+    plan/instance pairing; a graph without a grid raises `MapError`."""
     h = hashlib.sha256()
-    if instance.graph.grid is not None:
-        h.update(serialize_map(instance.graph).encode())
-        h.update(agents_to_text(instance).encode())
-    else:
-        h.update(repr(instance.graph.adjacency).encode())
-        h.update(repr([(a.id, a.start, a.goal, round(a.delay_prob, 12))
-                       for a in instance.agents]).encode())
+    h.update(serialize_map(instance.graph).encode())
+    h.update(agents_to_text(instance).encode())
     return h.hexdigest()[:16]
 
 

@@ -32,6 +32,12 @@ from typing import Optional, Sequence
 INF = math.inf
 
 
+def check_seed(seed: int) -> None:
+    """The rule of every seeded draw: generators, Monte Carlo and `bench`."""
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
+
+
 class MapError(ValueError):
     """Raised for malformed map, agent or plan files."""
 
@@ -101,10 +107,6 @@ class Graph:
     @property
     def n_vertices(self) -> int:
         return len(self.adjacency)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
 
 
 def grid_graph(width: int, height: int, free: Sequence[bool]) -> Graph:

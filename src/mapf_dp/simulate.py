@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .dependency import MessageSchedule, build_partial_order, message_schedule, transitive_reduction
-from .model import Instance, Plan
+from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
 
@@ -231,8 +231,7 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     """Aggregate makespan/collision/message statistics over seeded runs."""
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    check_seed(seed)
     if horizon_cap is not None and horizon_cap < 1:
         raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
     schedule = mcp_schedule(plan) if policy == "mcp" else None

@@ -12,16 +12,17 @@ import sys
 
 import pytest
 
-from mapf_dp import (approximate_average_makespan, brute_force_optimal_makespan,
-                     build_partial_order, compute_labels,
-                     generate_random_instance, monte_carlo, solve_adapted_cbs,
-                     solve_ame, transitive_reduction, validate_plan)
+from mapf_dp import (approximate_average_makespan, build_partial_order,
+                     compute_labels, generate_random_instance, monte_carlo,
+                     solve_adapted_cbs, solve_ame, transitive_reduction,
+                     validate_plan)
 from mapf_dp.ame import SolveLimits
 from mapf_dp.bench import BenchConfig, labeled, rows_to_csv, run_bench
 from mapf_dp.dependency import DependencyGraph
 from mapf_dp.mapio import plan_to_json
 from mapf_dp.model import Graph, Instance, Path, Plan
 from tests import conftest
+from tests.brute_force_oracle import brute_force_optimal_makespan
 from tests.test_dependency import brute_force_reduction
 
 

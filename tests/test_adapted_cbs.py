@@ -1,12 +1,12 @@
 import pytest
 
 from mapf_dp import adapted_cbs, ame
-from mapf_dp import (AgentSpec, Graph, Instance,
-                     brute_force_optimal_makespan, generate_random_instance,
+from mapf_dp import (AgentSpec, Graph, Instance, generate_random_instance,
                      solve_adapted_cbs, validate_plan)
 from mapf_dp.adapted_cbs import shortest_path_under_constraints
 from mapf_dp.ame import Constraint, LowLevelFailure, SolveLimits, conflict_tree_search
 from mapf_dp.model import shortest_path_distances
+from tests.brute_force_oracle import brute_force_optimal_makespan
 from tests.conftest import C1, C2, C3, C4
 
 

@@ -255,7 +255,7 @@ class TestSolveAme:
 
     def test_time_limit(self):
         inst = generate_random_instance(20, 20, 0.1, 10, (0, 0.5), 0)
-        limits = SolveLimits(time_s=0.0)
+        limits = SolveLimits(time_s=1e-9)
         assert solve_ame(inst, limits).status == "timeout"
 
     @pytest.mark.parametrize("seed", range(10))

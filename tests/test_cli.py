@@ -4,10 +4,10 @@ import re
 import pytest
 
 from mapf_dp import AgentSpec, Graph, Instance, Path, Plan, bench, mapio
-from mapf_dp.ame import SolveResult
+from mapf_dp.ame import SolveLimits, SolveResult
 from mapf_dp.bench import BenchConfig, run_bench
 from mapf_dp.cli import (EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK,
-                         EXIT_TIMEOUT, EXIT_USAGE, main)
+                         EXIT_TIMEOUT, EXIT_USAGE, build_parser, main)
 from mapf_dp.dependency import approximate_average_makespan
 from mapf_dp.simulate import monte_carlo
 
@@ -65,6 +65,7 @@ class TestGenerate:
         ("count", "-1", "--count must be at least 1, got -1"),
         ("width", "-3", "grid width must be at least 1, got -3"),
         ("height", "0", "grid height must be at least 1, got 0"),
+        ("seed", "-1", "seed must be non-negative, got -1"),
     ])
     def test_degenerate_options_exit_one(self, tmp_path, capsys, option, value, message):
         assert main(["generate", "--width", "8", "--height", "8", f"--{option}", value,
@@ -436,12 +437,37 @@ class TestBench:
     @pytest.mark.parametrize("option, value, message", [
         ("width", "-3", "grid width must be at least 1, got -3"),
         ("height", "0", "grid height must be at least 1, got 0"),
+        ("blocked", "1.5", "blocked fraction must be in [0, 1], got 1.5"),
+        ("p-hi", "1.5", "upper delay probability must be in (0, 1), got 1.5"),
     ])
-    def test_nonpositive_grid_size_exit_one(self, tmp_path, capsys, option, value, message):
+    def test_nonpositive_grid_size_exit_one(self, tmp_path, capsys, configs, option, value,
+                                            message):
         out = tmp_path / "bench"
         assert main(["bench", f"--{option}", value, "--out", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
-        assert not out.exists()
+        assert configs == [] and not out.exists()
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: BenchConfig(p_hi=1.5), "upper delay probability must be in (0, 1), got 1.5"),
+        (lambda: BenchConfig(width=0), "grid width must be at least 1, got 0"),
+        (lambda: BenchConfig(blocked_fraction=2.0),
+         "blocked fraction must be in [0, 1], got 2.0"),
+        (lambda: BenchConfig(experiment="exp5"), "unknown experiment 'exp5'"),
+        (lambda: SolveLimits(time_s=0), "time limit must be positive, got 0"),
+    ], ids=["p-hi", "width", "blocked", "experiment", "time-limit"])
+    def test_config_checked_at_construction(self, make, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
+
+    def test_subcommand_defaults_are_bench_config_defaults(self):
+        # one home: a default changed in `BenchConfig` reaches every subcommand
+        config, parse = BenchConfig(), build_parser().parse_args
+        gen = parse(["generate"])
+        assert (gen.agents, gen.seed) == (config.agents, config.seed)
+        assert parse(["solve", "m", "a"]).time_limit == config.time_limit
+        sim = parse(["simulate", "m", "a", "p"])
+        assert (sim.runs, sim.seed) == (config.n_runs, config.seed)
+        assert config.time_limit == SolveLimits().time_s
 
     def test_node_limit_reaches_config(self, tmp_path, configs):
         assert main(["bench", "--out", str(tmp_path)]) == EXIT_OK

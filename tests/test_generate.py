@@ -140,6 +140,20 @@ class TestWarehouseInstance:
             generate_warehouse_instance(WarehouseParams(), m, (0, 0.5), 0)
 
 
+TINY = generate_random_instance(4, 4, 0.0, 2, (0, 0.5), 0)
+
+
+@pytest.mark.parametrize("draw", [
+    lambda seed: generate_random_instance(8, 8, 0.1, 3, (0, 0.5), seed),
+    lambda seed: generate_warehouse_instance(WarehouseParams(), 3, (0, 0.5), seed),
+    lambda seed: resample_delays(TINY, 0.5, seed),
+], ids=["random", "warehouse", "resample"])
+def test_negative_seed_rejected_before_any_draw(monkeypatch, draw):
+    monkeypatch.setattr(generate.np.random, "default_rng", None)
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        draw(-1)
+
+
 class TestResampleDelays:
     def test_layout_preserved(self):
         base = generate_random_instance(10, 10, 0.1, 5, (0, 0.5), 7)

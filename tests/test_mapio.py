@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mapf_dp import Path, Plan, parse_map
-from mapf_dp.mapio import agents_from_text, plan_from_json, plan_to_json
+from mapf_dp import AgentSpec, Graph, Instance, Path, Plan, parse_map
+from mapf_dp.mapio import agents_from_text, instance_checksum, plan_from_json, plan_to_json
 from mapf_dp.model import MapError
 
 GRID = parse_map("....\n.@..\n....\n")
@@ -56,6 +56,13 @@ class TestAgentsFromText:
             agents_from_text(GRID, "0,0,0,3,0,1.5\n")
         with pytest.raises(MapError, match=r"^agents line 1: cell \(1, 1\)"):
             agents_from_text(GRID, "0,1,1,3,0,0.5\n")
+
+
+def test_instance_checksum_needs_a_grid():
+    agents = (AgentSpec(0, 0, 1, 0.5),)
+    assert len(instance_checksum(Instance(GRID, agents))) == 16
+    with pytest.raises(MapError, match="^graph carries no grid metadata$"):
+        instance_checksum(Instance(Graph.from_edges(2, [(0, 1)]), agents))
 
 
 class TestPlanFromJson:

@@ -20,21 +20,18 @@ def vertex_padded(path, x):
 class TestParseMap:
     def test_single_cell(self):
         g = parse_map(".")
-        assert g.n_vertices == 1
-        assert g.n_edges == 0
+        assert g.adjacency == ((),)
 
     def test_2x2_lattice(self):
         g = parse_map("..\n..")
-        assert g.n_vertices == 4
-        assert g.n_edges == 4
+        assert g.adjacency == ((1, 2), (0, 3), (0, 3), (1, 2))
 
     def test_header_detected(self):
         assert parse_map("2 2\n..\n..").n_vertices == 4
 
     def test_blocked_variants(self):
         g = parse_map(".@\nT.")
-        assert g.n_vertices == 2
-        assert g.n_edges == 0
+        assert g.adjacency == ((), ())
 
     def test_row_major_ids(self):
         g = parse_map(".@\n..")
