@@ -25,10 +25,10 @@ from typing import Optional
 from .adapted_cbs import solve_adapted_cbs
 from .ame import SolveLimits, SolveResult, solve_ame
 from .dependency import approximate_average_makespan, compute_labels
-from .generate import WarehouseParams, check_delay_bound, check_grid, delay_sweep, \
-    generate_random_instance, generate_warehouse_instance
+from .generate import WarehouseParams, check_agents, check_delay_bound, check_grid, \
+    delay_sweep, generate_random_instance, generate_warehouse_instance
 from .model import Instance, Plan, check_seed, validate_plan
-from .simulate import monte_carlo
+from .simulate import check_runs, monte_carlo
 
 CSV_COLUMNS = [
     "experiment", "instance", "solver", "policy", "agents", "t_hat_max",
@@ -54,8 +54,9 @@ class BenchConfig:
     `p_hi` default to `None`, which resolves to 10 instances (5 per agent
     count for exp3), 10 agents and `P_HI`.  A value that `UNREAD` names for
     the experiment, or a policy set but mcp outside exp4, raises
-    `ValueError`, and so do a seed, grid, `p_hi` or limit that the
-    generators or `SolveLimits` reject, with their messages.  `solvers` and
+    `ValueError`, and so do an instance count below one, and a count,
+    seed, grid, `p_hi` or limit that the generators, `monte_carlo` or
+    `SolveLimits` reject, with their messages.  `solvers` and
     `policies` are stored as tuples, and `limits` is the `SolveLimits` of
     every solve."""
 
@@ -97,9 +98,10 @@ class BenchConfig:
         bad = [s for s in self.solvers if s not in SOLVERS]
         if bad:
             raise ValueError(f"unknown solvers: {bad}")
-        for v in (self.n_instances, self.agents, self.n_runs):
-            if v <= 0:
-                raise ValueError("counts must be positive")
+        if self.n_instances < 1:
+            raise ValueError(f"need at least one instance, got {self.n_instances}")
+        check_agents(self.agents)
+        check_runs(self.n_runs)
         check_seed(self.seed)
         self.limits = SolveLimits(self.time_limit, self.node_limit)
         check_grid(self.width, self.height, self.blocked_fraction)

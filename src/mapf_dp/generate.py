@@ -34,6 +34,12 @@ def check_delay_bound(hi: float) -> None:
         raise GenerationError(f"upper delay probability must be in (0, 1), got {hi}")
 
 
+def check_agents(m: int) -> None:
+    """The agent-count rule of both generators, also `bench`'s `agents`."""
+    if m < 1:
+        raise GenerationError(f"need at least one agent, got {m}")
+
+
 def _sample_delay_probs(rng: np.random.Generator, m: int, hi: float) -> np.ndarray:
     check_delay_bound(hi)
     t_hat_max = 1.0 / (1.0 - hi)
@@ -84,8 +90,7 @@ def generate_random_instance(width: int, height: int, blocked_fraction: float,
                              seed: int) -> Instance:
     """Random 4-neighbor grid with uniformly blocked cells and m agents."""
     check_grid(width, height, blocked_fraction)
-    if m < 1:
-        raise GenerationError(f"need at least one agent, got {m}")
+    check_agents(m)
     hi = _delay_bound(p_range)
     check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -144,8 +149,7 @@ def generate_warehouse_instance(params: WarehouseParams, m: int,
                                 p_range: tuple[float, float],
                                 seed: int) -> Instance:
     """Warehouse instance: starts on one side corridor, goals on the other."""
-    if m < 1:
-        raise GenerationError(f"need at least one agent, got {m}")
+    check_agents(m)
     hi = _delay_bound(p_range)
     check_seed(seed)
     rng = np.random.default_rng(seed)

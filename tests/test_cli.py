@@ -348,6 +348,17 @@ class TestSimulate:
         assert captured.err == "error: seed must be non-negative, got -1\n"
         assert "mean_makespan" not in captured.out
 
+    def test_zero_runs_exit_one(self, tmp_path, capsys):
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)])
+        capsys.readouterr()
+        assert main(["simulate", str(map_p), str(agents_p), str(plan_p),
+                     "--runs", "0"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: need at least one run, got 0\n"
+        assert "mean_makespan" not in captured.out
+
     def test_invalid_validate_exit(self, tmp_path):
         map_p, agents_p, plan_p = head_on_fixture(tmp_path)
         assert main(["validate", str(map_p), str(agents_p),
@@ -439,6 +450,9 @@ class TestBench:
         ("height", "0", "grid height must be at least 1, got 0"),
         ("blocked", "1.5", "blocked fraction must be in [0, 1], got 1.5"),
         ("p-hi", "1.5", "upper delay probability must be in (0, 1), got 1.5"),
+        ("runs", "0", "need at least one run, got 0"),
+        ("agents", "0", "need at least one agent, got 0"),
+        ("instances", "0", "need at least one instance, got 0"),
     ])
     def test_nonpositive_grid_size_exit_one(self, tmp_path, capsys, configs, option, value,
                                             message):

@@ -16,8 +16,13 @@ reduced inter-agent edge into its states up to x + 1.  At each reachable
 state the `mcp` rule must agree with `MessageSchedule.waits`, and walks
 drawn at random through the reachable states must be what `run_execution`
 does on the same draws.
+
+The same walk over the reachable states gives the exact expected makespan,
+which the mean of `monte_carlo`'s runs must match within 4 standard errors.
 """
 
+import functools
+import math
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -25,7 +30,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from mapf_dp import AgentSpec, Graph, Instance, Path, Plan, run_execution, validate_plan
+from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan, monte_carlo, run_execution,
+                     validate_plan)
 from mapf_dp.dependency import build_partial_order, transitive_reduction
 from mapf_dp.model import parse_map
 from mapf_dp.simulate import mcp_schedule
@@ -50,12 +56,18 @@ PLANS = {
 
 
 def valid_plan(name):
+    return planned_instance(name, (0.5,) * len(PLANS[name][1]))[1]
+
+
+def planned_instance(name, probs):
+    """The instance of PLANS[name], its agents delayed with `probs`, and its
+    plan, which must be valid."""
     graph, paths = PLANS[name]
     plan = Plan(tuple(Path(p) for p in paths))
-    instance = Instance(graph, tuple(AgentSpec(i, p[0], p[-1], 0.5)
-                                     for i, p in enumerate(paths)))
+    instance = Instance(graph, tuple(AgentSpec(i, p[0], p[-1], q)
+                                     for i, (p, q) in enumerate(zip(paths, probs))))
     assert validate_plan(instance, plan).is_valid
-    return plan
+    return instance, plan
 
 
 def go_rule(plan, policy):
@@ -166,3 +178,46 @@ def test_random_walks_match_run_execution(name, policy, latency):
         trace = run_execution(probs, plan, policy, stub, latency=latency, record=True)
         assert (trace.status, trace.snapshots, trace.collisions, stub.draws) == \
             ("done", snapshots, [], [])
+
+
+def exact_expected_makespan(plan, probs, policy, latency):
+    """The expected makespan of a run, over every delay realization.
+
+    Each move commanded GO fails on its own with its agent's delay
+    probability, and a wait never fails.  Over the reachable lagged states s,
+    E[s] = (1 + sum over s' != s of P(s -> s') E[s']) / (1 - P(s -> s)), and
+    E[s] = 0 once every agent is finished.  A step that leaves s raises the
+    sum of its entries, so the recursion ends."""
+    go = go_rule(plan, policy)
+    last = tuple(p.last_index for p in plan.paths)
+
+    @functools.cache
+    def expected(lagged):
+        if lagged[-1] == last:
+            return 0.0
+        gos, movers = commanded(plan, go, lagged)
+        stay, rest = 0.0, 1.0
+        for k in range(len(movers) + 1):
+            for failed in combinations(movers, k):
+                p = math.prod(probs[i] if i in failed else 1 - probs[i] for i in movers)
+                after = advance(lagged, gos, failed)
+                if after == lagged:
+                    stay += p
+                else:
+                    rest += p * expected(after)
+        return rest / (1 - stay)
+
+    return expected(((0,) * plan.n_agents,) * (latency + 1))
+
+
+@pytest.mark.parametrize("name, policy, latency", CASES)
+def test_monte_carlo_mean_is_exact_expectation(name, policy, latency):
+    # 2000 runs, so in lock step.  Seeds 1-5 put every case within 3.65
+    # standard errors; an fsp bound one higher, a wait that can fail, or
+    # latency read one step fresher each fail 10 or more of the 20 cases
+    probs = (0.3, 0.5, 0.2)
+    instance, plan = planned_instance(name, probs)
+    exact = exact_expected_makespan(plan, probs, policy, latency)
+    stats = monte_carlo(instance, plan, policy, 2000, 1, latency=latency)
+    assert stats.timeouts == 0
+    assert abs(stats.mean_makespan - exact) <= 4 * stats.ci95 / 1.96, exact

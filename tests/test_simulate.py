@@ -1,18 +1,19 @@
 import functools
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan,
-                     generate_random_instance, monte_carlo, run_execution,
-                     solve_ame, stats_ci)
+from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan, RunStats,
+                     WarehouseParams, generate_random_instance, generate_warehouse_instance,
+                     monte_carlo, run_execution, simulate, solve_ame, stats_ci)
 from mapf_dp.dependency import build_partial_order, message_schedule, transitive_reduction
-from mapf_dp.simulate import POLICIES, mcp_schedule, run_seed
+from mapf_dp.simulate import MC_BATCH_MIN_RUNS, MC_BLOCK, POLICIES, mcp_schedule, run_seed
 from tests import sim_oracle
-from tests.conftest import C1, C2, C3, C4
+from tests.conftest import C1, C2, C3, C4, POCKET
 
 
 class StubRng:
@@ -248,6 +249,19 @@ def assert_matches_oracle(instance, plan, policy, rng_of, horizon_cap=None,
     return new
 
 
+# unvalidated plans: shared sender states, collisions of every kind
+ARBITRARY_PATHS = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8),
+                           min_size=1, max_size=5)
+
+
+def arbitrary_case(paths):
+    """The plan of `paths`, with an instance that holds only what runs read:
+    the delay probabilities."""
+    plan = Plan(tuple(Path(tuple(p)) for p in paths))
+    return SimpleNamespace(agents=[SimpleNamespace(delay_prob=0.2 + 0.15 * i)
+                                   for i in range(len(paths))]), plan
+
+
 class TestMatchesOracle:
     @given(case=st.integers(0, 3), policy=st.sampled_from(POLICIES),
            latency=st.integers(0, 3), seed=st.integers(0, 2**32),
@@ -260,17 +274,11 @@ class TestMatchesOracle:
             assert_matches_oracle(inst, plan, policy, lambda: run_seed(seed, k),
                                   horizon_cap=cap, latency=latency)
 
-    @given(paths=st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8),
-                          min_size=1, max_size=5),
-           policy=st.sampled_from(POLICIES), latency=st.integers(0, 3),
-           seed=st.integers(0, 2**32))
+    @given(paths=ARBITRARY_PATHS, policy=st.sampled_from(POLICIES),
+           latency=st.integers(0, 3), seed=st.integers(0, 2**32))
     @settings(max_examples=150)
     def test_arbitrary_plans(self, paths, policy, latency, seed):
-        # unvalidated plans: shared sender states, collisions of every kind;
-        # the runs read nothing of the instance but the delay probabilities
-        plan = Plan(tuple(Path(tuple(p)) for p in paths))
-        inst = SimpleNamespace(agents=[SimpleNamespace(delay_prob=0.2 + 0.15 * i)
-                                       for i in range(len(paths))])
+        inst, plan = arbitrary_case(paths)
         for k in range(3):
             assert_matches_oracle(inst, plan, policy, lambda: run_seed(seed, k),
                                   latency=latency)
@@ -330,6 +338,96 @@ class TestMonteCarlo:
         assert list(s.as_dict()) == ["n_runs", "mean_makespan", "ci95", "messages",
                                      "mean_collisions", "timeouts", "policy"]
         assert s.as_dict() == {k: getattr(s, k) for k in s.as_dict()}
+
+
+def looped_stats(instance, plan, policy, n_runs, seed, horizon_cap=None, latency=0):
+    """`monte_carlo`'s statistics from a loop over `run_execution`, run k on
+    `run_seed(seed, k)`; a deadlock raises as `monte_carlo` does."""
+    traces = []
+    for k in range(n_runs):
+        tr = run_execution(instance, plan, policy, run_seed(seed, k),
+                           horizon_cap=horizon_cap, latency=latency)
+        if tr.status == "deadlock":
+            raise RuntimeError(f"deadlock during {policy} execution (run {k})")
+        traces.append(tr)
+    done = [tr for tr in traces if tr.status == "done"]
+    mean, half = stats_ci(tr.makespan for tr in done) if done else (math.nan, math.nan)
+    return RunStats(n_runs, mean, half, done[-1].messages_sent if done else 0,
+                    stats_ci(len(tr.collisions) for tr in traces)[0],
+                    n_runs - len(done), policy).as_dict()
+
+
+@functools.cache
+def lockstep_cases():
+    corridor = Graph.from_edges(5, [(C1, C2), (C2, C3), (C3, C4), (POCKET, C2)])
+    pocket = Instance(corridor, (AgentSpec(0, C2, C3, 0.5), AgentSpec(1, C1, C4, 0.3)))
+    warehouse = generate_warehouse_instance(WarehouseParams(), 6, (0, 0.5), 1001)
+    return {
+        **{f"random-{k}": case for k, case in enumerate(solved_plans()[:2])},
+        "warehouse": (warehouse, solve_ame(warehouse).plan),
+        "pocket-valid": (pocket, Plan((Path((C2, POCKET, POCKET, POCKET, C2, C3)),
+                                       Path((C1, C1, C2, C3, C4))))),
+        # a follower too close behind
+        "pocket-invalid": (pocket, Plan((Path((C2, POCKET, POCKET, C2, C3)),
+                                         Path((C1, C2, C3, C4))))),
+        # a head-on swap through C2-C3
+        "swap": (pocket, Plan((Path((C2, C2, C3, C4)), Path((C4, C3, C2, C1))))),
+        "one-agent": (line_instance(4, p=0.7), Plan((Path((0, 1, 1, 2, 3)),))),
+    }
+
+
+class TestLockStep:
+    """From `MC_BATCH_MIN_RUNS` runs on, `monte_carlo` advances its runs in
+    lock step; its statistics must equal, bit for bit, those of a loop over
+    `run_execution`."""
+
+    @pytest.mark.parametrize("case", ["random-0", "random-1", "warehouse", "pocket-valid",
+                                      "pocket-invalid", "swap", "one-agent"])
+    def test_matches_loop(self, case):
+        inst, plan = lockstep_cases()[case]
+        for policy in POLICIES:
+            for latency in (0, 1, 2):
+                for n_runs in (MC_BATCH_MIN_RUNS - 1, MC_BATCH_MIN_RUNS, MC_BLOCK + 1):
+                    stats = monte_carlo(inst, plan, policy, n_runs, 3, latency=latency)
+                    assert stats.as_dict() == looped_stats(inst, plan, policy, n_runs, 3,
+                                                           latency=latency)
+                    if case in ("pocket-invalid", "swap") and policy == "dummy":
+                        assert stats.mean_collisions > 0
+                # capped at the mean makespan, some runs finish and others time out
+                cap = round(stats.mean_makespan)
+                capped = monte_carlo(inst, plan, policy, MC_BATCH_MIN_RUNS, 3, cap, latency)
+                assert capped.as_dict() == looped_stats(inst, plan, policy, MC_BATCH_MIN_RUNS,
+                                                        3, cap, latency)
+                assert 0 < capped.timeouts < MC_BATCH_MIN_RUNS
+
+    @given(paths=ARBITRARY_PATHS, policy=st.sampled_from(POLICIES),
+           latency=st.integers(0, 3), seed=st.integers(0, 2**32), capped=st.booleans())
+    @settings(max_examples=60)
+    def test_arbitrary_plans(self, paths, policy, latency, seed, capped):
+        inst, plan = arbitrary_case(paths)
+        cap = plan.max_index + 1 if capped else None
+        assert monte_carlo(inst, plan, policy, MC_BATCH_MIN_RUNS, seed, cap, latency).as_dict() \
+            == looped_stats(inst, plan, policy, MC_BATCH_MIN_RUNS, seed, cap, latency)
+
+    def test_deadlock_names_the_first_run(self, monkeypatch):
+        # a hand-made cyclic schedule no plan yields: agent 0 in state 2 waits
+        # for agent 1's state 2, and agent 1 in state 1 for agent 0's state 3.
+        # A run deadlocks within the cap only if agent 0 makes both its moves
+        # at once, with probability 0.01.  Under seed 27 run 170 is the
+        # first, in the second of three blocks of 100 runs
+        plan = Plan((Path((0, 1, 2, 2)), Path((5, 5, 5))))
+        sched = MessageSchedule(senders={(0, 2): (1,), (0, 3): (1,), (1, 2): (0,)},
+                                waits={0: [(), (), ((1, 2),), ()],
+                                       1: [((0, 2),), ((0, 3),), ()]},
+                                total_messages=3)
+        monkeypatch.setattr(simulate, "mcp_schedule", lambda plan: sched)
+        inst = SimpleNamespace(agents=[SimpleNamespace(delay_prob=p) for p in (0.9, 0.5)])
+        message = "deadlock during mcp execution (run 170)"
+        for run in (monte_carlo, looped_stats):
+            with pytest.raises(RuntimeError, match=rf"^{re.escape(message)}$"):
+                run(inst, plan, "mcp", 300, 27, 4)
+        assert monte_carlo(inst, plan, "mcp", 170, 27, 4).as_dict() == \
+            looped_stats(inst, plan, "mcp", 170, 27, 4)
 
 
 class TestStatsCi:
