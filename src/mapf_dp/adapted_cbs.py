@@ -2,17 +2,17 @@
 assuming perfect execution.  Delay probabilities are ignored entirely.
 
 The low level, `shortest_path_under_constraints`, is a pure function of the
-agent, that agent's own constraints and inputs fixed for one solve (its
-distance table and the expansion budget): it reads neither the other agents'
-paths nor the parent's key.  So one solve plans each (agent, own constraint
-set) once, and `solve_adapted_cbs` keeps the outcomes in a table that lives
-as long as the solve.
+agent, its own constraint set (a node holds one per agent) and inputs fixed
+for one solve (its distance table and the expansion budget): it reads
+neither the other agents' paths nor the parent's key.  So one solve plans
+each (agent, own set) once, and `solve_adapted_cbs` keeps the outcomes in a
+table that lives as long as the solve.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 from .ame import (LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure, SolveLimits,
                   SolveResult, conflict_tree_search, constraint_setup, trace_back)
@@ -20,7 +20,7 @@ from .model import Instance, Path, Plan
 
 
 def shortest_path_under_constraints(
-        instance: Instance, agent: int, constraints: Sequence[Constraint],
+        instance: Instance, agent: int, constraints: Collection[Constraint],
         dist_to_goal: Sequence[float],
         expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
     """Time-expanded A* minimizing the final index; ties toward deeper states.
@@ -65,26 +65,25 @@ def solve_adapted_cbs(instance: Instance,
 
     Ties break toward smaller total path length, then FIFO.  The low level
     ignores the other agents' paths and the parent's key, so its outcome
-    depends only on the agent and the constraints that name it.  `planned`
-    maps each such (agent, own constraint set) to the path found for it, or
-    to the cause of its failure; a repeat returns the stored path with 0
-    expansions, or raises a fresh `LowLevelFailure` with the stored cause.
-    So `low_level_expanded` counts the expansions performed, and plans and
-    node counts are those of planning every time.
+    depends only on the agent and its own constraint set, the node's entry
+    for it.  `planned` maps each (agent, set as passed in) to the path found
+    for it, or to the cause of its failure; a repeat returns the stored path
+    with 0 expansions, or raises a fresh `LowLevelFailure` with the stored
+    cause.  So `low_level_expanded` counts the expansions performed, and
+    plans and node counts are those of planning every time.
     """
     planned: dict[tuple[int, frozenset[Constraint]], Path | str] = {}
 
     def replan(instance, agent, plan, constraints, key, dist_to_goal, cap):
-        own = (agent, frozenset(c for c in constraints if c.agent == agent))
-        outcome = planned.get(own)
+        outcome = planned.get((agent, constraints))
         if outcome is None:
             try:
                 path, expansions = shortest_path_under_constraints(
                     instance, agent, constraints, dist_to_goal, cap)
             except LowLevelFailure as fail:
-                planned[own] = fail.cause
+                planned[agent, constraints] = fail.cause
                 raise
-            planned[own] = path
+            planned[agent, constraints] = path
             return path, expansions
         if isinstance(outcome, str):
             raise LowLevelFailure(outcome)

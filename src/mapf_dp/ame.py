@@ -3,24 +3,25 @@
 `conflict_tree_search` is the high level that AME and the adapted-CBS
 baseline share: pop the node with the smallest key, pick the earliest
 conflict in its plan, and branch by constraining one involved agent per
-child, replanning only that agent.  Each node holds its `Plan`, which is
-its own occupancy index, and a child's plan is its parent's with the
-replanned path swapped in.  Each node also keeps its plan's conflicts: a
-child's are its parent's minus those that name the replanned agent, plus
-those of the new path, found through the parent's index, so only the root
-enumerates its whole plan.  `solve_ame` keys nodes by the approximate
-average makespan.  Its low level is a focal search with re-expansions over
-(vertex, local-state) states, keyed by the integer id x * |V| + v, whose
-g-values track the approximate average entry times of the other agents'
-stored labels; it reads the other agents as the node's plan minus the
-replanned one, through rows that `departure_row` builds once per search: a
-vertex's departures, their best labels and its parked paths, from which
-`departure_count` reads a conflict increment only where Phase 1 needs one.
-One heap serves both of its phases, with Phase-2 entries at an infinite
-conflict count: a state is queued once per strict improvement of its g, so
-no two entries are equal and none carries a tie counter; an entry is
-current iff its g is the state's g, and Phase 2 (smallest f first), once
-begun, is permanent.
+child, replanning only that agent under its own constraint set: a node
+holds one set per agent, and a child extends the replanned agent's alone.
+Each node holds its `Plan`, which is its own occupancy index, and a child's
+plan is its parent's with the replanned path swapped in.  Each node also
+keeps its plan's conflicts: a child's are its parent's minus those that
+name the replanned agent, plus those of the new path, found through the
+parent's index, so only the root enumerates its whole plan.  `solve_ame`
+keys nodes by the approximate average makespan.  Its low level is a focal
+search with re-expansions over (vertex, local-state) states, keyed by the
+integer id x * |V| + v, whose g-values track the approximate average entry
+times of the other agents' stored labels; it reads the other agents as the
+node's plan minus the replanned one, through rows that `departure_row`
+builds once per search: a vertex's departures, their best labels and its
+parked paths, from which `departure_count` reads a conflict increment only
+where Phase 1 needs one.  One heap serves both of its phases, with Phase-2
+entries at an infinite conflict count: a state is queued once per strict
+improvement of its g, so no two entries are equal and none carries a tie
+counter; an entry is current iff its g is the state's g, and Phase 2
+(smallest f first), once begun, is permanent.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Callable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
 from .model import (INF, Conflict, ConflictKind, Instance, Path, Plan,
@@ -106,13 +107,13 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
 
-    Each node keeps its `Plan`, whose occupancy index is built once per
-    node, and a list of its plan's conflicts, which equals
-    `enumerate_conflicts` of the plan as a multiset.  The root plans agents
-    in id order against the paths planned so far, with key 0, and
-    enumerates its conflicts.  A child replans one agent j against its
-    parent's plan, minus j, with its parent's key, swaps the new path into
-    that plan and carries its parent's conflicts over (`carry_conflicts`).
+    Each node keeps one constraint set per agent, its `Plan`, whose index is
+    built once per node, and a list of its plan's conflicts, which equals
+    `enumerate_conflicts` of the plan as a multiset.  The root, with empty
+    sets, plans agents in id order against the paths planned so far (key
+    0).  A child adds a constraint to agent j's set alone, replans j under it
+    against its parent's plan minus j, with its parent's key, swaps the new
+    path in and carries its parent's conflicts over (`carry_conflicts`).
     `evaluate(plan, conflicts)` returns (plan to store, key, order); it may
     relabel the paths but not move them, so the list stays exact.  Nodes pop
     by smallest order, ties first in, first out."""
@@ -135,7 +136,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     plan = Plan(())
     for i in range(instance.n_agents):
         try:
-            plan = plan.swap(i, plan_agent(i, plan, (), 0.0))
+            plan = plan.swap(i, plan_agent(i, plan, frozenset(), 0.0))
         except LowLevelFailure as fail:
             return result("no-solution" if fail.cause == "exhausted" else "timeout")
         if time.monotonic() - t0 > limits.time_s:
@@ -144,7 +145,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     seq = itertools.count()
     conflicts = enumerate_conflicts(plan)
     plan, key, order = evaluate(plan, conflicts)
-    heap = [(order, next(seq), frozenset(), plan, key, conflicts)]
+    heap = [(order, next(seq), (frozenset(),) * instance.n_agents, plan, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
                 or hl_expanded >= limits.high_level_expansions):
@@ -156,9 +157,9 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             return result("solved", plan, key)
         for con in branch_constraints(conflict):
             j = con.agent
-            child_constraints = constraints | {con}
+            child_constraints = (*constraints[:j], constraints[j] | {con}, *constraints[j + 1:])
             try:
-                path = plan_agent(j, plan, child_constraints, key)
+                path = plan_agent(j, plan, child_constraints[j], key)
             except LowLevelFailure:
                 continue
             child_conflicts = carry_conflicts(plan, conflicts, j, path)
@@ -170,19 +171,18 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     return result("no-solution")
 
 
-def constraint_setup(instance: Instance, agent: int, constraints: Sequence[Constraint],
+def constraint_setup(instance: Instance, agent: int, constraints: Collection[Constraint],
                      dist_to_goal: Sequence[float]) -> tuple[set[int], int, int]:
     """`agent`'s banned states, as ids x * |V| + v of (vertex v, index x), the
     largest index of a constraint on its goal (-1 if none; the path may end
     only from there on) and the index cap (4|V| plus the largest constrained
-    index).  Raises LowLevelFailure("exhausted") if the start cannot reach
-    the goal or is banned."""
-    own = [c for c in constraints if c.agent == agent]
+    index), from `constraints`, which must all name `agent`.  Raises
+    LowLevelFailure("exhausted") if the start cannot reach the goal or is banned."""
     spec = instance.agents[agent]
     n = instance.graph.n_vertices
-    banned = {c.index * n + c.vertex for c in own}
-    goal_con_max = max((c.index for c in own if c.vertex == spec.goal), default=-1)
-    max_index = 4 * n + max((c.index for c in own), default=0)
+    banned = {c.index * n + c.vertex for c in constraints}
+    goal_con_max = max((c.index for c in constraints if c.vertex == spec.goal), default=-1)
+    max_index = 4 * n + max((c.index for c in constraints), default=0)
     if dist_to_goal[spec.start] == math.inf or spec.start in banned:   # (start, 0)
         raise LowLevelFailure("exhausted")
     return banned, goal_con_max, max_index
@@ -235,11 +235,11 @@ def departure_count(row: tuple[list[int], list[float], list[int]], x: int) -> in
 
 
 def low_level_search(instance: Instance, agent: int, plan: Plan,
-                     constraints: Sequence[Constraint], key: float,
+                     constraints: Collection[Constraint], key: float,
                      dist_to_goal: Sequence[float],
                      expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
-    """Plan one agent against the fixed labeled paths of the others: those
-    of `plan`, numbered by agent id, minus `agent`'s own, if any.
+    """Plan one agent, under its own `constraints`, against the fixed labeled
+    paths of the others: `plan`'s, numbered by agent id, minus `agent`'s, if any.
 
     Returns (labeled path, expansions).  Phase 1 expands, among queued
     states with f <= key, one with the fewest accumulated path conflicts;

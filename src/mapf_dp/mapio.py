@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path as FilePath
+from sys import float_info
 
 from .model import AgentSpec, Graph, Instance, MapError, Path, Plan, parse_map, serialize_map
 
@@ -116,11 +117,11 @@ def plan_from_json(text: str) -> tuple[Plan, str]:
                 and all(type(v) is int for v in e["path"])):
             raise MapError(f"plan agents[{k}]: needs an integer 'id' and a non-empty "
                            "'path' list of integer vertices")
-        labels = e.get("labels")
+        labels = e.get("labels")   # finite: no bool, NaN, infinity or int past the floats
         if labels is not None and not (
                 isinstance(labels, list) and len(labels) == len(e["path"])
-                and all(isinstance(v, (int, float)) for v in labels)):
-            raise MapError(f"plan agents[{k}]: 'labels' must be a list of numbers, "
+                and all(type(v) in (int, float) and abs(v) <= float_info.max for v in labels)):
+            raise MapError(f"plan agents[{k}]: 'labels' must be a list of finite numbers, "
                            "one per path vertex")
         if e["id"] in by_id:
             raise MapError(f"plan agents[{k}]: duplicate agent id {e['id']}")

@@ -132,27 +132,27 @@ def grid_graph(width: int, height: int, free: Sequence[bool]) -> Graph:
 def parse_map(text: str) -> Graph:
     """Parse an ASCII grid map ('.' free, '@'/'T' blocked) into a 4-neighbor graph.
 
-    An optional first line "WIDTH HEIGHT" is auto-detected and skipped.
+    An optional first line "WIDTH HEIGHT" is auto-detected and must match the rows.
     """
     lines = [ln for ln in text.splitlines() if ln.strip() != ""]
-    if lines:
-        head = lines[0].split()
-        if len(head) == 2 and all(tok.lstrip("-").isdigit() for tok in head):
-            lines = lines[1:]
+    head = lines[0].split() if lines else []
+    size = None
+    if len(head) == 2 and all(tok.isdecimal() for tok in head):
+        size, lines = (int(head[0]), int(head[1])), lines[1:]
     if not lines:
         raise MapError("empty map")
     width = len(lines[0])
+    if size not in (None, (width, len(lines))):
+        raise MapError(f"map header says {size[0]} {size[1]}, but the rows are "
+                       f"{width} wide and {len(lines)} high")
     free: list[bool] = []
     for ln in lines:
         if len(ln) != width:
             raise MapError(f"ragged row: expected width {width}, got {len(ln)}")
-        for ch in ln:
-            if ch == ".":
-                free.append(True)
-            elif ch in ("@", "T"):
-                free.append(False)
-            else:
-                raise MapError(f"unknown map character {ch!r}")
+        unknown = [ch for ch in ln if ch not in ".@T"]
+        if unknown:
+            raise MapError(f"unknown map character {unknown[0]!r}")
+        free += [ch == "." for ch in ln]
     return grid_graph(width, len(lines), free)
 
 
@@ -333,7 +333,7 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
         if path.labels[0] != 0.0:
             errors.append(f"agent {agent.id}: label at index 0 is {path.labels[0]}, not 0")
         for x in range(len(vs) - 1):
-            if path.labels[x + 1] < path.labels[x] + 1 - 1e-9:
+            if not path.labels[x + 1] >= path.labels[x] + 1 - 1e-9:   # NaN fails too
                 errors.append(f"agent {agent.id}: labels increase by < 1 at index {x + 1}")
     return errors
 

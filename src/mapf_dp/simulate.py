@@ -424,15 +424,15 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     check_seed(seed)
     if horizon_cap is not None and horizon_cap < 1:
         raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
+    cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
     schedule = mcp_schedule(plan) if policy == "mcp" else None
     if n_runs >= MC_BATCH_MIN_RUNS:
-        cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
         outcomes = LockStep(instance, plan, policy, schedule).outcomes(
             seed, n_runs, cap, latency)
     else:
         outcomes = (_trace_outcome(run_execution(
             instance, plan, policy, run_seed(seed, k), schedule=schedule,
-            horizon_cap=horizon_cap, latency=latency)) for k in range(n_runs))
+            horizon_cap=cap, latency=latency)) for k in range(n_runs))
     makespans = []
     collision_counts = []
     messages = 0

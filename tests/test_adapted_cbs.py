@@ -119,10 +119,6 @@ TABLE_CASES = [(6, 3, 1), (6, 5, 3), (6, 8, 0), (7, 5, 1), (7, 8, 1),
 TABLE_LIMITS = SolveLimits(time_s=1e9, high_level_expansions=200)
 
 
-def own_key(agent, constraints):
-    return agent, frozenset(c for c in constraints if c.agent == agent)
-
-
 def reference_cbs(instance, limits):
     """Adapted CBS that runs the low level on every call."""
     def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
@@ -137,11 +133,12 @@ def reference_cbs(instance, limits):
 
 
 def spy_low_level(monkeypatch):
-    """Record (own key, cause or vertices, expansions) of each low-level run."""
+    """Record ((agent, constraints), cause or vertices, expansions) of each
+    low-level run, with the constraints as the solver passed them."""
     calls = []
 
     def spy(instance, agent, constraints, dist_to_goal, cap):
-        key = own_key(agent, constraints)
+        key = agent, constraints
         try:
             path, expansions = shortest_path_under_constraints(
                 instance, agent, constraints, dist_to_goal, cap)
@@ -194,7 +191,7 @@ class TestPlanTable:
 
         def recording_search(instance, limits, replan, evaluate):
             def recorded(instance, agent, occupancy, constraints, *rest):
-                key = own_key(agent, constraints)
+                key = agent, constraints
                 try:
                     path, expansions = replan(instance, agent, occupancy, constraints, *rest)
                 except LowLevelFailure as fail:

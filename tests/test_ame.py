@@ -16,6 +16,7 @@ from mapf_dp.model import (Conflict, ConflictKind, enumerate_conflicts,
                            parse_map, shortest_path_distances)
 from tests.conftest import C2, POCKET
 from tests.low_level_oracle import low_level_search as two_heap_search
+from tests.test_adapted_cbs import spy_low_level
 from tests.test_occupancy import conflict_increment, wait_bound
 
 
@@ -325,12 +326,35 @@ def test_every_popped_node_carries_its_plans_conflicts(monkeypatch, solve):
     assert len(checked) > 60 and sum(n > 0 for n in checked) > 50
 
 
+@pytest.mark.parametrize("solver", ["ame", "adapted-cbs"])
+def test_low_level_gets_its_agents_own_constraints(monkeypatch, solver):
+    # a node holds one constraint set per agent, and each replan receives the
+    # replanned agent's set alone, here on a search that branches on several
+    inst = generate_random_instance(20, 20, 0.1, 14, (0, 0.5), 3)
+    if solver == "ame":
+        calls, search = [], ame.low_level_search
+
+        def spy(instance, agent, plan, constraints, *rest):
+            calls.append((agent, constraints))
+            return search(instance, agent, plan, constraints, *rest)
+
+        monkeypatch.setattr(ame, "low_level_search", spy)
+        assert solve_ame(inst).solved
+    else:
+        spied = spy_low_level(monkeypatch)
+        assert solve_adapted_cbs(inst).solved
+        calls = [key for key, _, _ in spied]
+    received = [(agent, c.agent) for agent, constraints in calls for c in constraints]
+    assert all(agent == named for agent, named in received)
+    assert len({named for _, named in received}) >= 2
+
+
 @st.composite
 def low_level_cases(draw):
     """A replan on a small grid: 1-4 agents, random labeled walks for the
     agents in the index (the replanned one included or not yet indexed),
-    random constraints, a key, a small expansion cap, and the hop distances
-    to the goal or, at random, arbitrary ones."""
+    random constraints on the replanned agent, a key, a small expansion cap,
+    and the hop distances to the goal or, at random, arbitrary ones."""
     w, h = draw(st.integers(2, 4)), draw(st.integers(1, 4))
     blocked = draw(st.sets(st.integers(0, w * h - 1), max_size=w * h // 3))
     graph = parse_map("\n".join("".join("@" if y * w + x in blocked else "."
@@ -359,7 +383,7 @@ def low_level_cases(draw):
         # ones it can, so a Phase-2 successor may have f <= key
         dist = [d if d == math.inf else draw(st.integers(0, 6)) for d in dist]
     constraints = tuple(Constraint(*c) for c in draw(st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n_free - 1), st.integers(0, 8)),
+        st.tuples(st.just(agent), st.integers(0, n_free - 1), st.integers(0, 8)),
         max_size=6)))
     f0 = dist[starts[agent]] * move_cost(inst.agents[agent].delay_prob)
     key = draw(st.one_of(st.just(0.0), st.integers(0, 40).map(lambda k: k / 2),

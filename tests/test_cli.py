@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -616,6 +617,27 @@ class TestErrors:
         assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_non_finite_label_exit_one(self, tmp_path, capsys):
+        # a solved plan with NaN labels used to print "plan is valid"
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        assert main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)]) == EXIT_OK
+        doc = json.loads(plan_p.read_text())
+        labels = doc["agents"][2]["labels"]
+        doc["agents"][2]["labels"] = [0.0] + [math.nan] * (len(labels) - 1)
+        plan_p.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: plan agents[2]: 'labels' must be a list "
+                                           "of finite numbers, one per path vertex\n")
+
+    def test_map_header_mismatch_exit_one(self, tmp_path, capsys):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        map_p.write_text("7 9\n....\n")
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: map header says 7 9, but the rows "
+                                           "are 4 wide and 1 high\n")
 
     def test_vertex_outside_map_is_invalid(self, tmp_path, capsys):
         map_p, agents_p, plan_p = head_on_fixture(tmp_path)

@@ -85,11 +85,27 @@ class TestPlanFromJson:
         ('{"agents": [{"id": 0, "path": []}]}', r"agents\[0\]: needs"),
         ('{"agents": [{"id": 0, "path": [0, "1"]}]}', r"agents\[0\]: needs"),
         ('{"agents": [{"id": 0, "path": [0], "labels": [0, 1]}]}', "'labels'"),
+        ('{"agents": [{"id": 0, "path": [0, 1, 2], "labels": [0.0, NaN, NaN]}]}',
+         r"^plan agents\[0\]: 'labels' must be a list of finite numbers"),
+        ('{"agents": [{"id": 0, "path": [0, 1]}, {"id": 1, "path": [2, 3], '
+         '"labels": [0, Infinity]}]}', r"^plan agents\[1\]: 'labels' must be"),
+        ('{"agents": [{"id": 0, "path": [0, 1], "labels": [-Infinity, 1]}]}',
+         r"agents\[0\]: 'labels'"),
+        ('{"agents": [{"id": 0, "path": [0, 1], "labels": [0, 1e400]}]}',
+         r"agents\[0\]: 'labels'"),
+        ('{"agents": [{"id": 0, "path": [0, 1], "labels": [false, true]}]}',
+         r"agents\[0\]: 'labels'"),
         ('{"agents": [{"id": 0, "path": [0]}, {"id": 0, "path": [1]}]}',
          r"agents\[1\]: duplicate agent id 0"),
     ])
     def test_malformed_raises_map_error(self, text, message):
         with pytest.raises(MapError, match=message):
+            plan_from_json(text)
+
+    def test_integer_label_past_the_floats_rejected(self):
+        # finite as an int, but every label computation would overflow
+        text = '{"agents": [{"id": 0, "path": [0, 1], "labels": [0, %d]}]}' % 10 ** 309
+        with pytest.raises(MapError, match=r"agents\[0\]: 'labels' must be a list of finite"):
             plan_from_json(text)
 
     @pytest.mark.parametrize("ids, message", [

@@ -42,6 +42,11 @@ class TestParseMap:
     def test_errors(self):
         with pytest.raises(MapError):
             parse_map("..\n.")
+        with pytest.raises(MapError,
+                           match="^map header says 7 9, but the rows are 3 wide and 2 high$"):
+            parse_map("7 9\n...\n...")
+        with pytest.raises(MapError, match="^map header says 2 3, but the rows"):
+            parse_map("2 3\n..\n..")
         with pytest.raises(MapError):
             parse_map(".x")
         with pytest.raises(MapError):
@@ -170,6 +175,12 @@ class TestValidatePlan:
                      Path((C1, C1, C1, C2, C3, C4))))
         report = validate_plan(pocket_instance, plan)
         assert any("labels" in e for e in report.path_errors)
+
+    def test_nan_label_is_a_path_error(self, pocket_instance):
+        plan = Plan((Path((C2, C3), labels=(0.0, math.nan)),
+                     Path((C1, C1, C1, C2, C3, C4), labels=(0.0, 1.0, 2.0, 3.0, 4.0, 5.0))))
+        assert validate_plan(pocket_instance, plan).path_errors == [
+            "agent 0: labels increase by < 1 at index 1"]
 
 
 class TestEarliestConflict:
