@@ -25,22 +25,30 @@ the last `latency` steps, so none is in flight.
 
 `run_execution` is one run, the view that `record=True` snapshots and
 scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
-generator `run_seed(seed, k)`.  Below `MC_BATCH_MIN_RUNS` runs it loops
-over `run_execution`; from there on `LockStep` advances the runs together
-as (runs, agents) arrays, in blocks of at most `MC_BLOCK` runs split
-evenly, which bounds its memory at any run count.  Both give the same
-statistics, bit for bit: a run's draws depend only on its own generator,
-which it reads in agent order within a step, one draw per commanded move
-and none for a wait, so the lock-step engine replays each run's stream
-from a per-run buffer and finds the same outcome.  The threshold is the
-measured break-even.  On 7- to 20-agent plans, a call of 20 runs ran in
-lock step at 0.65x to 1.4x the speed of the loop, one of 32 runs at 1.0x
-to 1.9x, and one of 200 runs at 1.8x to 3.2x (4.6x under mcp on a
-40-agent plan).
+generator `run_seed(seed, k)`.  Below `MC_LOCKSTEP_WORK` runs x agents it
+loops over `run_execution`; from there on `LockStep` advances the runs
+together as (runs, agents) arrays, in as few blocks, split evenly, as keep
+each block's buffer of draws within `MC_BUFFER_BYTES`, which bounds its
+memory at any run count.  Both give the same statistics, bit for bit: a
+run's draws depend only on its own generator, which it reads in agent
+order within a step, one draw per commanded move and none for a wait, so
+the lock-step engine replays each run's stream from a per-run buffer and
+finds the same outcome.  `run_seeds` derives the runs' seeds by numpy's
+SeedSequence hash without a SeedSequence per run, and `fill_draws` fills
+the buffers by numpy's MT19937 without a Python call per draw.
+
+Both engines take one pass per time step.  The loop's pass costs about
+runs x agents, lock step's a fixed numpy overhead plus a little per run and
+agent, so the break-even is a product.  Measured on the benchmark's plans
+of 7 to 35 agents, lock step ran at 0.68x to 1.08x the speed of the loop
+under fsp and 0.81x to 1.48x under mcp at 240 runs x agents, at 0.92x to
+1.73x at 320, and at 1.4x to 2.7x at 640.  A 200-run call ran at 2.8x to
+4.7x.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
@@ -53,8 +61,8 @@ from .dependency import MessageSchedule, build_partial_order, message_schedule, 
 from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
-MC_BATCH_MIN_RUNS = 32   # fewer runs per call loop over `run_execution`
-MC_BLOCK = 128           # most runs that share one set of lock-step arrays
+MC_LOCKSTEP_WORK = 320     # runs x agents of a call from which it runs in lock step
+MC_BUFFER_BYTES = 1 << 22  # most bytes of draws that one lock-step block buffers
 
 
 @dataclass
@@ -241,10 +249,100 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
     return ExecutionTrace("timeout", None, messages_sent, collisions, snapshots)
 
 
+# the constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
+_MASK = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# the multipliers of generate_state's output words 0 and 1
+_OUT_0, _OUT_1 = _INIT_B * _MULT_B & _MASK, _INIT_B * _MULT_B ** 2 & _MASK
+
+
+def _words(n: int) -> list[int]:
+    """The 32-bit words of n >= 0, low first; [0] for 0."""
+    out = [n & _MASK]
+    while n > _MASK:
+        n >>= 32
+        out.append(n & _MASK)
+    return out
+
+
+def _hashmix(value: int, const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: the hashed value and the next hash constant."""
+    next_const = const * _MULT_A & _MASK
+    value = (value ^ const) * next_const & _MASK
+    return value ^ value >> 16, next_const
+
+
+def _mix(x: int, y: int) -> int:
+    r = (_MIX_L * x - _MIX_R * y) & _MASK
+    return r ^ r >> 16
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
+    """SeedSequence's pool after the master seed's words, padded to the
+    pool size of 4, and the hash constant that the spawn key's words go on
+    from."""
+    entropy = _words(master_seed)
+    entropy += [0] * (4 - len(entropy))
+    const = _INIT_A
+    pool = []
+    for word in entropy[:4]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value, const = _hashmix(pool[src], const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[4:]:
+        for dst in range(4):
+            value, const = _hashmix(word, const)
+            pool[dst] = _mix(pool[dst], value)
+    return tuple(pool), const
+
+
+def run_seeds(master_seed: int, run_indices) -> list[int]:
+    """The seed of each run's generator: for run k, word 0 of
+    `np.random.SeedSequence(entropy=master_seed, spawn_key=(k,))
+    .generate_state(2, np.uint64)`, by the same hash.  Each k folds its
+    words into pool words 0 and 1, the two that word 0 reads; its calls for
+    pool words 2 and 3 only advance the hash constant."""
+    pool, const = _seed_pool(master_seed)
+    seeds = []
+    for k in run_indices:
+        lo, hi, c = pool[0], pool[1], const
+        for word in _words(k):
+            value, c = _hashmix(word, c)
+            lo = _mix(lo, value)
+            value, c = _hashmix(word, c)
+            hi = _mix(hi, value)
+            c = c * _MULT_A ** 2 & _MASK
+        lo = (lo ^ _INIT_B) * _OUT_0 & _MASK
+        hi = (hi ^ _OUT_0) * _OUT_1 & _MASK
+        seeds.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
+    return seeds
+
+
 def run_seed(master_seed: int, run_index: int) -> random.Random:
     """Counter-split per-run generator, independent of execution order."""
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(run_index,))
-    return random.Random(int(ss.generate_state(2, np.uint64)[0]))
+    return random.Random(run_seeds(master_seed, (run_index,))[0])
+
+
+def fill_draws(row: np.ndarray, seed: int, start: int, mt: np.random.RandomState) -> None:
+    """Write draws start, start + 1, … of `random.Random(seed)` into `row`.
+    From 2**32 on, `random.seed` and `RandomState.seed` of the seed's
+    32-bit words both run MT19937's init_by_array, and `random_sample`
+    returns the same doubles as `random.random`, so `mt` fills the row in
+    bulk.  numpy seeds a one-word key by init_genrand instead, so a smaller
+    seed takes Python's generator."""
+    if seed > _MASK:
+        mt.seed(np.array(_words(seed), np.uint32))
+        row[:] = mt.random_sample(start + len(row))[start:]
+    else:
+        rng = random.Random(seed)
+        row[:] = np.fromiter(iter(rng.random, None), float, start + len(row))[start:]
 
 
 def check_runs(n_runs: int) -> None:
@@ -265,8 +363,9 @@ class LockStep:
     entered every state once, so it has sent `messages`."""
 
     def __init__(self, instance: Instance, plan: Plan, policy: str,
-                 schedule: Optional[MessageSchedule]):
+                 schedule: Optional[MessageSchedule], horizon_cap: int):
         self.policy = policy
+        self.horizon_cap = horizon_cap
         m, L = plan.n_agents, plan.max_index + 1
         self.m = m
         self.last = np.array([p.last_index for p in plan.paths])
@@ -304,31 +403,35 @@ class LockStep:
 
         self.delay = np.array([a.delay_prob for a in instance.agents[:m]])
         # draws per run: the mean number of tries of all moves plus two
-        # standard deviations, so that few runs refill their buffer
+        # standard deviations, so that few runs refill their buffer, but no
+        # more than a run can take: one per agent and step
         moves, q = move.sum(1), 1.0 - self.delay
         mean, var = (moves / q).sum(), (moves * self.delay / q ** 2).sum()
-        self.width = max(m, math.ceil(mean + 2 * math.sqrt(var)))
+        self.width = min(max(m, math.ceil(mean + 2 * math.sqrt(var))), horizon_cap * m)
 
-    def outcomes(self, seed: int, n_runs: int, horizon_cap: int, latency: int):
+    def outcomes(self, seed: int, n_runs: int, latency: int):
         """(status, makespan, messages sent, collisions) of runs 0 … n_runs - 1
-        in order, computed block by block."""
+        in order, computed in as few blocks as `MC_BUFFER_BYTES` allows."""
         if not self.last.any():
             yield from [("done", 0, 0, 0)] * n_runs
             return
-        n_blocks = -(-n_runs // MC_BLOCK)
+        seeds = run_seeds(seed, range(n_runs))
+        n_blocks = -(-n_runs // max(1, MC_BUFFER_BYTES // (8 * self.width)))
         for block in np.array_split(np.arange(n_runs), n_blocks):
-            yield from self.run_block([run_seed(seed, k) for k in block.tolist()],
-                                      horizon_cap, latency)
+            yield from self.run_block([seeds[k] for k in block.tolist()], latency)
 
-    def run_block(self, rngs: list, horizon_cap: int, latency: int):
-        """Runs whose draws come from `rngs`, one generator per run, all
-        advanced one step at a time.  Run r takes its draws from rngs[r], in
-        agent order within a step, through row r of a buffer."""
-        R, m, W = len(rngs), self.m, self.width
+    def run_block(self, seeds: list[int], latency: int):
+        """The runs on generators `random.Random(seed)` for `seeds`, all
+        advanced one step at a time.  Run r takes its draws in agent order
+        within a step, through row r of a buffer that holds draws start[r],
+        start[r] + 1, … of its stream."""
+        R, m, W, horizon_cap = len(seeds), self.m, self.width, self.horizon_cap
+        mt = np.random.RandomState(0)
         buf = np.empty((R, W))
-        for row, rng in zip(buf, rngs):
-            row[:] = np.fromiter(iter(rng.random, None), float, W)
-        used = np.zeros(R, np.int64)            # draws taken, per run
+        for row, s in zip(buf, seeds):
+            fill_draws(row, s, 0, mt)
+        start = np.zeros(R, np.int64)           # stream index of each row's first draw
+        used = np.zeros(R, np.int64)            # draws taken from each row
         last_sent = np.full(R, -latency - 1)    # step of the latest message
         collisions = np.zeros(R, np.int64)
         makespan = np.full(R, -1)
@@ -359,11 +462,10 @@ class LockStep:
                 go &= (seen.ravel()[j] >= self.wait_y[f]).all(2)
             tries = go & self.move[f]
             n_tries = tries.sum(1)
-            for r in np.flatnonzero(used[rows] + n_tries > W):
-                k, u = rows[r], used[rows[r]]
-                buf[k, :W - u] = buf[k, u:]
-                buf[k, W - u:] = np.fromiter(iter(rngs[k].random, None), float, u)
+            for k in rows[used[rows] + n_tries > W]:
+                start[k] += used[k]
                 used[k] = 0
+                fill_draws(buf[k], seeds[k], start[k], mt)
             first = rows * W + used[rows]
             draw = buf.ravel()[first[:, None] + np.cumsum(tries, 1) - 1]
             used[rows] += n_tries
@@ -426,13 +528,13 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
         raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
     cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
     schedule = mcp_schedule(plan) if policy == "mcp" else None
-    if n_runs >= MC_BATCH_MIN_RUNS:
-        outcomes = LockStep(instance, plan, policy, schedule).outcomes(
-            seed, n_runs, cap, latency)
+    if n_runs * plan.n_agents >= MC_LOCKSTEP_WORK:
+        outcomes = LockStep(instance, plan, policy, schedule, cap).outcomes(
+            seed, n_runs, latency)
     else:
         outcomes = (_trace_outcome(run_execution(
-            instance, plan, policy, run_seed(seed, k), schedule=schedule,
-            horizon_cap=cap, latency=latency)) for k in range(n_runs))
+            instance, plan, policy, random.Random(s), schedule=schedule,
+            horizon_cap=cap, latency=latency)) for s in run_seeds(seed, range(n_runs)))
     makespans = []
     collision_counts = []
     messages = 0

@@ -1,17 +1,20 @@
 import functools
 import math
+import random
 import re
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan, RunStats,
                      WarehouseParams, generate_random_instance, generate_warehouse_instance,
                      monte_carlo, run_execution, simulate, solve_ame, stats_ci)
 from mapf_dp.dependency import build_partial_order, message_schedule, transitive_reduction
-from mapf_dp.simulate import MC_BATCH_MIN_RUNS, MC_BLOCK, POLICIES, mcp_schedule, run_seed
+from mapf_dp.simulate import (MC_LOCKSTEP_WORK, POLICIES, LockStep, default_horizon_cap,
+                               fill_draws, mcp_schedule, run_seed, run_seeds)
 from tests import sim_oracle
 from tests.conftest import C1, C2, C3, C4, POCKET
 
@@ -376,29 +379,86 @@ def lockstep_cases():
     }
 
 
+def lockstep_runs(plan):
+    """The fewest runs of a `monte_carlo` call on `plan` that run in lock step."""
+    return -(-MC_LOCKSTEP_WORK // plan.n_agents)
+
+
+@pytest.fixture
+def blocks(monkeypatch):
+    """The run count of each lock-step block that `monte_carlo` runs, in order."""
+    sizes = []
+
+    class Spy(LockStep):
+        def run_block(self, seeds, latency):
+            sizes.append(len(seeds))
+            return super().run_block(seeds, latency)
+
+    monkeypatch.setattr(simulate, "LockStep", Spy)
+    return sizes
+
+
 class TestLockStep:
-    """From `MC_BATCH_MIN_RUNS` runs on, `monte_carlo` advances its runs in
-    lock step; its statistics must equal, bit for bit, those of a loop over
-    `run_execution`."""
+    """From `MC_LOCKSTEP_WORK` runs x agents on, `monte_carlo` advances its
+    runs in lock step; its statistics must equal, bit for bit, those of a
+    loop over `run_execution`."""
 
     @pytest.mark.parametrize("case", ["random-0", "random-1", "warehouse", "pocket-valid",
                                       "pocket-invalid", "swap", "one-agent"])
-    def test_matches_loop(self, case):
+    def test_matches_loop(self, case, blocks, monkeypatch):
         inst, plan = lockstep_cases()[case]
+        at = lockstep_runs(plan)
         for policy in POLICIES:
             for latency in (0, 1, 2):
-                for n_runs in (MC_BATCH_MIN_RUNS - 1, MC_BATCH_MIN_RUNS, MC_BLOCK + 1):
+                # just below the work threshold the loop runs; at it, one block
+                for n_runs in (at - 1, at):
+                    blocks.clear()
                     stats = monte_carlo(inst, plan, policy, n_runs, 3, latency=latency)
-                    assert stats.as_dict() == looped_stats(inst, plan, policy, n_runs, 3,
-                                                           latency=latency)
+                    expected = looped_stats(inst, plan, policy, n_runs, 3, latency=latency)
+                    assert stats.as_dict() == expected
+                    assert blocks == ([at] if n_runs == at else [])
                     if case in ("pocket-invalid", "swap") and policy == "dummy":
                         assert stats.mean_collisions > 0
+                # a buffer that holds half the runs' draws splits them into blocks
+                schedule = mcp_schedule(plan) if policy == "mcp" else None
+                width = LockStep(inst, plan, policy, schedule, default_horizon_cap(plan)).width
+                with monkeypatch.context() as small:
+                    small.setattr(simulate, "MC_BUFFER_BYTES", 8 * width * (at // 2))
+                    blocks.clear()
+                    assert monte_carlo(inst, plan, policy, at, 3, latency=latency).as_dict() \
+                        == expected
+                    assert len(blocks) > 1 and sum(blocks) == at
                 # capped at the mean makespan, some runs finish and others time out
                 cap = round(stats.mean_makespan)
-                capped = monte_carlo(inst, plan, policy, MC_BATCH_MIN_RUNS, 3, cap, latency)
-                assert capped.as_dict() == looped_stats(inst, plan, policy, MC_BATCH_MIN_RUNS,
-                                                        3, cap, latency)
-                assert 0 < capped.timeouts < MC_BATCH_MIN_RUNS
+                capped = monte_carlo(inst, plan, policy, at, 3, cap, latency)
+                assert capped.as_dict() == looped_stats(inst, plan, policy, at, 3, cap, latency)
+                assert 0 < capped.timeouts < at
+
+    def test_refills_continue_each_stream(self, monkeypatch):
+        # a buffer of one draw per agent refills rows at almost every step
+        init = LockStep.__init__
+
+        def narrow(self, *args):
+            init(self, *args)
+            self.width = self.m
+
+        monkeypatch.setattr(LockStep, "__init__", narrow)
+        inst, plan = lockstep_cases()["random-0"]
+        at = lockstep_runs(plan)
+        for policy in POLICIES:
+            assert monte_carlo(inst, plan, policy, at, 5, latency=1).as_dict() \
+                == looped_stats(inst, plan, policy, at, 5, latency=1)
+
+    def test_buffer_width_within_horizon_cap(self):
+        # one agent, 29 moves at p = 0.999: about 29,000 draws on average, but
+        # a run stops at the horizon cap of 1,450 steps, one draw each
+        inst, plan = line_instance(30, p=0.999), Plan((Path(tuple(range(30))),))
+        cap = default_horizon_cap(plan)
+        assert LockStep(inst, plan, "dummy", None, cap).width <= cap * plan.n_agents
+        n_runs = lockstep_runs(plan)
+        stats = monte_carlo(inst, plan, "dummy", n_runs, 1)
+        assert stats.timeouts == n_runs
+        assert stats.as_dict() == looped_stats(inst, plan, "dummy", n_runs, 1)
 
     @given(paths=ARBITRARY_PATHS, policy=st.sampled_from(POLICIES),
            latency=st.integers(0, 3), seed=st.integers(0, 2**32), capped=st.booleans())
@@ -406,15 +466,16 @@ class TestLockStep:
     def test_arbitrary_plans(self, paths, policy, latency, seed, capped):
         inst, plan = arbitrary_case(paths)
         cap = plan.max_index + 1 if capped else None
-        assert monte_carlo(inst, plan, policy, MC_BATCH_MIN_RUNS, seed, cap, latency).as_dict() \
-            == looped_stats(inst, plan, policy, MC_BATCH_MIN_RUNS, seed, cap, latency)
+        n_runs = lockstep_runs(plan)
+        assert monte_carlo(inst, plan, policy, n_runs, seed, cap, latency).as_dict() \
+            == looped_stats(inst, plan, policy, n_runs, seed, cap, latency)
 
     def test_deadlock_names_the_first_run(self, monkeypatch):
         # a hand-made cyclic schedule no plan yields: agent 0 in state 2 waits
         # for agent 1's state 2, and agent 1 in state 1 for agent 0's state 3.
         # A run deadlocks within the cap only if agent 0 makes both its moves
         # at once, with probability 0.01.  Under seed 27 run 170 is the
-        # first, in the second of three blocks of 100 runs
+        # first of the 300 runs
         plan = Plan((Path((0, 1, 2, 2)), Path((5, 5, 5))))
         sched = MessageSchedule(senders={(0, 2): (1,), (0, 3): (1,), (1, 2): (0,)},
                                 waits={0: [(), (), ((1, 2),), ()],
@@ -428,6 +489,41 @@ class TestLockStep:
                 run(inst, plan, "mcp", 300, 27, 4)
         assert monte_carlo(inst, plan, "mcp", 170, 27, 4).as_dict() == \
             looped_stats(inst, plan, "mcp", 170, 27, 4)
+
+
+class TestRunSeeds:
+    @given(seed=st.integers(0, 2**200), k=st.integers(0, 2**20))
+    @example(seed=2**32 - 1, k=0)
+    @example(seed=2**32, k=1)
+    @example(seed=2**128 - 1, k=2)
+    @example(seed=2**128, k=3)   # from here on the entropy outgrows the pool of 4 words
+    @example(seed=7, k=2**40 + 5)   # a spawn key of two words
+    def test_matches_seed_sequence(self, seed, k):
+        state = np.random.SeedSequence(entropy=seed, spawn_key=(k,)).generate_state(2, np.uint64)
+        assert run_seeds(seed, [k]) == [int(state[0])]
+
+    @pytest.mark.parametrize("seed, k, first", [
+        (0, 0, 0.12127378443739556),
+        (7, 3, 0.6127673800026916),
+        (2**32, 1, 0.7126901822670587),
+        (2**130 + 99, 199, 0.3357967107957721),
+        (12345, 2**20, 0.7323483060086016),
+    ])
+    def test_run_streams_unchanged(self, seed, k, first):
+        assert run_seed(seed, k).random() == first
+
+    # below 2**32 the fill takes Python's generator, from there on numpy's
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**40 + 3, 2**64 - 1])
+    def test_fill_matches_python_stream(self, seed):
+        rng = random.Random(seed)
+        stream = [rng.random() for _ in range(700)]
+        mt = np.random.RandomState(0)
+        row = np.empty(500)
+        fill_draws(row, seed, 0, mt)
+        assert row.tolist() == stream[:500]
+        # a refill continues the stream past the draws taken
+        fill_draws(row[:400], seed, 300, mt)
+        assert row[:400].tolist() == stream[300:]
 
 
 class TestStatsCi:
