@@ -7,6 +7,12 @@ for one solve (its distance table and the expansion budget): it reads
 neither the other agents' paths nor the parent's key.  So one solve plans
 each (agent, own set) once, and `solve_adapted_cbs` keeps the outcomes in a
 table that lives as long as the solve.
+
+The high level takes the bypass rule of Boyarski et al. (ICAPS 2015; see
+`conflict_tree_search`): the first child whose max index is its parent's
+and whose plan has fewer conflicts is pushed alone, under its parent's
+constraint sets, and its sibling is not planned.  The max index returned
+stays optimal; `SolveResult.bypasses` counts those nodes.
 """
 
 from __future__ import annotations
@@ -93,4 +99,5 @@ def solve_adapted_cbs(instance: Instance,
         lengths = [p.last_index for p in plan.paths]
         return plan, float(max(lengths)), (max(lengths), sum(lengths))
 
-    return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate)
+    return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate,
+                                bypass=True)

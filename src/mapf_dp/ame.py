@@ -73,6 +73,7 @@ class SolveResult:
     low_level_expanded: int = 0
     wall_time: float = 0.0
     key_decreases: int = 0         # children whose key dropped below the parent's
+    bypasses: int = 0              # children pushed under their parent's constraints
 
     @property
     def solved(self) -> bool:
@@ -103,7 +104,8 @@ def carry_conflicts(plan: Plan, conflicts: list[Conflict], j: int, path: Path) -
 
 
 def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callable,
-                         evaluate: Callable[[Plan, list[Conflict]], tuple]) -> SolveResult:
+                         evaluate: Callable[[Plan, list[Conflict]], tuple], *,
+                         bypass: bool) -> SolveResult:
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
 
@@ -116,15 +118,36 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     path in and carries its parent's conflicts over (`carry_conflicts`).
     `evaluate(plan, conflicts)` returns (plan to store, key, order); it may
     relabel the paths but not move them, so the list stays exact.  Nodes pop
-    by smallest order, ties first in, first out."""
+    by smallest order, ties first in, first out.
+
+    With `bypass` (Boyarski et al. 2015), the first child, in branch order,
+    whose key is at most its parent's + `EPS` and whose plan has strictly
+    fewer conflicts is pushed alone, as a bypass node: the parent's
+    constraint tuple with the child's plan, key and conflicts.  No sibling is
+    pushed, and a sibling not yet planned is never planned.  The child's new
+    path obeys a superset of j's set in the parent and the other paths are
+    the parent's, so the plan obeys every set of the parent's tuple: the
+    bypass node is a legal node for it, and its carried conflict list is
+    exact as for any child.  For adapted CBS the key is the max index, and
+    it stays the smallest max index of any plan that obeys the node's sets:
+    a child's other paths end by its parent's key and its new path is a
+    shortest one, and each set only grows, so a child's key cannot fall
+    below its parent's, and a bypass node's key, at most its parent's,
+    equals it.  So every open node's key bounds the plans its sets admit,
+    and as each valid plan obeys the sets of some open node, the first
+    solution popped has the optimal max index.  The search stays complete:
+    a chain of bypass nodes under one tuple lowers the conflict count at
+    each step, so each tuple holds finitely many nodes.  AME's key is no
+    such bound; `solve_ame` passes `bypass=False`.  A bypass node counts
+    in `high_level_expanded` when it is popped, like any node."""
     t0 = time.monotonic()
     dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
-    ll_total = hl_expanded = key_decreases = 0
+    ll_total = hl_expanded = key_decreases = bypasses = 0
 
     def result(status: str, plan: Optional[Plan] = None,
                key: Optional[float] = None) -> SolveResult:
         return SolveResult(status, plan, key, hl_expanded, ll_total,
-                           time.monotonic() - t0, key_decreases)
+                           time.monotonic() - t0, key_decreases, bypasses)
 
     def plan_agent(agent: int, plan: Plan, constraints, key: float) -> Path:
         nonlocal ll_total
@@ -155,6 +178,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
         conflict = find_earliest_conflict(plan, conflicts)
         if conflict is None:
             return result("solved", plan, key)
+        children = []
         for con in branch_constraints(conflict):
             j = con.agent
             child_constraints = (*constraints[:j], constraints[j] | {con}, *constraints[j + 1:])
@@ -166,8 +190,14 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             child_plan, child_key, child_order = evaluate(plan.swap(j, path), child_conflicts)
             if child_key < key - EPS:
                 key_decreases += 1
-            heappush(heap, (child_order, next(seq), child_constraints,
-                            child_plan, child_key, child_conflicts))
+            if bypass and child_key <= key + EPS and len(child_conflicts) < len(conflicts):
+                bypasses += 1
+                children = [(child_order, constraints, child_plan, child_key, child_conflicts)]
+                break
+            children.append((child_order, child_constraints, child_plan, child_key,
+                             child_conflicts))
+        for child_order, *child in children:
+            heappush(heap, (child_order, next(seq), *child))
     return result("no-solution")
 
 
@@ -332,4 +362,5 @@ def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
         key = approximate_average_makespan(plan)
         return plan, key, (round(key, 9), len(conflicts))
 
-    return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate)
+    return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate,
+                                bypass=False)

@@ -177,18 +177,20 @@ def run_bench(config: BenchConfig, log=None) -> tuple[list[dict], list[str]]:
 
     elif config.experiment == "exp2":
         base = random_instance(config.agents, config.seed)
-        sweep_means = []
+        series: dict[tuple[str, str], list] = {}   # (solver, policy): [(t_max, mean)]
         for t_max, inst in delay_sweep(base, EXP2_T_HAT_MAXES, config.seed):
             before = len(rows)
             bench_instance(f"t{t_max}", inst, t_hat_max=t_max)
-            solved = [r for r in rows[before:] if r["status"] == "solved"]
-            if solved:
-                sweep_means.append((t_max, solved[0]["mean_makespan"]))
-        for (ta, ma), (tb, mb) in zip(sweep_means, sweep_means[1:]):
-            if not mb > ma:
-                warnings.append(
-                    f"mean makespan not increasing from t_hat_max {ta} to {tb} "
-                    f"({ma:.2f} -> {mb:.2f})")
+            for r in rows[before:]:
+                if r["status"] == "solved":
+                    series.setdefault((r["solver"], r["policy"]), []).append(
+                        (t_max, r["mean_makespan"]))
+        for (solver, policy), means in series.items():
+            for (ta, ma), (tb, mb) in zip(means, means[1:]):
+                if not mb > ma:
+                    warnings.append(
+                        f"{solver} {policy} mean makespan not increasing from "
+                        f"t_hat_max {ta} to {tb} ({ma:.2f} -> {mb:.2f})")
 
     elif config.experiment == "exp3":
         success = []

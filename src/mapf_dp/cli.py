@@ -173,7 +173,8 @@ def cmd_solve(args) -> int:
     print(f"solver={args.solver} status={result.status} "
           f"wall_time={result.wall_time:.3f}s "
           f"high_level_expanded={result.high_level_expanded} "
-          f"low_level_expanded={result.low_level_expanded}")
+          f"low_level_expanded={result.low_level_expanded} "
+          f"bypasses={result.bypasses}")
     if not result.solved:
         return EXIT_NO_SOLUTION if result.status == "no-solution" else EXIT_TIMEOUT
     plan = bench_mod.labeled(instance, result.plan)

@@ -25,11 +25,11 @@ the last `latency` steps, so none is in flight.
 
 `run_execution` is one run, the view that `record=True` snapshots and
 scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
-generator `run_seed(seed, k)`.  Below `MC_LOCKSTEP_WORK` runs x agents it
-loops over `run_execution`; from there on `LockStep` advances the runs
-together as (runs, agents) arrays, in as few blocks, split evenly, as keep
-each block's buffer of draws within `MC_BUFFER_BYTES`, which bounds its
-memory at any run count.  Both give the same statistics, bit for bit: a
+generator `run_seed(seed, k)`.  Below its policy's `MC_LOCKSTEP_WORK` runs
+x agents it loops over `run_execution`; from there on `LockStep` advances
+the runs together as (runs, agents) arrays, in as few blocks, split
+evenly, as keep each block's buffer of draws within `MC_BUFFER_BYTES`,
+which bounds its memory at any run count.  Both give the same statistics, bit for bit: a
 run's draws depend only on its own generator, which it reads in agent
 order within a step, one draw per commanded move and none for a wait, so
 the lock-step engine replays each run's stream from a per-run buffer and
@@ -39,11 +39,23 @@ the buffers by numpy's MT19937 without a Python call per draw.
 
 Both engines take one pass per time step.  The loop's pass costs about
 runs x agents, lock step's a fixed numpy overhead plus a little per run and
-agent, so the break-even is a product.  Measured on the benchmark's plans
-of 7 to 35 agents, lock step ran at 0.68x to 1.08x the speed of the loop
-under fsp and 0.81x to 1.48x under mcp at 240 runs x agents, at 0.92x to
-1.73x at 320, and at 1.4x to 2.7x at 640.  A 200-run call ran at 2.8x to
-4.7x.
+agent, so the break-even is a product, and it differs by policy.  Timed
+per call, best of 5, on the 23 plans of the benchmark (6 to 35 agents),
+lock step ran at these multiples of the loop's speed (median over the
+plans, and the range):
+
+    runs x agents  ~160             ~240             ~320             ~480
+    mcp            0.80 (0.56-1.61) 1.02 (0.73-1.56) 1.36 (1.02-2.06) 1.60 (1.10-2.71)
+    fsp            0.63 (0.35-0.90) 0.89 (0.56-1.31) 0.96 (0.67-1.48) 1.26 (0.91-2.04)
+    dummy          0.76 (0.58-1.35) 1.00 (0.77-2.05) 1.25 (0.82-2.53) 1.80 (1.21-3.20)
+
+Plans with fewer agents break even at a smaller product.  Best of 9 on
+the benchmark's own calls: mcp with 16 runs gained on the 10- and 15-agent
+warehouse plans (0.94x-1.25x at 160, 1.23x-1.43x at 240) and broke even on
+the random 14-agent plans with 20 runs (0.76x-1.15x at 280); fsp lost on
+every call up to 280 (0.47x-0.96x) and gained at 350 (1.24x); dummy lost on
+every call up to 175 and gained at 350 (1.46x).  A 200-run call ran at
+2.8x to 4.7x.
 """
 
 from __future__ import annotations
@@ -61,7 +73,8 @@ from .dependency import MessageSchedule, build_partial_order, message_schedule, 
 from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
-MC_LOCKSTEP_WORK = 320     # runs x agents of a call from which it runs in lock step
+# runs x agents of a call from which it runs in lock step, per policy
+MC_LOCKSTEP_WORK = {"mcp": 160, "fsp": 320, "dummy": 240}
 MC_BUFFER_BYTES = 1 << 22  # most bytes of draws that one lock-step block buffers
 
 
@@ -528,7 +541,7 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
         raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
     cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
     schedule = mcp_schedule(plan) if policy == "mcp" else None
-    if n_runs * plan.n_agents >= MC_LOCKSTEP_WORK:
+    if n_runs * plan.n_agents >= MC_LOCKSTEP_WORK[policy]:
         outcomes = LockStep(instance, plan, policy, schedule, cap).outcomes(
             seed, n_runs, latency)
     else:

@@ -10,7 +10,7 @@ from mapf_dp.bench import BenchConfig, run_bench
 from mapf_dp.cli import (EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK,
                          EXIT_TIMEOUT, EXIT_USAGE, build_parser, main)
 from mapf_dp.dependency import approximate_average_makespan
-from mapf_dp.simulate import monte_carlo
+from mapf_dp.simulate import RunStats, monte_carlo
 
 
 def gen_instance(tmp_path, **over):
@@ -185,6 +185,18 @@ class TestSolveAndValidate:
         assert expanded and int(expanded.group(1)) > 0
         assert main(["validate", str(map_p), str(agents_p),
                      str(plan_p)]) == EXIT_OK
+
+    def test_status_line_counts_bypasses(self, tmp_path, capsys):
+        # adapted CBS takes one bypass node on this instance; AME takes none
+        map_p, agents_p = gen_instance(tmp_path)
+        instance = mapio.read_instance(map_p, agents_p)
+        for solver, bypasses in (("ame", 0), ("adapted-cbs", 1)):
+            capsys.readouterr()
+            assert main(["solve", str(map_p), str(agents_p), "--solver", solver,
+                         "--out", str(tmp_path / "plan.json")]) == EXIT_OK
+            status = capsys.readouterr().out.splitlines()[0]
+            assert status.endswith(f" bypasses={bypasses}")
+            assert bench.solve_with(solver, instance, SolveLimits()).bypasses == bypasses
 
     def test_emit_deps(self, tmp_path, capsys):
         map_p, agents_p = gen_instance(tmp_path)
@@ -590,6 +602,37 @@ class TestBench:
                 run_bench(config)
         else:
             assert [r["policy"] for r in run_bench(config)[0]] == ["dummy"]
+
+    def test_exp2_trend_checked_per_solver(self, monkeypatch):
+        # AME times out at t_hat_max 4; its series 10 -> 12 rises, while
+        # adapted CBS's 35 -> 30 -> 40 falls once.  Comparing the first solved
+        # row of each t_hat_max would mix the solvers (10 -> 30 -> 12)
+        line = Graph.from_edges(3, [(0, 1), (1, 2)])
+        sweep = [(t, Instance(line, (AgentSpec(0, 0, 2, p),)))
+                 for t, p in ((2, 0.1), (4, 0.2), (8, 0.3))]
+        t_of = {id(inst): t for t, inst in sweep}
+        paths = {"ame": Path((0, 1, 2)), "adapted-cbs": Path((0, 0, 1, 2))}
+        means = {("ame", 2): 10.0, ("ame", 8): 12.0, ("adapted-cbs", 2): 35.0,
+                 ("adapted-cbs", 4): 30.0, ("adapted-cbs", 8): 40.0}
+
+        def solve(solver, instance, limits):
+            if (solver, t_of[id(instance)]) not in means:
+                return SolveResult("timeout", None)
+            return SolveResult("solved", Plan((paths[solver],)), 0.0)
+
+        def simulate(instance, plan, policy, n_runs, seed):
+            solver = "ame" if plan.max_index == 2 else "adapted-cbs"
+            mean = means[solver, t_of[id(instance)]]
+            return RunStats(n_runs, mean, 0.0, 0, 0.0, 0, policy)
+
+        monkeypatch.setattr(bench, "delay_sweep", lambda *a: sweep)
+        monkeypatch.setattr(bench, "solve_with", solve)
+        monkeypatch.setattr(bench, "monte_carlo", simulate)
+        rows, warnings = run_bench(BenchConfig(
+            experiment="exp2", agents=1, solvers=("ame", "adapted-cbs"), n_runs=5))
+        assert [r["status"] for r in rows].count("timeout") == 1
+        assert warnings == ["adapted-cbs mcp mean makespan not increasing from "
+                            "t_hat_max 2 to 4 (35.00 -> 30.00)"]
 
 
 class TestErrors:

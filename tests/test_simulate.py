@@ -379,9 +379,10 @@ def lockstep_cases():
     }
 
 
-def lockstep_runs(plan):
-    """The fewest runs of a `monte_carlo` call on `plan` that run in lock step."""
-    return -(-MC_LOCKSTEP_WORK // plan.n_agents)
+def lockstep_runs(plan, policy):
+    """The fewest runs of a `monte_carlo` call on `plan` under `policy` that
+    run in lock step."""
+    return -(-MC_LOCKSTEP_WORK[policy] // plan.n_agents)
 
 
 @pytest.fixture
@@ -399,16 +400,16 @@ def blocks(monkeypatch):
 
 
 class TestLockStep:
-    """From `MC_LOCKSTEP_WORK` runs x agents on, `monte_carlo` advances its
-    runs in lock step; its statistics must equal, bit for bit, those of a
+    """From its policy's `MC_LOCKSTEP_WORK` runs x agents on, `monte_carlo`
+    advances its runs in lock step; its statistics must equal, bit for bit, those of a
     loop over `run_execution`."""
 
     @pytest.mark.parametrize("case", ["random-0", "random-1", "warehouse", "pocket-valid",
                                       "pocket-invalid", "swap", "one-agent"])
     def test_matches_loop(self, case, blocks, monkeypatch):
         inst, plan = lockstep_cases()[case]
-        at = lockstep_runs(plan)
         for policy in POLICIES:
+            at = lockstep_runs(plan, policy)
             for latency in (0, 1, 2):
                 # just below the work threshold the loop runs; at it, one block
                 for n_runs in (at - 1, at):
@@ -444,8 +445,8 @@ class TestLockStep:
 
         monkeypatch.setattr(LockStep, "__init__", narrow)
         inst, plan = lockstep_cases()["random-0"]
-        at = lockstep_runs(plan)
         for policy in POLICIES:
+            at = lockstep_runs(plan, policy)
             assert monte_carlo(inst, plan, policy, at, 5, latency=1).as_dict() \
                 == looped_stats(inst, plan, policy, at, 5, latency=1)
 
@@ -455,7 +456,7 @@ class TestLockStep:
         inst, plan = line_instance(30, p=0.999), Plan((Path(tuple(range(30))),))
         cap = default_horizon_cap(plan)
         assert LockStep(inst, plan, "dummy", None, cap).width <= cap * plan.n_agents
-        n_runs = lockstep_runs(plan)
+        n_runs = lockstep_runs(plan, "dummy")
         stats = monte_carlo(inst, plan, "dummy", n_runs, 1)
         assert stats.timeouts == n_runs
         assert stats.as_dict() == looped_stats(inst, plan, "dummy", n_runs, 1)
@@ -466,7 +467,7 @@ class TestLockStep:
     def test_arbitrary_plans(self, paths, policy, latency, seed, capped):
         inst, plan = arbitrary_case(paths)
         cap = plan.max_index + 1 if capped else None
-        n_runs = lockstep_runs(plan)
+        n_runs = lockstep_runs(plan, policy)
         assert monte_carlo(inst, plan, policy, n_runs, seed, cap, latency).as_dict() \
             == looped_stats(inst, plan, policy, n_runs, seed, cap, latency)
 
