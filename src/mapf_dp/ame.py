@@ -14,14 +14,16 @@ keys nodes by the approximate average makespan.  Its low level is a focal
 search with re-expansions over (vertex, local-state) states, keyed by the
 integer id x * |V| + v, whose g-values track the approximate average entry
 times of the other agents' stored labels; it reads the other agents as the
-node's plan minus the replanned one, through rows that `departure_row`
-builds once per search: a vertex's departures, their best labels and its
-parked paths, from which `departure_count` reads a conflict increment only
-where Phase 1 needs one.  One heap serves both of its phases, with Phase-2
-entries at an infinite conflict count: a state is queued once per strict
-improvement of its g, so no two entries are equal and none carries a tie
-counter; an entry is current iff its g is the state's g, and Phase 2
-(smallest f first), once begun, is permanent.
+node's plan minus the replanned one, through two rows per vertex that
+`labeled_departure_row` builds once per search: the `departure_row`, its
+departures and parked paths, from which `departure_count` reads a conflict
+increment only where Phase 1 needs one, and beside it the departures' best
+labels.  Adapted CBS reads the same conflict rows, which need no labels.  One heap
+serves both phases of AME's search, with Phase-2 entries at an infinite
+conflict count: a state is queued once per strict improvement of its g,
+so no two entries are equal and none carries a tie counter; an entry is
+current iff its g is the state's g, and Phase 2 (smallest f first), once
+begun, is permanent.
 """
 
 from __future__ import annotations
@@ -129,17 +131,22 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     the parent's, so the plan obeys every set of the parent's tuple: the
     bypass node is a legal node for it, and its carried conflict list is
     exact as for any child.  For adapted CBS the key is the max index, and
-    it stays the smallest max index of any plan that obeys the node's sets:
-    a child's other paths end by its parent's key and its new path is a
-    shortest one, and each set only grows, so a child's key cannot fall
-    below its parent's, and a bypass node's key, at most its parent's,
-    equals it.  So every open node's key bounds the plans its sets admit,
-    and as each valid plan obeys the sets of some open node, the first
-    solution popped has the optimal max index.  The search stays complete:
-    a chain of bypass nodes under one tuple lowers the conflict count at
-    each step, so each tuple holds finitely many nodes.  AME's key is no
-    such bound; `solve_ame` passes `bypass=False`.  A bypass node counts
-    in `high_level_expanded` when it is popped, like any node."""
+    it equals max_i L*_i, the largest over agents i of the shortest length
+    of a path under i's set in the node, so it is the smallest max index of
+    any plan that obeys the node's sets.  By induction: at the root each
+    path is a shortest one.  A child's other paths end by its parent's key,
+    which is at most that maximum over the child's sets, since sets only
+    grow; its new path ends by max(L*_j, parent's key); and each path is at
+    least its own L*_i.  A bypass node holds its parent's sets, and its key,
+    at most its parent's and at least the child's maximum over supersets,
+    equals its parent's.  So a child's key cannot fall below its parent's,
+    every open node's key bounds the plans its sets admit, and as each valid
+    plan obeys the sets of some open node, the first solution popped has the
+    optimal max index.  The search stays complete: a chain of bypass nodes
+    under one tuple lowers the conflict count at each step, so each tuple
+    holds finitely many nodes.  AME's key is no such bound; `solve_ame`
+    passes `bypass=False`.  A bypass node counts in `high_level_expanded`
+    when it is popped, like any node."""
     t0 = time.monotonic()
     dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     ll_total = hl_expanded = key_decreases = bypasses = 0
@@ -229,14 +236,26 @@ def trace_back(parent: dict[int, int], state: int, n: int) -> list[int]:
     return states
 
 
-def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[float], list[int]]:
-    """(xs, best, parked) of vertex v over every labeled path of `plan` but
-    `agent`'s, the row that `low_level_search` reads for each state at v.
+def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[int]]:
+    """(xs, parked) of vertex v over every path of `plan` but `agent`'s: the
+    conflict row that both low levels read for each state at v.
 
     xs are the departures from v, the x < X_j with l_j(x) = v, in order;
-    best[k] is the largest label at x+1 of the first k (-inf if 0); parked
-    holds X_j of each path j that ends on v.  A row costs the visits at v;
-    `departure_count` reads a conflict increment from it."""
+    parked holds X_j of each path j that ends on v.  A row costs the visits
+    at v; `departure_count` and `parked_count` read conflict increments from
+    it, and it needs no labels."""
+    xs = [x for x, j in plan.visits.get(v, ()) if j != agent]
+    parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
+    return xs, parked
+
+
+def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
+        tuple[list[int], list[int]], list[float]]:
+    """`departure_row(plan, v, agent)` and, beside it, best over every labeled
+    path of `plan` but `agent`'s: best[k] is the largest label at x+1 of the
+    first k departures (-inf if 0).  One pass over the visits at v builds
+    both, as AME's low level reads them for every vertex it reaches; only it
+    reads labels."""
     paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
@@ -248,20 +267,30 @@ def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[float
                 top = label
             best.append(top)
     parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
-    return xs, best, parked
+    return (xs, parked), best
 
 
-def departure_count(row: tuple[list[int], list[float], list[int]], x: int) -> int:
+def departure_count(row: tuple[list[int], list[int]], x: int) -> int:
     """The conflict increment of one more agent at (v, x) against `row`, v's
-    `departure_row`: one per path at v at x-1, x and x+1.  A departure at y
-    meets x - 1 <= y <= x + 1; a path parked since s meets every index from
-    s on, so it counts min(x - s + 2, 3) once x >= s - 1."""
-    xs, _, parked = row
+    `departure_row`, for an index x below its path's last: one per path at v
+    at x-1, x and x+1.  A departure at y meets x - 1 <= y <= x + 1; a path
+    parked since s meets every index from s on, so it counts min(x - s + 2, 3)
+    once x >= s - 1."""
+    xs, parked = row
     count = bisect_right(xs, x + 1) - bisect_left(xs, x - 1)
     for since in parked:
         if since <= x + 1:
             count += min(x - since + 2, 3)
     return count
+
+
+def parked_count(row: tuple[list[int], list[int]], since: int) -> int:
+    """The conflict increment of one more path that ends on v at index `since`
+    and stays there, against `row`, v's `departure_row`: a departure at
+    y >= since - 1 counts min(y - since + 2, 3), as `path_conflicts` counts
+    a parked agent.  Paths parked on v too are not counted, as there."""
+    xs = row[0]
+    return sum(min(y - since + 2, 3) for y in xs[bisect_left(xs, since - 1):])
 
 
 def low_level_search(instance: Instance, agent: int, plan: Plan,
@@ -282,9 +311,10 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     per strict improvement of its g, so two entries of one state differ in
     g, and entries of two states in (x, v): no two entries are equal, and
     none needs a tie counter.  An entry is current iff its g is `g[state]`.
-    A successor (v, x) costs one lookup of v's row, `departure_row(plan, v,
-    agent)`, built once per search, and one bisect for its wait bound; a
-    Phase-1 successor also reads its conflict increment (`departure_count`).
+    A successor (v, x) costs one lookup of v's rows,
+    `labeled_departure_row(plan, v, agent)`, built once per search, and one
+    bisect for its wait bound; a Phase-1 successor also reads its conflict
+    increment (`departure_count`).
     """
     spec = instance.agents[agent]
     adjacency = instance.graph.adjacency
@@ -294,8 +324,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     for j, p in enumerate(plan.paths):
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
-    rows: list = [None] * n   # departure_row of each vertex, built on first read
-    rows[spec.start] = departure_row(plan, spec.start, agent)
+    rows: list = [None] * n   # (row, its xs, best) of each vertex, built on first read
     t_move = move_cost(spec.delay_prob)
     h = [d * t_move for d in dist_to_goal]
     bound = key + EPS
@@ -303,7 +332,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     g: dict[int, float] = {spec.start: 0.0}   # the id of (start, 0) is start
     parent: dict[int, int] = {}
     f0 = h[spec.start]
-    queue = [(departure_count(rows[spec.start], 0) if f0 <= bound else INF,
+    queue = [(departure_count(departure_row(plan, spec.start, agent), 0) if f0 <= bound else INF,
               f0, 0, spec.start, 0.0)]
     expansions = 0
 
@@ -327,10 +356,11 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
             succ = base + nv
             if succ in banned:
                 continue
-            row = rows[nv]
-            if row is None:
-                row = rows[nv] = departure_row(plan, nv, agent)
-            xs, best, _ = row
+            entry = rows[nv]
+            if entry is None:
+                row, best = labeled_departure_row(plan, nv, agent)
+                entry = rows[nv] = (row, row[0], best)
+            row, xs, best = entry
             # the others' latest departure from nv at an index below nx - 1
             wait = best[bisect_right(xs, x - 1)]
             g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)

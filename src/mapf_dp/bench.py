@@ -25,9 +25,9 @@ from typing import Optional
 from .adapted_cbs import solve_adapted_cbs
 from .ame import SolveLimits, SolveResult, solve_ame
 from .dependency import approximate_average_makespan, compute_labels
-from .generate import WarehouseParams, check_agents, check_delay_bound, check_grid, \
-    delay_sweep, generate_random_instance, generate_warehouse_instance
-from .model import Instance, Plan, check_seed, validate_plan
+from .generate import WarehouseParams, check_delay_bound, check_grid, delay_sweep, \
+    generate_random_instance, generate_warehouse_instance
+from .model import Instance, Plan, check_agents, check_seed, validate_plan
 from .simulate import check_runs, monte_carlo
 
 CSV_COLUMNS = [

@@ -12,11 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import AgentSpec, Graph, Instance, check_seed, grid_graph
-
-
-class GenerationError(ValueError):
-    """Raised when the requested parameters cannot yield a feasible instance."""
+from .model import (AgentSpec, GenerationError, Graph, Instance, check_agents, check_seed,
+                    grid_graph)
 
 
 def check_grid(width: int, height: int, blocked_fraction: float) -> None:
@@ -32,12 +29,6 @@ def check_delay_bound(hi: float) -> None:
     """The rule of an upper delay probability, also `bench`'s `p_hi`."""
     if not 0.0 < hi < 1.0:
         raise GenerationError(f"upper delay probability must be in (0, 1), got {hi}")
-
-
-def check_agents(m: int) -> None:
-    """The agent-count rule of both generators, also `bench`'s `agents`."""
-    if m < 1:
-        raise GenerationError(f"need at least one agent, got {m}")
 
 
 def _sample_delay_probs(rng: np.random.Generator, m: int, hi: float) -> np.ndarray:

@@ -42,6 +42,16 @@ class MapError(ValueError):
     """Raised for malformed map, agent or plan files."""
 
 
+class GenerationError(ValueError):
+    """Raised when the requested parameters cannot yield a feasible instance."""
+
+
+def check_agents(m: int) -> None:
+    """The agent-count rule of `Instance`, both generators and `bench`."""
+    if m < 1:
+        raise GenerationError(f"need at least one agent, got {m}")
+
+
 @dataclass
 class GridMeta:
     """Grid provenance of a graph built by `grid_graph`."""
@@ -187,6 +197,7 @@ class Instance:
 
     def __post_init__(self):
         self.agents = tuple(self.agents)
+        check_agents(len(self.agents))
         for k, a in enumerate(self.agents):
             if a.id != k:
                 raise ValueError(f"agent at position {k} has id {a.id}; ids must "

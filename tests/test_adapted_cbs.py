@@ -1,14 +1,16 @@
+import random
+
 import pytest
 from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from mapf_dp import adapted_cbs, ame
-from mapf_dp import (AgentSpec, Graph, Instance, generate_random_instance,
+from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan, generate_random_instance,
                      solve_adapted_cbs, validate_plan)
-from mapf_dp.adapted_cbs import shortest_path_under_constraints
+from mapf_dp.adapted_cbs import fewest_conflicts_path, shortest_path_under_constraints
 from mapf_dp.ame import Constraint, LowLevelFailure, SolveLimits, conflict_tree_search
 from mapf_dp.generate import GenerationError
-from mapf_dp.model import shortest_path_distances
+from mapf_dp.model import path_conflicts, shortest_path_distances
 from tests.brute_force_oracle import brute_force_optimal_makespan
 from tests.conftest import C1, C2, C3, C4
 
@@ -45,6 +47,95 @@ class TestLowLevel:
         with pytest.raises(LowLevelFailure):
             shortest_path_under_constraints(
                 inst, 0, (), shortest_path_distances(g, 2))
+
+
+def random_path(instance, agent, rng):
+    """A path of `agent`: up to three random steps or waits from its start,
+    then a shortest path to its goal."""
+    adjacency = instance.graph.adjacency
+    spec = instance.agents[agent]
+    dist = shortest_path_distances(instance.graph, spec.goal)
+    vertices = [spec.start]
+    for _ in range(rng.randrange(4)):
+        vertices.append(rng.choice((vertices[-1],) + adjacency[vertices[-1]]))
+    while vertices[-1] != spec.goal:
+        vertices.append(min(adjacency[vertices[-1]], key=dist.__getitem__))
+    return Path(tuple(vertices))
+
+
+def obeys(path, constraints):
+    """Whether the goal-padded `path` avoids every constrained (vertex, index)."""
+    vs = path.vertices
+    return all(vs[min(c.index, len(vs) - 1)] != c.vertex for c in constraints)
+
+
+def brute_force_fewest_conflicts(instance, agent, plan, constraints, bound):
+    """The least number of `path_conflicts` with `plan` of any path of
+    `agent` that ends by index `bound` and obeys `constraints`, found by
+    enumerating every walk from its start; None if there is none."""
+    spec = instance.agents[agent]
+    adjacency = instance.graph.adjacency
+    dist = shortest_path_distances(instance.graph, spec.goal)
+    counts = []
+    walks = [(spec.start,)]
+    while walks:
+        walk = walks.pop()
+        if walk[-1] == spec.goal and obeys(Path(walk), constraints):
+            counts.append(len(path_conflicts(plan, agent, Path(walk))))
+        x = len(walk)   # the index of the next step
+        walks += [walk + (v,) for v in (walk[-1],) + adjacency[walk[-1]]
+                  if x + dist[v] <= bound]
+    return min(counts, default=None)
+
+
+class TestAvoidance:
+    @given(width=st.integers(2, 3), height=st.integers(2, 3), agents=st.integers(1, 3),
+           blocked=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**16))
+    @settings(max_examples=200)
+    def test_fewest_conflicts_matches_brute_force(self, width, height, agents, blocked,
+                                                  seed):
+        # other paths of random detours, random constraints on the replanned
+        # agent and a bound of its shortest length plus 0-2 steps of slack
+        try:
+            inst = generate_random_instance(width, height, blocked, agents, (0, 0.5), seed)
+        except GenerationError:
+            assume(False)
+        rng = random.Random(seed)
+        plan = Plan(tuple(random_path(inst, i, rng) for i in range(agents)))
+        j = rng.randrange(agents)
+        n = inst.graph.n_vertices
+        constraints = frozenset(Constraint(j, rng.randrange(n), rng.randint(1, 5))
+                                for _ in range(rng.randrange(5)))
+        dist = shortest_path_distances(inst.graph, inst.agents[j].goal)
+        try:
+            shortest, _ = shortest_path_under_constraints(inst, j, constraints, dist)
+        except LowLevelFailure:
+            assume(False)
+        bound = shortest.last_index + rng.randrange(3)
+        assume(bound <= 9)
+        path, _ = fewest_conflicts_path(inst, j, plan, constraints, bound, dist)
+        vs = path.vertices
+        assert (vs[0], vs[-1]) == (inst.agents[j].start, inst.agents[j].goal)
+        assert all(v == u or v in inst.graph.adjacency[u] for u, v in zip(vs, vs[1:]))
+        assert path.last_index <= bound
+        assert obeys(path, constraints)
+        assert len(path_conflicts(plan, j, path)) \
+            == brute_force_fewest_conflicts(inst, j, plan, constraints, bound)
+
+    def test_parked_tail_counts(self):
+        # agent 1 passes agent 0's goal 1 at index 2: if agent 0 arrives
+        # before index 4, its parked tail meets agent 1 there, though no state
+        # before its arrival conflicts
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        inst = Instance(g, (AgentSpec(0, 0, 1, 0.5), AgentSpec(1, 2, 2, 0.5)))
+        plan = Plan((Path((0, 1)), Path((2, 2, 1, 2))))
+        dist = shortest_path_distances(g, 1)
+        path, _ = fewest_conflicts_path(inst, 0, plan, (), 4, dist)
+        assert path.vertices == (0, 0, 0, 0, 1)
+        assert path_conflicts(plan, 0, path) == []
+        path, _ = fewest_conflicts_path(inst, 0, plan, (), 1, dist)
+        assert path.vertices == (0, 1)
+        assert len(path_conflicts(plan, 0, path)) == 3
 
 
 class TestBruteForce:
@@ -122,11 +213,11 @@ class TestSolver:
         # wherever the joint search finds a plan, the search with bypass
         # nodes never ends unsolved, and when it solves, it returns a valid
         # plan of exactly that max index.  It may reach the node cap: about
-        # one such instance in 65 (42 of 2,771 drawn alike) takes more than
+        # one such instance in 150 (19 of 2,771 drawn alike) takes more than
         # 5,000 nodes with or without bypass, and 3x3, 3 agents, 20% blocked,
-        # seed 92 (max index 10) more than 50,000 without it.  Nor does
-        # bypass always take fewer nodes: 2x3, 3 agents, 20% blocked, seed 3
-        # takes 6,724 with it and 3,582 without
+        # seed 92 (max index 10) takes 14,473 with it and 21,648 without.
+        # Nor does bypass always take fewer nodes: 2x3, 3 agents, 20%
+        # blocked, seed 3 takes 4,389 with it and 3,761 without
         try:
             inst = generate_random_instance(width, height, blocked, agents, (0, 0.5), seed)
         except GenerationError:
@@ -142,6 +233,39 @@ class TestSolver:
         assert validate_plan(inst, result.plan).is_valid
         assert result.plan.max_index == result.key == oracle
 
+    @given(width=st.integers(2, 4), height=st.integers(2, 4), agents=st.integers(1, 3),
+           blocked=st.sampled_from([0.0, 0.2]), seed=st.integers(0, 2**16))
+    @settings(max_examples=100)
+    def test_key_is_largest_shortest_length_of_node_sets(self, width, height, agents,
+                                                         blocked, seed):
+        # every popped node's key, and its plan's max index, equals the
+        # largest shortest length L*_i of an agent under its own set in the
+        # node: the lower bound that bypass and the optimal max index rest on.
+        # The pops of `conflict_tree_search` give each node's sets, a bypass
+        # node's included
+        try:
+            inst = generate_random_instance(width, height, blocked, agents, (0, 0.5), seed)
+        except GenerationError:
+            assume(False)
+        dists = [shortest_path_distances(inst.graph, a.goal) for a in inst.agents]
+        popped = []
+        pop = ame.heappop
+
+        def recording_pop(heap):
+            popped.append(pop(heap))
+            return popped[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ame, "heappop", recording_pop)
+            solve_adapted_cbs(inst, SolveLimits(time_s=1e9, high_level_expansions=300))
+        shortest = {}
+        for _, _, sets, plan, key, _ in popped:
+            for i, own in enumerate(sets):
+                if (i, own) not in shortest:
+                    path, _ = shortest_path_under_constraints(inst, i, own, dists[i])
+                    shortest[i, own] = path.last_index
+            assert key == plan.max_index == max(shortest[i, own] for i, own in enumerate(sets))
+
 
 # (width = height, agents, generator seed): solved and node-capped searches
 TABLE_CASES = [(6, 3, 1), (6, 5, 3), (6, 8, 0), (7, 5, 1), (7, 8, 1),
@@ -150,22 +274,27 @@ TABLE_LIMITS = SolveLimits(time_s=1e9, high_level_expansions=200)
 
 
 def reference_cbs(instance, limits):
-    """Adapted CBS that runs the low level on every call."""
-    def replan(instance, agent, occupancy, constraints, key, dist_to_goal, cap):
-        return adapted_cbs.shortest_path_under_constraints(
+    """Adapted CBS that runs both low-level searches on every call."""
+    def replan(instance, agent, plan, constraints, key, dist_to_goal, cap):
+        path, expansions = adapted_cbs.shortest_path_under_constraints(
             instance, agent, constraints, dist_to_goal, cap)
+        path, avoiding = adapted_cbs.fewest_conflicts_path(
+            instance, agent, plan, constraints, max(path.last_index, int(key)),
+            dist_to_goal, cap)
+        return path, expansions + avoiding
 
-    def evaluate(occ, conflicts):
-        lengths = [p.last_index for p in occ.paths]
-        return occ, float(max(lengths)), (max(lengths), sum(lengths))
+    def evaluate(plan, conflicts):
+        return plan, float(plan.max_index), (plan.max_index, len(conflicts))
 
     return conflict_tree_search(instance, limits, replan, evaluate, bypass=True)
 
 
 def spy_low_level(monkeypatch):
     """Record ((agent, constraints), cause or vertices, expansions) of each
-    low-level run, with the constraints as the solver passed them."""
-    calls = []
+    shortest search, and (agent, constraints, bound, vertices, expansions)
+    of each avoidance search, with the constraints as the solver passed
+    them."""
+    calls, avoided = [], []
 
     def spy(instance, agent, constraints, dist_to_goal, cap):
         key = agent, constraints
@@ -178,8 +307,15 @@ def spy_low_level(monkeypatch):
         calls.append((key, path.vertices, expansions))
         return path, expansions
 
+    def avoid_spy(instance, agent, plan, constraints, bound, dist_to_goal, cap):
+        path, expansions = fewest_conflicts_path(instance, agent, plan, constraints, bound,
+                                                 dist_to_goal, cap)
+        avoided.append((agent, constraints, bound, path.vertices, expansions))
+        return path, expansions
+
     monkeypatch.setattr(adapted_cbs, "shortest_path_under_constraints", spy)
-    return calls
+    monkeypatch.setattr(adapted_cbs, "fewest_conflicts_path", avoid_spy)
+    return calls, avoided
 
 
 def assert_same_search(result, reference):
@@ -193,51 +329,63 @@ def assert_same_search(result, reference):
 
 
 class TestPlanTable:
-    """`solve_adapted_cbs` plans each (agent, own constraint set) once per
-    solve; the reference plans on every call."""
+    """`solve_adapted_cbs` runs the shortest search of each (agent, own
+    constraint set) once per solve and the avoidance search on every call;
+    the reference runs both on every call."""
 
     @pytest.mark.parametrize("size, agents, seed", TABLE_CASES)
     def test_matches_planning_every_time(self, monkeypatch, size, agents, seed):
         inst = generate_random_instance(size, size, 0.1, agents, (0, 0.5), seed)
-        ref_calls = spy_low_level(monkeypatch)
+        ref_calls, ref_avoided = spy_low_level(monkeypatch)
         reference = reference_cbs(inst, TABLE_LIMITS)
-        calls = spy_low_level(monkeypatch)
+        calls, avoided = spy_low_level(monkeypatch)
         result = solve_adapted_cbs(inst, TABLE_LIMITS)
         assert_same_search(result, reference)
         keys = [key for key, _, _ in calls]
         assert len(keys) == len(set(keys)) == len({key for key, _, _ in ref_calls})
         assert set(calls) <= set(ref_calls)
-        assert result.low_level_expanded == sum(e for _, _, e in calls)
+        assert avoided == ref_avoided
+        assert result.low_level_expanded \
+            == sum(e for _, _, e in calls) + sum(e for *_, e in avoided)
         assert result.low_level_expanded <= reference.low_level_expanded
 
     @pytest.mark.parametrize("size, agents, seed, budget",
-                             [(6, 8, 0, 15), (8, 8, 0, 20), (8, 8, 5, 15)])
+                             [(6, 8, 0, 15), (6, 8, 5, 20), (8, 12, 3, 10)])
     def test_repeated_failure_raises_stored_cause(self, monkeypatch, size, agents,
                                                   seed, budget):
-        monkeypatch.setattr(ame, "LOW_LEVEL_EXPANSIONS", budget)
+        # the shortest search alone runs on `budget` expansions, so that
+        # repeated (agent, set)s fail on it
         inst = generate_random_instance(size, size, 0.1, agents, (0, 0.5), seed)
+        failed = []   # (own key, cause) of each shortest search that failed
+
+        def capped(instance, agent, constraints, dist_to_goal, cap):
+            try:
+                return shortest_path_under_constraints(
+                    instance, agent, constraints, dist_to_goal, min(cap, budget))
+            except LowLevelFailure as fail:
+                failed.append(((agent, constraints), fail.cause))
+                raise
+
+        monkeypatch.setattr(adapted_cbs, "shortest_path_under_constraints", capped)
         reference = reference_cbs(inst, TABLE_LIMITS)
-        outcomes = []   # (own key, cause or vertices, raised failure or None)
+        failed.clear()
+        raised = []   # (own key, failure) of each replan that raised
 
         def recording_search(instance, limits, replan, evaluate, *, bypass):
             def recorded(instance, agent, occupancy, constraints, *rest):
-                key = agent, constraints
                 try:
-                    path, expansions = replan(instance, agent, occupancy, constraints, *rest)
+                    return replan(instance, agent, occupancy, constraints, *rest)
                 except LowLevelFailure as fail:
-                    outcomes.append((key, fail.cause, fail))
+                    raised.append(((agent, constraints), fail))
                     raise
-                outcomes.append((key, path.vertices, None))
-                return path, expansions
             return conflict_tree_search(instance, limits, recorded, evaluate, bypass=bypass)
 
         monkeypatch.setattr(adapted_cbs, "conflict_tree_search", recording_search)
         result = solve_adapted_cbs(inst, TABLE_LIMITS)
         assert_same_search(result, reference)
-        first = {}
-        for key, outcome, _ in outcomes:
-            assert first.setdefault(key, outcome) == outcome
-        failures = [(key, fail) for key, _, fail in outcomes if fail is not None]
-        assert "budget" in {fail.cause for _, fail in failures}
-        assert len({key for key, _ in failures}) < len(failures)   # repeats occur
-        assert len({id(fail) for _, fail in failures}) == len(failures)   # each fresh
+        stored = dict(failed)
+        assert len(stored) == len(failed)   # each failing set is searched once
+        assert "budget" in stored.values()
+        assert all(fail.cause == stored[key] for key, fail in raised)
+        assert len({key for key, _ in raised}) < len(raised)   # repeats occur
+        assert len({id(fail) for _, fail in raised}) == len(raised)   # each fresh

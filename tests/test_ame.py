@@ -319,7 +319,7 @@ def test_every_popped_node_carries_its_plans_conflicts(monkeypatch, solve):
         return find(plan, conflicts)
 
     monkeypatch.setattr(ame, "find_earliest_conflict", checked_find)
-    for width, agents, seed in ((7, 8, 0), (7, 8, 3), (8, 10, 1), (8, 10, 3)):
+    for width, agents, seed in ((7, 8, 0), (7, 8, 3), (8, 10, 0), (8, 10, 1), (8, 10, 3)):
         inst = generate_random_instance(width, width, 0.1, agents, (0, 0.5), seed)
         solve(inst, SolveLimits(high_level_expansions=40))
     # most popped nodes are children, and most of those still conflict
@@ -341,9 +341,10 @@ def test_low_level_gets_its_agents_own_constraints(monkeypatch, solver):
         monkeypatch.setattr(ame, "low_level_search", spy)
         assert solve_ame(inst).solved
     else:
-        spied = spy_low_level(monkeypatch)
+        searched, avoided = spy_low_level(monkeypatch)
         assert solve_adapted_cbs(inst).solved
-        calls = [key for key, _, _ in spied]
+        calls = [key for key, _, _ in searched] + [(agent, constraints)
+                                                   for agent, constraints, *_ in avoided]
     received = [(agent, c.agent) for agent, constraints in calls for c in constraints]
     assert all(agent == named for agent, named in received)
     assert len({named for _, named in received}) >= 2

@@ -187,10 +187,10 @@ class TestSolveAndValidate:
                      str(plan_p)]) == EXIT_OK
 
     def test_status_line_counts_bypasses(self, tmp_path, capsys):
-        # adapted CBS takes one bypass node on this instance; AME takes none
-        map_p, agents_p = gen_instance(tmp_path)
+        # adapted CBS takes two bypass nodes on this instance; AME takes none
+        map_p, agents_p = gen_instance(tmp_path, agents=5)
         instance = mapio.read_instance(map_p, agents_p)
-        for solver, bypasses in (("ame", 0), ("adapted-cbs", 1)):
+        for solver, bypasses in (("ame", 0), ("adapted-cbs", 2)):
             capsys.readouterr()
             assert main(["solve", str(map_p), str(agents_p), "--solver", solver,
                          "--out", str(tmp_path / "plan.json")]) == EXIT_OK

@@ -62,7 +62,7 @@ BENCH = {
              "fc867660b74cd2608be2e9eb0d5d98a5c4777230806bb17aebada13741ebdd47"),
     "exp4": (["--agents", "4", "--instances", "2", "--policy", "mcp", "--policy", "fsp",
               "--policy", "dummy", "--solver", "ame", "--solver", "adapted-cbs"],
-             "57e7e41189086bc4594b3d0605b3702df032289b226416b9192bac88454447fe"),
+             "e9f2380340f825cd091fcaeb2b2731009adcf8a191b253c57f531022b9a365d8"),
 }
 
 

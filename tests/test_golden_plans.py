@@ -14,7 +14,11 @@ re-recorded (6293 -> 3513) when that solver began to plan each (agent, own
 constraint set) once per solve: a repeat costs no expansions, and its plan,
 digest and high-level count are unchanged.  Its counts were re-recorded
 again (73/3513 -> 40/1666) when adapted CBS began to take the bypass rule
-of `conflict_tree_search`; its plan and digest are unchanged.  A change
+of `conflict_tree_search`; its plan and digest are unchanged.  Its plan,
+digest and counts were re-recorded (40/1666 -> 7/878) when adapted CBS
+began to replan an agent to its path with the fewest conflicts within the
+node's max-index slack, ordering nodes by conflict count; the max index
+(26) is unchanged.  A change
 to conflict handling, tie-breaking, node ordering or labels that alters any
 plan fails here.  The Monte Carlo statistics were recorded on the
 message-passing simulator that the lagged-state loop replaced; a change
@@ -51,7 +55,7 @@ GOLDEN = {
     "cbs-warehouse-7a-s1002": (
         solve_adapted_cbs,
         lambda: generate_warehouse_instance(WarehouseParams(), 7, P_RANGE, 1002),
-        40, 1666, "601c708d1bf052d07f2ff681df08b2ff5eea43ad315536b954afb1664194960f"),
+        7, 878, "1ee9cb82af77890aefb2b9da6c31ec8583883dfa4ed1d69137c11269b9ef563e"),
 }
 
 
@@ -84,11 +88,13 @@ def test_only_adapted_cbs_bypasses(name):
         assert result.bypasses == 0
 
 
-def test_only_ame_reads_departure_rows(monkeypatch):
-    # adapted CBS plans carry no labels, and its low level reads no index
+def test_only_ame_reads_labels(monkeypatch):
+    # adapted CBS plans carry no labels: both low levels read the conflict
+    # rows, but only AME's reads the departures' labels
     built = []
-    row = ame.departure_row
-    monkeypatch.setattr(ame, "departure_row", lambda *args: built.append(args) or row(*args))
+    row = ame.labeled_departure_row
+    monkeypatch.setattr(ame, "labeled_departure_row",
+                        lambda *args: built.append(args) or row(*args))
     for name in ("cbs-warehouse-7a-s1002", "ame-warehouse-10a-s1001"):
         solve, make, *_ = GOLDEN[name]
         built.clear()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mapf_dp import (AgentSpec, ConflictKind, Graph, Instance, Path, Plan,
                      find_earliest_conflict, parse_map, serialize_map,
                      shortest_path_distances, validate_plan)
-from mapf_dp.model import MapError, enumerate_conflicts, grid_graph
+from mapf_dp.model import GenerationError, MapError, enumerate_conflicts, grid_graph
 from tests.conftest import C1, C2, C3, C4
 
 
@@ -118,6 +118,12 @@ class TestInstanceInvariants:
             Instance(grid_graph(3, 1, [True] * 3), specs)
         with pytest.raises(ValueError, match="^agent at position 1 has id 2; "):
             Instance(grid_graph(3, 1, [True] * 3), (AgentSpec(0, 0, 2, .2), AgentSpec(2, 2, 0, .3)))
+
+    def test_no_agents_rejected(self):
+        # an empty instance reached both solvers, and Plan.max_index crashed
+        # on it; it now fails the generators' agent-count rule
+        with pytest.raises(GenerationError, match="^need at least one agent, got 0$"):
+            Instance(Graph.from_edges(2, [(0, 1)]), ())
 
     def test_delay_prob_domain(self):
         with pytest.raises(ValueError):

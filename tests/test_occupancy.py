@@ -17,7 +17,7 @@ from bisect import bisect_right
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapf_dp.ame import carry_conflicts, departure_count, departure_row
+from mapf_dp.ame import carry_conflicts, departure_count, departure_row, labeled_departure_row
 from mapf_dp.model import (Conflict, ConflictKind, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict, path_conflicts)
 from tests.low_level_oracle import departure_row as former_row
@@ -54,7 +54,7 @@ def others_increment(occ, agent, vertex, x):
 def wait_bound(occ, agent, vertex, x):
     """The low level's wait bound at (vertex, x): the largest label of a
     departure from vertex at an index below x - 1 by any agent but `agent`."""
-    xs, best, _ = departure_row(occ, vertex, agent)
+    (xs, _), best = labeled_departure_row(occ, vertex, agent)
     return best[bisect_right(xs, x - 2)]
 
 
@@ -275,7 +275,8 @@ SHARED_PARKING = ([Path((0, 2), (0.0, 1.0)), Path((1, 0, 2), (0.0, 1.0, 2.0)),
 def test_departure_count_matches_former_counts(paths, swaps):
     # the count read from a row equals the former row's counts[x], or its
     # last entry past the end, at every vertex and index, for every agent
-    # left out; the departures and their best labels are the former ones
+    # left out; the departures and their best labels are the former ones,
+    # and AME's labeled row holds the same conflict row as CBS's
     occ = Plan(())
     for j, p in enumerate(paths):
         occ = occ.swap(j, p)
@@ -285,7 +286,8 @@ def test_departure_count_matches_former_counts(paths, swaps):
         for v in range(7):
             counts, xs, best = former_row(occ, v, agent)
             row = departure_row(occ, v, agent)
-            assert row[:2] == (xs, best)
+            assert labeled_departure_row(occ, v, agent) == (row, best)
+            assert row[0] == xs
             for x in range(max(p.last_index for p in occ.paths) + 4):
                 assert departure_count(row, x) == counts[min(x, len(counts) - 1)]
 
