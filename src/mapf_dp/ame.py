@@ -146,7 +146,11 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     under one tuple lowers the conflict count at each step, so each tuple
     holds finitely many nodes.  AME's key is no such bound; `solve_ame`
     passes `bypass=False`.  A bypass node counts in `high_level_expanded`
-    when it is popped, like any node."""
+    when it is popped, like any node.
+
+    A child whose low level fails is not pushed.  If a failure was the
+    budget's, the child's sets may still admit a plan, so a search whose
+    open list then empties ends "timeout", not "no-solution"."""
     t0 = time.monotonic()
     dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     ll_total = hl_expanded = key_decreases = bypasses = 0
@@ -173,6 +177,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             return result("timeout")
 
     seq = itertools.count()
+    cut = False   # a child was dropped for its low level's budget
     conflicts = enumerate_conflicts(plan)
     plan, key, order = evaluate(plan, conflicts)
     heap = [(order, next(seq), (frozenset(),) * instance.n_agents, plan, key, conflicts)]
@@ -191,7 +196,8 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             child_constraints = (*constraints[:j], constraints[j] | {con}, *constraints[j + 1:])
             try:
                 path = plan_agent(j, plan, child_constraints[j], key)
-            except LowLevelFailure:
+            except LowLevelFailure as fail:
+                cut = cut or fail.cause == "budget"
                 continue
             child_conflicts = carry_conflicts(plan, conflicts, j, path)
             child_plan, child_key, child_order = evaluate(plan.swap(j, path), child_conflicts)
@@ -205,7 +211,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
                              child_conflicts))
         for child_order, *child in children:
             heappush(heap, (child_order, next(seq), *child))
-    return result("no-solution")
+    return result("timeout" if cut else "no-solution")
 
 
 def constraint_setup(instance: Instance, agent: int, constraints: Collection[Constraint],

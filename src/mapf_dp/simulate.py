@@ -26,36 +26,38 @@ the last `latency` steps, so none is in flight.
 `run_execution` is one run, the view that `record=True` snapshots and
 scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
 generator `run_seed(seed, k)`.  Below its policy's `MC_LOCKSTEP_WORK` runs
-x agents it loops over `run_execution`; from there on `LockStep` advances
-the runs together as (runs, agents) arrays, in as few blocks, split
-evenly, as keep each block's buffer of draws within `MC_BUFFER_BYTES`,
-which bounds its memory at any run count.  Both give the same statistics, bit for bit: a
-run's draws depend only on its own generator, which it reads in agent
-order within a step, one draw per commanded move and none for a wait, so
-the lock-step engine replays each run's stream from a per-run buffer and
-finds the same outcome.  `run_seeds` derives the runs' seeds by numpy's
-SeedSequence hash without a SeedSequence per run, and `fill_draws` fills
-the buffers by numpy's MT19937 without a Python call per draw.
+x agents it runs them one by one on `RunLoop`, the engine of
+`run_execution`, with the plan's tables built once per call; from there on
+`LockStep` advances the runs together as (runs, agents) arrays, in as few
+blocks, split evenly, as keep each block's buffer of draws within
+`MC_BUFFER_BYTES`, which bounds its memory at any run count.  Both give the
+same statistics, bit for bit: a run's draws depend only on its own
+generator, which it reads in agent order within a step, one draw per
+commanded move and none for a wait, so the lock-step engine replays each
+run's stream from a per-run buffer and finds the same outcome.  `run_seeds`
+derives the runs' seeds by numpy's SeedSequence hash without a
+SeedSequence per run, and `fill_draws` fills the buffers by numpy's
+MT19937 without a Python call per draw.
 
 Both engines take one pass per time step.  The loop's pass costs about
-runs x agents, lock step's a fixed numpy overhead plus a little per run and
-agent, so the break-even is a product, and it differs by policy.  Timed
-per call, best of 5, on the 23 plans of the benchmark (6 to 35 agents),
-lock step ran at these multiples of the loop's speed (median over the
-plans, and the range):
+the agents it visits, lock step's a fixed numpy overhead plus a little per
+run and agent, so the break-even is a product, and it differs by policy.
+Timed per call, best of 5, on the 23 plans of the benchmark (6 to 35
+agents; a shared 2-vCPU machine, Python 3.11), lock step ran at these multiples of the loop's speed (median over
+the plans, and the range):
 
-    runs x agents  ~160             ~240             ~320             ~480
-    mcp            0.80 (0.56-1.61) 1.02 (0.73-1.56) 1.36 (1.02-2.06) 1.60 (1.10-2.71)
-    fsp            0.63 (0.35-0.90) 0.89 (0.56-1.31) 0.96 (0.67-1.48) 1.26 (0.91-2.04)
-    dummy          0.76 (0.58-1.35) 1.00 (0.77-2.05) 1.25 (0.82-2.53) 1.80 (1.21-3.20)
+    runs x agents  ~480             ~640             ~800             ~960
+    mcp            0.90 (0.50-1.17) 1.14 (0.68-1.63) 1.24 (0.71-1.78) 1.36 (1.00-1.84)
+    fsp            0.72 (0.45-1.19) 0.81 (0.57-1.23) 0.91 (0.58-1.56) 1.15 (0.74-1.62)
+    dummy          0.79 (0.41-1.10) 0.90 (0.68-2.02) 1.10 (0.63-1.40) 1.07 (0.74-2.21)
 
-Plans with fewer agents break even at a smaller product.  Best of 9 on
-the benchmark's own calls: mcp with 16 runs gained on the 10- and 15-agent
-warehouse plans (0.94x-1.25x at 160, 1.23x-1.43x at 240) and broke even on
-the random 14-agent plans with 20 runs (0.76x-1.15x at 280); fsp lost on
-every call up to 280 (0.47x-0.96x) and gained at 350 (1.24x); dummy lost on
-every call up to 175 and gained at 350 (1.46x).  A 200-run call ran at
-2.8x to 4.7x.
+Each threshold is the first product whose median reaches 1, but mcp's: the
+benchmark's 50-run call of a 10-agent plan at latency 2 (500) ran 1.07x
+faster in lock step (median of 11 alternating best-of-5 rounds), so mcp's
+is 480.  The benchmark's calls that this moved to the loop, at 160 to 400
+under mcp and 350 under fsp and dummy, all ran faster there: 1.08x to
+1.80x (median of 15 rounds).  A 200-run call ran at 1.1x to 3.2x in lock
+step.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
 # runs x agents of a call from which it runs in lock step, per policy
-MC_LOCKSTEP_WORK = {"mcp": 160, "fsp": 320, "dummy": 240}
+MC_LOCKSTEP_WORK = {"mcp": 480, "fsp": 960, "dummy": 800}
 MC_BUFFER_BYTES = 1 << 22  # most bytes of draws that one lock-step block buffers
 
 
@@ -132,12 +134,170 @@ def mcp_schedule(plan: Plan) -> MessageSchedule:
     return message_schedule(transitive_reduction(build_partial_order(plan)), plan)
 
 
-def check_options(policy: str, latency: int) -> None:
-    """The policy and latency rules of `run_execution` and `monte_carlo`."""
+def check_options(policy: str, latency: int, horizon_cap: Optional[int] = None) -> None:
+    """The policy, latency and horizon-cap rules of `run_execution` and
+    `monte_carlo`."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if latency < 0:
         raise ValueError(f"latency must be >= 0, got {latency}")
+    if horizon_cap is not None and horizon_cap < 1:
+        raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
+
+
+class RunLoop:
+    """A plan's tables for running its executions one at a time: each path's
+    vertices, the (from, to) vertices of the step out of each state that
+    moves (and so draws), None for a wait, the messages sent on entering
+    each state and, under mcp, the waits of `MessageSchedule.waits`."""
+
+    def __init__(self, instance: Instance, plan: Plan, policy: str,
+                 schedule: Optional[MessageSchedule]):
+        self.policy = policy
+        self.verts = [p.vertices for p in plan.paths]
+        self.last = [p.last_index for p in plan.paths]
+        self.delay = [a.delay_prob for a in instance.agents]
+        self.edges = [[(u, v) if u != v else None for u, v in zip(p, p[1:])]
+                      for p in self.verts]
+        # sends[i][y]: messages agent i emits on entering local state y
+        self.sends = [[plan.n_agents - 1 if policy == "fsp" else 0] * (lx + 1)
+                      for lx in self.last]
+        if policy == "mcp":
+            self.waits = schedule.waits
+            for (j, y), recipients in schedule.senders.items():
+                self.sends[j][y] = len(recipients)
+        self.n_vertices = 1 + max(max(p) for p in self.verts)
+
+    def run(self, rng, horizon_cap: int, latency: int,
+            collisions: Optional[list] = None, snapshots: Optional[list] = None) -> tuple:
+        """(status, makespan, messages sent, collisions) of one run on `rng`.
+        Each collision is appended to `collisions` and each step's local
+        states to `snapshots`, when given.
+
+        Only unfinished agents are visited.  Under fsp an agent at x moves
+        only once every other unfinished agent has reached x, so these sit
+        on two levels at most, and only the front, the lowest level's
+        agents, can move.  The lagged view is an earlier state of the run,
+        so its two smallest unfinished states and the first agent at the
+        smaller follow from that state's front: the whole front goes when
+        the view's lowest level is the front's, else at most the view's
+        first agent, if it is in the front and nobody else is seen behind."""
+        verts, last, delay, edges, sends = self.verts, self.last, self.delay, self.edges, self.sends
+        fsp, mcp = self.policy == "fsp", self.policy == "mcp"
+        waits = self.waits if mcp else None
+        draw = rng.random
+        local = [0] * len(last)
+        active = [i for i, lx in enumerate(last) if lx]   # the unfinished agents
+        unfinished = len(active)
+        if not unfinished:
+            return "done", 0, 0, 0
+        level, front, ahead = 0, active, []   # fsp: the front's level, the rest
+        history: deque = deque(maxlen=latency + 1)   # pre-step views
+        last_sent = -latency - 1          # step of the latest message emitted
+        messages_sent = n_collisions = 0
+        # per-vertex occupancy, the number of agent pairs sharing a vertex,
+        # and the step + 1 in which each vertex was last left
+        occ = [0] * self.n_vertices
+        left = [0] * self.n_vertices
+        pairs = 0
+        for p in verts:
+            pairs += occ[p[0]]
+            occ[p[0]] += 1
+
+        t = 0
+        while t < horizon_cap:
+            if fsp:
+                # lo1, arg1, lo2: the lowest level, its first agent, the next state
+                history.append((level, front[0], level if len(front) > 1
+                                else level + 1 if ahead else math.inf))
+                lo1, arg1, lo2 = history[0]
+                if lo1 == level:
+                    go = front
+                elif lo2 >= level and local[arg1] == level < last[arg1]:
+                    go = (arg1,)
+                else:
+                    go = ()
+            else:
+                go = active
+                if mcp:
+                    history.append(local[:])
+                    seen = history[0]
+            any_go = not mcp and bool(go)   # fsp and dummy visit GO agents only
+            finished = crossed = False
+            moved = []
+            stamp = t + 1
+            for i in go:
+                x = local[i]
+                if mcp:
+                    blocked = False
+                    for j, y in waits[i][x]:
+                        if seen[j] < y:
+                            blocked = True
+                            break
+                    if blocked:
+                        continue
+                    any_go = True
+                e = edges[i][x]
+                if e:                           # a wait never fails
+                    if draw() < delay[i]:
+                        continue
+                    u, v = e
+                    occ[u] -= 1
+                    pairs += occ[v] - occ[u]
+                    occ[v] += 1
+                    # an agent that enters a vertex left in this step may swap
+                    if left[v] == stamp:
+                        crossed = True
+                    left[u] = stamp
+                    moved.append(i)
+                x += 1
+                local[i] = x
+                if x == last[i]:
+                    unfinished -= 1
+                    finished = True
+                elif fsp:
+                    ahead.append(i)
+                if n := sends[i][x]:
+                    messages_sent += n
+                    last_sent = t
+
+            if not any_go and last_sent < t - latency:   # no GO, nothing in flight
+                return "deadlock", None, messages_sent, n_collisions
+            if fsp and any_go:
+                front = [i for i in front if local[i] == level]
+                if not front and ahead:
+                    level, front, ahead = level + 1, sorted(ahead), []
+            elif finished:
+                active = [i for i in active if local[i] < last[i]]
+
+            if pairs:
+                n_collisions += pairs
+                if collisions is not None:
+                    # in the order of the agents' first occupancy
+                    occupancy: dict[int, list[int]] = {}
+                    for i, x in enumerate(local):
+                        occupancy.setdefault(verts[i][x], []).append(i)
+                    collisions.extend(Collision(t, "vertex", a, b, (v,))
+                                      for v, occupants in occupancy.items()
+                                      for k, a in enumerate(occupants)
+                                      for b in occupants[k + 1:])
+            if crossed:
+                # edge collisions: opposite traversal of one edge in the same step
+                swaps = {edges[i][local[i] - 1]: i for i in moved}
+                for (u, v), i in swaps.items():
+                    j = swaps.get((v, u))
+                    if j is not None and i < j:
+                        n_collisions += 1
+                        if collisions is not None:
+                            collisions.append(Collision(t, "edge", i, j, (u, v)))
+
+            t = stamp
+            if snapshots is not None:
+                snapshots.append(tuple(local))
+            if not unfinished:
+                return "done", t, messages_sent, n_collisions
+
+        return "timeout", None, messages_sent, n_collisions
 
 
 def run_execution(instance: Instance, plan: Plan, policy: str, rng,
@@ -146,120 +306,18 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
                   latency: int = 0,
                   record: bool = False) -> ExecutionTrace:
     """Execute a plan once under the given policy and seeded rng."""
-    check_options(policy, latency)
+    check_options(policy, latency, horizon_cap)
     if isinstance(rng, int):
         rng = random.Random(rng)
     if policy == "mcp" and schedule is None:
         schedule = mcp_schedule(plan)
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(plan)
-
-    m = plan.n_agents
-    verts = [p.vertices for p in plan.paths]
-    last = [p.last_index for p in plan.paths]
-    delay = [a.delay_prob for a in instance.agents]
-    local = [0] * m
-    snapshots = [tuple(local)] if record else None
-    unfinished = sum(lx > 0 for lx in last)
-    if not unfinished:
-        return ExecutionTrace("done", 0, 0, [], snapshots)
-
-    fsp, mcp = policy == "fsp", policy == "mcp"
-    # sends[i][y]: messages agent i emits on entering local state y
-    sends = [[m - 1 if fsp else 0] * (lx + 1) for lx in last]
-    if mcp:
-        waits = schedule.waits
-        for (j, y), recipients in schedule.senders.items():
-            sends[j][y] = len(recipients)
-    history: deque[list[int]] = deque(maxlen=latency + 1)   # pre-step vectors
-    never_seen = [0] * m
-    last_sent = -latency - 1          # step of the latest message emitted
-    messages_sent = 0
     collisions: list[Collision] = []
-    # per-vertex occupancy and the number of vertices holding two or more agents
-    occ = [0] * (1 + max(max(p) for p in verts))
-    for p in verts:
-        occ[p[0]] += 1
-    crowded = sum(occ[v] > 1 for v in {p[0] for p in verts})
-
-    t = 0
-    while t < horizon_cap:
-        history.append(local[:])
-        seen = history[0] if len(history) > latency else never_seen
-        if fsp:
-            # two smallest seen states among unfinished agents, for self-exclusion
-            lo1 = lo2 = math.inf
-            arg1 = -1
-            for j in range(m):
-                s = seen[j]
-                if s < last[j]:
-                    if s < lo1:
-                        lo2, lo1, arg1 = lo1, s, j
-                    elif s < lo2:
-                        lo2 = s
-        any_go = False
-        moved = []
-        for i in range(m):
-            x = local[i]
-            if x == last[i]:
-                continue
-            if fsp:
-                if x > (lo2 if i == arg1 else lo1):
-                    continue
-            elif mcp:
-                w = waits[i][x]
-                if w and not all(seen[j] >= y for j, y in w):
-                    continue
-            any_go = True
-            path = verts[i]
-            if path[x] != path[x + 1]:      # a wait never fails
-                if rng.random() < delay[i]:
-                    continue
-                moved.append(i)
-            x += 1
-            local[i] = x
-            if x == last[i]:
-                unfinished -= 1
-            if sends[i][x]:
-                messages_sent += sends[i][x]
-                last_sent = t
-
-        if not any_go and last_sent < t - latency:   # no GO, nothing in flight
-            return ExecutionTrace("deadlock", None, messages_sent, collisions, snapshots)
-
-        if moved:
-            swaps: dict[tuple[int, int], int] = {}
-            for i in moved:
-                x = local[i]
-                u, v = verts[i][x - 1], verts[i][x]
-                swaps[(u, v)] = i
-                occ[u] -= 1
-                if occ[u] == 1:
-                    crowded -= 1
-                occ[v] += 1
-                if occ[v] == 2:
-                    crowded += 1
-        if crowded:   # full scan, in the order of the agents' first occupancy
-            occupancy: dict[int, list[int]] = {}
-            for i, x in enumerate(local):
-                occupancy.setdefault(verts[i][x], []).append(i)
-            collisions.extend(Collision(t, "vertex", a, b, (v,))
-                              for v, occupants in occupancy.items()
-                              for k, a in enumerate(occupants) for b in occupants[k + 1:])
-        if len(moved) > 1:
-            # edge collisions: opposite traversal of one edge in the same step
-            for (u, v), i in swaps.items():
-                j = swaps.get((v, u))
-                if j is not None and i < j:
-                    collisions.append(Collision(t, "edge", i, j, (u, v)))
-
-        t += 1
-        if record:
-            snapshots.append(tuple(local))
-        if not unfinished:
-            return ExecutionTrace("done", t, messages_sent, collisions, snapshots)
-
-    return ExecutionTrace("timeout", None, messages_sent, collisions, snapshots)
+    snapshots = [(0,) * plan.n_agents] if record else None
+    status, makespan, sent, _ = RunLoop(instance, plan, policy, schedule).run(
+        rng, horizon_cap, latency, collisions, snapshots)
+    return ExecutionTrace(status, makespan, sent, collisions, snapshots)
 
 
 # the constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
@@ -526,28 +584,22 @@ class LockStep:
                 yield "done", int(makespan[k]), self.messages, int(collisions[k])
 
 
-def _trace_outcome(trace: ExecutionTrace) -> tuple:
-    return trace.status, trace.makespan, trace.messages_sent, len(trace.collisions)
-
-
 def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
                 seed: int, horizon_cap: Optional[int] = None,
                 latency: int = 0) -> RunStats:
     """Aggregate makespan/collision/message statistics over seeded runs."""
-    check_options(policy, latency)
+    check_options(policy, latency, horizon_cap)
     check_runs(n_runs)
     check_seed(seed)
-    if horizon_cap is not None and horizon_cap < 1:
-        raise ValueError(f"horizon cap must be >= 1, got {horizon_cap}")
     cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
     schedule = mcp_schedule(plan) if policy == "mcp" else None
     if n_runs * plan.n_agents >= MC_LOCKSTEP_WORK[policy]:
         outcomes = LockStep(instance, plan, policy, schedule, cap).outcomes(
             seed, n_runs, latency)
     else:
-        outcomes = (_trace_outcome(run_execution(
-            instance, plan, policy, random.Random(s), schedule=schedule,
-            horizon_cap=cap, latency=latency)) for s in run_seeds(seed, range(n_runs)))
+        loop = RunLoop(instance, plan, policy, schedule)
+        outcomes = (loop.run(random.Random(s), cap, latency)
+                    for s in run_seeds(seed, range(n_runs)))
     makespans = []
     collision_counts = []
     messages = 0

@@ -254,6 +254,17 @@ class TestSolveAme:
         monkeypatch.setattr(ame, "LOW_LEVEL_EXPANSIONS", 1)
         assert solve_ame(pocket_instance).status == "timeout"
 
+    @pytest.mark.parametrize("solve, budget", [(solve_adapted_cbs, 15), (solve_ame, 30)])
+    def test_budget_cut_children_end_in_timeout(self, monkeypatch, solve, budget):
+        # solvable at the default budget; at this one, children are dropped
+        # for the budget until the open list empties after a few nodes
+        inst = generate_random_instance(6, 6, 0.1, 8, (0, 0.5), 0)
+        assert solve(inst).solved
+        monkeypatch.setattr(ame, "LOW_LEVEL_EXPANSIONS", budget)
+        result = solve(inst)
+        assert result.status == "timeout"
+        assert 0 < result.high_level_expanded < SolveLimits().high_level_expansions
+
     def test_time_limit(self):
         inst = generate_random_instance(20, 20, 0.1, 10, (0, 0.5), 0)
         limits = SolveLimits(time_s=1e-9)

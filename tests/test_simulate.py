@@ -181,6 +181,15 @@ class TestRunExecution:
         with pytest.raises(ValueError):
             run_execution(pocket_instance, pocket_valid_plan, "mcp", 0, latency=-1)
 
+    @pytest.mark.parametrize("cap", [0, -3])
+    def test_rejects_horizon_cap_below_one(self, pocket_instance, pocket_valid_plan, cap):
+        # the rule of `check_options`, shared with `monte_carlo`
+        for run in (lambda: run_execution(pocket_instance, pocket_valid_plan, "fsp", 0,
+                                          horizon_cap=cap),
+                    lambda: monte_carlo(pocket_instance, pocket_valid_plan, "fsp", 3, 0, cap)):
+            with pytest.raises(ValueError, match=rf"^horizon cap must be >= 1, got {cap}$"):
+                run()
+
     def test_trace_recording(self, pocket_instance, pocket_valid_plan):
         tr = run_execution(pocket_instance, pocket_valid_plan, "mcp",
                            run_seed(0, 0), record=True)
@@ -297,6 +306,20 @@ class TestMatchesOracle:
                                 pocket_instance, plan, policy,
                                 lambda: run_seed(latency, k), cap, latency)
 
+    @given(paths=ARBITRARY_PATHS, policy=st.sampled_from(POLICIES),
+           latency=st.integers(0, 3), seed=st.integers(0, 2**32),
+           n_runs=st.integers(1, 6), capped=st.booleans())
+    @settings(max_examples=150)
+    def test_monte_carlo_loop(self, paths, policy, latency, seed, n_runs, capped):
+        # below its threshold `monte_carlo` runs the loop, which shares its
+        # engine with `run_execution`; the oracle is independent of both
+        inst, plan = arbitrary_case(paths)
+        assert n_runs * plan.n_agents < MC_LOCKSTEP_WORK[policy]
+        cap = plan.max_index + 1 if capped else None
+        assert monte_carlo(inst, plan, policy, n_runs, seed, cap, latency).as_dict() \
+            == looped_stats(inst, plan, policy, n_runs, seed, cap, latency,
+                            run=sim_oracle.run_execution)
+
     def test_invalid_plan_collisions(self, pocket_instance, pocket_invalid_plan):
         # a head-on swap through C2-C3, besides the pocket plan's follower
         swap = Plan((Path((C2, C2, C3, C4)), Path((C4, C3, C2, C1))))
@@ -307,6 +330,38 @@ class TestMatchesOracle:
                                            lambda: run_seed(9, k))
                 kinds.update(c.kind for c in tr.collisions)
         assert kinds == {"vertex", "edge"}
+
+
+class TestFspLevels:
+    """Under fsp an agent leaves x only once every other unfinished agent has
+    reached x, so the unfinished agents' local states differ by at most 1:
+    the rule by which `run_execution` visits only the lowest level's agents."""
+
+    @staticmethod
+    def assert_two_levels(plan, snapshots):
+        last = [p.last_index for p in plan.paths]
+        for snap in snapshots:
+            xs = [x for x, lx in zip(snap, last) if x < lx]
+            assert not xs or max(xs) - min(xs) <= 1, snap
+
+    @given(paths=ARBITRARY_PATHS, latency=st.integers(0, 3), seed=st.integers(0, 2**32))
+    @settings(max_examples=150)
+    def test_arbitrary_plans(self, paths, latency, seed):
+        inst, plan = arbitrary_case(paths)
+        for k in range(3):
+            tr = run_execution(inst, plan, "fsp", run_seed(seed, k), latency=latency,
+                               record=True)
+            self.assert_two_levels(plan, tr.snapshots)
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_solved_plans(self, case):
+        inst, plan = solved_plans()[case]
+        for latency in range(4):
+            for k in range(10):
+                tr = run_execution(inst, plan, "fsp", run_seed(latency, k), latency=latency,
+                                   record=True)
+                assert tr.status == "done"
+                self.assert_two_levels(plan, tr.snapshots)
 
 
 class TestMonteCarlo:
@@ -343,13 +398,15 @@ class TestMonteCarlo:
         assert s.as_dict() == {k: getattr(s, k) for k in s.as_dict()}
 
 
-def looped_stats(instance, plan, policy, n_runs, seed, horizon_cap=None, latency=0):
-    """`monte_carlo`'s statistics from a loop over `run_execution`, run k on
-    `run_seed(seed, k)`; a deadlock raises as `monte_carlo` does."""
+def looped_stats(instance, plan, policy, n_runs, seed, horizon_cap=None, latency=0,
+                 run=run_execution):
+    """`monte_carlo`'s statistics from a loop over `run`, `run_execution` or
+    the oracle's, run k on `run_seed(seed, k)`; a deadlock raises as
+    `monte_carlo` does."""
     traces = []
     for k in range(n_runs):
-        tr = run_execution(instance, plan, policy, run_seed(seed, k),
-                           horizon_cap=horizon_cap, latency=latency)
+        tr = run(instance, plan, policy, run_seed(seed, k),
+                 horizon_cap=horizon_cap, latency=latency)
         if tr.status == "deadlock":
             raise RuntimeError(f"deadlock during {policy} execution (run {k})")
         traces.append(tr)
