@@ -26,7 +26,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import combinations, islice
+from itertools import islice
 from typing import Optional, Sequence
 
 INF = math.inf
@@ -357,8 +357,9 @@ def path_conflicts(plan: Plan, a: int, path: Path, upto: float = INF) -> list[Co
     follows b) and at (v, x + 1) (b follows a).  a's states x < X_a meet b's
     visits at x - 1 ... x + 1, one bisect into `visits[v]`, and b's parked
     entry; a parked on its goal from X_a on meets b's visits of that goal
-    from index X_a - 1 on.  Two agents parked on one goal are not found here
-    (see `enumerate_conflicts`)."""
+    from index X_a - 1 on.  Precondition: no two paths end on one goal, as
+    in every plan of an `Instance`; two agents parked on one goal would meet
+    in their parked entries alone, which no query reads."""
     V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
     visits, parked = plan.visits, plan.parked
     vs = path.vertices
@@ -395,23 +396,15 @@ def enumerate_conflicts(plan: Plan) -> list[Conflict]:
     """All vertex/follow violations between goal-padded paths.
 
     Each pair is found once by `path_conflicts`, from its larger id's side,
-    over the plan's own index.  Two agents parked on one goal, which only
-    `validate_plan` can see (`Instance` forbids shared goals), conflict from
-    their parked entries alone.  The list is unordered: the solvers read its
-    length and its minimum by `Conflict.sort_key`.
+    over the plan's own index.  Precondition: no two paths end on one goal.
+    It holds for every plan of an `Instance`, which forbids shared goals,
+    and `validate_plan` returns on a path that misses its goal before it
+    gets here.  The list is unordered: the solvers read its length and its
+    minimum by `Conflict.sort_key`.
     """
     conflicts = []
     for a, p in enumerate(plan.paths):
         conflicts += path_conflicts(plan, a, p, upto=a)
-    x_max = plan.max_index
-    for g, sharing in plan.parked.items():   # only plans with shared goals
-        for (xa, a), (xb, b) in combinations(sharing, 2):
-            conflicts += [Conflict(ConflictKind.VERTEX, a, b, g, x)
-                          for x in range(max(xa, xb), x_max + 1)]
-            conflicts += [Conflict(ConflictKind.FOLLOW, a, b, g, x)
-                          for x in range(max(xa - 1, xb), x_max)]
-            conflicts += [Conflict(ConflictKind.FOLLOW, b, a, g, x)
-                          for x in range(max(xb - 1, xa), x_max)]
     return conflicts
 
 

@@ -34,10 +34,11 @@ blocks, split evenly, as keep each block's buffer of draws within
 same statistics, bit for bit: a run's draws depend only on its own
 generator, which it reads in agent order within a step, one draw per
 commanded move and none for a wait, so the lock-step engine replays each
-run's stream from a per-run buffer and finds the same outcome.  `run_seeds`
-derives the runs' seeds by numpy's SeedSequence hash without a
-SeedSequence per run, and `fill_draws` fills the buffers by numpy's
-MT19937 without a Python call per draw.
+run's stream from a per-run buffer and finds the same outcome.  Run k's
+generator is `random.Random((seed + 1) * 2**32 + k)`: one stream per run,
+whatever the order the runs take, and a seed of at least two 32-bit words,
+so `fill_draws` fills the buffers by numpy's MT19937 without a Python call
+per draw.
 
 Both engines take one pass per time step.  The loop's pass costs about
 the agents it visits, lock step's a fixed numpy overhead plus a little per
@@ -62,7 +63,6 @@ step.
 
 from __future__ import annotations
 
-import functools
 import math
 import random
 from collections import deque
@@ -320,80 +320,10 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
     return ExecutionTrace(status, makespan, sent, collisions, snapshots)
 
 
-# the constants of numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
-_MASK = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-# the multipliers of generate_state's output words 0 and 1
-_OUT_0, _OUT_1 = _INIT_B * _MULT_B & _MASK, _INIT_B * _MULT_B ** 2 & _MASK
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of n >= 0, low first; [0] for 0."""
-    out = [n & _MASK]
-    while n > _MASK:
-        n >>= 32
-        out.append(n & _MASK)
-    return out
-
-
-def _hashmix(value: int, const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix: the hashed value and the next hash constant."""
-    next_const = const * _MULT_A & _MASK
-    value = (value ^ const) * next_const & _MASK
-    return value ^ value >> 16, next_const
-
-
-def _mix(x: int, y: int) -> int:
-    r = (_MIX_L * x - _MIX_R * y) & _MASK
-    return r ^ r >> 16
-
-
-@functools.lru_cache(maxsize=64)
-def _seed_pool(master_seed: int) -> tuple[tuple[int, ...], int]:
-    """SeedSequence's pool after the master seed's words, padded to the
-    pool size of 4, and the hash constant that the spawn key's words go on
-    from."""
-    entropy = _words(master_seed)
-    entropy += [0] * (4 - len(entropy))
-    const = _INIT_A
-    pool = []
-    for word in entropy[:4]:
-        value, const = _hashmix(word, const)
-        pool.append(value)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                value, const = _hashmix(pool[src], const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in entropy[4:]:
-        for dst in range(4):
-            value, const = _hashmix(word, const)
-            pool[dst] = _mix(pool[dst], value)
-    return tuple(pool), const
-
-
 def run_seeds(master_seed: int, run_indices) -> list[int]:
-    """The seed of each run's generator: for run k, word 0 of
-    `np.random.SeedSequence(entropy=master_seed, spawn_key=(k,))
-    .generate_state(2, np.uint64)`, by the same hash.  Each k folds its
-    words into pool words 0 and 1, the two that word 0 reads; its calls for
-    pool words 2 and 3 only advance the hash constant."""
-    pool, const = _seed_pool(master_seed)
-    seeds = []
-    for k in run_indices:
-        lo, hi, c = pool[0], pool[1], const
-        for word in _words(k):
-            value, c = _hashmix(word, c)
-            lo = _mix(lo, value)
-            value, c = _hashmix(word, c)
-            hi = _mix(hi, value)
-            c = c * _MULT_A ** 2 & _MASK
-        lo = (lo ^ _INIT_B) * _OUT_0 & _MASK
-        hi = (hi ^ _OUT_0) * _OUT_1 & _MASK
-        seeds.append(lo ^ lo >> 16 | (hi ^ hi >> 16) << 32)
-    return seeds
+    """The seed of each run's generator: (master_seed + 1) * 2**32 + k for
+    run k, distinct for k < 2**32 and never below 2**32."""
+    return [(master_seed + 1) * 2**32 + k for k in run_indices]
 
 
 def run_seed(master_seed: int, run_index: int) -> random.Random:
@@ -407,13 +337,12 @@ def fill_draws(row: np.ndarray, seed: int, start: int, mt: np.random.RandomState
     32-bit words both run MT19937's init_by_array, and `random_sample`
     returns the same doubles as `random.random`, so `mt` fills the row in
     bulk.  numpy seeds a one-word key by init_genrand instead, so a smaller
-    seed takes Python's generator."""
-    if seed > _MASK:
-        mt.seed(np.array(_words(seed), np.uint32))
-        row[:] = mt.random_sample(start + len(row))[start:]
-    else:
-        rng = random.Random(seed)
-        row[:] = np.fromiter(iter(rng.random, None), float, start + len(row))[start:]
+    seed is refused."""
+    if seed < 1 << 32:
+        raise ValueError(f"fill_draws needs a seed >= 2**32, got {seed}")
+    mt.seed(np.array([seed >> b & 0xFFFFFFFF for b in range(0, seed.bit_length(), 32)],
+                     np.uint32))
+    row[:] = mt.random_sample(start + len(row))[start:]
 
 
 def check_runs(n_runs: int) -> None:

@@ -4,9 +4,10 @@ each experiment.
 
 The digests were recorded before both generators built their grids directly
 instead of parsing an ASCII map, and before `generate --t-hat-sweep` and
-exp2 shared one sweep.  The bench configs set a node limit that stops the
-solves that reach it long before the time limit, so each CSV is the same on
-every machine (see `bench`).  A change that alters a map, an agent line, a
+exp2 shared one sweep; the `results.csv` digests again when run k of a
+Monte Carlo call took the seed (seed + 1) * 2**32 + k.  The bench configs
+set a node limit that stops the solves that reach it long before the time
+limit, so each CSV is the same on every machine (see `bench`).  A change that alters a map, an agent line, a
 delay probability, a plan or a Monte Carlo statistic fails here.
 """
 
@@ -55,14 +56,14 @@ BENCH_COMMON = ["--width", "8", "--height", "8", "--runs", "20", "--seed", "5",
                 "--node-limit", "300"]
 BENCH = {
     "exp1": (["--agents", "4", "--instances", "2"],
-             "5446f54f8c0eaf70e6ff66734bc88754c7313adcf23a5b039eccd6dbb3fca952"),
+             "a01191c34819179c63b1db59305ef7282056b524db86a0651914bb56510ea5ec"),
     "exp2": (["--agents", "4"],
-             "bacea8af6b918d8518439a01de4c220c985d1426efe5771885a131ef3956d26a"),
+             "1f34b4c65880c2a115031ecb7def58b367e045b3672736fd64b8abbd9cefd9b2"),
     "exp3": (["--instances", "2"],
-             "fc867660b74cd2608be2e9eb0d5d98a5c4777230806bb17aebada13741ebdd47"),
+             "be09e612055e093cb5cfc1780531d45e6f45df35627587e69387b0a81c437ccf"),
     "exp4": (["--agents", "4", "--instances", "2", "--policy", "mcp", "--policy", "fsp",
               "--policy", "dummy", "--solver", "ame", "--solver", "adapted-cbs"],
-             "e9f2380340f825cd091fcaeb2b2731009adcf8a191b253c57f531022b9a365d8"),
+             "c8c394f8c3a09b2c7341a6286c2437a284e02aa389986c8f2e1c4215feb44cc6"),
 }
 
 

@@ -104,10 +104,10 @@ def test_only_ame_reads_labels(monkeypatch):
 
 # monte_carlo(..., 40 runs, seed 7, latency).as_dict() on ame-warehouse-10a-s1001
 GOLDEN_MC = {
-    ("mcp", 0): (43.925, 1.4777483825236557, 106, 0.0),
-    ("fsp", 0): (74.25, 1.6274174917050914, 2079, 0.0),
-    ("dummy", 0): (43.625, 1.6059975332867347, 0, 11.275),
-    ("mcp", 2): (47.7, 1.8530513712834253, 106, 0.0),
+    ("mcp", 0): (45.525, 1.8620495944812243, 106, 0.0),
+    ("fsp", 0): (74.45, 1.8686009849686047, 2079, 0.0),
+    ("dummy", 0): (45.325, 2.2230186856891407, 0, 8.75),
+    ("mcp", 2): (46.05, 1.8606769928697653, 106, 0.0),
 }
 
 

@@ -103,16 +103,23 @@ plans_st = st.lists(paths_st, min_size=1, max_size=6).map(
 SHARED_GOAL = Plan((Path((0, 1, 2)), Path((3, 2)), Path((2,)), Path((4, 4, 1, 2, 5))))
 
 
-@given(plans_st)
-@example(SHARED_GOAL)
+@st.composite
+def distinct_goal_plans(draw):
+    """Plans like `plans_st`'s whose paths end on distinct goals, as every
+    plan of an `Instance` does: the precondition of `enumerate_conflicts`."""
+    goals = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    body = st.lists(st.integers(0, 5), max_size=7).map(tuple)
+    return Plan(tuple(Path(draw(body) + (g,)) for g in goals))
+
+
+@given(distinct_goal_plans())
 @settings(max_examples=300)
 def test_enumerate_conflicts_matches_pairwise_loop(plan):
     # in the order `validate_plan` reports them
     assert sorted(enumerate_conflicts(plan), key=Conflict.pair_key) == pairwise_conflicts(plan)
 
 
-@given(plans_st)
-@example(SHARED_GOAL)
+@given(distinct_goal_plans())
 @settings(max_examples=300)
 def test_earliest_conflict_matches_pairwise_loop(plan):
     scan = pairwise_conflicts(plan)
@@ -134,8 +141,8 @@ def test_low_level_increment_matches_pairwise_sum(plan):
 
 def test_conflict_order_is_pinned():
     # the order of `validate_plan`: pair-major, then vertex before follow,
-    # then index, then direction; agents 0 and 2 both park on vertex 2
-    plan = Plan((Path((0, 1, 2)), Path((1, 3, 1, 1)), Path((3, 2))))
+    # then index, then direction; agent 2 waits on agent 0's goal 2
+    plan = Plan((Path((0, 1, 2)), Path((1, 3, 1, 1)), Path((3, 2, 2, 2, 4))))
     assert [(c.kind, c.agent_i, c.agent_j, c.vertex, c.index)
             for c in sorted(enumerate_conflicts(plan), key=Conflict.pair_key)] == [
         (F, 0, 1, 1, 0),
@@ -145,6 +152,7 @@ def test_conflict_order_is_pinned():
         (F, 0, 2, 2, 1),
         (F, 0, 2, 2, 2),
         (F, 2, 0, 2, 2),
+        (F, 0, 2, 2, 3),
         (F, 1, 2, 3, 0),
     ]
 
