@@ -175,11 +175,8 @@ def resample_delays(instance: Instance, hi: float, seed: int) -> Instance:
     check_seed(seed)
     rng = np.random.default_rng(seed)
     probs = _sample_delay_probs(rng, instance.n_agents, hi)
-    agents = tuple(
-        AgentSpec(a.id, a.start, a.goal, float(p))
-        for a, p in zip(instance.agents, probs)
-    )
-    return Instance(instance.graph, agents)
+    return _build_instance(instance.graph, [a.start for a in instance.agents],
+                           [a.goal for a in instance.agents], probs)
 
 
 def delay_sweep(base: Instance, t_hat_maxes: Sequence[int],

@@ -25,10 +25,10 @@ the last `latency` steps, so none is in flight.
 
 `run_execution` is one run, the view that `record=True` snapshots and
 scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
-generator `run_seed(seed, k)`.  Below its policy's `MC_LOCKSTEP_WORK` runs
-x agents it runs them one by one on `RunLoop`, the engine of
-`run_execution`, with the plan's tables built once per call; from there on
-`LockStep` advances the runs together as (runs, agents) arrays, in as few
+generator `run_seed(seed, k)`, on one `RunLoop` per call.  Below its
+policy's `MC_LOCKSTEP_WORK` runs x agents, or for a plan with no move, the
+loop runs them one by one; from there on `LockStep`, built from the loop's
+tables, advances the runs together as (runs, agents) arrays, in as few
 blocks, split evenly, as keep each block's buffer of draws within
 `MC_BUFFER_BYTES`, which bounds its memory at any run count.  Both give the
 same statistics, bit for bit: a run's draws depend only on its own
@@ -44,8 +44,8 @@ Both engines take one pass per time step.  The loop's pass costs about
 the agents it visits, lock step's a fixed numpy overhead plus a little per
 run and agent, so the break-even is a product, and it differs by policy.
 Timed per call, best of 5, on the 23 plans of the benchmark (6 to 35
-agents; a shared 2-vCPU machine, Python 3.11), lock step ran at these multiples of the loop's speed (median over
-the plans, and the range):
+agents; a shared 2-vCPU machine, Python 3.11), lock step ran at these
+multiples of the loop's speed (median over the plans, and the range):
 
     runs x agents  ~480             ~640             ~800             ~960
     mcp            0.90 (0.50-1.17) 1.14 (0.68-1.63) 1.24 (0.71-1.78) 1.36 (1.00-1.84)
@@ -57,8 +57,8 @@ benchmark's 50-run call of a 10-agent plan at latency 2 (500) ran 1.07x
 faster in lock step (median of 11 alternating best-of-5 rounds), so mcp's
 is 480.  The benchmark's calls that this moved to the loop, at 160 to 400
 under mcp and 350 under fsp and dummy, all ran faster there: 1.08x to
-1.80x (median of 15 rounds).  A 200-run call ran at 1.1x to 3.2x in lock
-step.
+1.80x (median of 15 rounds).  The benchmark's 150-run calls, of 20 and 10
+agents, ran 1.5x to 1.9x faster in lock step (best of 7).
 """
 
 from __future__ import annotations
@@ -149,10 +149,14 @@ class RunLoop:
     """A plan's tables for running its executions one at a time: each path's
     vertices, the (from, to) vertices of the step out of each state that
     moves (and so draws), None for a wait, the messages sent on entering
-    each state and, under mcp, the waits of `MessageSchedule.waits`."""
+    each state and, under mcp, the waits of `schedule or mcp_schedule(plan)`."""
 
     def __init__(self, instance: Instance, plan: Plan, policy: str,
-                 schedule: Optional[MessageSchedule]):
+                 schedule: Optional[MessageSchedule] = None):
+        if plan.n_agents != len(instance.agents):
+            raise ValueError(f"plan has {plan.n_agents} paths for {len(instance.agents)} agents")
+        if policy == "mcp" and schedule is None:
+            schedule = mcp_schedule(plan)
         self.policy = policy
         self.verts = [p.vertices for p in plan.paths]
         self.last = [p.last_index for p in plan.paths]
@@ -309,8 +313,6 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
     check_options(policy, latency, horizon_cap)
     if isinstance(rng, int):
         rng = random.Random(rng)
-    if policy == "mcp" and schedule is None:
-        schedule = mcp_schedule(plan)
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(plan)
     collisions: list[Collision] = []
@@ -352,56 +354,47 @@ def check_runs(n_runs: int) -> None:
 
 
 class LockStep:
-    """A plan's tables for running many executions at once.
+    """A plan's `RunLoop` tables as arrays, for running many executions at once.
 
     Every table is indexed by agent * L + local state, with L = max X_i + 1
-    and each path padded with its goal: the compact vertex id, whether the
-    step out of the state moves (and so draws), the undirected edge of that
-    move with its direction as the low bit, whether entering the state sends
-    a message, and under mcp the (sender, sender state) pairs of
+    and each path padded with its goal: the vertex, whether the step out of
+    the state moves (and so draws), the undirected edge of that move with
+    its direction as the low bit, whether entering the state sends a
+    message, and under mcp the (sender, sender state) pairs of
     `MessageSchedule.waits`, padded with (0, 0).  A run that finishes has
-    entered every state once, so it has sent `messages`."""
+    entered every state once, so it has sent `messages`.  The plan must move."""
 
-    def __init__(self, instance: Instance, plan: Plan, policy: str,
-                 schedule: Optional[MessageSchedule], horizon_cap: int):
-        self.policy = policy
+    def __init__(self, loop: RunLoop, horizon_cap: int):
+        self.policy = loop.policy
         self.horizon_cap = horizon_cap
-        m, L = plan.n_agents, plan.max_index + 1
+        m, L = len(loop.last), max(loop.last) + 1
         self.m = m
-        self.last = np.array([p.last_index for p in plan.paths])
+        self.last = np.array(loop.last)
         self.base = np.arange(m) * L
-        padded = np.array([p.vertices + p.vertices[-1:] * (L - len(p.vertices))
-                           for p in plan.paths])
-        _, vertex = np.unique(padded, return_inverse=True)
-        vertex = vertex.reshape(m, L)
+        vertex = np.array([p + p[-1:] * (L - len(p)) for p in loop.verts])
         move = np.zeros((m, L), bool)
         move[:, :-1] = vertex[:, 1:] != vertex[:, :-1]
         u, v = vertex[:, :-1][move[:, :-1]], vertex[:, 1:][move[:, :-1]]
-        keys, ids = np.unique(np.minimum(u, v) * (m * L) + np.maximum(u, v),
+        keys, ids = np.unique(np.minimum(u, v) * loop.n_vertices + np.maximum(u, v),
                               return_inverse=True)
         edge = np.zeros((m, L), np.int64)
         edge[move] = 2 * ids.ravel() + (u > v)
         self.vertex, self.move, self.edge = vertex.ravel(), move.ravel(), edge.ravel()
         self.n_slots = 2 * len(keys)
 
-        sends = np.zeros((m, L), np.int64)
-        if policy == "fsp":
-            sends[:] = m - 1
-        elif policy == "mcp":
-            for (j, y), recipients in schedule.senders.items():
-                sends[j, y] = len(recipients)
-            k = max(len(w) for per_x in schedule.waits.values() for w in per_x)
+        sends = np.array([row + [0] * (L - len(row)) for row in loop.sends])
+        self.messages = int(sends[:, 1:].sum())
+        self.sends = (sends > 0).ravel()
+        if self.policy == "mcp":
+            k = max(len(w) for per_x in loop.waits.values() for w in per_x)
             self.wait_j = np.zeros((m * L, k), np.int64)
             self.wait_y = np.zeros((m * L, k), np.int64)
-            for i, per_x in schedule.waits.items():
+            for i, per_x in loop.waits.items():
                 for x, w in enumerate(per_x):
                     for n, (j, y) in enumerate(w):
                         self.wait_j[i * L + x, n], self.wait_y[i * L + x, n] = j, y
-        entered = (np.arange(L) >= 1) & (np.arange(L) <= self.last[:, None])
-        self.messages = int(sends[entered].sum())
-        self.sends = (sends > 0).ravel()
 
-        self.delay = np.array([a.delay_prob for a in instance.agents[:m]])
+        self.delay = np.array(loop.delay)
         # draws per run: the mean number of tries of all moves plus two
         # standard deviations, so that few runs refill their buffer, but no
         # more than a run can take: one per agent and step
@@ -412,9 +405,6 @@ class LockStep:
     def outcomes(self, seed: int, n_runs: int, latency: int):
         """(status, makespan, messages sent, collisions) of runs 0 … n_runs - 1
         in order, computed in as few blocks as `MC_BUFFER_BYTES` allows."""
-        if not self.last.any():
-            yield from [("done", 0, 0, 0)] * n_runs
-            return
         seeds = run_seeds(seed, range(n_runs))
         n_blocks = -(-n_runs // max(1, MC_BUFFER_BYTES // (8 * self.width)))
         for block in np.array_split(np.arange(n_runs), n_blocks):
@@ -521,12 +511,10 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     check_runs(n_runs)
     check_seed(seed)
     cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
-    schedule = mcp_schedule(plan) if policy == "mcp" else None
-    if n_runs * plan.n_agents >= MC_LOCKSTEP_WORK[policy]:
-        outcomes = LockStep(instance, plan, policy, schedule, cap).outcomes(
-            seed, n_runs, latency)
+    loop = RunLoop(instance, plan, policy)
+    if plan.max_index and n_runs * plan.n_agents >= MC_LOCKSTEP_WORK[policy]:
+        outcomes = LockStep(loop, cap).outcomes(seed, n_runs, latency)
     else:
-        loop = RunLoop(instance, plan, policy, schedule)
         outcomes = (loop.run(random.Random(s), cap, latency)
                     for s in run_seeds(seed, range(n_runs)))
     makespans = []

@@ -13,8 +13,9 @@ from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan, Ru
                      WarehouseParams, generate_random_instance, generate_warehouse_instance,
                      monte_carlo, run_execution, simulate, solve_ame, stats_ci)
 from mapf_dp.dependency import build_partial_order, message_schedule, transitive_reduction
-from mapf_dp.simulate import (MC_LOCKSTEP_WORK, POLICIES, LockStep, default_horizon_cap,
-                               fill_draws, mcp_schedule, run_seed, run_seeds)
+from mapf_dp.simulate import (MC_LOCKSTEP_WORK, POLICIES, LockStep, RunLoop,
+                               default_horizon_cap, fill_draws, mcp_schedule, run_seed,
+                               run_seeds)
 from tests import sim_oracle
 from tests.conftest import C1, C2, C3, C4, POCKET
 
@@ -390,6 +391,21 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="got -1$"):
             monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 5, -1)
 
+    @pytest.mark.parametrize("n_paths, n_agents", [(2, 3), (3, 2)])
+    def test_rejects_plan_for_other_agent_count(self, n_paths, n_agents):
+        inst = generate_random_instance(8, 8, 0.1, 3, (0, 0.5), 1)
+        plan = Plan(solve_ame(inst).plan.paths[:n_paths])
+        inst = Instance(inst.graph, inst.agents[:n_agents])
+        message = f"^plan has {n_paths} paths for {n_agents} agents$"
+        for policy in POLICIES:
+            with pytest.raises(ValueError, match=message):
+                run_execution(inst, plan, policy, 0)
+            # below the work threshold the loop would run, at it lock step
+            at = lockstep_runs(plan, policy)
+            for n_runs in (at - 1, at):
+                with pytest.raises(ValueError, match=message):
+                    monte_carlo(inst, plan, policy, n_runs, 0)
+
     def test_as_dict_order(self, pocket_instance, pocket_valid_plan):
         # `simulate` prints these keys in this order
         s = monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 5, 1)
@@ -478,8 +494,7 @@ class TestLockStep:
                     if case in ("pocket-invalid", "swap") and policy == "dummy":
                         assert stats.mean_collisions > 0
                 # a buffer that holds half the runs' draws splits them into blocks
-                schedule = mcp_schedule(plan) if policy == "mcp" else None
-                width = LockStep(inst, plan, policy, schedule, default_horizon_cap(plan)).width
+                width = LockStep(RunLoop(inst, plan, policy), default_horizon_cap(plan)).width
                 with monkeypatch.context() as small:
                     small.setattr(simulate, "MC_BUFFER_BYTES", 8 * width * (at // 2))
                     blocks.clear()
@@ -491,6 +506,22 @@ class TestLockStep:
                 capped = monte_carlo(inst, plan, policy, at, 3, cap, latency)
                 assert capped.as_dict() == looped_stats(inst, plan, policy, at, 3, cap, latency)
                 assert 0 < capped.timeouts < at
+
+    @pytest.mark.parametrize("n_vertices, starts", [(2, (0,)), (3, (0, 1, 2))])
+    def test_plan_without_moves_runs_on_the_loop(self, n_vertices, starts, blocks):
+        # every agent parked on its start: each run is done at step 0, in
+        # lock step's work range too
+        g = Graph.from_edges(n_vertices, [(k, k + 1) for k in range(n_vertices - 1)])
+        inst = Instance(g, tuple(AgentSpec(i, s, s, 0.5) for i, s in enumerate(starts)))
+        plan = Plan(tuple(Path((s,)) for s in starts))
+        for policy in POLICIES:
+            n_runs = lockstep_runs(plan, policy)
+            for latency in (0, 1, 2):
+                stats = monte_carlo(inst, plan, policy, n_runs, 3, latency=latency)
+                assert stats.as_dict() == looped_stats(inst, plan, policy, n_runs, 3,
+                                                       latency=latency)
+                assert stats.mean_makespan == 0 and stats.timeouts == 0
+        assert blocks == []
 
     def test_refills_continue_each_stream(self, monkeypatch):
         # a buffer of one draw per agent refills rows at almost every step
@@ -512,7 +543,7 @@ class TestLockStep:
         # a run stops at the horizon cap of 1,450 steps, one draw each
         inst, plan = line_instance(30, p=0.999), Plan((Path(tuple(range(30))),))
         cap = default_horizon_cap(plan)
-        assert LockStep(inst, plan, "dummy", None, cap).width <= cap * plan.n_agents
+        assert LockStep(RunLoop(inst, plan, "dummy"), cap).width <= cap * plan.n_agents
         n_runs = lockstep_runs(plan, "dummy")
         stats = monte_carlo(inst, plan, "dummy", n_runs, 1)
         assert stats.timeouts == n_runs
