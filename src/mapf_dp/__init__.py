@@ -7,9 +7,9 @@ from .model import (AgentSpec, Conflict, ConflictKind, Graph, Instance, Path,
                     shortest_path_distances, validate_plan)
 from .generate import (WarehouseParams, generate_random_instance,
                        generate_warehouse_instance, resample_delays)
-from .dependency import (DependencyGraph, MessageSchedule,
-                         approximate_average_makespan, build_partial_order,
-                         compute_labels, message_schedule, transitive_reduction)
+from .dependency import (DependencyGraph, approximate_average_makespan,
+                         build_partial_order, compute_labels, message_schedule,
+                         transitive_reduction)
 from .simulate import ExecutionTrace, RunStats, monte_carlo, run_execution, stats_ci
 from .ame import Constraint, SolveLimits, SolveResult, solve_ame
 from .adapted_cbs import solve_adapted_cbs
@@ -20,7 +20,7 @@ __all__ = [
     "shortest_path_distances", "validate_plan",
     "WarehouseParams", "generate_random_instance", "generate_warehouse_instance",
     "resample_delays",
-    "DependencyGraph", "MessageSchedule", "approximate_average_makespan",
+    "DependencyGraph", "approximate_average_makespan",
     "build_partial_order", "compute_labels", "message_schedule",
     "transitive_reduction",
     "ExecutionTrace", "RunStats", "monte_carlo", "run_execution", "stats_ci",

@@ -1,5 +1,5 @@
 """Execution partial order over local states, its transitive reduction,
-message schedules for minimal-communication execution, and approximate
+the waits of minimal-communication execution, and approximate
 average entry-time labels, which one sweep in index order computes exactly
 without the partial order (see `compute_labels`).
 
@@ -12,7 +12,7 @@ agent i enters at index x+1, at some strictly earlier index x' < x.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import Plan
 
@@ -88,23 +88,11 @@ def transitive_reduction(dg: DependencyGraph) -> DependencyGraph:
     return DependencyGraph(list(dg.nodes), kept, reduced=True)
 
 
-@dataclass
-class MessageSchedule:
-    """Who messages whom on local-state entry, and what each agent waits for.
-
-    senders[(j, y)] = sorted recipients that j notifies when entering state y.
-    waits[i][x] = sorted (j, y) pairs, one per reduced edge (j, y) -> (i, x+1):
-    agent i may leave local state x once it holds j's message from state y,
-    that is, once it knows j has entered y.  waits[i][X_i] is empty.
-    """
-
-    senders: dict[Node, tuple[int, ...]] = field(default_factory=dict)
-    waits: dict[int, list[tuple[Node, ...]]] = field(default_factory=dict)
-    total_messages: int = 0
-
-
-def message_schedule(dg: DependencyGraph, plan: Plan) -> MessageSchedule:
-    """Messages and waits of a reduced graph, one message per inter-agent edge.
+def message_schedule(dg: DependencyGraph, plan: Plan) -> dict[int, list[tuple[Node, ...]]]:
+    """The waits of a reduced graph, one per inter-agent edge and message:
+    waits[i][x] = sorted (j, y) pairs, one per reduced edge (j, y) -> (i, x+1).
+    Agent i may leave local state x once it holds j's message from state y,
+    sent on entering y, one for each wait naming (j, y).  waits[i][X_i] = ().
 
     The reduced edges from one agent j to another agent i rise strictly in
     both sender and target state.  Proof: any two of them that cross or share
@@ -118,14 +106,12 @@ def message_schedule(dg: DependencyGraph, plan: Plan) -> MessageSchedule:
     """
     if not dg.reduced:
         raise DependencyError("message schedule requires a reduced dependency graph")
-    send_map: dict[Node, set[int]] = defaultdict(set)
     waits: dict[int, list[list[Node]]] = {
         i: [[] for _ in range(p.last_index + 1)] for i, p in enumerate(plan.paths)}
     between: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
     for (j, y), (i, x) in dg.inter_agent_edges:
         if not (0 < x <= plan.paths[i].last_index and 0 < y <= plan.paths[j].last_index):
             raise DependencyError(f"edge ({j},{y}) -> ({i},{x}) is outside the plan")
-        send_map[(j, y)].add(i)
         waits[i][x - 1].append((j, y))
         between[(j, i)].append((x, y))
     for (j, i), pairs in between.items():
@@ -135,11 +121,7 @@ def message_schedule(dg: DependencyGraph, plan: Plan) -> MessageSchedule:
                 raise DependencyError(
                     f"reduced edges ({j},{ya}) -> ({i},{xa}) and ({j},{yb}) -> ({i},{xb}) "
                     "cross or share a state; the graph is not a transitive reduction")
-    schedule = MessageSchedule()
-    schedule.senders = {n: tuple(sorted(rs)) for n, rs in send_map.items()}
-    schedule.total_messages = sum(len(rs) for rs in send_map.values())
-    schedule.waits = {i: [tuple(sorted(w)) for w in per_x] for i, per_x in waits.items()}
-    return schedule
+    return {i: [tuple(sorted(w)) for w in per_x] for i, per_x in waits.items()}
 
 
 def move_cost(delay_prob: float) -> float:
@@ -188,12 +170,12 @@ def dependency_stats(plan: Plan) -> dict:
     """Edge counts before/after reduction and the message total, for reports."""
     dg = build_partial_order(plan)
     red = transitive_reduction(dg)
-    sched = message_schedule(red, plan)
+    waits = message_schedule(red, plan)
     return {
         "nodes": len(dg.nodes),
         "edges": len(dg.edges),
         "inter_agent_edges": len(dg.inter_agent_edges),
         "reduced_edges": len(red.edges),
         "reduced_inter_agent_edges": len(red.inter_agent_edges),
-        "messages": sched.total_messages,
+        "messages": sum(len(w) for per_x in waits.values() for w in per_x),
     }

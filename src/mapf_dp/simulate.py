@@ -8,17 +8,18 @@ next step (plus an optional delivery latency, default 0).
 No message is stored.  Agent j sends on entering each local state, and a
 message sent in step s is read from step s + 1 + latency on.  So at step t
 every agent has read all that j sent up to `seen[j]`, j's local state at
-the start of step t - latency (0 before step latency), kept in a ring of
-pre-step state vectors.  Comparing `seen` with indices equals counting
-messages:
+the start of step t - latency (0 before step latency), the oldest of the
+last latency + 1 pre-step state vectors.  Comparing `seen` with indices
+equals counting messages:
 
 * fsp: j broadcasts on every advance, so i may leave x iff seen[j] >= x
   for every other agent j not seen to finish.
-* mcp: i may leave x iff seen[j] >= y for each reduced edge
-  (j, y) -> (i, x + 1), listed in `MessageSchedule.waits[i][x]`.  By the
-  property proved in `message_schedule`, that is i holding a message from
-  j for every reduced edge from j into its states up to x + 1: edges into
-  earlier states held when i left them, and seen only grows.
+* mcp: i may leave x iff seen[j] >= y for each (j, y) in the waits
+  `message_schedule` lists in waits[i][x], one per reduced edge
+  (j, y) -> (i, x + 1) and per message j sends on entering y.  By the
+  property proved there, that is i holding a message from j for every
+  reduced edge from j into its states up to x + 1: edges into earlier
+  states held when i left them, and seen only grows.
 
 A run deadlocks when no agent is commanded GO and no message was sent in
 the last `latency` steps, so none is in flight.
@@ -71,7 +72,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dependency import MessageSchedule, build_partial_order, message_schedule, transitive_reduction
+from .dependency import build_partial_order, message_schedule, transitive_reduction
 from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
@@ -130,7 +131,7 @@ def default_horizon_cap(plan: Plan) -> int:
     return max(1000, 50 * plan.max_index)
 
 
-def mcp_schedule(plan: Plan) -> MessageSchedule:
+def mcp_schedule(plan: Plan) -> dict:
     return message_schedule(transitive_reduction(build_partial_order(plan)), plan)
 
 
@@ -149,10 +150,10 @@ class RunLoop:
     """A plan's tables for running its executions one at a time: each path's
     vertices, the (from, to) vertices of the step out of each state that
     moves (and so draws), None for a wait, the messages sent on entering
-    each state and, under mcp, the waits of `schedule or mcp_schedule(plan)`."""
+    each state and, under mcp, the waits `schedule or mcp_schedule(plan)`."""
 
     def __init__(self, instance: Instance, plan: Plan, policy: str,
-                 schedule: Optional[MessageSchedule] = None):
+                 schedule: Optional[dict] = None):
         if plan.n_agents != len(instance.agents):
             raise ValueError(f"plan has {plan.n_agents} paths for {len(instance.agents)} agents")
         if policy == "mcp" and schedule is None:
@@ -167,9 +168,9 @@ class RunLoop:
         self.sends = [[plan.n_agents - 1 if policy == "fsp" else 0] * (lx + 1)
                       for lx in self.last]
         if policy == "mcp":
-            self.waits = schedule.waits
-            for (j, y), recipients in schedule.senders.items():
-                self.sends[j][y] = len(recipients)
+            self.waits = schedule
+            for j, y in (n for per_x in schedule.values() for w in per_x for n in w):
+                self.sends[j][y] += 1   # one message per wait that names it
         self.n_vertices = 1 + max(max(p) for p in self.verts)
 
     def run(self, rng, horizon_cap: int, latency: int,
@@ -305,7 +306,7 @@ class RunLoop:
 
 
 def run_execution(instance: Instance, plan: Plan, policy: str, rng,
-                  schedule: Optional[MessageSchedule] = None,
+                  schedule: Optional[dict] = None,
                   horizon_cap: Optional[int] = None,
                   latency: int = 0,
                   record: bool = False) -> ExecutionTrace:
@@ -360,9 +361,9 @@ class LockStep:
     and each path padded with its goal: the vertex, whether the step out of
     the state moves (and so draws), the undirected edge of that move with
     its direction as the low bit, whether entering the state sends a
-    message, and under mcp the (sender, sender state) pairs of
-    `MessageSchedule.waits`, padded with (0, 0).  A run that finishes has
-    entered every state once, so it has sent `messages`.  The plan must move."""
+    message, and under mcp the (sender, sender state) pairs of the loop's
+    waits, padded with (0, 0).  A run that finishes has entered every state
+    once, so it has sent `messages`.  The plan must move."""
 
     def __init__(self, loop: RunLoop, horizon_cap: int):
         self.policy = loop.policy
@@ -414,7 +415,8 @@ class LockStep:
         """The runs on generators `random.Random(seed)` for `seeds`, all
         advanced one step at a time.  Run r takes its draws in agent order
         within a step, through row r of a buffer that holds draws start[r],
-        start[r] + 1, … of its stream."""
+        start[r] + 1, … of its stream.  Under fsp and mcp the runs read the
+        oldest of their last latency + 1 pre-step vectors, as the loop does."""
         R, m, W, horizon_cap = len(seeds), self.m, self.width, self.horizon_cap
         mt = np.random.RandomState(0)
         buf = np.empty((R, W))
@@ -429,14 +431,15 @@ class LockStep:
         stamp = np.zeros(R * self.n_slots, np.int32)   # step + 1 per edge slot crossed
         rows = np.arange(R)                     # the runs still going
         x = np.zeros((R, m), np.int64)          # their local states
-        ring = np.zeros((latency + 1, R, m), np.int64)   # their pre-step vectors
+        history: deque = deque(maxlen=latency + 1)   # their pre-step vectors
         last, base, vertex, pairs = self.last, self.base, self.vertex, np.arange(1, m)
         unseen = len(vertex)                    # above every local state
         fsp, mcp = self.policy == "fsp", self.policy == "mcp"
         for t in range(horizon_cap):
             n = len(rows)
-            ring[t % (latency + 1)] = x
-            seen = ring[(t - latency) % (latency + 1)] if t >= latency else np.zeros_like(x)
+            if fsp or mcp:
+                history.append(x.copy())
+                seen = history[0]
             f = x + base
             go = x < last
             if fsp:
@@ -491,7 +494,8 @@ class LockStep:
                 makespan[rows[done]] = t + 1
                 deadlock[rows[dead]] = True
                 keep = ~ended
-                rows, x, ring = rows[keep], x[keep], ring[:, keep]
+                rows, x = rows[keep], x[keep]
+                history = deque((h[keep] for h in history), maxlen=latency + 1)
                 if not len(rows):
                     break
         for k in range(R):

@@ -2,9 +2,10 @@
 
 Kept verbatim as a test oracle for `mapf_dp.simulate.run_execution`: it
 delivers messages from a pending list into per-recipient counts and compares
-those counts with cumulative thresholds.  The thresholds are built here from
-the reduced graph, with the code `message_schedule` used for them, so the
-oracle does not read `MessageSchedule.waits`.
+those counts with cumulative thresholds.  The senders and thresholds are
+built here from the reduced graph, with the code the old schedule used for
+them, so the oracle reads neither `message_schedule`'s waits nor the send
+counts `RunLoop` derives from them.
 """
 
 from __future__ import annotations

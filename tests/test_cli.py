@@ -199,15 +199,20 @@ class TestSolveAndValidate:
             assert bench.solve_with(solver, instance, SolveLimits()).bypasses == bypasses
 
     def test_emit_deps(self, tmp_path, capsys):
-        map_p, agents_p = gen_instance(tmp_path)
+        # the default 20x20 grid: mcp sends one message per reduced inter-agent edge
+        map_p, agents_p = gen_instance(tmp_path, width=20, height=20, agents=10, seed=0)
         plan_p = tmp_path / "plan.json"
         main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)])
         capsys.readouterr()
         assert main(["validate", str(map_p), str(agents_p), str(plan_p),
                      "--emit-deps"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "messages=" in out
-        assert "reduced_inter_agent_edges=" in out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "plan is valid"
+        deps = {k: int(v) for k, v in (line.split("=") for line in out[1:])}
+        assert deps["reduced_inter_agent_edges"] == deps["messages"] == 19
+        stats = monte_carlo(mapio.read_instance(map_p, agents_p), mapio.read_plan(plan_p)[0],
+                            "mcp", 20, 0)
+        assert stats.timeouts == 0 and stats.messages == deps["messages"]
 
     def test_no_solution_exit_code(self, tmp_path):
         (tmp_path / "split.map").write_text(".@.\n")

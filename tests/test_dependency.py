@@ -203,25 +203,24 @@ class TestTransitiveReduction:
 class TestMessageSchedule:
     def test_worked_example_single_wait(self, pocket_long_plan):
         red = transitive_reduction(build_partial_order(pocket_long_plan))
-        sched = message_schedule(red, pocket_long_plan)
+        waits = message_schedule(red, pocket_long_plan)
         # agent 1 waits at local state 3 for exactly one message from agent 0
-        assert sched.waits[1][3] == ((0, 3),)
-        assert sched.waits[1][2] == ()
+        assert waits[1][3] == ((0, 3),)
+        assert waits[1][2] == ()
         # once received, nothing further is required of agent 0
-        assert all(sched.waits[1][x] == () for x in range(4, 7))
+        assert all(waits[1][x] == () for x in range(4, 7))
 
     def test_total_matches_reduced_pairs(self, pocket_long_plan):
         red = transitive_reduction(build_partial_order(pocket_long_plan))
-        sched = message_schedule(red, pocket_long_plan)
+        waits = message_schedule(red, pocket_long_plan)
         pairs = {(u, v[0]) for u, v in red.inter_agent_edges}
-        assert sched.total_messages == len(pairs) == 3
+        assert sum(len(w) for per_x in waits.values() for w in per_x) == len(pairs) == 3
 
     def test_no_inter_edges_zero_messages(self):
         plan = Plan((Path((C1, C2)), Path((C3, C4))))
         red = transitive_reduction(build_partial_order(plan))
-        sched = message_schedule(red, plan)
-        assert sched.total_messages == 0
-        assert sched.senders == {}
+        waits = message_schedule(red, plan)
+        assert waits == {0: [(), ()], 1: [(), ()]}
 
     def test_requires_reduced_graph(self, pocket_long_plan):
         with pytest.raises(DependencyError):

@@ -13,7 +13,7 @@ The GO rules are written here from the policies' definitions, not read from
 `run_execution`: under `fsp` an agent leaves x once every other agent is
 seen at x or finished; under `mcp` once it holds the message of every
 reduced inter-agent edge into its states up to x + 1.  At each reachable
-state the `mcp` rule must agree with `MessageSchedule.waits`, and walks
+state the `mcp` rule must agree with the waits of `mcp_schedule`, and walks
 drawn at random through the reachable states must be what `run_execution`
 does on the same draws.
 
@@ -114,7 +114,7 @@ def explore(plan, policy, latency):
     move succeeds (None once every agent is finished)."""
     go = go_rule(plan, policy)
     last = tuple(p.last_index for p in plan.paths)
-    waits = mcp_schedule(plan).waits if policy == "mcp" else None
+    waits = mcp_schedule(plan) if policy == "mcp" else None
     all_succeed = {}
     todo = [((0,) * plan.n_agents,) * (latency + 1)]
     while todo:

@@ -2,6 +2,8 @@ import functools
 import math
 import random
 import re
+import tracemalloc
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mapf_dp import (AgentSpec, Graph, Instance, MessageSchedule, Path, Plan, RunStats,
+from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan, RunStats,
                      WarehouseParams, generate_random_instance, generate_warehouse_instance,
                      monte_carlo, run_execution, simulate, solve_ame, stats_ci)
 from mapf_dp.dependency import build_partial_order, message_schedule, transitive_reduction
@@ -109,7 +111,7 @@ class TestCommands:
     def test_mcp_waits_for_threshold(self, pocket_instance, pocket_long_plan):
         # agent 0 reaches state 3 in step 2; agent 1, waiting at state 3 for
         # that one message, leaves it in step 3 + latency
-        assert mcp_schedule(pocket_long_plan).waits[1][3] == ((0, 3),)
+        assert mcp_schedule(pocket_long_plan)[1][3] == ((0, 3),)
         for latency in (0, 1, 2):
             tr = scripted(pocket_instance, pocket_long_plan, "mcp", [0.9] * 4,
                           horizon_cap=4 + latency, latency=latency)
@@ -202,15 +204,13 @@ class TestRunExecution:
 
     def test_deadlock_once_messages_have_landed(self):
         # a hand-made schedule no plan yields: agent 0 waits for agent 1's
-        # state 2, agent 1 waits at state 1 for agent 0's state 1
+        # states 1 and 2, agent 1 waits at state 1 for agent 0's state 1
         plan = Plan((Path((0, 0, 1)), Path((2, 2, 2))))
-        sched = MessageSchedule(senders={(1, 1): (0,)},
-                                waits={0: [((1, 2),), (), ()],
-                                       1: [(), ((0, 1),), ()]},
-                                total_messages=1)
+        waits = {0: [((1, 1), (1, 2)), (), ()],
+                 1: [(), ((0, 1),), ()]}
         for latency in (0, 2):
             tr = run_execution(two_lines(plan), plan, "mcp", StubRng([]),
-                               schedule=sched, latency=latency, record=True)
+                               schedule=waits, latency=latency, record=True)
             # agent 1's message from step 0 is in flight until step latency
             assert tr.status == "deadlock" and tr.makespan is None
             assert tr.messages_sent == 1
@@ -228,11 +228,22 @@ class TestMessageAccounting:
 
     def test_mcp_matches_schedule_total(self, pocket_instance,
                                         pocket_long_plan):
-        sched = mcp_schedule(pocket_long_plan)
+        waits = mcp_schedule(pocket_long_plan)
         for k in range(100):
             tr = run_execution(pocket_instance, pocket_long_plan, "mcp",
                                run_seed(12, k))
-            assert tr.messages_sent == sched.total_messages == 3
+            assert tr.messages_sent == sum(len(w) for per_x in waits.values()
+                                           for w in per_x) == 3
+
+    def test_mcp_sends_per_state_match_reduction(self):
+        # sends[j][y] is the number of reduced inter-agent edges out of (j, y)
+        for inst, plan in solved_plans():
+            reduced = transitive_reduction(build_partial_order(plan))
+            out_edges = Counter(u for u, _ in reduced.inter_agent_edges)
+            sends = RunLoop(inst, plan, "mcp").sends
+            assert [len(row) for row in sends] == [p.last_index + 1 for p in plan.paths]
+            assert {(j, y): n for j, row in enumerate(sends) for y, n in enumerate(row)
+                    if n} == out_edges
 
     def test_dummy_sends_nothing(self, pocket_instance, pocket_valid_plan):
         tr = run_execution(pocket_instance, pocket_valid_plan, "dummy", 3)
@@ -538,6 +549,28 @@ class TestLockStep:
             assert monte_carlo(inst, plan, policy, at, 5, latency=1).as_dict() \
                 == looped_stats(inst, plan, policy, at, 5, latency=1)
 
+    def test_lagged_view_memory_independent_of_latency(self):
+        # a latency far past the horizon cap of 1,000: under mcp and fsp no
+        # message lands, so every run times out, and dummy reads no view
+        inst, plan = lockstep_cases()["random-0"]
+        for policy in POLICIES:
+            n_runs = lockstep_runs(plan, policy)
+            tracemalloc.start()
+            try:
+                stats = monte_carlo(inst, plan, policy, n_runs, 2, latency=20_000).as_dict()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 << 20, (policy, peak)
+            expected = looped_stats(inst, plan, policy, n_runs, 2, latency=20_000)
+            if policy == "dummy":
+                assert stats == expected
+            else:
+                assert stats["timeouts"] == expected["timeouts"] == n_runs
+                for key in ("mean_makespan", "ci95"):   # NaN: no run is done
+                    assert math.isnan(stats.pop(key)) and math.isnan(expected.pop(key))
+                assert stats == expected
+
     def test_buffer_width_within_horizon_cap(self):
         # one agent, 29 moves at p = 0.999: about 29,000 draws on average, but
         # a run stops at the horizon cap of 1,450 steps, one draw each
@@ -566,11 +599,9 @@ class TestLockStep:
         # at once, with probability 0.01.  Under seed 27 run 52 is the
         # first of the 300 runs
         plan = Plan((Path((0, 1, 2, 2)), Path((5, 5, 5))))
-        sched = MessageSchedule(senders={(0, 2): (1,), (0, 3): (1,), (1, 2): (0,)},
-                                waits={0: [(), (), ((1, 2),), ()],
-                                       1: [((0, 2),), ((0, 3),), ()]},
-                                total_messages=3)
-        monkeypatch.setattr(simulate, "mcp_schedule", lambda plan: sched)
+        waits = {0: [(), (), ((1, 2),), ()],
+                 1: [((0, 2),), ((0, 3),), ()]}
+        monkeypatch.setattr(simulate, "mcp_schedule", lambda plan: waits)
         inst = SimpleNamespace(agents=[SimpleNamespace(delay_prob=p) for p in (0.9, 0.5)])
         message = "deadlock during mcp execution (run 52)"
         for run in (monte_carlo, looped_stats):
@@ -694,11 +725,9 @@ def held_run(plan, schedule, j, y):
 
 def without_wait(schedule, j, y, i, x):
     """`schedule` less the wait of i in state x - 1 for j's message from y."""
-    waits = {k: list(per_x) for k, per_x in schedule.waits.items()}
+    waits = {k: list(per_x) for k, per_x in schedule.items()}
     waits[i][x - 1] = tuple(w for w in waits[i][x - 1] if w != (j, y))
-    senders = dict(schedule.senders)
-    senders[(j, y)] = tuple(r for r in senders[(j, y)] if r != i)
-    return MessageSchedule(senders, waits, schedule.total_messages - 1)
+    return waits
 
 
 class TestEveryMessageNeeded:
