@@ -5,25 +5,31 @@ baseline share: pop the node with the smallest key, pick the earliest
 conflict in its plan, and branch by constraining one involved agent per
 child, replanning only that agent under its own constraint set: a node
 holds one set per agent, and a child extends the replanned agent's alone.
-Each node holds its `Plan`, which is its own occupancy index, and a child's
-plan is its parent's with the replanned path swapped in.  Each node also
-keeps its plan's conflicts: a child's are its parent's minus those that
-name the replanned agent, plus those of the new path, found through the
-parent's index, so only the root enumerates its whole plan.  `solve_ame`
-keys nodes by the approximate average makespan.  Its low level is a focal
-search with re-expansions over (vertex, local-state) states, keyed by the
-integer id x * |V| + v, whose g-values track the approximate average entry
-times of the other agents' stored labels; it reads the other agents as the
-node's plan minus the replanned one, through two rows per vertex that
+Each node holds its `Plan`, and a child's plan is its parent's with the
+replanned path swapped in.  A plan's occupancy index is derived when its
+node is popped, from the index of the node popped before it, by patching
+the paths that differ where that costs less than a fresh build
+(`Plan.derive_index`); the root's prefixes derive theirs one from the next.
+So no plan waiting in the open list holds an index, or keeps another
+plan's alive.  Each node also keeps its plan's
+conflicts: a child's are its parent's minus those that name the replanned
+agent, plus those of the new path, found through the parent's index, so
+only the root enumerates its whole plan.  `solve_ame` keys nodes by the
+approximate average makespan.  Its low level is a focal search with
+re-expansions over (vertex, local-state) states, keyed by the integer id
+x * |V| + v, whose g-values track the approximate average entry times of
+the other agents' stored labels; it reads the other agents as the node's
+plan minus the replanned one, through two rows per vertex that
 `labeled_departure_row` builds once per search: the `departure_row`, its
 departures and parked paths, from which `departure_count` reads a conflict
 increment only where Phase 1 needs one, and beside it the departures' best
-labels.  Adapted CBS reads the same conflict rows, which need no labels.  One heap
-serves both phases of AME's search, with Phase-2 entries at an infinite
-conflict count: a state is queued once per strict improvement of its g,
-so no two entries are equal and none carries a tie counter; an entry is
-current iff its g is the state's g, and Phase 2 (smallest f first), once
-begun, is permanent.
+labels.  Its move cost, scaled heuristic and successor tuples are built
+once per solve (`low_level_tables`).  Adapted CBS reads the same conflict
+rows, which need no labels.  One heap serves both phases of AME's search,
+with Phase-2 entries at an infinite conflict count: a state is queued once
+per strict improvement of its g, so no two entries are equal and none
+carries a tie counter; an entry is current iff its g is the state's g, and
+Phase 2 (smallest f first), once begun, is permanent.
 """
 
 from __future__ import annotations
@@ -111,13 +117,16 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
 
-    Each node keeps one constraint set per agent, its `Plan`, whose index is
-    built once per node, and a list of its plan's conflicts, which equals
-    `enumerate_conflicts` of the plan as a multiset.  The root, with empty
-    sets, plans agents in id order against the paths planned so far (key
-    0).  A child adds a constraint to agent j's set alone, replans j under it
-    against its parent's plan minus j, with its parent's key, swaps the new
-    path in and carries its parent's conflicts over (`carry_conflicts`).
+    Each node keeps one constraint set per agent, its `Plan`, and a list of
+    its plan's conflicts, which equals `enumerate_conflicts` of the plan as a
+    multiset.  A popped node's plan derives its index from the plan popped
+    before it (`Plan.derive_index`), and each root prefix from the one
+    before, so a node pays for the paths that differ, or for a fresh build
+    where that is cheaper, and an open node holds no index.  The root, with empty sets, plans agents in id order against
+    the paths planned so far (key 0).  A child adds a constraint to agent
+    j's set alone, replans j under it against its parent's plan minus j,
+    with its parent's key, swaps the new path in and carries its parent's
+    conflicts over (`carry_conflicts`).
     `evaluate(plan, conflicts)` returns (plan to store, key, order); it may
     relabel the paths but not move them, so the list stays exact.  Nodes pop
     by smallest order, ties first in, first out.
@@ -170,9 +179,11 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     plan = Plan(())
     for i in range(instance.n_agents):
         try:
-            plan = plan.swap(i, plan_agent(i, plan, frozenset(), 0.0))
+            prefix = plan.swap(i, plan_agent(i, plan, frozenset(), 0.0))
         except LowLevelFailure as fail:
             return result("no-solution" if fail.cause == "exhausted" else "timeout")
+        prefix.derive_index(plan)
+        plan = prefix
         if time.monotonic() - t0 > limits.time_s:
             return result("timeout")
 
@@ -180,6 +191,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     cut = False   # a child was dropped for its low level's budget
     conflicts = enumerate_conflicts(plan)
     plan, key, order = evaluate(plan, conflicts)
+    last = plan   # the plan whose index was built last
     heap = [(order, next(seq), (frozenset(),) * instance.n_agents, plan, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
@@ -190,6 +202,8 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
         conflict = find_earliest_conflict(plan, conflicts)
         if conflict is None:
             return result("solved", plan, key)
+        plan.derive_index(last)
+        last = plan
         children = []
         for con in branch_constraints(conflict):
             j = con.agent
@@ -299,6 +313,38 @@ def parked_count(row: tuple[list[int], list[int]], since: int) -> int:
     return sum(min(y - since + 2, 3) for y in xs[bisect_left(xs, since - 1):])
 
 
+# The tables of `low_level_tables` for the graph searched last: (its
+# adjacency, each vertex's successor tuple, agent -> (distance table, delay
+# probability, move cost, scaled heuristic)).
+_tables: tuple = (None, (), {})
+
+
+def low_level_tables(instance: Instance, agent: int, dist_to_goal: Sequence[float]) -> tuple[
+        float, list[float], tuple[tuple[int, ...], ...]]:
+    """(move cost, scaled heuristic, successors) for `agent`'s low level:
+    its move cost 1/(1-p), each vertex's distance to its goal times that
+    cost, and each vertex's successor tuple, itself (a wait) and then its
+    neighbours.  A solve passes one graph and one distance table per agent
+    to every call, so the tables are built once per solve and agent: the
+    ones built last are kept, and reused only while the graph's adjacency
+    and `dist_to_goal` are the very objects they were built from and the
+    delay probability is equal, so a result never depends on what ran
+    before."""
+    global _tables
+    adjacency = instance.graph.adjacency
+    built, successors, scaled = _tables
+    if built is not adjacency:
+        successors = tuple((v,) + nbrs for v, nbrs in enumerate(adjacency))
+        scaled = {}
+        _tables = (adjacency, successors, scaled)
+    p = instance.agents[agent].delay_prob
+    entry = scaled.get(agent)
+    if entry is None or entry[0] is not dist_to_goal or entry[1] != p:
+        t_move = move_cost(p)
+        entry = scaled[agent] = (dist_to_goal, p, t_move, [d * t_move for d in dist_to_goal])
+    return entry[2], entry[3], successors
+
+
 def low_level_search(instance: Instance, agent: int, plan: Plan,
                      constraints: Collection[Constraint], key: float,
                      dist_to_goal: Sequence[float],
@@ -323,7 +369,6 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     increment (`departure_count`).
     """
     spec = instance.agents[agent]
-    adjacency = instance.graph.adjacency
     n = instance.graph.n_vertices
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
@@ -331,8 +376,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
         if p.labels is None:
             raise ValueError(f"agent {j}: the low level needs labeled paths")
     rows: list = [None] * n   # (row, its xs, best) of each vertex, built on first read
-    t_move = move_cost(spec.delay_prob)
-    h = [d * t_move for d in dist_to_goal]
+    t_move, h, successors = low_level_tables(instance, agent, dist_to_goal)
     bound = key + EPS
 
     g: dict[int, float] = {spec.start: 0.0}   # the id of (start, 0) is start
@@ -358,7 +402,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
         if nx > max_index:
             continue
         base = nx * n   # the id of (vertex 0, index nx)
-        for nv in (v,) + adjacency[v]:
+        for nv in successors[v]:
             succ = base + nv
             if succ in banned:
                 continue

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 from .model import Plan
 
@@ -128,7 +129,7 @@ def move_cost(delay_prob: float) -> float:
     return 1.0 / (1.0 - delay_prob)
 
 
-def compute_labels(plan: Plan, delay_probs: list[float]) -> Plan:
+def compute_labels(plan: Plan, delay_probs: Sequence[float]) -> Plan:
     """Approximate average entry-time labels, in one sweep in index order.
 
     label(i, 0) = 0; label(i, x) = max over all partial-order predecessors of
@@ -139,20 +140,36 @@ def compute_labels(plan: Plan, delay_probs: list[float]) -> Plan:
     This equals the recurrence exactly: for j != i those departures are i's
     predecessors on j; labels rise along each path (a float sum with t_hat > 0
     never falls), so i's own departures never exceed label(i, x-1); max is exact.
+
+    The sweep visits the agents longest path first, so the agents still
+    moving at index x are a prefix that only shrinks.  The order of agents
+    within one index cannot change a float: every label of index x is
+    computed before any departure of index x is recorded, and a max does not
+    depend on the order of its arguments.  Raises ValueError unless there is
+    one delay probability per path.
     """
-    labels: list[list[float]] = [[0.0] * (p.last_index + 1) for p in plan.paths]
+    paths = plan.paths
+    if len(delay_probs) != len(paths):
+        raise ValueError(f"{len(delay_probs)} delay probabilities for {len(paths)} paths")
+    labels: list[list[float]] = [[0.0] if p.vertices else [] for p in paths]
+    # (vertices, labels so far, move cost) of each agent, longest path first
+    moving = sorted(((p.vertices, row, move_cost(q))
+                     for p, row, q in zip(paths, labels, delay_probs)),
+                    key=lambda agent: len(agent[0]), reverse=True)
     departed: dict[int, float] = {}   # vertex -> largest label of its departures
-    for x in range(1, plan.max_index + 1):
+    for x in range(1, len(moving[0][0]) if moving else 0):
+        while len(moving[-1][0]) <= x:
+            moving.pop()
         entered = []
-        for i, path in enumerate(plan.paths):
-            if x > path.last_index:
-                continue
-            u, v = path.vertices[x - 1], path.vertices[x]
-            t_hat = 1.0 if v == u else move_cost(delay_probs[i])
-            labels[i][x] = max(labels[i][x - 1], departed.get(v, 0.0)) + t_hat
-            entered.append((u, labels[i][x]))
+        for vs, row, t_move in moving:
+            u, v = vs[x - 1], vs[x]
+            before, wait = row[-1], departed.get(v, 0.0)
+            label = (before if before >= wait else wait) + (1.0 if v == u else t_move)
+            row.append(label)
+            entered.append((u, label))
         for u, label in entered:   # departures (i, x) count from index x + 1 on
-            departed[u] = max(label, departed.get(u, 0.0))
+            if label > departed.get(u, 0.0):
+                departed[u] = label
     return plan.with_labels(labels)
 
 

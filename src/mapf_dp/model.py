@@ -6,30 +6,40 @@ index x+1 where another agent sits at index x (follow rule).  Both rules
 are checked on paths padded with the goal vertex to a common length,
 because a finished agent keeps occupying its goal during execution.
 
-Every conflict query goes through one occupancy index, which a `Plan` builds
-of itself on first use (the conflict avoidance table of CBS), keyed by
-vertex: each vertex's (index, agent) visits below each path's last index, in
-index order, plus one "parked at this goal from index X_j on" entry per
-path, so the goal padding stays implicit and a query costs the visits at its
-vertex.  `path_conflicts` finds one path's conflicts with the others through
-it, and holds the vertex, follow and parked rules; `enumerate_conflicts`
-(and so validation) runs it over a plan's own index, which
-`dependency.build_partial_order` reads too.  Each conflict-tree node holds
-one plan, which its low level plans against, and finds a child's new
+Every conflict query goes through one occupancy index of a `Plan` (the
+conflict avoidance table of CBS), keyed by vertex: each vertex's (index,
+agent) visits below each path's last index, in index order, plus one
+"parked at this goal from index X_j on" entry per path, so the goal padding
+stays implicit and a query costs the visits at its vertex.  A plan builds
+its index on first use, or `Plan.derive_index` patches it from another
+plan's built index at the paths that differ, where that costs less; the
+conflict-tree driver derives each root prefix's from the one before and
+each popped node's from the node popped before it, so a node of a large
+plan pays for the paths it changed, not for all of them.  `path_conflicts` finds one path's conflicts with the others
+through it, and holds the vertex, follow and parked rules;
+`enumerate_conflicts` (and so validation) runs it over a plan's own index,
+which `dependency.build_partial_order` reads too.  Each conflict-tree node
+holds one plan, which its low level plans against, and finds a child's new
 conflicts through its parent's index.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import islice
+from operator import itemgetter
 from typing import Optional, Sequence
 
 INF = math.inf
+# `Plan.derive_index` patches an index only while at most one agent in
+# DERIVE_SPAN differs: a patch moves two paths' entries for each agent that
+# differs, at about three times the cost per entry of a fresh build
+# (0.35 against 0.13 us on the benchmark's plans, CPython 3.11).
+DERIVE_SPAN = 8
 
 
 def check_seed(seed: int) -> None:
@@ -242,8 +252,12 @@ class Plan:
     """The paths, numbered by agent, and their occupancy index:
     `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in order, and
     `parked[v]` holds (X_j, j) for each path j that ends on v, where it
-    stays.  Both are built on first use.  `swap(j, path)` is the plan with
-    j's path replaced (or appended)."""
+    stays, in agent order.  Both are built on first use, unless
+    `derive_index` patched them from another plan's index first or the plan
+    came from `with_labels`, which shares its source's.  An index is never
+    changed once built, so two indexes may share the lists of the vertices
+    where they agree.  `swap(j, path)` is the plan with j's path replaced
+    (or appended)."""
 
     paths: tuple[Path, ...]
 
@@ -267,6 +281,33 @@ class Plan:
             parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
         return parked
 
+    def derive_index(self, source: "Plan") -> None:
+        """Build this plan's index from `source`'s, if that is built and this
+        one is not, equal to a fresh build: move the entries of each agent
+        whose vertex tuple differs by identity (or exists in one plan only),
+        and share `source`'s lists at every other vertex.  This plan keeps no
+        reference to `source`.  A plan of fewer than `DERIVE_SPAN` paths, or
+        one where more than one agent in `DERIVE_SPAN` differs, is left to a
+        fresh build on first use, which then costs less."""
+        built, old, new = vars(source), source.paths, self.paths
+        if "visits" in vars(self) or "visits" not in built or len(new) < DERIVE_SPAN:
+            return
+        changed = [j for j, (p, q) in enumerate(zip(old, new)) if p.vertices is not q.vertices]
+        changed += range(min(len(old), len(new)), max(len(old), len(new)))
+        if DERIVE_SPAN * len(changed) > len(new):
+            return
+        visits: tuple[dict, dict] = ({}, {})   # entries to drop, to add, by vertex
+        parked: tuple[dict, dict] = ({}, {})
+        for j in changed:
+            for side, paths in ((0, old), (1, new)):   # drop the old entries, add the new
+                if j < len(paths):
+                    vs = paths[j].vertices
+                    for x in range(len(vs) - 1):
+                        visits[side].setdefault(vs[x], []).append((x, j))
+                    parked[side].setdefault(vs[-1], []).append((len(vs) - 1, j))
+        self.visits = _patched(built["visits"], *visits, None)
+        self.parked = _patched(source.parked, *parked, itemgetter(1))
+
     def swap(self, j: int, path: Path) -> "Plan":
         return Plan(self.paths[:j] + (path,) + self.paths[j + 1:])
 
@@ -283,7 +324,36 @@ class Plan:
         return sum(p.last_index for p in self.paths)
 
     def with_labels(self, labels: Sequence[Sequence[float]]) -> "Plan":
-        return Plan(tuple(Path(p.vertices, tuple(lb)) for p, lb in zip(self.paths, labels)))
+        """This plan's paths with one row of `labels` each, and this plan's
+        index, if built: the vertices are the same."""
+        if len(labels) != len(self.paths):
+            raise ValueError(f"{len(labels)} label rows for {len(self.paths)} paths")
+        labeled = Plan(tuple(Path(p.vertices, tuple(lb)) for p, lb in zip(self.paths, labels)))
+        built = vars(self)
+        for name in ("visits", "parked"):
+            if name in built:
+                setattr(labeled, name, built[name])
+        return labeled
+
+
+def _patched(index: dict[int, list[tuple[int, int]]], drop: dict[int, list[tuple[int, int]]],
+             add: dict[int, list[tuple[int, int]]], key) -> dict[int, list[tuple[int, int]]]:
+    """A copy of `index` (visits or parked) without the entries of `drop`
+    and with those of `add`, both by vertex, each list kept in the order of
+    `key`: the vertices in `drop` or `add` get new lists, dropped if empty,
+    and every other vertex keeps `index`'s list."""
+    out = dict(index)
+    for v in drop.keys() | add.keys():
+        here = list(index.get(v, ()))
+        for e in drop.get(v, ()):
+            del here[bisect_left(here, e if key is None else key(e), key=key)]
+        for e in add.get(v, ()):
+            insort(here, e, key=key)
+        if here:
+            out[v] = here
+        else:
+            del out[v]
+    return out
 
 
 class ConflictKind(Enum):

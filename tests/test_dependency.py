@@ -303,6 +303,16 @@ class TestComputeLabels:
             assert compute_labels(result.plan, probs) \
                 == partial_order_labels(result.plan, probs)
 
+    @pytest.mark.parametrize("probs", [[0.5], [0.5, 0.5, 0.5]], ids=["fewer", "more"])
+    def test_needs_one_probability_per_path(self, pocket_long_plan, probs):
+        with pytest.raises(ValueError, match=f"^{len(probs)} delay probabilities for 2 paths$"):
+            compute_labels(pocket_long_plan, probs)
+
+    def test_empty_path_gets_no_labels(self):
+        # `check_path_wellformed` reports an empty path; it gets no labels
+        lp = compute_labels(Plan((Path(()), Path((1, 2)))), [0.5, 0.5])
+        assert [p.labels for p in lp.paths] == [(), (0.0, 2.0)]
+
     def test_monotone_by_at_least_one(self, pocket_long_plan):
         lp = compute_labels(pocket_long_plan, [0.5, 0.5])
         for p in lp.paths:

@@ -189,6 +189,23 @@ class TestValidatePlan:
             "agent 0: labels increase by < 1 at index 1"]
 
 
+class TestWithLabels:
+    @pytest.mark.parametrize("rows", [[(0.0, 1.0)], [(0.0, 1.0), (0.0,), (0.0,)]],
+                             ids=["fewer", "more"])
+    def test_needs_one_row_per_path(self, rows):
+        plan = Plan((Path((0, 1)), Path((2,))))
+        with pytest.raises(ValueError, match=f"^{len(rows)} label rows for 2 paths$"):
+            plan.with_labels(rows)
+
+    def test_shares_the_built_index(self):
+        plan = Plan((Path((0, 1)), Path((2, 2))))
+        assert "visits" not in vars(plan.with_labels([(0.0, 1.0), (0.0, 1.0)]))
+        visits, parked = plan.visits, plan.parked
+        labeled = plan.with_labels([(0.0, 2.0), (0.0, 1.0)])
+        assert labeled.paths[0].labels == (0.0, 2.0)
+        assert labeled.visits is visits and labeled.parked is parked
+
+
 class TestEarliestConflict:
     def test_valid_plan_none(self, pocket_valid_plan):
         assert find_earliest_conflict(pocket_valid_plan) is None

@@ -11,12 +11,17 @@ as reference oracles for the index-based versions.  `count`,
 way its former methods did and the way the low level does.
 """
 
+import copy
+import gc
 import math
+import weakref
 from bisect import bisect_right
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mapf_dp import model
 from mapf_dp.ame import carry_conflicts, departure_count, departure_row, labeled_departure_row
 from mapf_dp.model import (Conflict, ConflictKind, Path, Plan,
                            enumerate_conflicts, find_earliest_conflict, path_conflicts)
@@ -298,6 +303,78 @@ def test_departure_count_matches_former_counts(paths, swaps):
             assert row[0] == xs
             for x in range(max(p.last_index for p in occ.paths) + 4):
                 assert departure_count(row, x) == counts[min(x, len(counts) - 1)]
+
+
+def derive(source, plan, patched=True):
+    """`plan` with its index derived from `source`'s, which is built, by a
+    patch whatever the share of agents that differ (`patched`: it must be
+    one): equal to a fresh build, and `source`'s index unchanged, though the
+    two share the lists of the vertices where they agree."""
+    assert "visits" in vars(source)
+    before = copy.deepcopy((source.visits, source.parked))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "DERIVE_SPAN", 1)
+        plan.derive_index(source)
+    assert "visits" in vars(plan) or not patched
+    fresh = Plan(plan.paths)
+    assert (plan.visits, plan.parked) == (fresh.visits, fresh.parked)
+    assert (source.visits, source.parked) == before
+    return plan
+
+
+def relabel(plan):
+    labeled = plan.with_labels([[2.0 * x for x in range(len(p.vertices))] for p in plan.paths])
+    assert labeled.visits is plan.visits and labeled.parked is plan.parked
+    return labeled
+
+
+@given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
+@example(*SHARED_PARKING)
+@settings(max_examples=300, deadline=None)
+def test_derived_index_matches_fresh_build(paths, swaps):
+    # as in the conflict tree: the root appends paths one by one, each
+    # prefix read before the next; each popped node swaps a path, is read,
+    # and may be relabeled; two unrelated plans that share some vertex
+    # tuples, and differ in length, derive from each other
+    occ = Plan(())
+    occ.visits
+    for j, p in enumerate(paths):
+        occ = derive(occ, occ.swap(j, p))
+    for slot, p in swaps:
+        occ = relabel(derive(occ, occ.swap(slot % len(paths), p)))
+    for other in (Plan(paths), Plan(paths[:-1]), Plan((*paths, *(p for _, p in swaps)))):
+        occ = derive(derive(occ, other, patched=False), occ.swap(0, occ.paths[-1]),
+                     patched=False)
+
+
+def test_small_plans_are_built_afresh():
+    # below DERIVE_SPAN paths a patch costs more than a fresh build
+    source = Plan(tuple(Path((v, 10 + v)) for v in range(model.DERIVE_SPAN)))
+    source.visits
+    plan = source.swap(0, Path((0, 0, 10)))
+    plan.derive_index(source)
+    assert "visits" in vars(plan)
+    small = Plan(source.paths[1:]).swap(0, Path((1, 1, 11)))
+    small.derive_index(source)
+    assert "visits" not in vars(small)
+    assert small.visits == Plan(small.paths).visits
+
+
+def test_derived_index_keeps_no_source_alive(monkeypatch):
+    # after the derivation, dropping the source frees it: the derived plan
+    # holds no reference back to it
+    monkeypatch.setattr(model, "DERIVE_SPAN", 1)
+    source = Plan((Path((0, 1, 2)), Path((3, 4))))
+    source.visits
+    plan = source.swap(1, Path((3, 3, 4)))
+    plan.derive_index(source)
+    assert "visits" in vars(plan)
+    gone = weakref.ref(source)
+    del source
+    gc.collect()
+    assert gone() is None
+    assert plan.visits == {0: [(0, 0)], 1: [(1, 0)], 3: [(0, 1), (1, 1)]}
+    assert plan.parked == {2: [(2, 0)], 4: [(2, 1)]}
 
 
 def test_wait_bound_leaves_the_replanned_agents_labels_out():
