@@ -15,21 +15,10 @@ plan's alive.  Each node also keeps its plan's
 conflicts: a child's are its parent's minus those that name the replanned
 agent, plus those of the new path, found through the parent's index, so
 only the root enumerates its whole plan.  `solve_ame` keys nodes by the
-approximate average makespan.  Its low level is a focal search with
-re-expansions over (vertex, local-state) states, keyed by the integer id
-x * |V| + v, whose g-values track the approximate average entry times of
-the other agents' stored labels; it reads the other agents as the node's
-plan minus the replanned one, through two rows per vertex that
-`labeled_departure_row` builds once per search: the `departure_row`, its
-departures and parked paths, from which `departure_count` reads a conflict
-increment only where Phase 1 needs one, and beside it the departures' best
-labels.  Its move cost, scaled heuristic and successor tuples are built
-once per solve (`low_level_tables`).  Adapted CBS reads the same conflict
-rows, which need no labels.  One heap serves both phases of AME's search,
-with Phase-2 entries at an infinite conflict count: a state is queued once
-per strict improvement of its g, so no two entries are equal and none
-carries a tie counter; an entry is current iff its g is the state's g, and
-Phase 2 (smallest f first), once begun, is permanent.
+approximate average makespan.  Both solvers share one low level,
+`low_level_search`, a time-expanded search over states keyed by the
+integer id x * |V| + v, in two cost models: AME's, whose g track the other
+agents' stored labels, and adapted CBS's unit steps, which read no labels.
 """
 
 from __future__ import annotations
@@ -258,7 +247,7 @@ def trace_back(parent: dict[int, int], state: int, n: int) -> list[int]:
 
 def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[int]]:
     """(xs, parked) of vertex v over every path of `plan` but `agent`'s: the
-    conflict row that both low levels read for each state at v.
+    conflict row that the low level reads, in both cost models, at v.
 
     xs are the departures from v, the x < X_j with l_j(x) = v, in order;
     parked holds X_j of each path j that ends on v.  A row costs the visits
@@ -274,8 +263,8 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
     """`departure_row(plan, v, agent)` and, beside it, best over every labeled
     path of `plan` but `agent`'s: best[k] is the largest label at x+1 of the
     first k departures (-inf if 0).  One pass over the visits at v builds
-    both, as AME's low level reads them for every vertex it reaches; only it
-    reads labels."""
+    both, as the low level reads them under labels (AME) for every vertex it
+    reaches; only that cost model reads labels."""
     paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
@@ -319,17 +308,18 @@ def parked_count(row: tuple[list[int], list[int]], since: int) -> int:
 _tables: tuple = (None, (), {})
 
 
-def low_level_tables(instance: Instance, agent: int, dist_to_goal: Sequence[float]) -> tuple[
-        float, list[float], tuple[tuple[int, ...], ...]]:
-    """(move cost, scaled heuristic, successors) for `agent`'s low level:
-    its move cost 1/(1-p), each vertex's distance to its goal times that
-    cost, and each vertex's successor tuple, itself (a wait) and then its
-    neighbours.  A solve passes one graph and one distance table per agent
-    to every call, so the tables are built once per solve and agent: the
-    ones built last are kept, and reused only while the graph's adjacency
-    and `dist_to_goal` are the very objects they were built from and the
-    delay probability is equal, so a result never depends on what ran
-    before."""
+def low_level_tables(instance: Instance, agent: int, dist_to_goal: Sequence[float],
+                     unit: bool = False) -> tuple[
+        float, Sequence[float], tuple[tuple[int, ...], ...]]:
+    """(move cost, heuristic, successors) for `agent`'s low level: its move
+    cost 1/(1-p), each vertex's distance to its goal times that cost, and
+    each vertex's successor tuple, itself (a wait) and then its neighbours;
+    under `unit` steps, 1 and `dist_to_goal` itself.  A solve passes one
+    graph and one distance table per agent to every call, so the tables are
+    built once per solve and agent: the ones built last are kept, and reused
+    only while the graph's adjacency and `dist_to_goal` are the very objects
+    they were built from and the delay probability is equal, so a result
+    never depends on what ran before."""
     global _tables
     adjacency = instance.graph.adjacency
     built, successors, scaled = _tables
@@ -337,6 +327,8 @@ def low_level_tables(instance: Instance, agent: int, dist_to_goal: Sequence[floa
         successors = tuple((v,) + nbrs for v, nbrs in enumerate(adjacency))
         scaled = {}
         _tables = (adjacency, successors, scaled)
+    if unit:
+        return 1.0, dist_to_goal, successors
     p = instance.agents[agent].delay_prob
     entry = scaled.get(agent)
     if entry is None or entry[0] is not dist_to_goal or entry[1] != p:
@@ -348,53 +340,77 @@ def low_level_tables(instance: Instance, agent: int, dist_to_goal: Sequence[floa
 def low_level_search(instance: Instance, agent: int, plan: Plan,
                      constraints: Collection[Constraint], key: float,
                      dist_to_goal: Sequence[float],
-                     expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
-    """Plan one agent, under its own `constraints`, against the fixed labeled
-    paths of the others: `plan`'s, numbered by agent id, minus `agent`'s, if any.
+                     expansion_cap: int = LOW_LEVEL_EXPANSIONS, *,
+                     unit: bool = False) -> tuple[Path, int]:
+    """Plan one agent, under its own `constraints`, against the fixed paths
+    of the others: `plan`'s, numbered by agent id, minus `agent`'s, if any.
+    Returns (path, expansions) or raises LowLevelFailure.
 
-    Returns (labeled path, expansions).  Phase 1 expands, among queued
-    states with f <= key, one with the fewest accumulated path conflicts;
-    once none is left the search expands by smallest f (Phase 2).  Raises
-    LowLevelFailure otherwise.  A state (v, x) has the id x * |V| + v, the
-    key of `g`, `parent` and the banned set.  One heap holds both phases: a
-    successor of a Phase-1 state with f <= key is queued as (conflicts, f,
-    -x, v, g), every other one as (inf, f, -x, v, g), so Phase 2 begins at
-    the first pop of an inf entry and is permanent.  A state is queued once
-    per strict improvement of its g, so two entries of one state differ in
-    g, and entries of two states in (x, v): no two entries are equal, and
-    none needs a tie counter.  An entry is current iff its g is `g[state]`.
-    A successor (v, x) costs one lookup of v's rows,
-    `labeled_departure_row(plan, v, agent)`, built once per search, and one
-    bisect for its wait bound; a Phase-1 successor also reads its conflict
-    increment (`departure_count`).
-    """
-    spec = instance.agents[agent]
+    A state (v, x) has the id x * |V| + v, the key of `g`, `parent` and the
+    banned set.  By default (AME) g is an approximate entry time, read from
+    the others' labels by one bisect in `labeled_departure_row`, and the
+    path returned carries it; under `unit` steps (adapted CBS) g = x, h is
+    `dist_to_goal`, and no label is read or returned.  Phase 1 expands,
+    among queued states with f <= key, one with the fewest accumulated
+    conflicts (`departure_count`); Phase 2 expands by smallest f.  One heap
+    holds both, as (conflicts, f, -x, v, g) and (inf, f, -x, v, g), so
+    Phase 2, once begun, is permanent, and when g = x both orders reduce to
+    (f, -x, v).  A state is queued once per strict improvement of its g, so
+    no two entries are equal and none carries a tie counter; an entry is
+    current iff its g is `g[state]`.  With labels a state is in Phase 1 iff
+    its f <= key and its parent is (the start iff its f is).  Outside unit
+    Phase 1, the search returns on the goal from its last constrained index
+    on, under `constraint_setup`'s index cap.
+
+    Under unit steps g never improves, and a Phase-1 state's increment
+    depends on it alone while counts pop in nondecreasing order, so a state
+    is queued once, when first reached, with its least count: no entry goes
+    stale, and `g` keeps the start alone.  Key -1 is the shortest search,
+    all in Phase 2.  A key B >= 0 bounds the final index: Phase 1 alone, the
+    conflict avoidance of Sharon et al. (2015).  It drops each successor
+    with f > B, as f never falls along a path under hop distances, so B
+    alone bounds it: an index cap would cut paths that wait past the cap for
+    the other agents.  Reaching the goal from its last constrained index on
+    also queues an end entry, (the parent's conflicts plus `parked_count`,
+    f, -x, v, inf), which counts the paths that pass the goal later.  It
+    follows its state's own entry, and the first one popped is returned:
+    the fewest conflicts of any path that ends by B, ties toward the smaller
+    final index."""
+    start, goal = instance.agents[agent].start, instance.agents[agent].goal
     n = instance.graph.n_vertices
     banned, goal_con_max, max_index = constraint_setup(
         instance, agent, constraints, dist_to_goal)
-    for j, p in enumerate(plan.paths):
-        if p.labels is None:
-            raise ValueError(f"agent {j}: the low level needs labeled paths")
-    rows: list = [None] * n   # (row, its xs, best) of each vertex, built on first read
-    t_move, h, successors = low_level_tables(instance, agent, dist_to_goal)
-    bound = key + EPS
-
-    g: dict[int, float] = {spec.start: 0.0}   # the id of (start, 0) is start
+    goal_at = goal_con_max   # the goal's pop returns from this index on
+    t_move, h, successors = low_level_tables(instance, agent, dist_to_goal, unit)
+    g: dict[int, float] = {start: 0.0}   # the id of (start, 0) is start
     parent: dict[int, int] = {}
-    f0 = h[spec.start]
-    queue = [(departure_count(departure_row(plan, spec.start, agent), 0) if f0 <= bound else INF,
-              f0, 0, spec.start, 0.0)]
+    if unit:
+        bound, phase_1 = key, key >= 0
+        if phase_1:   # only end entries return, and B bounds the search
+            goal_at, max_index = INF, key
+    else:
+        for j, p in enumerate(plan.paths):
+            if p.labels is None:
+                raise ValueError(f"agent {j}: the low level needs labeled paths")
+        bound = key + EPS
+        phase_1 = h[start] <= bound
+    row = departure_row(plan, start, agent) if phase_1 else None
+    rows: list = [None] * n   # each vertex's rows, built on first read
+    if unit:
+        rows[start] = row   # AME's rows carry labels too
+    queue = [(departure_count(row, 0) if phase_1 else INF, h[start], 0, start, 0.0)]
+    if phase_1 and unit and start == goal and goal_con_max < 0:
+        queue.append((parked_count(row, 0), h[start], 0, start, INF))
     expansions = 0
 
     while queue:
         conflicts, _, negx, v, gval = heappop(queue)
         x = -negx
         here = x * n + v
-        if g[here] != gval:
+        if not unit and g[here] != gval:
             continue   # stale: g[here] has improved since
-        if v == spec.goal and x >= goal_con_max:
-            states = trace_back(parent, here, n)
-            return Path(tuple(s % n for s in states), tuple(g[s] for s in states)), expansions
+        if gval is INF or v == goal and x >= goal_at:
+            break   # an end entry, or the goal
         if expansions >= expansion_cap:
             raise LowLevelFailure("budget")
         expansions += 1
@@ -402,27 +418,53 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
         if nx > max_index:
             continue
         base = nx * n   # the id of (vertex 0, index nx)
-        for nv in successors[v]:
-            succ = base + nv
-            if succ in banned:
-                continue
-            entry = rows[nv]
-            if entry is None:
-                row, best = labeled_departure_row(plan, nv, agent)
-                entry = rows[nv] = (row, row[0], best)
-            row, xs, best = entry
-            # the others' latest departure from nv at an index below nx - 1
-            wait = best[bisect_right(xs, x - 1)]
-            g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
-            if g_new < g.get(succ, INF) - 1e-12:
-                g[succ] = g_new
+        if not unit:
+            for nv in successors[v]:
+                succ = base + nv
+                if succ in banned:
+                    continue
+                entry = rows[nv]
+                if entry is None:
+                    row, best = labeled_departure_row(plan, nv, agent)
+                    entry = rows[nv] = (row, row[0], best)
+                row, xs, best = entry
+                # the others' latest departure from nv at an index below nx - 1
+                wait = best[bisect_right(xs, x - 1)]
+                g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
+                if g_new < g.get(succ, INF) - 1e-12:
+                    g[succ] = g_new
+                    parent[succ] = here
+                    f_new = g_new + h[nv]
+                    if conflicts is not INF and f_new <= bound:   # a Phase-1 state
+                        heappush(queue, (conflicts + departure_count(row, nx), f_new, -nx, nv,
+                                         g_new))
+                    else:
+                        heappush(queue, (INF, f_new, -nx, nv, g_new))
+        elif conflicts is INF:
+            for nv in successors[v]:
+                succ = base + nv
+                if succ in banned or succ in parent:
+                    continue
                 parent[succ] = here
-                f_new = g_new + h[nv]
-                if conflicts is not INF and f_new <= bound:   # a Phase-1 state
-                    heappush(queue, (conflicts + departure_count(row, nx), f_new, -nx, nv, g_new))
-                else:
-                    heappush(queue, (INF, f_new, -nx, nv, g_new))
-    raise LowLevelFailure("exhausted")
+                heappush(queue, (INF, nx + h[nv], -nx, nv, nx))
+        else:
+            for nv in successors[v]:
+                succ = base + nv
+                f_new = nx + h[nv]
+                if f_new > bound or succ in banned or succ in parent:
+                    continue
+                parent[succ] = here
+                row = rows[nv]
+                if row is None:
+                    row = rows[nv] = departure_row(plan, nv, agent)
+                heappush(queue, (conflicts + departure_count(row, nx), f_new, -nx, nv, nx))
+                if nv == goal and nx >= goal_con_max:
+                    heappush(queue, (conflicts + parked_count(row, nx), f_new, -nx, nv, INF))
+    else:
+        raise LowLevelFailure("exhausted")
+    states = trace_back(parent, here, n)
+    labels = None if unit else tuple(g[s] for s in states)
+    return Path(tuple(s % n for s in states), labels), expansions
 
 
 def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,

@@ -11,16 +11,27 @@ tuples, and it reads the rows of `departure_row` and the paths of
 `trace_back` in their former shape: a horizon-long `counts` list per row,
 and tuple parent links.  Both are kept here verbatim; only the banned
 states of the shared `constraint_setup` are turned back into tuples.
+
+Adapted CBS's two former low-level searches are kept verbatim too, as
+oracles for its entry points into the one search that replaced them:
+`shortest_path_under_constraints`, time-expanded A* that queues each state
+once as (f, -x, v), and `fewest_conflicts_path`, the conflict avoidance
+that queues (conflicts, f, -x, v, end).  They read the shared
+`departure_row` and `trace_back` of `mapf_dp.ame`, named through the
+module here, since this module keeps former versions under those names.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from bisect import bisect_right
 from heapq import heappop, heappush
-from typing import Sequence
+from typing import Collection, Optional, Sequence
 
-from mapf_dp.ame import EPS, Constraint, LowLevelFailure, constraint_setup
+from mapf_dp import ame
+from mapf_dp.ame import (EPS, LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure,
+                         constraint_setup, departure_count, parked_count)
 from mapf_dp.dependency import move_cost
 from mapf_dp.model import INF, Instance, Path, Plan
 
@@ -145,3 +156,104 @@ def low_level_search(instance: Instance, agent: int, occupancy: Plan,
                 heappush(open_heap, (f_new, -nx, nv, g_new, next(counter)))
                 if f_new <= bound:
                     heappush(focal_heap, (c, f_new, -nx, nv, g_new, next(counter)))
+
+
+def shortest_path_under_constraints(
+        instance: Instance, agent: int, constraints: Collection[Constraint],
+        dist_to_goal: Sequence[float],
+        expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
+    """Time-expanded A* minimizing the final index; ties toward deeper states.
+    Returns (path, expansions) or raises LowLevelFailure.
+
+    A state (v, x) has the id x * |V| + v.  Each state is queued once, when
+    it is first reached, as (f, -x, v); entries of two states differ in
+    (x, v), so none needs a tie counter."""
+    spec = instance.agents[agent]
+    adjacency = instance.graph.adjacency
+    n = instance.graph.n_vertices
+    banned, goal_con_max, max_index = constraint_setup(
+        instance, agent, constraints, dist_to_goal)
+    parent: dict[int, Optional[int]] = {spec.start: None}   # (start, 0) has id start
+    heap = [(dist_to_goal[spec.start], 0, spec.start)]
+    expansions = 0
+    while heap:
+        f, negx, v = heapq.heappop(heap)
+        x = -negx
+        if v == spec.goal and x >= goal_con_max:
+            states = ame.trace_back(parent, x * n + v, n)
+            return Path(tuple(s % n for s in states)), expansions
+        if expansions >= expansion_cap:
+            raise LowLevelFailure("budget")
+        expansions += 1
+        nx = x + 1
+        if nx > max_index:
+            continue
+        here, base = x * n + v, nx * n
+        for nv in (v,) + adjacency[v]:
+            succ = base + nv
+            if succ in banned or succ in parent:
+                continue
+            parent[succ] = here
+            heapq.heappush(heap, (nx + dist_to_goal[nv], -nx, nv))
+    raise LowLevelFailure("exhausted")
+
+
+def fewest_conflicts_path(
+        instance: Instance, agent: int, plan: Plan, constraints: Collection[Constraint],
+        bound: int, dist_to_goal: Sequence[float],
+        expansion_cap: int = LOW_LEVEL_EXPANSIONS) -> tuple[Path, int]:
+    """The conflict avoidance of Sharon et al. (2015) within a max-index
+    bound: among `agent`'s paths under its own `constraints` that end by
+    index `bound`, one with the fewest conflicts with the other paths of
+    `plan` (`agent`'s own, if any, is skipped), counted as `path_conflicts`
+    counts them; ties toward the smaller final index.  Returns (path,
+    expansions) or raises LowLevelFailure.
+
+    It searches the states (v, x) with x + dist(v) <= `bound`, by fewest
+    accumulated conflicts, then f = x + dist(v), then deeper states.  A
+    state's count adds `departure_count` of its vertex's `departure_row` to
+    its parent's; it depends on the state alone, and counts pop in
+    nondecreasing order, so a state is queued once, when it is first reached,
+    with its least count.  Reaching the goal from index `goal_con_max` on
+    also queues an end entry, whose count is the parent's plus
+    `parked_count`: the path ends there and stays, and the other paths that
+    pass the goal later count too.  The first end entry popped has the fewest
+    conflicts of any path.  Entries of two states differ in (x, v), and an
+    end entry follows its own state's, so none needs a tie counter."""
+    spec = instance.agents[agent]
+    goal = spec.goal
+    adjacency = instance.graph.adjacency
+    n = instance.graph.n_vertices
+    banned, goal_con_max, _ = constraint_setup(instance, agent, constraints, dist_to_goal)
+    rows: list = [None] * n   # departure_row of each vertex, built on first read
+    rows[spec.start] = ame.departure_row(plan, spec.start, agent)
+    parent: dict[int, Optional[int]] = {spec.start: None}   # (start, 0) has id start
+    heap = [(departure_count(rows[spec.start], 0), dist_to_goal[spec.start], 0, spec.start,
+             False)]
+    if spec.start == goal and goal_con_max < 0:
+        heap.append((parked_count(rows[goal], 0), 0, 0, goal, True))
+    expansions = 0
+    while heap:
+        conflicts, _, negx, v, end = heapq.heappop(heap)
+        x = -negx
+        here = x * n + v
+        if end:
+            return Path(tuple(s % n for s in ame.trace_back(parent, here, n))), expansions
+        if expansions >= expansion_cap:
+            raise LowLevelFailure("budget")
+        expansions += 1
+        nx = x + 1
+        base = nx * n
+        for nv in (v,) + adjacency[v]:
+            succ = base + nv
+            f = nx + dist_to_goal[nv]
+            if f > bound or succ in banned or succ in parent:
+                continue
+            parent[succ] = here
+            row = rows[nv]
+            if row is None:
+                row = rows[nv] = ame.departure_row(plan, nv, agent)
+            heapq.heappush(heap, (conflicts + departure_count(row, nx), f, -nx, nv, False))
+            if nv == goal and nx >= goal_con_max:
+                heapq.heappush(heap, (conflicts + parked_count(row, nx), f, -nx, nv, True))
+    raise LowLevelFailure("exhausted")

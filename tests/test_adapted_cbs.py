@@ -10,9 +10,11 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan, generate_random_ins
 from mapf_dp.adapted_cbs import fewest_conflicts_path, shortest_path_under_constraints
 from mapf_dp.ame import Constraint, LowLevelFailure, SolveLimits, conflict_tree_search
 from mapf_dp.generate import GenerationError
-from mapf_dp.model import path_conflicts, shortest_path_distances
+from mapf_dp.model import parse_map, path_conflicts, shortest_path_distances
 from tests.brute_force_oracle import brute_force_optimal_makespan
 from tests.conftest import C1, C2, C3, C4
+from tests.low_level_oracle import fewest_conflicts_path as former_fewest_conflicts
+from tests.low_level_oracle import shortest_path_under_constraints as former_shortest
 
 
 class TestLowLevel:
@@ -137,6 +139,89 @@ class TestAvoidance:
         assert path.vertices == (0, 1)
         assert len(path_conflicts(plan, 0, path)) == 3
 
+    def test_bound_above_cap_is_searched(self):
+        # agent 1 stays on agent 0's goal 1 until index 14: only the bound 20
+        # bounds the search, not the index cap of a shortest search (4|V| =
+        # 12 here), so agent 0 waits past that cap and meets no one
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        inst = Instance(g, (AgentSpec(0, 0, 1, 0.5), AgentSpec(1, 1, 2, 0.5)))
+        plan = Plan((Path((0, 1)), Path((1,) * 15 + (2,))))
+        path, expansions = fewest_conflicts_path(inst, 0, plan, (), 20,
+                                                 shortest_path_distances(g, 1))
+        assert path.vertices == (0,) * 16 + (1,)
+        assert path_conflicts(plan, 0, path) == []
+        assert expansions == 17
+
+
+@st.composite
+def unit_low_level_cases(draw):
+    """A replan of adapted CBS on a small grid: 1-4 agents, random walks for
+    the agents in the plan (the replanned one included or not yet planned),
+    random constraints on the replanned agent, some on its goal, which may
+    be its start, an expansion cap of 1-40 or the default, and a key: -1
+    (the shortest search) or a bound from the shortest length L* (0 if there
+    is none) up to past the shortest search's index cap, 4|V| plus the
+    largest constrained index."""
+    w, h = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    blocked = draw(st.sets(st.integers(0, w * h - 1), max_size=w * h // 3))
+    graph = parse_map("\n".join("".join("@" if y * w + x in blocked else "."
+                                         for x in range(w)) for y in range(h)))
+    n_free = graph.n_vertices
+    n = draw(st.integers(1, min(4, n_free)))
+    starts = draw(st.permutations(range(n_free)))[:n]
+    goals = list(draw(st.permutations(range(n_free)))[:n])
+    agent = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):   # the replanned agent starts on its goal
+        if starts[agent] in goals:   # swapped with the agent whose goal it was
+            k = goals.index(starts[agent])
+            goals[k] = goals[agent]
+        goals[agent] = starts[agent]
+    inst = Instance(graph, tuple(AgentSpec(i, starts[i], goals[i], 0.5) for i in range(n)))
+    paths = []
+    for i in range(n):   # walks long enough to pass the index cap, mostly waiting
+        vertices = [starts[i]]
+        for _ in range(draw(st.integers(0, 40))):
+            options = (vertices[-1],) + graph.adjacency[vertices[-1]]
+            vertices.append(options[max(draw(st.integers(-5, 3)), 0) % len(options)])
+        paths.append(Path(tuple(vertices)))
+    if not draw(st.booleans()):
+        paths = paths[:agent]
+    vertex = st.one_of(st.integers(0, n_free - 1), st.just(goals[agent]))
+    constraints = frozenset(Constraint(agent, v, x) for v, x in draw(st.lists(
+        st.tuples(vertex, st.integers(0, 10)), max_size=6)))
+    dist = shortest_path_distances(graph, goals[agent])
+    cap = draw(st.one_of(st.integers(1, 40), st.just(ame.LOW_LEVEL_EXPANSIONS)))
+    index_cap = 4 * n_free + max((c.index for c in constraints), default=0)
+    try:
+        shortest = former_shortest(inst, agent, constraints, dist)[0].last_index
+    except LowLevelFailure:
+        shortest = 0
+    key = draw(st.one_of(st.just(-1), st.integers(shortest, shortest + 3),
+                         st.integers(shortest, index_cap + 6),
+                         st.integers(index_cap + 1, index_cap + 6)))
+    return inst, Plan(tuple(paths)), agent, constraints, key, cap, dist
+
+
+@given(unit_low_level_cases())
+@settings(max_examples=500)
+def test_low_level_matches_former_searches(case):
+    # the entry points into the one search against the former searches:
+    # the same vertices and expansions, or the same failure cause
+    inst, plan, agent, constraints, key, cap, dist = case
+
+    def outcome(shortest, avoiding):
+        try:
+            if key < 0:
+                path, expansions = shortest(inst, agent, constraints, dist, cap)
+            else:
+                path, expansions = avoiding(inst, agent, plan, constraints, key, dist, cap)
+        except LowLevelFailure as fail:
+            return fail.cause
+        return path.vertices, path.labels, expansions
+
+    assert outcome(shortest_path_under_constraints, fewest_conflicts_path) \
+        == outcome(former_shortest, former_fewest_conflicts)
+
 
 class TestBruteForce:
     def test_already_at_goals(self):
@@ -252,8 +337,10 @@ class TestSolver:
         pop = ame.heappop
 
         def recording_pop(heap):
-            popped.append(pop(heap))
-            return popped[-1]
+            entry = pop(heap)
+            if len(entry) == 6:   # a node; the low level pops through the same name
+                popped.append(entry)
+            return entry
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ame, "heappop", recording_pop)

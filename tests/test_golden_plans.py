@@ -1,4 +1,4 @@
-"""Golden plans: SHA-256 of `plan_to_json` for five fixed solves, and
+"""Golden plans: SHA-256 of `plan_to_json` for six fixed solves, and
 Monte Carlo statistics of one of them.
 
 The digests and search counters were recorded before conflict detection and
@@ -18,9 +18,11 @@ of `conflict_tree_search`; its plan and digest are unchanged.  Its plan,
 digest and counts were re-recorded (40/1666 -> 7/878) when adapted CBS
 began to replan an agent to its path with the fewest conflicts within the
 node's max-index slack, ordering nodes by conflict count; the max index
-(26) is unchanged.  A change
-to conflict handling, tie-breaking, node ordering or labels that alters any
-plan fails here.  The Monte Carlo statistics were recorded on the
+(26) is unchanged.  The adapted-CBS solve of the random 40-agent, seed-4
+instance (max index 29, 21 bypass nodes) was recorded before adapted CBS's
+two low-level searches were merged into AME's.  A change to conflict
+handling, tie-breaking, node ordering or labels that alters any plan fails
+here.  The Monte Carlo statistics were recorded on the
 message-passing simulator that the lagged-state loop replaced; a change
 that alters any trajectory, message count or collision count fails here.
 """
@@ -56,6 +58,9 @@ GOLDEN = {
         solve_adapted_cbs,
         lambda: generate_warehouse_instance(WarehouseParams(), 7, P_RANGE, 1002),
         7, 878, "1ee9cb82af77890aefb2b9da6c31ec8583883dfa4ed1d69137c11269b9ef563e"),
+    "cbs-random-20x20-40a-s4": (
+        solve_adapted_cbs, lambda: generate_random_instance(20, 20, 0.1, 40, P_RANGE, 4),
+        23, 11498, "64c4c3f0f9a71f144cd51cac08f3628a598b39b00e519f18288b4dfed221c566"),
 }
 
 
