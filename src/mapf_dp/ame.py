@@ -264,7 +264,9 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
     path of `plan` but `agent`'s: best[k] is the largest label at x+1 of the
     first k departures (-inf if 0).  One pass over the visits at v builds
     both, as the low level reads them under labels (AME) for every vertex it
-    reaches; only that cost model reads labels."""
+    reaches that another path visits or ends on; only that cost model reads
+    labels.  The search caches the row flat, as (xs, parked, best), and
+    shares `EMPTY_ROW` among the vertices that no other path reaches."""
     paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
@@ -275,7 +277,8 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
             if label > top:
                 top = label
             best.append(top)
-    parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
+    here = plan.parked.get(v)
+    parked = [since for since, j in here if j != agent] if here else []
     return (xs, parked), best
 
 
@@ -284,7 +287,9 @@ def departure_count(row: tuple[list[int], list[int]], x: int) -> int:
     `departure_row`, for an index x below its path's last: one per path at v
     at x-1, x and x+1.  A departure at y meets x - 1 <= y <= x + 1; a path
     parked since s meets every index from s on, so it counts min(x - s + 2, 3)
-    once x >= s - 1."""
+    once x >= s - 1.  The unit-step searches call it, and the AME search for
+    its start state; AME's successor loop reads the same count inline, from
+    the bisect that also gives the wait bound."""
     xs, parked = row
     count = bisect_right(xs, x + 1) - bisect_left(xs, x - 1)
     for since in parked:
@@ -300,6 +305,11 @@ def parked_count(row: tuple[list[int], list[int]], since: int) -> int:
     a parked agent.  Paths parked on v too are not counted, as there."""
     xs = row[0]
     return sum(min(y - since + 2, 3) for y in xs[bisect_left(xs, since - 1):])
+
+
+# The row of a vertex that no other path visits or ends on, as the AME
+# search caches rows: (departures, parked indices, best labels).
+EMPTY_ROW = ((), (), (-INF,))
 
 
 # The tables of `low_level_tables` for the graph searched last: (its
@@ -348,19 +358,24 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
 
     A state (v, x) has the id x * |V| + v, the key of `g`, `parent` and the
     banned set.  By default (AME) g is an approximate entry time, read from
-    the others' labels by one bisect in `labeled_departure_row`, and the
-    path returned carries it; under `unit` steps (adapted CBS) g = x, h is
-    `dist_to_goal`, and no label is read or returned.  Phase 1 expands,
-    among queued states with f <= key, one with the fewest accumulated
-    conflicts (`departure_count`); Phase 2 expands by smallest f.  One heap
-    holds both, as (conflicts, f, -x, v, g) and (inf, f, -x, v, g), so
-    Phase 2, once begun, is permanent, and when g = x both orders reduce to
-    (f, -x, v).  A state is queued once per strict improvement of its g, so
-    no two entries are equal and none carries a tie counter; an entry is
-    current iff its g is `g[state]`.  With labels a state is in Phase 1 iff
-    its f <= key and its parent is (the start iff its f is).  Outside unit
-    Phase 1, the search returns on the goal from its last constrained index
-    on, under `constraint_setup`'s index cap.
+    the others' labels, and the path returned carries it: each successor
+    (v', x + 1) takes one bisect, k = bisect_right(xs, x - 1), into the
+    departures xs of its vertex's `labeled_departure_row`.  best[k] is its
+    wait bound, and as indices are integers k = bisect_left(xs, x), so the
+    same k starts the departures at x ... x + 2 that a Phase-1 successor
+    counts (`departure_count(row, x + 1)`, inline).  Under `unit` steps
+    (adapted CBS) g = x, h is `dist_to_goal`, and no label is read or
+    returned.  Phase 1 expands, among queued states with f <= key, one with
+    the fewest accumulated conflicts (`departure_count`); Phase 2 expands
+    by smallest f.  One heap holds both, as (conflicts, f, -x, v, g) and
+    (inf, f, -x, v, g), so Phase 2, once begun, is permanent, and when
+    g = x both orders reduce to (f, -x, v).  A state is queued once per
+    strict improvement of its g, so no two entries are equal and none
+    carries a tie counter; an entry is current iff its g is `g[state]`.
+    With labels a state is in Phase 1 iff its f <= key and its parent is
+    (the start iff its f is).  Outside unit Phase 1, the search returns on
+    the goal from its last constrained index on, under `constraint_setup`'s
+    index cap.
 
     Under unit steps g never improves, and a Phase-1 state's increment
     depends on it alone while counts pop in nondecreasing order, so a state
@@ -390,10 +405,12 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
             goal_at, max_index = INF, key
     else:
         for j, p in enumerate(plan.paths):
-            if p.labels is None:
+            if j != agent and p.labels is None:
                 raise ValueError(f"agent {j}: the low level needs labeled paths")
         bound = key + EPS
         phase_1 = h[start] <= bound
+        visits, parked_at = plan.visits, plan.parked
+        g_get, push = g.get, heappush
     row = departure_row(plan, start, agent) if phase_1 else None
     rows: list = [None] * n   # each vertex's rows, built on first read
     if unit:
@@ -419,27 +436,44 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
             continue
         base = nx * n   # the id of (vertex 0, index nx)
         if not unit:
+            xm1, x2, negnx = x - 1, x + 2, -nx
+            # successors with f up to `limit` are Phase-1 states
+            limit = bound if conflicts is not INF else -INF
+            step = 1.0   # the wait comes first, then the moves at t_move
             for nv in successors[v]:
                 succ = base + nv
-                if succ in banned:
+                if banned and succ in banned:
+                    step = t_move
                     continue
                 entry = rows[nv]
                 if entry is None:
-                    row, best = labeled_departure_row(plan, nv, agent)
-                    entry = rows[nv] = (row, row[0], best)
-                row, xs, best = entry
-                # the others' latest departure from nv at an index below nx - 1
-                wait = best[bisect_right(xs, x - 1)]
-                g_new = (gval if gval >= wait else wait) + (1.0 if nv == v else t_move)
-                if g_new < g.get(succ, INF) - 1e-12:
+                    if nv in visits or nv in parked_at:
+                        (xs, parked), best = labeled_departure_row(plan, nv, agent)
+                        entry = rows[nv] = (xs, parked, best)
+                    else:
+                        entry = rows[nv] = EMPTY_ROW
+                xs, parked, best = entry
+                # the departures from nv below index x: bisect_left(xs, x) too
+                k = bisect_right(xs, xm1)
+                wait = best[k]   # the others' latest departure from nv at an index below x
+                g_new = (gval if gval >= wait else wait) + step
+                step = t_move
+                old = g_get(succ)
+                if old is None or g_new < old - 1e-12:
                     g[succ] = g_new
                     parent[succ] = here
                     f_new = g_new + h[nv]
-                    if conflicts is not INF and f_new <= bound:   # a Phase-1 state
-                        heappush(queue, (conflicts + departure_count(row, nx), f_new, -nx, nv,
-                                         g_new))
+                    if f_new <= limit:   # a Phase-1 state
+                        # `departure_count(row, nx)`: departures at x ... x + 2,
+                        # and paths parked since x + 2 or earlier
+                        count = conflicts + bisect_right(xs, x2, k) - k
+                        if parked:
+                            for since in parked:
+                                if since <= x2:
+                                    count += min(x2 + 1 - since, 3)
+                        push(queue, (count, f_new, negnx, nv, g_new))
                     else:
-                        heappush(queue, (INF, f_new, -nx, nv, g_new))
+                        push(queue, (INF, f_new, negnx, nv, g_new))
         elif conflicts is INF:
             for nv in successors[v]:
                 succ = base + nv

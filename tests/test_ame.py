@@ -226,6 +226,19 @@ class TestLowLevel:
         occ = Plan([old, other])
         assert low_level_search(inst, 0, occ, cons, 0.0, dist)[0] == fresh
 
+    def test_own_unlabeled_old_path_is_left_out(self):
+        # the replanned agent's old path is not read, so it needs no labels:
+        # the search gives what it gives with a labeled old path
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        inst = Instance(g, (AgentSpec(0, 0, 2, 0.5), AgentSpec(1, 1, 1, 0.5)))
+        other = Path((1, 1, 1, 2, 1), labels=(0.0, 1.0, 2.0, 10.0, 12.0))
+        labeled = Path((0, 1, 1, 2), labels=(0.0, 20.0, 30.0, 40.0))
+        dist = shortest_path_distances(g, 2)
+        cons = (Constraint(0, 1, 1), Constraint(0, 1, 2))
+        expected = low_level_search(inst, 0, Plan([labeled, other]), cons, 0.0, dist)
+        unlabeled = Plan([Path(labeled.vertices), other])
+        assert low_level_search(inst, 0, unlabeled, cons, 0.0, dist) == expected
+
 
 class TestSolveAme:
     def test_pocket_swap(self, pocket_instance):
@@ -410,9 +423,32 @@ PHASE_2_DROP = (Instance(parse_map("..."), (AgentSpec(0, 0, 2, 0.1), AgentSpec(1
                 [Path((0, 0, 0), (0.0, 1.0, 2.0))], 1, (), 1.5, ame.LOW_LEVEL_EXPANSIONS,
                 [0, 2, 0])
 
+# corridor 0-1-2-3 with a pocket 4 under vertex 1: agent 1 departs vertex 1
+# at indices 0 and 3, so the Phase-1 successor (1, 2) of (0, x = 1) counts
+# the departure at x + 2 and not the one at x - 1
+DEPARTURES_AT_EDGES = (
+    Instance(parse_map("....\n@.@@"), (AgentSpec(0, 0, 3, 0.1), AgentSpec(1, 1, 4, 0.1))),
+    [Path((0,), (0.0,)), Path((1, 4, 4, 1, 4), (0.0, 1.0, 2.0, 3.0, 4.0))], 0, (), 1e9,
+    ame.LOW_LEVEL_EXPANSIONS, [3, 2, 1, 0, 3])
+
+
+def parked_on_successor(walk):
+    """A 2x2 grid (0 1 / 2 3), agent 0 from 0 to 3, and agent 1's `walk`,
+    which ends on vertex 1 at index s: the Phase-1 successor (1, 1) of
+    (0, x = 0) counts 1, 2 or 3 for s = x + 2, x + 1 or s <= x, and the
+    route through vertex 2 counts 0."""
+    inst = Instance(parse_map("..\n.."), (AgentSpec(0, 0, 3, 0.1), AgentSpec(1, walk[0], 1, 0.1)))
+    other = Path(walk, tuple(map(float, range(len(walk)))))
+    return (inst, [Path((0,), (0.0,)), other], 0, (), 1e9, ame.LOW_LEVEL_EXPANSIONS,
+            [2, 1, 1, 0])
+
 
 @given(low_level_cases())
 @example(PHASE_2_DROP)
+@example(DEPARTURES_AT_EDGES)
+@example(parked_on_successor((3, 3, 1)))
+@example(parked_on_successor((3, 1)))
+@example(parked_on_successor((1,)))
 @settings(max_examples=400)
 def test_low_level_matches_two_heap_oracle(case):
     # the one-queue search against the former two-heap one: the same path,
