@@ -24,7 +24,7 @@ from typing import Collection, Optional, Sequence
 
 from .ame import (LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure, SolveLimits,
                   SolveResult, conflict_tree_search, low_level_search)
-from .model import Instance, Path, Plan
+from .model import Instance, Path, Plan, shortest_path_distances
 
 
 def shortest_path_under_constraints(
@@ -66,7 +66,8 @@ def solve_adapted_cbs(instance: Instance,
     the node's other paths (the root plans with K = 0).  The shortest length
     is memoised; the avoidance search runs per call.  A repeat of a failed
     shortest search raises a fresh `LowLevelFailure` with the stored cause.
-    `low_level_expanded` counts the expansions of both searches.
+    `low_level_expanded` counts the expansions of both searches; both take
+    the agent's hop distances to its goal as their heuristic.
     """
     planned: dict[tuple[int, frozenset[Constraint]], int | str] = {}
 
@@ -87,9 +88,9 @@ def solve_adapted_cbs(instance: Instance,
                                                max(shortest, int(key)), dist_to_goal, cap)
         return path, expansions + avoiding
 
-    def evaluate(plan: Plan, conflicts) -> tuple[Plan, float, tuple]:
-        max_index = plan.max_index
-        return plan, float(max_index), (max_index, len(conflicts))
+    def evaluate(plan: Plan) -> tuple[Plan, float]:
+        return plan, float(plan.max_index)
 
-    return conflict_tree_search(instance, limits or SolveLimits(), replan, evaluate,
+    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
+    return conflict_tree_search(instance, limits or SolveLimits(), dists, replan, evaluate,
                                 bypass=True)

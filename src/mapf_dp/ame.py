@@ -14,11 +14,13 @@ So no plan waiting in the open list holds an index, or keeps another
 plan's alive.  Each node also keeps its plan's
 conflicts: a child's are its parent's minus those that name the replanned
 agent, plus those of the new path, found through the parent's index, so
-only the root enumerates its whole plan.  `solve_ame` keys nodes by the
-approximate average makespan.  Both solvers share one low level,
+only the root enumerates its whole plan.  Both solvers share one low level,
 `low_level_search`, a time-expanded search over states keyed by the
 integer id x * |V| + v, in two cost models: AME's, whose g track the other
 agents' stored labels, and adapted CBS's unit steps, which read no labels.
+Each solver hands the driver its replan, a node key (`solve_ame`: the
+approximate average makespan) and one heuristic table per agent in its low
+level's step costs, built once per solve; the driver orders the nodes.
 """
 
 from __future__ import annotations
@@ -100,11 +102,14 @@ def carry_conflicts(plan: Plan, conflicts: list[Conflict], j: int, path: Path) -
     return kept + path_conflicts(plan, j, path)
 
 
-def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callable,
-                         evaluate: Callable[[Plan, list[Conflict]], tuple], *,
+def conflict_tree_search(instance: Instance, limits: SolveLimits,
+                         heuristics: Sequence[Sequence[float]], replan: Callable,
+                         evaluate: Callable[[Plan], tuple[Plan, float]], *,
                          bypass: bool) -> SolveResult:
     """The conflict tree of CBS (Sharon et al. 2015) over a given low level
     `replan`, with the signature of `low_level_search`, and node key.
+    `heuristics[i]` is agent i's heuristic table in its low level's step
+    costs, built by the solver; each replan of i receives it as `h`.
 
     Each node keeps one constraint set per agent, its `Plan`, and a list of
     its plan's conflicts, which equals `enumerate_conflicts` of the plan as a
@@ -116,9 +121,9 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     j's set alone, replans j under it against its parent's plan minus j,
     with its parent's key, swaps the new path in and carries its parent's
     conflicts over (`carry_conflicts`).
-    `evaluate(plan, conflicts)` returns (plan to store, key, order); it may
-    relabel the paths but not move them, so the list stays exact.  Nodes pop
-    by smallest order, ties first in, first out.
+    `evaluate(plan)` returns (plan to store, key); it may relabel the paths
+    but not move them, so the list stays exact.  Nodes pop by smallest
+    (key rounded to 9 places, conflict count), ties first in, first out.
 
     With `bypass` (Boyarski et al. 2015), the first child, in branch order,
     whose key is at most its parent's + `EPS` and whose plan has strictly
@@ -150,7 +155,6 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
     budget's, the child's sets may still admit a plan, so a search whose
     open list then empties ends "timeout", not "no-solution"."""
     t0 = time.monotonic()
-    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     ll_total = hl_expanded = key_decreases = bypasses = 0
 
     def result(status: str, plan: Optional[Plan] = None,
@@ -160,7 +164,7 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
 
     def plan_agent(agent: int, plan: Plan, constraints, key: float) -> Path:
         nonlocal ll_total
-        path, expansions = replan(instance, agent, plan, constraints, key, dists[agent],
+        path, expansions = replan(instance, agent, plan, constraints, key, heuristics[agent],
                                   LOW_LEVEL_EXPANSIONS)
         ll_total += expansions
         return path
@@ -177,11 +181,15 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
             return result("timeout")
 
     seq = itertools.count()
+
+    def node(constraints, plan: Plan, key: float, conflicts: list[Conflict]) -> tuple:
+        return (round(key, 9), len(conflicts)), next(seq), constraints, plan, key, conflicts
+
     cut = False   # a child was dropped for its low level's budget
     conflicts = enumerate_conflicts(plan)
-    plan, key, order = evaluate(plan, conflicts)
+    plan, key = evaluate(plan)
     last = plan   # the plan whose index was built last
-    heap = [(order, next(seq), (frozenset(),) * instance.n_agents, plan, key, conflicts)]
+    heap = [node((frozenset(),) * instance.n_agents, plan, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
                 or hl_expanded >= limits.high_level_expansions):
@@ -203,33 +211,33 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits, replan: Callab
                 cut = cut or fail.cause == "budget"
                 continue
             child_conflicts = carry_conflicts(plan, conflicts, j, path)
-            child_plan, child_key, child_order = evaluate(plan.swap(j, path), child_conflicts)
+            child_plan, child_key = evaluate(plan.swap(j, path))
             if child_key < key - EPS:
                 key_decreases += 1
             if bypass and child_key <= key + EPS and len(child_conflicts) < len(conflicts):
                 bypasses += 1
-                children = [(child_order, constraints, child_plan, child_key, child_conflicts)]
+                children = [node(constraints, child_plan, child_key, child_conflicts)]
                 break
-            children.append((child_order, child_constraints, child_plan, child_key,
-                             child_conflicts))
-        for child_order, *child in children:
-            heappush(heap, (child_order, next(seq), *child))
+            children.append(node(child_constraints, child_plan, child_key, child_conflicts))
+        for child in children:
+            heappush(heap, child)
     return result("timeout" if cut else "no-solution")
 
 
 def constraint_setup(instance: Instance, agent: int, constraints: Collection[Constraint],
-                     dist_to_goal: Sequence[float]) -> tuple[set[int], int, int]:
+                     h: Sequence[float]) -> tuple[set[int], int, int]:
     """`agent`'s banned states, as ids x * |V| + v of (vertex v, index x), the
     largest index of a constraint on its goal (-1 if none; the path may end
     only from there on) and the index cap (4|V| plus the largest constrained
     index), from `constraints`, which must all name `agent`.  Raises
-    LowLevelFailure("exhausted") if the start cannot reach the goal or is banned."""
+    LowLevelFailure("exhausted") if the start is banned or cannot reach the
+    goal: its heuristic `h[start]` is inf."""
     spec = instance.agents[agent]
     n = instance.graph.n_vertices
     banned = {c.index * n + c.vertex for c in constraints}
     goal_con_max = max((c.index for c in constraints if c.vertex == spec.goal), default=-1)
     max_index = 4 * n + max((c.index for c in constraints), default=0)
-    if dist_to_goal[spec.start] == math.inf or spec.start in banned:   # (start, 0)
+    if h[spec.start] == math.inf or spec.start in banned:   # (start, 0)
         raise LowLevelFailure("exhausted")
     return banned, goal_con_max, max_index
 
@@ -259,14 +267,14 @@ def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[int]]
 
 
 def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
-        tuple[list[int], list[int]], list[float]]:
-    """`departure_row(plan, v, agent)` and, beside it, best over every labeled
-    path of `plan` but `agent`'s: best[k] is the largest label at x+1 of the
-    first k departures (-inf if 0).  One pass over the visits at v builds
-    both, as the low level reads them under labels (AME) for every vertex it
-    reaches that another path visits or ends on; only that cost model reads
-    labels.  The search caches the row flat, as (xs, parked, best), and
-    shares `EMPTY_ROW` among the vertices that no other path reaches."""
+        list[int], list[int], list[float]]:
+    """(xs, parked, best): `departure_row(plan, v, agent)` and best over
+    every labeled path of `plan` but `agent`'s, where best[k] is the largest
+    label at x+1 of the first k departures (-inf if 0).  One pass over the
+    visits at v builds the row, as the low level reads it under labels (AME)
+    for every vertex it reaches that another path visits or ends on; only
+    that cost model reads labels.  The search caches it as it is, and shares
+    `EMPTY_ROW` among the vertices that no other path reaches."""
     paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
@@ -279,7 +287,7 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
             best.append(top)
     here = plan.parked.get(v)
     parked = [since for since, j in here if j != agent] if here else []
-    return (xs, parked), best
+    return xs, parked, best
 
 
 def departure_count(row: tuple[list[int], list[int]], x: int) -> int:
@@ -307,67 +315,36 @@ def parked_count(row: tuple[list[int], list[int]], since: int) -> int:
     return sum(min(y - since + 2, 3) for y in xs[bisect_left(xs, since - 1):])
 
 
-# The row of a vertex that no other path visits or ends on, as the AME
-# search caches rows: (departures, parked indices, best labels).
+# The `labeled_departure_row` of a vertex that no other path visits or ends
+# on: (departures, parked indices, best labels).
 EMPTY_ROW = ((), (), (-INF,))
-
-
-# The tables of `low_level_tables` for the graph searched last: (its
-# adjacency, each vertex's successor tuple, agent -> (distance table, delay
-# probability, move cost, scaled heuristic)).
-_tables: tuple = (None, (), {})
-
-
-def low_level_tables(instance: Instance, agent: int, dist_to_goal: Sequence[float],
-                     unit: bool = False) -> tuple[
-        float, Sequence[float], tuple[tuple[int, ...], ...]]:
-    """(move cost, heuristic, successors) for `agent`'s low level: its move
-    cost 1/(1-p), each vertex's distance to its goal times that cost, and
-    each vertex's successor tuple, itself (a wait) and then its neighbours;
-    under `unit` steps, 1 and `dist_to_goal` itself.  A solve passes one
-    graph and one distance table per agent to every call, so the tables are
-    built once per solve and agent: the ones built last are kept, and reused
-    only while the graph's adjacency and `dist_to_goal` are the very objects
-    they were built from and the delay probability is equal, so a result
-    never depends on what ran before."""
-    global _tables
-    adjacency = instance.graph.adjacency
-    built, successors, scaled = _tables
-    if built is not adjacency:
-        successors = tuple((v,) + nbrs for v, nbrs in enumerate(adjacency))
-        scaled = {}
-        _tables = (adjacency, successors, scaled)
-    if unit:
-        return 1.0, dist_to_goal, successors
-    p = instance.agents[agent].delay_prob
-    entry = scaled.get(agent)
-    if entry is None or entry[0] is not dist_to_goal or entry[1] != p:
-        t_move = move_cost(p)
-        entry = scaled[agent] = (dist_to_goal, p, t_move, [d * t_move for d in dist_to_goal])
-    return entry[2], entry[3], successors
 
 
 def low_level_search(instance: Instance, agent: int, plan: Plan,
                      constraints: Collection[Constraint], key: float,
-                     dist_to_goal: Sequence[float],
+                     h: Sequence[float],
                      expansion_cap: int = LOW_LEVEL_EXPANSIONS, *,
                      unit: bool = False) -> tuple[Path, int]:
     """Plan one agent, under its own `constraints`, against the fixed paths
     of the others: `plan`'s, numbered by agent id, minus `agent`'s, if any.
     Returns (path, expansions) or raises LowLevelFailure.
 
-    A state (v, x) has the id x * |V| + v, the key of `g`, `parent` and the
-    banned set.  By default (AME) g is an approximate entry time, read from
-    the others' labels, and the path returned carries it: each successor
-    (v', x + 1) takes one bisect, k = bisect_right(xs, x - 1), into the
-    departures xs of its vertex's `labeled_departure_row`.  best[k] is its
-    wait bound, and as indices are integers k = bisect_left(xs, x), so the
-    same k starts the departures at x ... x + 2 that a Phase-1 successor
-    counts (`departure_count(row, x + 1)`, inline).  Under `unit` steps
-    (adapted CBS) g = x, h is `dist_to_goal`, and no label is read or
-    returned.  Phase 1 expands, among queued states with f <= key, one with
-    the fewest accumulated conflicts (`departure_count`); Phase 2 expands
-    by smallest f.  One heap holds both, as (conflicts, f, -x, v, g) and
+    `h` is the agent's heuristic table in the cost model's step costs, read
+    as given and inf where the goal is unreachable: `solve_ame` passes hop
+    distances times the move cost 1/(1-p), adapted CBS hop distances.  A
+    state (v, x) has the id x * |V| + v, the key of `g`, `parent` and the
+    banned set; its successors are `instance.graph.successors[v]`.  By
+    default (AME) g is an approximate entry time, read from the others'
+    labels, and the path returned carries it: a wait costs 1 and a move
+    1/(1-p) after the wait bound; each successor (v', x + 1) takes one
+    bisect, k = bisect_right(xs, x - 1), into the departures xs of its
+    vertex's `labeled_departure_row`.  best[k] is its wait bound, and as
+    indices are integers k = bisect_left(xs, x), so the same k starts the
+    departures at x ... x + 2 that a Phase-1 successor counts
+    (`departure_count(row, x + 1)`, inline).  Under `unit` steps (adapted
+    CBS) g = x and no label is read or returned.  Phase 1 expands, among
+    queued states with f <= key, one with the fewest accumulated conflicts
+    (`departure_count`); Phase 2 expands by smallest f.  One heap holds both, as (conflicts, f, -x, v, g) and
     (inf, f, -x, v, g), so Phase 2, once begun, is permanent, and when
     g = x both orders reduce to (f, -x, v).  A state is queued once per
     strict improvement of its g, so no two entries are equal and none
@@ -393,10 +370,9 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     final index."""
     start, goal = instance.agents[agent].start, instance.agents[agent].goal
     n = instance.graph.n_vertices
-    banned, goal_con_max, max_index = constraint_setup(
-        instance, agent, constraints, dist_to_goal)
+    banned, goal_con_max, max_index = constraint_setup(instance, agent, constraints, h)
     goal_at = goal_con_max   # the goal's pop returns from this index on
-    t_move, h, successors = low_level_tables(instance, agent, dist_to_goal, unit)
+    successors = instance.graph.successors
     g: dict[int, float] = {start: 0.0}   # the id of (start, 0) is start
     parent: dict[int, int] = {}
     if unit:
@@ -407,6 +383,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
         for j, p in enumerate(plan.paths):
             if j != agent and p.labels is None:
                 raise ValueError(f"agent {j}: the low level needs labeled paths")
+        t_move = move_cost(instance.agents[agent].delay_prob)
         bound = key + EPS
         phase_1 = h[start] <= bound
         visits, parked_at = plan.visits, plan.parked
@@ -447,11 +424,8 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
                     continue
                 entry = rows[nv]
                 if entry is None:
-                    if nv in visits or nv in parked_at:
-                        (xs, parked), best = labeled_departure_row(plan, nv, agent)
-                        entry = rows[nv] = (xs, parked, best)
-                    else:
-                        entry = rows[nv] = EMPTY_ROW
+                    entry = rows[nv] = (labeled_departure_row(plan, nv, agent)
+                                        if nv in visits or nv in parked_at else EMPTY_ROW)
                 xs, parked, best = entry
                 # the departures from nv below index x: bisect_left(xs, x) too
                 k = bisect_right(xs, xm1)
@@ -508,15 +482,17 @@ def solve_ame(instance: Instance, limits: Optional[SolveLimits] = None,
     With recompute_labels=True, all agents' labels are recomputed by the
     index-order sweep of `compute_labels` whenever a node's plan changes,
     and the node keeps the relabeled plan (off by default: stored labels of
-    unchanged agents stay stale, as in the base algorithm).
+    unchanged agents stay stale, as in the base algorithm).  An agent's
+    heuristic is its hop distance to its goal times its move cost 1/(1-p).
     """
     probs = [a.delay_prob for a in instance.agents]
+    heuristics = [[d * t_move for d in shortest_path_distances(instance.graph, a.goal)]
+                  for a, t_move in zip(instance.agents, map(move_cost, probs))]
 
-    def evaluate(plan: Plan, conflicts: list[Conflict]) -> tuple[Plan, float, tuple]:
+    def evaluate(plan: Plan) -> tuple[Plan, float]:
         if recompute_labels:
             plan = compute_labels(plan, probs)
-        key = approximate_average_makespan(plan)
-        return plan, key, (round(key, 9), len(conflicts))
+        return plan, approximate_average_makespan(plan)
 
-    return conflict_tree_search(instance, limits or SolveLimits(), low_level_search, evaluate,
-                                bypass=False)
+    return conflict_tree_search(instance, limits or SolveLimits(), heuristics,
+                                low_level_search, evaluate, bypass=False)

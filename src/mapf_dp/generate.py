@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (AgentSpec, GenerationError, Graph, Instance, check_agents, check_seed,
-                    grid_graph)
+from .model import (INF, AgentSpec, GenerationError, Graph, Instance, check_agents,
+                    check_seed, grid_graph, shortest_path_distances)
 
 
 def check_grid(width: int, height: int, blocked_fraction: float) -> None:
@@ -48,24 +48,19 @@ def _delay_bound(p_range: tuple[float, float]) -> float:
 
 
 def _largest_component(graph: Graph) -> list[int]:
+    """The largest component's vertices in id order (ties: the smallest
+    vertex's), each component those at a finite distance from its first."""
     seen = [False] * graph.n_vertices
     best: list[int] = []
     for s in range(graph.n_vertices):
         if seen[s]:
             continue
-        comp = [s]
-        seen[s] = True
-        head = 0
-        while head < len(comp):
-            u = comp[head]
-            head += 1
-            for v in graph.adjacency[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
+        comp = [v for v, d in enumerate(shortest_path_distances(graph, s)) if d != INF]
+        for v in comp:
+            seen[v] = True
         if len(comp) > len(best):
             best = comp
-    return sorted(best)
+    return best
 
 
 def _build_instance(graph: Graph, starts, goals, probs) -> Instance:

@@ -128,6 +128,13 @@ class Graph:
     def n_vertices(self) -> int:
         return len(self.adjacency)
 
+    @cached_property
+    def successors(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's successors in a time-expanded search, in the order
+        the low level tries them: the vertex itself (a wait), then its
+        neighbours.  Built on first use, once per graph."""
+        return tuple((v,) + nbrs for v, nbrs in enumerate(self.adjacency))
+
 
 def grid_graph(width: int, height: int, free: Sequence[bool]) -> Graph:
     """The 4-neighbor graph of a `width` x `height` grid whose row-major mask

@@ -370,10 +370,11 @@ def reference_cbs(instance, limits):
             dist_to_goal, cap)
         return path, expansions + avoiding
 
-    def evaluate(plan, conflicts):
-        return plan, float(plan.max_index), (plan.max_index, len(conflicts))
+    def evaluate(plan):
+        return plan, float(plan.max_index)
 
-    return conflict_tree_search(instance, limits, replan, evaluate, bypass=True)
+    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
+    return conflict_tree_search(instance, limits, dists, replan, evaluate, bypass=True)
 
 
 def spy_low_level(monkeypatch):
@@ -458,14 +459,15 @@ class TestPlanTable:
         failed.clear()
         raised = []   # (own key, failure) of each replan that raised
 
-        def recording_search(instance, limits, replan, evaluate, *, bypass):
+        def recording_search(instance, limits, heuristics, replan, evaluate, *, bypass):
             def recorded(instance, agent, occupancy, constraints, *rest):
                 try:
                     return replan(instance, agent, occupancy, constraints, *rest)
                 except LowLevelFailure as fail:
                     raised.append(((agent, constraints), fail))
                     raise
-            return conflict_tree_search(instance, limits, recorded, evaluate, bypass=bypass)
+            return conflict_tree_search(instance, limits, heuristics, recorded, evaluate,
+                                        bypass=bypass)
 
         monkeypatch.setattr(adapted_cbs, "conflict_tree_search", recording_search)
         result = solve_adapted_cbs(inst, TABLE_LIMITS)

@@ -452,15 +452,18 @@ def parked_on_successor(walk):
 @settings(max_examples=400)
 def test_low_level_matches_two_heap_oracle(case):
     # the one-queue search against the former two-heap one: the same path,
-    # labels and expansions, or the same failure cause
+    # labels and expansions, or the same failure cause.  The search takes
+    # the heuristic scaled by the move cost, as `solve_ame` builds it; the
+    # oracle takes the distances and scales them itself
     inst, paths, agent, constraints, key, cap, dist = case
+    t_move = move_cost(inst.agents[agent].delay_prob)
 
-    def outcome(search):
+    def outcome(search, h):
         try:
-            path, expansions = search(inst, agent, Plan(paths), constraints, key, dist,
-                                      cap)
+            path, expansions = search(inst, agent, Plan(paths), constraints, key, h, cap)
         except LowLevelFailure as fail:
             return fail.cause
         return path.vertices, path.labels, expansions
 
-    assert outcome(low_level_search) == outcome(two_heap_search)
+    assert outcome(low_level_search, [d * t_move for d in dist]) \
+        == outcome(two_heap_search, dist)

@@ -22,9 +22,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapf_dp import model
-from mapf_dp.ame import carry_conflicts, departure_count, departure_row, labeled_departure_row
-from mapf_dp.model import (Conflict, ConflictKind, Path, Plan,
-                           enumerate_conflicts, find_earliest_conflict, path_conflicts)
+from mapf_dp.ame import (carry_conflicts, departure_count, departure_row,
+                         labeled_departure_row, parked_count)
+from mapf_dp.model import (Conflict, ConflictKind, Path, Plan, enumerate_conflicts,
+                           find_earliest_conflict, parse_map, path_conflicts)
 from tests.low_level_oracle import departure_row as former_row
 from tests.occupancy_oracle import _OtherAgents
 
@@ -59,7 +60,7 @@ def others_increment(occ, agent, vertex, x):
 def wait_bound(occ, agent, vertex, x):
     """The low level's wait bound at (vertex, x): the largest label of a
     departure from vertex at an index below x - 1 by any agent but `agent`."""
-    (xs, _), best = labeled_departure_row(occ, vertex, agent)
+    xs, _, best = labeled_departure_row(occ, vertex, agent)
     return best[bisect_right(xs, x - 2)]
 
 
@@ -299,10 +300,50 @@ def test_departure_count_matches_former_counts(paths, swaps):
         for v in range(7):
             counts, xs, best = former_row(occ, v, agent)
             row = departure_row(occ, v, agent)
-            assert labeled_departure_row(occ, v, agent) == (row, best)
+            assert labeled_departure_row(occ, v, agent) == (*row, best)
             assert row[0] == xs
             for x in range(max(p.last_index for p in occ.paths) + 4):
                 assert departure_count(row, x) == counts[min(x, len(counts) - 1)]
+
+
+# 3x3 with a blocked centre: eight vertices in a ring
+RING = parse_map("...\n.@.\n...")
+
+
+@st.composite
+def parked_count_cases(draw):
+    """(plan, a, p): agent a's walk p on `RING`, and a plan of 1-4 other
+    walks, which may end on one vertex, but none on p's last; the plan holds
+    an old walk of a's too, or a is appended after the others."""
+    def walk():
+        vertices = [draw(st.integers(0, RING.n_vertices - 1))]
+        for _ in range(draw(st.integers(0, 7))):
+            vertices.append(draw(st.sampled_from(RING.successors[vertices[-1]])))
+        return vertices
+
+    p = Path(tuple(walk()))
+    goal = p.vertices[-1]
+    others = []
+    for _ in range(draw(st.integers(1, 4))):
+        vertices = walk()
+        if vertices[-1] == goal:   # step off p's last vertex
+            vertices.append(draw(st.sampled_from(RING.adjacency[goal])))
+        others.append(Path(tuple(vertices)))
+    a = draw(st.integers(0, len(others)))
+    old = [Path(tuple(walk()))] if a < len(others) else []
+    return Plan(tuple(others[:a] + old + others[a:])), a, p
+
+
+@given(parked_count_cases())
+@settings(max_examples=300)
+def test_unit_increments_sum_to_path_conflicts(case):
+    # the sum that the unit Phase-1 search accumulates along a path, plus
+    # the parked term of its end entry, is the path's conflict count
+    plan, a, p = case
+    end = p.last_index
+    rows = [departure_row(plan, v, a) for v in p.vertices]
+    expected = sum(departure_count(rows[x], x) for x in range(end)) + parked_count(rows[end], end)
+    assert len(path_conflicts(plan, a, p)) == expected
 
 
 def derive(source, plan, patched=True):
