@@ -1,7 +1,9 @@
 """Execution partial order over local states, its transitive reduction,
 the waits of minimal-communication execution, and approximate
-average entry-time labels, which one sweep in index order computes exactly
-without the partial order (see `compute_labels`).
+average entry-time labels.  One sweep in index order computes each of the
+last two exactly without building the partial order: `mcp_schedule` the
+waits that `message_schedule` reads off the reduction, `compute_labels` the
+labels.
 
 Nodes of the dependency graph are (agent, index) pairs.  Intra-agent chain
 edges (i, x) -> (i, x+1) always exist; an inter-agent edge
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 from .model import Plan
@@ -123,6 +126,71 @@ def message_schedule(dg: DependencyGraph, plan: Plan) -> dict[int, list[tuple[No
                     f"reduced edges ({j},{ya}) -> ({i},{xa}) and ({j},{yb}) -> ({i},{xb}) "
                     "cross or share a state; the graph is not a transitive reduction")
     return {i: [tuple(sorted(w)) for w in per_x] for i, per_x in waits.items()}
+
+
+def mcp_schedule(plan: Plan) -> dict[int, list[tuple[Node, ...]]]:
+    """`message_schedule(transitive_reduction(build_partial_order(plan)), plan)`,
+    on every plan, valid or not, in one sweep over the states in index order.
+
+    A departure is (j, y) = (j, x'+1) from vertex l_j(x'), x' < X_j.  The
+    in-neighbours of (i, z), z >= 2, entering v = l_i(z), are (i, z-1) and
+    the departures (j, y) from v of the other agents with y < z.  In a DAG an
+    edge c -> (i, z) is in the reduction iff c reaches no other in-neighbour,
+    and the reduction is unique (Aho, Garey and Ullman 1972).  A departure of
+    j reaches j's later departures along j's chain, and if l_i(z-1) = v every
+    departure from v with y < z-1 is an in-neighbour of (i, z-1).  So every
+    in-neighbour is, or reaches, (i, z-1) or a candidate: each other agent's
+    latest departure from v with y < z, and only if y = z-1 when i sat on v
+    at z-1.  A candidate is kept unless it reaches (i, z-1) or another one.
+
+    Reachability uses bitsets over node ids offset_j + y.  R_i, after state
+    (i, z), is the OR over the candidates c of i's states up to z of R_c and
+    c's own bit.  By induction on z, for every agent j != i the states of j
+    that reach (i, z) are those at or below R_i's highest bit of j: they are
+    those that reach (i, z-1) or a candidate, and the states of j that reach
+    a state are a prefix of j's chain.  So candidate (j, y) reaches (i, z-1)
+    or a candidate c exactly when R_i or R_c has a bit of j at y or above.
+    Its own R has none, every bit there marking a state that reaches it
+    without being it, so one OR over all candidates serves every test, and
+    only states with candidates touch a bitset.  The kept senders of (i, z),
+    sorted, are waits[i][z-1], the schedule's one wait per reduced edge.
+    """
+    paths = [p.vertices for p in plan.paths]
+    waits: dict[int, list[tuple[Node, ...]]] = {i: [()] * len(vs) for i, vs in enumerate(paths)}
+    offset = list(accumulate(map(len, paths), initial=0))
+    reach = [0] * len(paths)   # R_i of each agent's latest state
+    # (vertices, agent) of each agent, longest path first, as in compute_labels
+    moving = sorted(((vs, i) for i, vs in enumerate(paths)),
+                    key=lambda agent: len(agent[0]), reverse=True)
+    # vertex -> {j: (y, R of (j, y), j)} of j's latest departure from it so far
+    departed: dict[int, dict[int, tuple[int, int, int]]] = defaultdict(dict)
+    for z in range(1, len(moving[0][0]) if moving else 0):
+        while len(moving[-1][0]) <= z:
+            moving.pop()
+        for vs, i in moving:
+            here = departed.get(vs[z])
+            if not here:
+                continue
+            wait = vs[z - 1] == vs[z]
+            seen, candidates = reach[i], []
+            for j, c in here.items():
+                if j != i and not (wait and c[0] < z - 1):
+                    candidates.append(c)
+                    seen |= c[1]
+            if not candidates:
+                continue
+            found, kept = seen, []
+            for y, _, j in candidates:
+                k = offset[j] + y
+                if not seen >> k & (1 << offset[j + 1] - k) - 1:   # no bit of j from y on
+                    kept.append((j, y))
+                found |= 1 << k
+            kept.sort()
+            waits[i][z - 1] = tuple(kept)
+            reach[i] = found
+        for vs, i in moving:   # departures (i, z) count from index z + 1 on
+            departed[vs[z - 1]][i] = (z, reach[i], i)
+    return waits
 
 
 def move_cost(delay_prob: float) -> float:

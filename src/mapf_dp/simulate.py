@@ -15,11 +15,13 @@ equals counting messages:
 * fsp: j broadcasts on every advance, so i may leave x iff seen[j] >= x
   for every other agent j not seen to finish.
 * mcp: i may leave x iff seen[j] >= y for each (j, y) in the waits
-  `message_schedule` lists in waits[i][x], one per reduced edge
-  (j, y) -> (i, x + 1) and per message j sends on entering y.  By the
-  property proved there, that is i holding a message from j for every
-  reduced edge from j into its states up to x + 1: edges into earlier
-  states held when i left them, and seen only grows.
+  `mcp_schedule` lists in waits[i][x], one per reduced edge
+  (j, y) -> (i, x + 1) and per message j sends on entering y.  Its one
+  sweep over the states gives exactly the waits `message_schedule` reads
+  off the transitive reduction, so by the property proved there, that is
+  i holding a message from j for every reduced edge from j into its states
+  up to x + 1: edges into earlier states held when i left them, and seen
+  only grows.
 
 A run deadlocks when no agent is commanded GO and no message was sent in
 the last `latency` steps, so none is in flight.
@@ -72,7 +74,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dependency import build_partial_order, message_schedule, transitive_reduction
+from .dependency import mcp_schedule
 from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
@@ -131,10 +133,6 @@ def default_horizon_cap(plan: Plan) -> int:
     return max(1000, 50 * plan.max_index)
 
 
-def mcp_schedule(plan: Plan) -> dict:
-    return message_schedule(transitive_reduction(build_partial_order(plan)), plan)
-
-
 def check_options(policy: str, latency: int, horizon_cap: Optional[int] = None) -> None:
     """The policy, latency and horizon-cap rules of `run_execution` and
     `monte_carlo`."""
@@ -150,7 +148,10 @@ class RunLoop:
     """A plan's tables for running its executions one at a time: each path's
     vertices, the (from, to) vertices of the step out of each state that
     moves (and so draws), None for a wait, the messages sent on entering
-    each state and, under mcp, the waits `schedule or mcp_schedule(plan)`."""
+    each state and, under mcp, the waits `schedule or mcp_schedule(plan)`.
+    Without a `schedule`, each loop builds the waits by `mcp_schedule`'s one
+    sweep: 6-11% of a 16-run mcp call on the benchmark's AME plans of 10 to
+    30 agents (best of 21; a shared 2-vCPU machine, Python 3.11)."""
 
     def __init__(self, instance: Instance, plan: Plan, policy: str,
                  schedule: Optional[dict] = None):

@@ -483,6 +483,34 @@ def blocks(monkeypatch):
     return sizes
 
 
+def reduction_waits(plan):
+    """The waits of the three-stage chain: partial order, its transitive
+    reduction, and the reduced graph's message schedule."""
+    return message_schedule(transitive_reduction(build_partial_order(plan)), plan)
+
+
+class TestMcpSchedule:
+    """`mcp_schedule` sweeps the states once instead of building the partial
+    order; its waits must equal the reduction's on every plan, valid or not."""
+
+    # arbitrary plans on 1 to 6 vertices: revisits, waits, length-1 paths,
+    # one agent, and mostly invalid plans
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=8), min_size=1, max_size=6)))
+    @settings(max_examples=500)
+    def test_matches_reduction(self, paths):
+        plan = Plan(tuple(Path(tuple(p)) for p in paths))
+        assert mcp_schedule(plan) == reduction_waits(plan)
+
+    @pytest.mark.parametrize("case", ["solved-0", "solved-1", "solved-2", "solved-3",
+                                      "warehouse", "pocket-valid", "pocket-invalid", "swap",
+                                      "one-agent"])
+    def test_matches_reduction_on_named_plans(self, case):
+        named = {**{f"solved-{k}": c for k, c in enumerate(solved_plans())}, **lockstep_cases()}
+        _, plan = named[case]
+        assert mcp_schedule(plan) == reduction_waits(plan)
+
+
 class TestLockStep:
     """From its policy's `MC_LOCKSTEP_WORK` runs x agents on, `monte_carlo`
     advances its runs in lock step; its statistics must equal, bit for bit, those of a
