@@ -67,7 +67,10 @@ class SolveLimits:
 class SolveResult:
     status: str                    # "solved" | "no-solution" | "timeout"
     plan: Optional[Plan]
-    key: Optional[float] = None    # AME: approximate average makespan; adapted CBS: max index
+    # AME: the approximate average makespan under the labels stored during the
+    # search, which may be stale for agents not replanned (`mapfdp solve` prints
+    # the relabeled plan's value instead); adapted CBS: the max index
+    key: Optional[float] = None
     high_level_expanded: int = 0
     low_level_expanded: int = 0
     wall_time: float = 0.0

@@ -29,8 +29,8 @@ the last `latency` steps, so none is in flight.
 `run_execution` is one run, the view that `record=True` snapshots and
 scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
 generator `run_seed(seed, k)`, on one `RunLoop` per call.  Below its
-policy's `MC_LOCKSTEP_WORK` runs x agents, or for a plan with no move, the
-loop runs them one by one; from there on `LockStep`, built from the loop's
+policy's `MC_LOCKSTEP_WORK` runs x agents, or when every path has a single
+state, the loop runs them one by one; from there on `LockStep`, built from the loop's
 tables, advances the runs together as (runs, agents) arrays, in as few
 blocks, split evenly, as keep each block's buffer of draws within
 `MC_BUFFER_BYTES`, which bounds its memory at any run count.  Both give the
@@ -46,22 +46,20 @@ per draw.
 Both engines take one pass per time step.  The loop's pass costs about
 the agents it visits, lock step's a fixed numpy overhead plus a little per
 run and agent, so the break-even is a product, and it differs by policy.
-Timed per call, best of 5, on the 23 plans of the benchmark (6 to 35
+Timed per call, best of 10, on the 23 plans of the benchmark (6 to 35
 agents; a shared 2-vCPU machine, Python 3.11), lock step ran at these
 multiples of the loop's speed (median over the plans, and the range):
 
-    runs x agents  ~480             ~640             ~800             ~960
-    mcp            0.90 (0.50-1.17) 1.14 (0.68-1.63) 1.24 (0.71-1.78) 1.36 (1.00-1.84)
-    fsp            0.72 (0.45-1.19) 0.81 (0.57-1.23) 0.91 (0.58-1.56) 1.15 (0.74-1.62)
-    dummy          0.79 (0.41-1.10) 0.90 (0.68-2.02) 1.10 (0.63-1.40) 1.07 (0.74-2.21)
+    runs x agents  ~400             ~480             ~640             ~800
+    mcp            1.00 (0.72-1.29) 1.08 (0.87-1.43) 1.25 (1.01-1.61) 1.48 (1.17-1.81)
+    fsp            0.81 (0.48-1.27) 0.89 (0.56-1.38) 1.04 (0.66-1.55) 1.22 (0.77-1.72)
+    dummy          0.91 (0.64-1.29) 1.03 (0.72-1.36) 1.19 (0.86-1.58) 1.30 (0.97-1.77)
 
-Each threshold is the first product whose median reaches 1, but mcp's: the
-benchmark's 50-run call of a 10-agent plan at latency 2 (500) ran 1.07x
-faster in lock step (median of 11 alternating best-of-5 rounds), so mcp's
-is 480.  The benchmark's calls that this moved to the loop, at 160 to 400
-under mcp and 350 under fsp and dummy, all ran faster there: 1.08x to
-1.80x (median of 15 rounds).  The benchmark's 150-run calls, of 20 and 10
-agents, ran 1.5x to 1.9x faster in lock step (best of 7).
+Each threshold is the first product whose median passes 1, but mcp's: at
+400 the benchmark's 20-run calls of its two relabeled 20-agent plans ran
+0.92x and 1.00x in lock step, so mcp's stays at 480.  The benchmark's
+150-run calls, of 20 and 10 agents, ran 1.8x to 2.2x faster in lock step
+(best of 7).
 """
 
 from __future__ import annotations
@@ -79,7 +77,7 @@ from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
 # runs x agents of a call from which it runs in lock step, per policy
-MC_LOCKSTEP_WORK = {"mcp": 480, "fsp": 960, "dummy": 800}
+MC_LOCKSTEP_WORK = {"mcp": 480, "fsp": 640, "dummy": 480}
 MC_BUFFER_BYTES = 1 << 22  # most bytes of draws that one lock-step block buffers
 
 
@@ -119,9 +117,12 @@ class RunStats:
 
 
 def stats_ci(samples) -> tuple[float, float]:
-    """Sample mean and 95% half-width 1.96 * s / sqrt(n); zero for n <= 1."""
+    """Sample mean and 95% half-width 1.96 * s / sqrt(n), zero for n = 1;
+    `ValueError` for no sample."""
     xs = list(samples)
     n = len(xs)
+    if not n:
+        raise ValueError("need at least one sample, got 0")
     mean = sum(xs) / n
     if n == 1:
         return mean, 0.0
@@ -358,45 +359,58 @@ def check_runs(n_runs: int) -> None:
 class LockStep:
     """A plan's `RunLoop` tables as arrays, for running many executions at once.
 
-    Every table is indexed by agent * L + local state, with L = max X_i + 1
-    and each path padded with its goal: the vertex, whether the step out of
-    the state moves (and so draws), the undirected edge of that move with
-    its direction as the low bit, whether entering the state sends a
-    message, and under mcp the (sender, sender state) pairs of the loop's
-    waits, padded with (0, 0).  A run that finishes has entered every state
-    once, so it has sent `messages`.  The plan must move."""
+    Runs carry flat states agent * L + local state, with L = max X_i + 1 and
+    each path padded with its goal, and every table is indexed by them: the
+    vertex, whether the agent is unfinished, whether the step out of the
+    state moves (and so draws), the draw below which that step fails (the
+    agent's delay on a move, -1 on a wait, 2 once finished), the undirected
+    edge of a move with its direction as the low bit, whether another path
+    crosses that edge the other way (only such moves can swap), whether
+    entering the state sends a message, under fsp the local state (L once
+    finished) and under mcp the loop's waits as (sender, flat sender state)
+    pairs, padded with (0, 0).  A run that finishes has entered every state
+    once, so it has sent `messages`.  Some path must have two states."""
 
     def __init__(self, loop: RunLoop, horizon_cap: int):
         self.policy = loop.policy
         self.horizon_cap = horizon_cap
         m, L = len(loop.last), max(loop.last) + 1
         self.m = m
-        self.last = np.array(loop.last)
         self.base = np.arange(m) * L
+        local = np.arange(L)
+        live = local < np.array(loop.last)[:, None]
         vertex = np.array([p + p[-1:] * (L - len(p)) for p in loop.verts])
         move = np.zeros((m, L), bool)
         move[:, :-1] = vertex[:, 1:] != vertex[:, :-1]
+        self.delay = np.array(loop.delay)
+        fail = np.where(move, self.delay[:, None], np.where(live, -1.0, 2.0))
         u, v = vertex[:, :-1][move[:, :-1]], vertex[:, 1:][move[:, :-1]]
         keys, ids = np.unique(np.minimum(u, v) * loop.n_vertices + np.maximum(u, v),
                               return_inverse=True)
         edge = np.zeros((m, L), np.int64)
         edge[move] = 2 * ids.ravel() + (u > v)
-        self.vertex, self.move, self.edge = vertex.ravel(), move.ravel(), edge.ravel()
         self.n_slots = 2 * len(keys)
+        # contested: some other agent crosses the move's edge the other way
+        agent, back = np.nonzero(move)[0], edge[move] ^ 1
+        crossers = np.zeros((self.n_slots, m), bool)
+        crossers[edge[move], agent] = True
+        contested = np.zeros((m, L), bool)
+        contested[move] = crossers[back].sum(1) > crossers[back, agent]
+        self.vertex, self.move, self.fail, self.edge, self.contested, self.live, self.level = (
+            a.ravel() for a in (vertex, move, fail, edge, contested, live,
+                                np.where(live, local, L)))
 
         sends = np.array([row + [0] * (L - len(row)) for row in loop.sends])
         self.messages = int(sends[:, 1:].sum())
         self.sends = (sends > 0).ravel()
         if self.policy == "mcp":
-            k = max(len(w) for per_x in loop.waits.values() for w in per_x)
-            self.wait_j = np.zeros((m * L, k), np.int64)
-            self.wait_y = np.zeros((m * L, k), np.int64)
-            for i, per_x in loop.waits.items():
-                for x, w in enumerate(per_x):
-                    for n, (j, y) in enumerate(w):
-                        self.wait_j[i * L + x, n], self.wait_y[i * L + x, n] = j, y
+            s, n, j, y = np.array([(i * L + x, n, j, j * L + y) for i, per_x in loop.waits.items()
+                                   for x, w in enumerate(per_x) for n, (j, y) in enumerate(w)],
+                                  np.int64).reshape(-1, 4).T
+            self.wait_j, self.wait_y = np.zeros((2, m * L, n.max(initial=-1) + 1), np.int64)
+            self.wait_j[s, n], self.wait_y[s, n] = j, y
+            self.has_wait = np.bincount(s, minlength=m * L) > 0
 
-        self.delay = np.array(loop.delay)
         # draws per run: the mean number of tries of all moves plus two
         # standard deviations, so that few runs refill their buffer, but no
         # more than a run can take: one per agent and step
@@ -417,85 +431,85 @@ class LockStep:
         advanced one step at a time.  Run r takes its draws in agent order
         within a step, through row r of a buffer that holds draws start[r],
         start[r] + 1, … of its stream.  Under fsp and mcp the runs read the
-        oldest of their last latency + 1 pre-step vectors, as the loop does."""
+        oldest of their last latency + 1 pre-step states, as the loop does."""
         R, m, W, horizon_cap = len(seeds), self.m, self.width, self.horizon_cap
         mt = np.random.RandomState(0)
         buf = np.empty((R, W))
         for row, s in zip(buf, seeds):
             fill_draws(row, s, 0, mt)
+        draws = buf.ravel()
         start = np.zeros(R, np.int64)           # stream index of each row's first draw
-        used = np.zeros(R, np.int64)            # draws taken from each row
         last_sent = np.full(R, -latency - 1)    # step of the latest message
         collisions = np.zeros(R, np.int64)
         makespan = np.full(R, -1)
         deadlock = np.zeros(R, bool)
         stamp = np.zeros(R * self.n_slots, np.int32)   # step + 1 per edge slot crossed
-        rows = np.arange(R)                     # the runs still going
-        x = np.zeros((R, m), np.int64)          # their local states
-        history: deque = deque(maxlen=latency + 1)   # their pre-step vectors
-        last, base, vertex, pairs = self.last, self.base, self.vertex, np.arange(1, m)
-        unseen = len(vertex)                    # above every local state
-        fsp, mcp = self.policy == "fsp", self.policy == "mcp"
+        # per run still going: its row, flat states, unfinished agents, the
+        # buffer position of its latest draw and the end of its row
+        rows = np.arange(R)
+        f = np.tile(self.base, (R, 1))
+        live = self.live[f]
+        taken, end = rows * W - 1, rows * W + W
+        history: deque = deque(maxlen=latency + 1)   # their pre-step states
+        vertex, move, fail, level = self.vertex, self.move, self.fail, self.level
+        pairs = np.arange(1, m)
+        fsp, mcp = self.policy == "fsp" and m > 1, self.policy == "mcp"   # a lone agent never waits
         for t in range(horizon_cap):
-            n = len(rows)
+            go = live
             if fsp or mcp:
-                history.append(x.copy())
+                history.append(f)
                 seen = history[0]
-            f = x + base
-            go = x < last
             if fsp:
-                # two smallest seen states among unfinished agents, for self-exclusion
-                s = np.where(seen < last, seen, unseen)
-                arg1, ids = s.argmin(1), np.arange(n)
-                bound = np.repeat(s[ids, arg1][:, None], m, 1)
-                s[ids, arg1] = unseen
-                bound[ids, arg1] = s.min(1)
-                go &= x <= bound
+                # each agent's bound: the smallest seen level of the others
+                s = level[seen]
+                lo = np.partition(s, 1, 1)
+                # a finished agent (level L) would pass only with every other seen
+                # finished, when the run is over
+                go = level[f] <= np.where(s == lo[:, :1], lo[:, 1:2], lo[:, :1])
             elif mcp:
-                j = self.wait_j[f] + (np.arange(n) * m)[:, None, None]
-                go &= (seen.ravel()[j] >= self.wait_y[f]).all(2)
-            tries = go & self.move[f]
-            n_tries = tries.sum(1)
-            for k in rows[used[rows] + n_tries > W]:
-                start[k] += used[k]
-                used[k] = 0
+                r, a = np.nonzero(self.has_wait[f])
+                if len(r):
+                    g = f[r, a]
+                    go[r, a] = (seen[r[:, None], self.wait_j[g]] >= self.wait_y[g]).all(1)
+            tries = go & move[f]
+            n_tries = np.cumsum(tries, 1)
+            n = n_tries[:, -1]
+            for c in np.flatnonzero(taken + n >= end):
+                k = rows[c]
+                start[k] += taken[c] + 1 - k * W
+                taken[c] = k * W - 1
                 fill_draws(buf[k], seeds[k], start[k], mt)
-            first = rows * W + used[rows]
-            draw = buf.ravel()[first[:, None] + np.cumsum(tries, 1) - 1]
-            used[rows] += n_tries
-            step = go & ~(tries & (draw < self.delay))
-            x += step
-            f_new = f + step
-            if latency:
-                last_sent[rows[(step & self.sends[f_new]).any(1)]] = t
-                dead = ~go.any(1) & (last_sent[rows] < t - latency)
-            else:
-                dead = ~go.any(1)
+            step = go & (draws[taken[:, None] + n_tries] >= fail[f])
+            taken += n
+            old, f = f, f + step
+            live = self.live[f]
 
             # vertex collisions: pairs of agents on one vertex, from sorted positions
-            at = np.sort(vertex[f_new], 1)
+            at = np.sort(vertex[f], 1)
             same = at[:, 1:] == at[:, :-1]
             if same.any():
                 collisions[rows] += (pairs - np.maximum.accumulate(
                     np.where(same, 0, pairs), 1)).sum(1)
             # edge collisions: an undirected edge crossed both ways in one run
-            r, a = np.nonzero(tries & step)
+            r, a = np.nonzero(step & self.contested[old])
             if len(r) > 1:
-                slot = r * self.n_slots + self.edge[f[r, a]]
+                slot = r * self.n_slots + self.edge[old[r, a]]
                 stamp[slot] = t + 1
                 forward = slot[slot % 2 == 0]
                 swapped = forward[stamp[forward + 1] == t + 1]
                 if len(swapped):
                     collisions[rows] += np.bincount(np.unique(swapped) // self.n_slots,
-                                                    minlength=n)
+                                                    minlength=len(rows))
 
-            done = (x == last).all(1)
-            ended = done | dead
-            if ended.any():
-                makespan[rows[done]] = t + 1
-                deadlock[rows[dead]] = True
-                keep = ~ended
-                rows, x = rows[keep], x[keep]
+            going, moved = live.any(1), go.any(1)   # moved: some agent GO or a message in flight
+            if latency:
+                last_sent[rows[(step & self.sends[f]).any(1)]] = t
+                moved |= last_sent[rows] >= t - latency
+            keep = going & moved
+            if not keep.all():
+                makespan[rows[~going]] = t + 1
+                deadlock[rows[~moved]] = True
+                rows, f, live, taken, end = (a[keep] for a in (rows, f, live, taken, end))
                 history = deque((h[keep] for h in history), maxlen=latency + 1)
                 if not len(rows):
                     break

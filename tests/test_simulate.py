@@ -448,6 +448,8 @@ def looped_stats(instance, plan, policy, n_runs, seed, horizon_cap=None, latency
 def lockstep_cases():
     corridor = Graph.from_edges(5, [(C1, C2), (C2, C3), (C3, C4), (POCKET, C2)])
     pocket = Instance(corridor, (AgentSpec(0, C2, C3, 0.5), AgentSpec(1, C1, C4, 0.3)))
+    crossing = Instance(corridor, (AgentSpec(0, C1, C4, 0.5), AgentSpec(1, C3, POCKET, 0.3)))
+    waits_only = Plan((Path((0, 0, 0)), Path((2,))))
     warehouse = generate_warehouse_instance(WarehouseParams(), 6, (0, 0.5), 1001)
     return {
         **{f"random-{k}": case for k, case in enumerate(solved_plans()[:2])},
@@ -460,6 +462,10 @@ def lockstep_cases():
         # a head-on swap through C2-C3
         "swap": (pocket, Plan((Path((C2, C2, C3, C4)), Path((C4, C3, C2, C1))))),
         "one-agent": (line_instance(4, p=0.7), Plan((Path((0, 1, 1, 2, 3)),))),
+        # C2-C3 crossed both ways, by agent 1 at index 0 and by agent 0 at index 3
+        "crossing": (crossing, Plan((Path((C1, C1, C1, C2, C3, C4)), Path((C3, C2, POCKET))))),
+        # no agent moves, but one path waits twice: this plan runs in lock step
+        "waits-only": (two_lines(waits_only), waits_only),
     }
 
 
@@ -504,7 +510,7 @@ class TestMcpSchedule:
 
     @pytest.mark.parametrize("case", ["solved-0", "solved-1", "solved-2", "solved-3",
                                       "warehouse", "pocket-valid", "pocket-invalid", "swap",
-                                      "one-agent"])
+                                      "one-agent", "crossing", "waits-only"])
     def test_matches_reduction_on_named_plans(self, case):
         named = {**{f"solved-{k}": c for k, c in enumerate(solved_plans())}, **lockstep_cases()}
         _, plan = named[case]
@@ -517,7 +523,8 @@ class TestLockStep:
     loop over `run_execution`."""
 
     @pytest.mark.parametrize("case", ["random-0", "random-1", "warehouse", "pocket-valid",
-                                      "pocket-invalid", "swap", "one-agent"])
+                                      "pocket-invalid", "swap", "one-agent", "crossing",
+                                      "waits-only"])
     def test_matches_loop(self, case, blocks, monkeypatch):
         inst, plan = lockstep_cases()[case]
         for policy in POLICIES:
@@ -540,16 +547,17 @@ class TestLockStep:
                     assert monte_carlo(inst, plan, policy, at, 3, latency=latency).as_dict() \
                         == expected
                     assert len(blocks) > 1 and sum(blocks) == at
-                # capped at the mean makespan, some runs finish and others time out
+                # capped at the mean makespan, some runs finish and others time
+                # out, unless every run takes the same steps
                 cap = round(stats.mean_makespan)
                 capped = monte_carlo(inst, plan, policy, at, 3, cap, latency)
                 assert capped.as_dict() == looped_stats(inst, plan, policy, at, 3, cap, latency)
-                assert 0 < capped.timeouts < at
+                assert 0 < capped.timeouts < at if stats.ci95 else capped.timeouts == 0
 
     @pytest.mark.parametrize("n_vertices, starts", [(2, (0,)), (3, (0, 1, 2))])
-    def test_plan_without_moves_runs_on_the_loop(self, n_vertices, starts, blocks):
-        # every agent parked on its start: each run is done at step 0, in
-        # lock step's work range too
+    def test_single_state_paths_run_on_the_loop(self, n_vertices, starts, blocks):
+        # every path a single state: each run is done at step 0, in lock
+        # step's work range too
         g = Graph.from_edges(n_vertices, [(k, k + 1) for k in range(n_vertices - 1)])
         inst = Instance(g, tuple(AgentSpec(i, s, s, 0.5) for i, s in enumerate(starts)))
         plan = Plan(tuple(Path((s,)) for s in starts))
@@ -561,6 +569,20 @@ class TestLockStep:
                                                        latency=latency)
                 assert stats.mean_makespan == 0 and stats.timeouts == 0
         assert blocks == []
+
+    @pytest.mark.parametrize("case, contested", [
+        ("swap", {(0, 1), (0, 2), (1, 0), (1, 1)}),   # head-on along C2-C3-C4
+        ("crossing", {(0, 3), (1, 0)}),
+        # agent 0 goes back along its own pocket edge, which no other path crosses
+        ("pocket-valid", set()),
+    ])
+    def test_contested_moves(self, case, contested):
+        # only a move along an edge that another path crosses the other way
+        # can swap, so lock step stamps only those: (agent, local state) pairs
+        inst, plan = lockstep_cases()[case]
+        lock = LockStep(RunLoop(inst, plan, "dummy"), default_horizon_cap(plan))
+        L = len(lock.vertex) // lock.m
+        assert {divmod(int(s), L) for s in np.flatnonzero(lock.contested)} == contested
 
     def test_refills_continue_each_stream(self, monkeypatch):
         # a buffer of one draw per agent refills rows at almost every step
@@ -698,6 +720,10 @@ class TestStatsCi:
 
     def test_single_sample(self):
         assert stats_ci([7.5]) == (7.5, 0.0)
+
+    def test_no_samples(self):
+        with pytest.raises(ValueError, match=r"^need at least one sample, got 0$"):
+            stats_ci([])
 
 
 def test_state_property_on_solved_plans():
