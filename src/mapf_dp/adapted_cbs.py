@@ -6,10 +6,10 @@ search (`shortest_path_under_constraints`, key -1) is a pure function of the
 agent, its own constraint set (a node holds one per agent) and inputs fixed
 for one solve (its distance table and the expansion budget), so
 `solve_adapted_cbs` keeps each (agent, own set)'s shortest length for the
-solve.  Its conflict avoidance (`fewest_conflicts_path`, key = a max-index
-bound; Sharon et al. 2015) then picks, within the node's max-index slack,
-the path with the fewest conflicts with the other paths; it reads the node's
-plan and key, so it runs on every call.
+solve (the empty set's off the distance table).  Its conflict avoidance
+(`fewest_conflicts_path`, key = a max-index bound; Sharon et al. 2015) then
+picks, within the node's max-index slack, the path with the fewest conflicts
+with the other paths, read off the plan's index, so it runs on every call.
 
 The high level takes the bypass rule of Boyarski et al. (ICAPS 2015; see
 `conflict_tree_search`): the first child whose max index is its parent's
@@ -24,7 +24,7 @@ from typing import Collection, Optional, Sequence
 
 from .ame import (LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure, SolveLimits,
                   SolveResult, conflict_tree_search, low_level_search)
-from .model import Instance, Path, Plan, shortest_path_distances
+from .model import INF, Instance, Path, Plan, shortest_path_distances
 
 
 def shortest_path_under_constraints(
@@ -62,14 +62,20 @@ def solve_adapted_cbs(instance: Instance,
     under its own constraint set, the node's entry for it: the shortest
     search ignores the other agents' paths and the key, so its outcome
     depends only on the agent and that set.  `fewest_conflicts_path` then
-    finds j's path that ends by max(L*, K) with the fewest conflicts with
-    the node's other paths (the root plans with K = 0).  The shortest length
-    is memoised; the avoidance search runs per call.  A repeat of a failed
-    shortest search raises a fresh `LowLevelFailure` with the stored cause.
-    `low_level_expanded` counts the expansions of both searches; both take
-    the agent's hop distances to its goal as their heuristic.
+    finds, on every call, j's path that ends by max(L*, K) with the fewest
+    conflicts with the node's other paths (the root plans with K = 0).  A
+    repeat of a failed shortest search raises a fresh `LowLevelFailure`
+    with the stored cause.  `low_level_expanded` counts the expansions of
+    both searches; both take j's hop distances to its goal as heuristic.
+    Under the empty set (the root's), L* is read off that table, d from the
+    start ("exhausted" if inf), with no search: unconstrained, the search
+    expands one state per index and returns at d, below the cap of 4|V|;
+    past the budget, the avoidance search, which expands d too, fails.
     """
-    planned: dict[tuple[int, frozenset[Constraint]], int | str] = {}
+    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
+    planned: dict[tuple[int, frozenset[Constraint]], int | str] = {
+        (i, frozenset()): "exhausted" if dist[a.start] == INF else dist[a.start]
+        for i, (a, dist) in enumerate(zip(instance.agents, dists))}
 
     def replan(instance, agent, plan, constraints, key, dist_to_goal, cap):
         shortest = planned.get((agent, constraints))
@@ -91,6 +97,5 @@ def solve_adapted_cbs(instance: Instance,
     def evaluate(plan: Plan) -> tuple[Plan, float]:
         return plan, float(plan.max_index)
 
-    dists = [shortest_path_distances(instance.graph, a.goal) for a in instance.agents]
     return conflict_tree_search(instance, limits or SolveLimits(), dists, replan, evaluate,
                                 bypass=True)

@@ -31,6 +31,7 @@ import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import islice
 from typing import Callable, Collection, Optional, Sequence
 
 from .dependency import approximate_average_makespan, compute_labels, move_cost
@@ -256,25 +257,13 @@ def trace_back(parent: dict[int, int], state: int, n: int) -> list[int]:
     return states
 
 
-def departure_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[int]]:
-    """(xs, parked) of vertex v over every path of `plan` but `agent`'s: the
-    conflict row that the low level reads, in both cost models, at v.
-
-    xs are the departures from v, the x < X_j with l_j(x) = v, in order;
-    parked holds X_j of each path j that ends on v.  A row costs the visits
-    at v; `departure_count` and `parked_count` read conflict increments from
-    it, and it needs no labels."""
-    xs = [x for x, j in plan.visits.get(v, ()) if j != agent]
-    parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
-    return xs, parked
-
-
 def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
         list[int], list[int], list[float]]:
-    """(xs, parked, best): `departure_row(plan, v, agent)` and best over
-    every labeled path of `plan` but `agent`'s, where best[k] is the largest
-    label at x+1 of the first k departures (-inf if 0).  One pass over the
-    visits at v builds the row, as the low level reads it under labels (AME)
+    """(xs, parked, best) of vertex v over every labeled path of `plan` but
+    `agent`'s: the departures from v, the x < X_j with l_j(x) = v, in order,
+    X_j of each path j that ends on v, and best[k], the largest label at x+1
+    of the first k departures (-inf if 0).  One pass over the visits at v
+    builds the row, as the low level reads it under labels (AME)
     for every vertex it reaches that another path visits or ends on; only
     that cost model reads labels.  The search caches it as it is, and shares
     `EMPTY_ROW` among the vertices that no other path reaches."""
@@ -293,29 +282,37 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
     return xs, parked, best
 
 
-def departure_count(row: tuple[list[int], list[int]], x: int) -> int:
-    """The conflict increment of one more agent at (v, x) against `row`, v's
-    `departure_row`, for an index x below its path's last: one per path at v
-    at x-1, x and x+1.  A departure at y meets x - 1 <= y <= x + 1; a path
-    parked since s meets every index from s on, so it counts min(x - s + 2, 3)
-    once x >= s - 1.  The unit-step searches call it, and the AME search for
-    its start state; AME's successor loop reads the same count inline, from
-    the bisect that also gives the wait bound."""
-    xs, parked = row
-    count = bisect_right(xs, x + 1) - bisect_left(xs, x - 1)
-    for since in parked:
-        if since <= x + 1:
+def departure_count(plan: Plan, v: int, agent: int, x: int) -> int:
+    """The conflict increment of one more agent at (v, x) against every path
+    of `plan` but `agent`'s, for an index x below its path's last: one per
+    path at v at x-1, x and x+1.  A departure at y meets x - 1 <= y <= x + 1,
+    read off `plan.visits[v]` from one bisect; a path parked since s meets
+    every index from s on, so it counts min(x - s + 2, 3) once x >= s - 1.
+    The unit-step searches call it, and the AME search for its start state;
+    AME's successor loop reads the same count inline, from the bisect that
+    also gives the wait bound."""
+    count = 0
+    here = plan.visits.get(v)
+    if here:
+        for y, j in islice(here, bisect_left(here, (x - 1,)), None):
+            if y > x + 1:
+                break
+            if j != agent:
+                count += 1
+    for since, j in plan.parked.get(v, ()):
+        if j != agent and since <= x + 1:
             count += min(x - since + 2, 3)
     return count
 
 
-def parked_count(row: tuple[list[int], list[int]], since: int) -> int:
+def parked_count(plan: Plan, v: int, agent: int, since: int) -> int:
     """The conflict increment of one more path that ends on v at index `since`
-    and stays there, against `row`, v's `departure_row`: a departure at
-    y >= since - 1 counts min(y - since + 2, 3), as `path_conflicts` counts
-    a parked agent.  Paths parked on v too are not counted, as there."""
-    xs = row[0]
-    return sum(min(y - since + 2, 3) for y in xs[bisect_left(xs, since - 1):])
+    and stays there, against every path of `plan` but `agent`'s: a departure
+    at y >= since - 1 counts min(y - since + 2, 3), as `path_conflicts`
+    counts a parked agent.  Paths parked on v too are not counted, as there."""
+    here = plan.visits.get(v, ())
+    return sum(min(y - since + 2, 3)
+               for y, j in islice(here, bisect_left(here, (since - 1,)), None) if j != agent)
 
 
 # The `labeled_departure_row` of a vertex that no other path visits or ends
@@ -344,8 +341,9 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     vertex's `labeled_departure_row`.  best[k] is its wait bound, and as
     indices are integers k = bisect_left(xs, x), so the same k starts the
     departures at x ... x + 2 that a Phase-1 successor counts
-    (`departure_count(row, x + 1)`, inline).  Under `unit` steps (adapted
-    CBS) g = x and no label is read or returned.  Phase 1 expands, among
+    (`departure_count` at x + 1, inline).  Under `unit` steps (adapted CBS)
+    g = x, no label is read or returned, and no row is built: each count is
+    read straight off `plan.visits` and `plan.parked`.  Phase 1 expands, among
     queued states with f <= key, one with the fewest accumulated conflicts
     (`departure_count`); Phase 2 expands by smallest f.  One heap holds both, as (conflicts, f, -x, v, g) and
     (inf, f, -x, v, g), so Phase 2, once begun, is permanent, and when
@@ -391,13 +389,11 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
         phase_1 = h[start] <= bound
         visits, parked_at = plan.visits, plan.parked
         g_get, push = g.get, heappush
-    row = departure_row(plan, start, agent) if phase_1 else None
-    rows: list = [None] * n   # each vertex's rows, built on first read
-    if unit:
-        rows[start] = row   # AME's rows carry labels too
-    queue = [(departure_count(row, 0) if phase_1 else INF, h[start], 0, start, 0.0)]
+        rows: list = [None] * n   # each vertex's labeled row, built on first read
+    queue = [(departure_count(plan, start, agent, 0) if phase_1 else INF, h[start], 0, start,
+              0.0)]
     if phase_1 and unit and start == goal and goal_con_max < 0:
-        queue.append((parked_count(row, 0), h[start], 0, start, INF))
+        queue.append((parked_count(plan, start, agent, 0), h[start], 0, start, INF))
     expansions = 0
 
     while queue:
@@ -441,7 +437,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
                     parent[succ] = here
                     f_new = g_new + h[nv]
                     if f_new <= limit:   # a Phase-1 state
-                        # `departure_count(row, nx)`: departures at x ... x + 2,
+                        # `departure_count` at nx: departures at x ... x + 2,
                         # and paths parked since x + 2 or earlier
                         count = conflicts + bisect_right(xs, x2, k) - k
                         if parked:
@@ -465,12 +461,11 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
                 if f_new > bound or succ in banned or succ in parent:
                     continue
                 parent[succ] = here
-                row = rows[nv]
-                if row is None:
-                    row = rows[nv] = departure_row(plan, nv, agent)
-                heappush(queue, (conflicts + departure_count(row, nx), f_new, -nx, nv, nx))
+                heappush(queue, (conflicts + departure_count(plan, nv, agent, nx), f_new, -nx,
+                                 nv, nx))
                 if nv == goal and nx >= goal_con_max:
-                    heappush(queue, (conflicts + parked_count(row, nx), f_new, -nx, nv, INF))
+                    heappush(queue, (conflicts + parked_count(plan, nv, agent, nx), f_new, -nx,
+                                     nv, INF))
     else:
         raise LowLevelFailure("exhausted")
     states = trace_back(parent, here, n)

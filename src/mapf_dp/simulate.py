@@ -417,6 +417,7 @@ class LockStep:
         moves, q = move.sum(1), 1.0 - self.delay
         mean, var = (moves / q).sum(), (moves * self.delay / q ** 2).sum()
         self.width = min(max(m, math.ceil(mean + 2 * math.sqrt(var))), horizon_cap * m)
+        self.mt = np.random.RandomState(0)   # `fill_draws` reseeds it for every row
 
     def outcomes(self, seed: int, n_runs: int, latency: int):
         """(status, makespan, messages sent, collisions) of runs 0 … n_runs - 1
@@ -432,8 +433,7 @@ class LockStep:
         within a step, through row r of a buffer that holds draws start[r],
         start[r] + 1, … of its stream.  Under fsp and mcp the runs read the
         oldest of their last latency + 1 pre-step states, as the loop does."""
-        R, m, W, horizon_cap = len(seeds), self.m, self.width, self.horizon_cap
-        mt = np.random.RandomState(0)
+        R, m, W, horizon_cap, mt = len(seeds), self.m, self.width, self.horizon_cap, self.mt
         buf = np.empty((R, W))
         for row, s in zip(buf, seeds):
             fill_draws(row, s, 0, mt)

@@ -17,21 +17,25 @@ oracles for its entry points into the one search that replaced them:
 `shortest_path_under_constraints`, time-expanded A* that queues each state
 once as (f, -x, v), and `fewest_conflicts_path`, the conflict avoidance
 that queues (conflicts, f, -x, v, end).  They read the shared
-`departure_row` and `trace_back` of `mapf_dp.ame`, named through the
-module here, since this module keeps former versions under those names.
+`trace_back` of `mapf_dp.ame`, named through the module here, since this
+module keeps a former version under that name.  Their conflict rows are
+kept verbatim too, renamed: `conflict_row` is the former per-call row of
+`ame.departure_row`, and `row_count` and `row_parked_count` read it as the
+former `ame.departure_count` and `ame.parked_count` did, before the unit
+search read its counts straight off the plan's index.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
 from typing import Collection, Optional, Sequence
 
 from mapf_dp import ame
 from mapf_dp.ame import (EPS, LOW_LEVEL_EXPANSIONS, Constraint, LowLevelFailure,
-                         constraint_setup, departure_count, parked_count)
+                         constraint_setup)
 from mapf_dp.dependency import move_cost
 from mapf_dp.model import INF, Instance, Path, Plan
 
@@ -69,6 +73,42 @@ def departure_row(occ: Plan, v: int,
             for y in range(max(since - 1, 0), end + 1):
                 counts[y] += min(y - since + 2, 3)
     return counts, xs, best
+
+
+def conflict_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[int]]:
+    """(xs, parked) of vertex v over every path of `plan` but `agent`'s: the
+    conflict row that the low level reads, in both cost models, at v.
+
+    xs are the departures from v, the x < X_j with l_j(x) = v, in order;
+    parked holds X_j of each path j that ends on v.  A row costs the visits
+    at v; `row_count` and `row_parked_count` read conflict increments from
+    it, and it needs no labels."""
+    xs = [x for x, j in plan.visits.get(v, ()) if j != agent]
+    parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
+    return xs, parked
+
+
+def row_count(row: tuple[list[int], list[int]], x: int) -> int:
+    """The conflict increment of one more agent at (v, x) against `row`, v's
+    `conflict_row`, for an index x below its path's last: one per path at v
+    at x-1, x and x+1.  A departure at y meets x - 1 <= y <= x + 1; a path
+    parked since s meets every index from s on, so it counts min(x - s + 2, 3)
+    once x >= s - 1."""
+    xs, parked = row
+    count = bisect_right(xs, x + 1) - bisect_left(xs, x - 1)
+    for since in parked:
+        if since <= x + 1:
+            count += min(x - since + 2, 3)
+    return count
+
+
+def row_parked_count(row: tuple[list[int], list[int]], since: int) -> int:
+    """The conflict increment of one more path that ends on v at index `since`
+    and stays there, against `row`, v's `conflict_row`: a departure at
+    y >= since - 1 counts min(y - since + 2, 3), as `path_conflicts` counts
+    a parked agent.  Paths parked on v too are not counted, as there."""
+    xs = row[0]
+    return sum(min(y - since + 2, 3) for y in xs[bisect_left(xs, since - 1):])
 
 
 def low_level_search(instance: Instance, agent: int, occupancy: Plan,
@@ -211,12 +251,12 @@ def fewest_conflicts_path(
 
     It searches the states (v, x) with x + dist(v) <= `bound`, by fewest
     accumulated conflicts, then f = x + dist(v), then deeper states.  A
-    state's count adds `departure_count` of its vertex's `departure_row` to
+    state's count adds `row_count` of its vertex's `conflict_row` to
     its parent's; it depends on the state alone, and counts pop in
     nondecreasing order, so a state is queued once, when it is first reached,
     with its least count.  Reaching the goal from index `goal_con_max` on
     also queues an end entry, whose count is the parent's plus
-    `parked_count`: the path ends there and stays, and the other paths that
+    `row_parked_count`: the path ends there and stays, and the other paths that
     pass the goal later count too.  The first end entry popped has the fewest
     conflicts of any path.  Entries of two states differ in (x, v), and an
     end entry follows its own state's, so none needs a tie counter."""
@@ -225,13 +265,13 @@ def fewest_conflicts_path(
     adjacency = instance.graph.adjacency
     n = instance.graph.n_vertices
     banned, goal_con_max, _ = constraint_setup(instance, agent, constraints, dist_to_goal)
-    rows: list = [None] * n   # departure_row of each vertex, built on first read
-    rows[spec.start] = ame.departure_row(plan, spec.start, agent)
+    rows: list = [None] * n   # conflict_row of each vertex, built on first read
+    rows[spec.start] = conflict_row(plan, spec.start, agent)
     parent: dict[int, Optional[int]] = {spec.start: None}   # (start, 0) has id start
-    heap = [(departure_count(rows[spec.start], 0), dist_to_goal[spec.start], 0, spec.start,
+    heap = [(row_count(rows[spec.start], 0), dist_to_goal[spec.start], 0, spec.start,
              False)]
     if spec.start == goal and goal_con_max < 0:
-        heap.append((parked_count(rows[goal], 0), 0, 0, goal, True))
+        heap.append((row_parked_count(rows[goal], 0), 0, 0, goal, True))
     expansions = 0
     while heap:
         conflicts, _, negx, v, end = heapq.heappop(heap)
@@ -252,8 +292,8 @@ def fewest_conflicts_path(
             parent[succ] = here
             row = rows[nv]
             if row is None:
-                row = rows[nv] = ame.departure_row(plan, nv, agent)
-            heapq.heappush(heap, (conflicts + departure_count(row, nx), f, -nx, nv, False))
+                row = rows[nv] = conflict_row(plan, nv, agent)
+            heapq.heappush(heap, (conflicts + row_count(row, nx), f, -nx, nv, False))
             if nv == goal and nx >= goal_con_max:
-                heapq.heappush(heap, (conflicts + parked_count(row, nx), f, -nx, nv, True))
+                heapq.heappush(heap, (conflicts + row_parked_count(row, nx), f, -nx, nv, True))
     raise LowLevelFailure("exhausted")

@@ -1,8 +1,8 @@
 """The low level's view of the other agents as it stood before the
 conflict-tree driver kept one index per node.
 
-`_OtherAgents` is kept verbatim as a test oracle for the rows that
-`mapf_dp.ame.departure_row` builds from a node's plan, and for the index
+`_OtherAgents` is kept verbatim as a test oracle for the conflict counts
+and wait bounds that `mapf_dp.ame` reads off a node's plan, and for the index
 that `Plan.swap` leaves: it is rebuilt from the other agents' paths on
 every call, and it answers each query with method calls.  It derives from
 the occupancy index of that time, kept verbatim here as `Occupancy` with

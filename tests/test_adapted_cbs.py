@@ -10,7 +10,7 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan, generate_random_ins
 from mapf_dp.adapted_cbs import fewest_conflicts_path, shortest_path_under_constraints
 from mapf_dp.ame import Constraint, LowLevelFailure, SolveLimits, conflict_tree_search
 from mapf_dp.generate import GenerationError
-from mapf_dp.model import parse_map, path_conflicts, shortest_path_distances
+from mapf_dp.model import INF, parse_map, path_conflicts, shortest_path_distances
 from tests.brute_force_oracle import brute_force_optimal_makespan
 from tests.conftest import C1, C2, C3, C4
 from tests.low_level_oracle import fewest_conflicts_path as former_fewest_conflicts
@@ -49,6 +49,58 @@ class TestLowLevel:
         with pytest.raises(LowLevelFailure):
             shortest_path_under_constraints(
                 inst, 0, (), shortest_path_distances(g, 2))
+
+
+@st.composite
+def unconstrained_cases(draw):
+    """(instance, agent 0's hop distances to its goal): one agent on a grid
+    of up to 5x5 with some cells blocked, which may cut it in two, its
+    start and goal drawn apart or equal."""
+    w, h = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    blocked = draw(st.sets(st.integers(0, w * h - 1), max_size=w * h // 3))
+    graph = parse_map("\n".join("".join("@" if y * w + x in blocked else "."
+                                         for x in range(w)) for y in range(h)))
+    start = draw(st.integers(0, graph.n_vertices - 1))
+    goal = draw(st.one_of(st.just(start), st.integers(0, graph.n_vertices - 1)))
+    return Instance(graph, (AgentSpec(0, start, goal, 0.5),)), \
+        shortest_path_distances(graph, goal)
+
+
+class TestRootLengths:
+    """With no constraint the unit shortest search returns at the goal's BFS
+    distance after exactly that many expansions, so `solve_adapted_cbs`
+    reads its root's lengths L* off the distance table."""
+
+    @given(unconstrained_cases())
+    @settings(max_examples=300)
+    def test_unconstrained_search_stops_at_distance(self, case):
+        inst, dist = case
+        d = dist[inst.agents[0].start]
+        event("start == goal" if d == 0 else "unreachable" if d == INF else "apart")
+        try:
+            path, expansions = shortest_path_under_constraints(inst, 0, frozenset(), dist)
+        except LowLevelFailure as fail:
+            assert (fail.cause, d) == ("exhausted", INF)
+        else:
+            assert path.last_index == expansions == d
+
+    def test_unreachable_goal_is_exhausted_both_ways(self, monkeypatch):
+        # agent 1's goal lies in the other component: the search exhausts,
+        # and the solver, which stores "exhausted" for it without a search,
+        # ends as the reference that searched
+        g = Graph.from_edges(4, [(0, 1), (2, 3)])
+        inst = Instance(g, (AgentSpec(0, 0, 1, 0.5), AgentSpec(1, 2, 0, 0.5)))
+        with pytest.raises(LowLevelFailure) as fail:
+            shortest_path_under_constraints(inst, 1, frozenset(), shortest_path_distances(g, 0))
+        assert fail.value.cause == "exhausted"
+        ref_calls, _ = spy_low_level(monkeypatch)
+        assert reference_cbs(inst, SolveLimits()).status == "no-solution"
+        assert [(key, found) for key, found, _ in ref_calls] \
+            == [((0, frozenset()), (0, 1)), ((1, frozenset()), "exhausted")]
+        calls, avoided = spy_low_level(monkeypatch)
+        assert solve_adapted_cbs(inst).status == "no-solution"
+        assert calls == []
+        assert [agent for agent, *_ in avoided] == [0]
 
 
 def random_path(instance, agent, rng):
@@ -418,8 +470,9 @@ def assert_same_search(result, reference):
 
 class TestPlanTable:
     """`solve_adapted_cbs` runs the shortest search of each (agent, own
-    constraint set) once per solve and the avoidance search on every call;
-    the reference runs both on every call."""
+    constraint set) once per solve, but none under the empty set, whose
+    length it reads off the distance table, and the avoidance search on
+    every call; the reference runs both on every call."""
 
     @pytest.mark.parametrize("size, agents, seed", TABLE_CASES)
     def test_matches_planning_every_time(self, monkeypatch, size, agents, seed):
@@ -430,8 +483,16 @@ class TestPlanTable:
         result = solve_adapted_cbs(inst, TABLE_LIMITS)
         assert_same_search(result, reference)
         keys = [key for key, _, _ in calls]
-        assert len(keys) == len(set(keys)) == len({key for key, _, _ in ref_calls})
+        roots = {(i, frozenset()) for i in range(inst.n_agents)}
+        assert len(keys) == len(set(keys))
+        assert {key for key, _, _ in ref_calls} - set(keys) == roots   # the skipped ones
         assert set(calls) <= set(ref_calls)
+        # the root plans agent i with its stored length L* as the bound (key
+        # 0): the distance table's, and the one the reference searched
+        searched = {key[0]: len(found) - 1 for key, found, _ in ref_calls if key in roots}
+        table = [shortest_path_distances(inst.graph, a.goal)[a.start] for a in inst.agents]
+        assert [bound for _, _, bound, _, _ in avoided[:inst.n_agents]] \
+            == [searched[i] for i in range(inst.n_agents)] == table
         assert avoided == ref_avoided
         assert result.low_level_expanded \
             == sum(e for _, _, e in calls) + sum(e for *_, e in avoided)

@@ -20,7 +20,11 @@ began to replan an agent to its path with the fewest conflicts within the
 node's max-index slack, ordering nodes by conflict count; the max index
 (26) is unchanged.  The adapted-CBS solve of the random 40-agent, seed-4
 instance (max index 29, 21 bypass nodes) was recorded before adapted CBS's
-two low-level searches were merged into AME's.  A change to conflict
+two low-level searches were merged into AME's.  Both adapted-CBS low-level
+counts were re-recorded (878 -> 736, 11498 -> 10937) when the root's
+shortest lengths came from the distance table: each fell by the agents'
+summed start-to-goal distances, and plans, digests and high-level counts
+are unchanged.  A change to conflict
 handling, tie-breaking, node ordering or labels that alters any plan fails
 here.  The Monte Carlo statistics were recorded on the
 message-passing simulator that the lagged-state loop replaced; a change
@@ -57,10 +61,10 @@ GOLDEN = {
     "cbs-warehouse-7a-s1002": (
         solve_adapted_cbs,
         lambda: generate_warehouse_instance(WarehouseParams(), 7, P_RANGE, 1002),
-        7, 878, "1ee9cb82af77890aefb2b9da6c31ec8583883dfa4ed1d69137c11269b9ef563e"),
+        7, 736, "1ee9cb82af77890aefb2b9da6c31ec8583883dfa4ed1d69137c11269b9ef563e"),
     "cbs-random-20x20-40a-s4": (
         solve_adapted_cbs, lambda: generate_random_instance(20, 20, 0.1, 40, P_RANGE, 4),
-        23, 11498, "64c4c3f0f9a71f144cd51cac08f3628a598b39b00e519f18288b4dfed221c566"),
+        23, 10937, "64c4c3f0f9a71f144cd51cac08f3628a598b39b00e519f18288b4dfed221c566"),
 }
 
 
@@ -94,8 +98,8 @@ def test_only_adapted_cbs_bypasses(name):
 
 
 def test_only_ame_reads_labels(monkeypatch):
-    # adapted CBS plans carry no labels: both low levels read the conflict
-    # rows, but only AME's reads the departures' labels
+    # adapted CBS plans carry no labels: its low level reads its conflict
+    # counts straight off the plan's index, and only AME's builds labeled rows
     built = []
     row = ame.labeled_departure_row
     monkeypatch.setattr(ame, "labeled_departure_row",

@@ -22,10 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mapf_dp import model
-from mapf_dp.ame import (carry_conflicts, departure_count, departure_row,
-                         labeled_departure_row, parked_count)
+from mapf_dp.ame import (carry_conflicts, departure_count, labeled_departure_row,
+                         parked_count)
 from mapf_dp.model import (Conflict, ConflictKind, Path, Plan, enumerate_conflicts,
                            find_earliest_conflict, parse_map, path_conflicts)
+from tests.low_level_oracle import conflict_row, row_count, row_parked_count
 from tests.low_level_oracle import departure_row as former_row
 from tests.occupancy_oracle import _OtherAgents
 
@@ -54,7 +55,7 @@ def conflict_increment(occ, vertex, x):
 def others_increment(occ, agent, vertex, x):
     """The low level's conflict increment at (vertex, x) against every path
     in `occ` but `agent`'s."""
-    return departure_count(departure_row(occ, vertex, agent), x)
+    return departure_count(occ, vertex, agent, x)
 
 
 def wait_bound(occ, agent, vertex, x):
@@ -287,10 +288,12 @@ SHARED_PARKING = ([Path((0, 2), (0.0, 1.0)), Path((1, 0, 2), (0.0, 1.0, 2.0)),
 @example(*SHARED_PARKING)
 @settings(max_examples=300, deadline=None)
 def test_departure_count_matches_former_counts(paths, swaps):
-    # the count read from a row equals the former row's counts[x], or its
-    # last entry past the end, at every vertex and index, for every agent
-    # left out; the departures and their best labels are the former ones,
-    # and AME's labeled row holds the same conflict row as CBS's
+    # the count read off the index equals the per-call row's and the former
+    # row's counts[x], or its last entry past the end, at every vertex and
+    # index from 0, for every agent left out, whether its own path is in the
+    # plan or not; the end entry's count read off the index equals the
+    # row's; the departures and their best labels are the former ones, and
+    # AME's labeled row holds the same conflict row
     occ = Plan(())
     for j, p in enumerate(paths):
         occ = occ.swap(j, p)
@@ -299,11 +302,13 @@ def test_departure_count_matches_former_counts(paths, swaps):
     for agent in range(len(paths) + 1):
         for v in range(7):
             counts, xs, best = former_row(occ, v, agent)
-            row = departure_row(occ, v, agent)
+            row = conflict_row(occ, v, agent)
             assert labeled_departure_row(occ, v, agent) == (*row, best)
             assert row[0] == xs
             for x in range(max(p.last_index for p in occ.paths) + 4):
-                assert departure_count(row, x) == counts[min(x, len(counts) - 1)]
+                assert departure_count(occ, v, agent, x) == row_count(row, x) \
+                    == counts[min(x, len(counts) - 1)]
+                assert parked_count(occ, v, agent, x) == row_parked_count(row, x)
 
 
 # 3x3 with a blocked centre: eight vertices in a ring
@@ -341,8 +346,8 @@ def test_unit_increments_sum_to_path_conflicts(case):
     # the parked term of its end entry, is the path's conflict count
     plan, a, p = case
     end = p.last_index
-    rows = [departure_row(plan, v, a) for v in p.vertices]
-    expected = sum(departure_count(rows[x], x) for x in range(end)) + parked_count(rows[end], end)
+    expected = sum(departure_count(plan, v, a, x) for x, v in enumerate(p.vertices[:end])) \
+        + parked_count(plan, p.vertices[end], a, end)
     assert len(path_conflicts(plan, a, p)) == expected
 
 
