@@ -118,13 +118,15 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits,
     Each node keeps one constraint set per agent, its `Plan`, and a list of
     its plan's conflicts, which equals `enumerate_conflicts` of the plan as a
     multiset.  A popped node's plan derives its index from the plan popped
-    before it (`Plan.derive_index`), and each root prefix from the one
+    before it (`Plan.derive_index`), the root's from the last root prefix,
+    which a relabeled root shares whole, and each root prefix from the one
     before, so a node pays for the paths that differ, or for a fresh build
-    where that is cheaper, and an open node holds no index.  The root, with empty sets, plans agents in id order against
-    the paths planned so far (key 0).  A child adds a constraint to agent
-    j's set alone, replans j under it against its parent's plan minus j,
-    with its parent's key, swaps the new path in and carries its parent's
-    conflicts over (`carry_conflicts`).
+    where that is cheaper, and an open node holds no index.  The root, with
+    empty sets, plans agents in id order against the paths planned so far
+    (key 0).  A child adds a constraint to agent j's set alone, replans j
+    under it against its parent's plan minus j, with its parent's key, swaps
+    the new path in and carries its parent's conflicts over
+    (`carry_conflicts`).
     `evaluate(plan)` returns (plan to store, key); it may relabel the paths
     but not move them, so the list stays exact.  Nodes pop by smallest
     (key rounded to 9 places, conflict count), ties first in, first out.
@@ -191,8 +193,8 @@ def conflict_tree_search(instance: Instance, limits: SolveLimits,
 
     cut = False   # a child was dropped for its low level's budget
     conflicts = enumerate_conflicts(plan)
-    plan, key = evaluate(plan)
     last = plan   # the plan whose index was built last
+    plan, key = evaluate(plan)
     heap = [node((frozenset(),) * instance.n_agents, plan, key, conflicts)]
     while heap:
         if (time.monotonic() - t0 > limits.time_s
@@ -263,10 +265,9 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
     `agent`'s: the departures from v, the x < X_j with l_j(x) = v, in order,
     X_j of each path j that ends on v, and best[k], the largest label at x+1
     of the first k departures (-inf if 0).  One pass over the visits at v
-    builds the row, as the low level reads it under labels (AME)
-    for every vertex it reaches that another path visits or ends on; only
-    that cost model reads labels.  The search caches it as it is, and shares
-    `EMPTY_ROW` among the vertices that no other path reaches."""
+    builds the row, as the low level reads it under labels (AME) for every
+    vertex it reaches, on first read; only that cost model reads labels.  A
+    vertex that no other path visits or ends on gets ([], [], [-inf])."""
     paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
@@ -315,11 +316,6 @@ def parked_count(plan: Plan, v: int, agent: int, since: int) -> int:
                for y, j in islice(here, bisect_left(here, (since - 1,)), None) if j != agent)
 
 
-# The `labeled_departure_row` of a vertex that no other path visits or ends
-# on: (departures, parked indices, best labels).
-EMPTY_ROW = ((), (), (-INF,))
-
-
 def low_level_search(instance: Instance, agent: int, plan: Plan,
                      constraints: Collection[Constraint], key: float,
                      h: Sequence[float],
@@ -338,12 +334,14 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
     labels, and the path returned carries it: a wait costs 1 and a move
     1/(1-p) after the wait bound; each successor (v', x + 1) takes one
     bisect, k = bisect_right(xs, x - 1), into the departures xs of its
-    vertex's `labeled_departure_row`.  best[k] is its wait bound, and as
-    indices are integers k = bisect_left(xs, x), so the same k starts the
-    departures at x ... x + 2 that a Phase-1 successor counts
-    (`departure_count` at x + 1, inline).  Under `unit` steps (adapted CBS)
-    g = x, no label is read or returned, and no row is built: each count is
-    read straight off `plan.visits` and `plan.parked`.  Phase 1 expands, among
+    vertex's `labeled_departure_row`, built on the vertex's first read and
+    kept for the search, whether or not another path reaches the vertex.
+    best[k] is its wait bound, and as indices are integers k =
+    bisect_left(xs, x), so the same k starts the departures at x ... x + 2
+    that a Phase-1 successor counts (`departure_count` at x + 1, inline).
+    Under `unit` steps (adapted CBS) g = x, no label is read or returned,
+    and no row is built: each count is read straight off `plan.visits` and
+    `plan.parked`.  Phase 1 expands, among
     queued states with f <= key, one with the fewest accumulated conflicts
     (`departure_count`); Phase 2 expands by smallest f.  One heap holds both, as (conflicts, f, -x, v, g) and
     (inf, f, -x, v, g), so Phase 2, once begun, is permanent, and when
@@ -387,7 +385,6 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
         t_move = move_cost(instance.agents[agent].delay_prob)
         bound = key + EPS
         phase_1 = h[start] <= bound
-        visits, parked_at = plan.visits, plan.parked
         g_get, push = g.get, heappush
         rows: list = [None] * n   # each vertex's labeled row, built on first read
     queue = [(departure_count(plan, start, agent, 0) if phase_1 else INF, h[start], 0, start,
@@ -423,8 +420,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
                     continue
                 entry = rows[nv]
                 if entry is None:
-                    entry = rows[nv] = (labeled_departure_row(plan, nv, agent)
-                                        if nv in visits or nv in parked_at else EMPTY_ROW)
+                    entry = rows[nv] = labeled_departure_row(plan, nv, agent)
                 xs, parked, best = entry
                 # the departures from nv below index x: bisect_left(xs, x) too
                 k = bisect_right(xs, xm1)

@@ -242,11 +242,14 @@ def compute_labels(plan: Plan, delay_probs: Sequence[float]) -> Plan:
 
 
 def approximate_average_makespan(labeled_plan: Plan) -> float:
-    """max over agents of the label at the last local state."""
+    """max over agents of the label at the last local state.  Raises
+    ValueError on an unlabeled plan or an empty path."""
     out = 0.0
-    for p in labeled_plan.paths:
+    for j, p in enumerate(labeled_plan.paths):
         if p.labels is None:
             raise ValueError("plan is not labeled")
+        if not p.labels:
+            raise ValueError(f"agent {j}: empty path")
         out = max(out, p.labels[-1])
     return out
 

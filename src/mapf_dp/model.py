@@ -10,17 +10,18 @@ Every conflict query goes through one occupancy index of a `Plan` (the
 conflict avoidance table of CBS), keyed by vertex: each vertex's (index,
 agent) visits below each path's last index, in index order, plus one
 "parked at this goal from index X_j on" entry per path, so the goal padding
-stays implicit and a query costs the visits at its vertex.  A plan builds
-its index on first use, or `Plan.derive_index` patches it from another
-plan's built index at the paths that differ, where that costs less; the
-conflict-tree driver derives each root prefix's from the one before and
-each popped node's from the node popped before it, so a node of a large
-plan pays for the paths it changed, not for all of them.  `path_conflicts` finds one path's conflicts with the others
-through it, and holds the vertex, follow and parked rules;
-`enumerate_conflicts` (and so validation) runs it over a plan's own index,
-which `dependency.build_partial_order` reads too.  Each conflict-tree node
-holds one plan, which its low level plans against, and finds a child's new
-conflicts through its parent's index.
+stays implicit and a query costs the visits at its vertex.  Every plan, a
+relabeled one (`Plan.with_labels`) too, builds its index on first use,
+unless `Plan.derive_index` patched it first from another plan's built
+index at the paths that differ, where that costs less; the conflict-tree
+driver derives each root prefix's from the one before and each popped
+node's from the node popped before it, so a node of a large plan pays for
+the paths it changed, not for all of them.  `path_conflicts` finds one
+path's conflicts with the others through it, and holds the vertex, follow
+and parked rules; `enumerate_conflicts` (and so validation) runs it over a
+plan's own index, which `dependency.build_partial_order` reads too.  Each
+conflict-tree node holds one plan, which its low level plans against, and
+finds a child's new conflicts through its parent's index.
 """
 
 from __future__ import annotations
@@ -260,11 +261,10 @@ class Plan:
     `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in order, and
     `parked[v]` holds (X_j, j) for each path j that ends on v, where it
     stays, in agent order.  Both are built on first use, unless
-    `derive_index` patched them from another plan's index first or the plan
-    came from `with_labels`, which shares its source's.  An index is never
-    changed once built, so two indexes may share the lists of the vertices
-    where they agree.  `swap(j, path)` is the plan with j's path replaced
-    (or appended)."""
+    `derive_index` patched them from another plan's index first.  An index
+    is never changed once built, so two indexes may share the lists of the
+    vertices where they agree.  `swap(j, path)` is the plan with j's path
+    replaced (or appended)."""
 
     paths: tuple[Path, ...]
 
@@ -293,11 +293,11 @@ class Plan:
         one is not, equal to a fresh build: move the entries of each agent
         whose vertex tuple differs by identity (or exists in one plan only),
         and share `source`'s lists at every other vertex.  This plan keeps no
-        reference to `source`.  A plan of fewer than `DERIVE_SPAN` paths, or
-        one where more than one agent in `DERIVE_SPAN` differs, is left to a
-        fresh build on first use, which then costs less."""
+        reference to `source`.  A plan where more than one agent in
+        `DERIVE_SPAN` differs (below `DERIVE_SPAN` paths, any agent) is left
+        to a fresh build on first use, which then costs less."""
         built, old, new = vars(source), source.paths, self.paths
-        if "visits" in vars(self) or "visits" not in built or len(new) < DERIVE_SPAN:
+        if "visits" in vars(self) or "visits" not in built:
             return
         changed = [j for j, (p, q) in enumerate(zip(old, new)) if p.vertices is not q.vertices]
         changed += range(min(len(old), len(new)), max(len(old), len(new)))
@@ -331,16 +331,11 @@ class Plan:
         return sum(p.last_index for p in self.paths)
 
     def with_labels(self, labels: Sequence[Sequence[float]]) -> "Plan":
-        """This plan's paths with one row of `labels` each, and this plan's
-        index, if built: the vertices are the same."""
+        """This plan's paths with one row of `labels` each.  The new plan
+        builds or derives its index like any other."""
         if len(labels) != len(self.paths):
             raise ValueError(f"{len(labels)} label rows for {len(self.paths)} paths")
-        labeled = Plan(tuple(Path(p.vertices, tuple(lb)) for p, lb in zip(self.paths, labels)))
-        built = vars(self)
-        for name in ("visits", "parked"):
-            if name in built:
-                setattr(labeled, name, built[name])
-        return labeled
+        return Plan(tuple(Path(p.vertices, tuple(lb)) for p, lb in zip(self.paths, labels)))
 
 
 def _patched(index: dict[int, list[tuple[int, int]]], drop: dict[int, list[tuple[int, int]]],

@@ -26,8 +26,8 @@ equals counting messages:
 A run deadlocks when no agent is commanded GO and no message was sent in
 the last `latency` steps, so none is in flight.
 
-`run_execution` is one run, the view that `record=True` snapshots and
-scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
+`run_execution` is one run, with the local states of every step, the view
+that scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
 generator `run_seed(seed, k)`, on one `RunLoop` per call.  Below its
 policy's `MC_LOCKSTEP_WORK` runs x agents, or when every path has a single
 state, the loop runs them one by one; from there on `LockStep`, built from the loop's
@@ -96,7 +96,7 @@ class ExecutionTrace:
     makespan: Optional[int]
     messages_sent: int
     collisions: list[Collision]
-    snapshots: Optional[list[tuple[int, ...]]] = None   # local states per step
+    snapshots: list[tuple[int, ...]]   # local states per step, from step 0
 
 
 @dataclass
@@ -310,16 +310,16 @@ class RunLoop:
 def run_execution(instance: Instance, plan: Plan, policy: str, rng,
                   schedule: Optional[dict] = None,
                   horizon_cap: Optional[int] = None,
-                  latency: int = 0,
-                  record: bool = False) -> ExecutionTrace:
-    """Execute a plan once under the given policy and seeded rng."""
+                  latency: int = 0) -> ExecutionTrace:
+    """Execute a plan once under the given policy and seeded rng, and keep
+    its collisions and the local states of every step."""
     check_options(policy, latency, horizon_cap)
     if isinstance(rng, int):
         rng = random.Random(rng)
     if horizon_cap is None:
         horizon_cap = default_horizon_cap(plan)
     collisions: list[Collision] = []
-    snapshots = [(0,) * plan.n_agents] if record else None
+    snapshots = [(0,) * plan.n_agents]
     status, makespan, sent, _ = RunLoop(instance, plan, policy, schedule).run(
         rng, horizon_cap, latency, collisions, snapshots)
     return ExecutionTrace(status, makespan, sent, collisions, snapshots)

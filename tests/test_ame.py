@@ -278,6 +278,15 @@ class TestSolveAme:
         assert result.status == "timeout"
         assert 0 < result.high_level_expanded < SolveLimits().high_level_expansions
 
+    @pytest.mark.parametrize("seed, hl, ll, kd", [(35, 33, 2994, 2), (7, 71, 3237, 8)])
+    def test_key_decreases(self, seed, hl, ll, kd):
+        # children whose key fell below their parent's by more than EPS;
+        # children whose key equals their parent's do not count
+        result = solve_ame(generate_random_instance(6, 6, 0.2, 4, (0.0, 0.5), seed))
+        assert result.solved
+        assert (result.high_level_expanded, result.low_level_expanded,
+                result.key_decreases) == (hl, ll, kd)
+
     def test_time_limit(self):
         inst = generate_random_instance(20, 20, 0.1, 10, (0, 0.5), 0)
         limits = SolveLimits(time_s=1e-9)

@@ -313,6 +313,11 @@ class TestComputeLabels:
         lp = compute_labels(Plan((Path(()), Path((1, 2)))), [0.5, 0.5])
         assert [p.labels for p in lp.paths] == [(), (0.0, 2.0)]
 
+    def test_empty_path_has_no_makespan(self):
+        lp = compute_labels(Plan((Path((0, 1)), Path(()))), [0.5, 0.5])
+        with pytest.raises(ValueError, match="^agent 1: empty path$"):
+            approximate_average_makespan(lp)
+
     def test_monotone_by_at_least_one(self, pocket_long_plan):
         lp = compute_labels(pocket_long_plan, [0.5, 0.5])
         for p in lp.paths:

@@ -197,13 +197,18 @@ class TestWithLabels:
         with pytest.raises(ValueError, match=f"^{len(rows)} label rows for 2 paths$"):
             plan.with_labels(rows)
 
-    def test_shares_the_built_index(self):
+    def test_keeps_the_vertices_and_builds_its_own_index(self):
+        # the relabeled plan keeps each vertex tuple, so it may derive its
+        # index from its source with no path changed, sharing every list
         plan = Plan((Path((0, 1)), Path((2, 2))))
-        assert "visits" not in vars(plan.with_labels([(0.0, 1.0), (0.0, 1.0)]))
         visits, parked = plan.visits, plan.parked
         labeled = plan.with_labels([(0.0, 2.0), (0.0, 1.0)])
         assert labeled.paths[0].labels == (0.0, 2.0)
-        assert labeled.visits is visits and labeled.parked is parked
+        assert all(p.vertices is q.vertices for p, q in zip(plan.paths, labeled.paths))
+        assert "visits" not in vars(labeled) and "parked" not in vars(labeled)
+        labeled.derive_index(plan)
+        assert labeled.visits == visits and labeled.parked == parked
+        assert all(labeled.visits[v] is visits[v] for v in visits)
 
 
 class TestEarliestConflict:

@@ -369,9 +369,11 @@ def derive(source, plan, patched=True):
 
 
 def relabel(plan):
+    """`plan` relabeled, with its index derived from `plan`'s, so the chain
+    of derivations goes on: no path changed, so every list is shared."""
     labeled = plan.with_labels([[2.0 * x for x in range(len(p.vertices))] for p in plan.paths])
-    assert labeled.visits is plan.visits and labeled.parked is plan.parked
-    return labeled
+    assert "visits" not in vars(labeled)
+    return derive(plan, labeled)
 
 
 @given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
@@ -404,6 +406,9 @@ def test_small_plans_are_built_afresh():
     small.derive_index(source)
     assert "visits" not in vars(small)
     assert small.visits == Plan(small.paths).visits
+    one = small.swap(1, Path((2, 2, 12)))   # one agent in fewer than DERIVE_SPAN
+    one.derive_index(small)
+    assert "visits" not in vars(one)
 
 
 def test_derived_index_keeps_no_source_alive(monkeypatch):

@@ -175,7 +175,7 @@ def test_random_walks_match_run_execution(name, policy, latency):
             lagged = advance(lagged, gos, failed)
             snapshots.append(lagged[-1])
         stub = StubRng(draws)
-        trace = run_execution(probs, plan, policy, stub, latency=latency, record=True)
+        trace = run_execution(probs, plan, policy, stub, latency=latency)
         assert (trace.status, trace.snapshots, trace.collisions, stub.draws) == \
             ("done", snapshots, [], [])
 

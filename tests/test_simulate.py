@@ -48,7 +48,7 @@ def two_lines(plan, p=0.5):
 def scripted(instance, plan, policy, draws, **kw):
     """Run on scripted draws; every draw must be used."""
     rng = StubRng(draws)
-    tr = run_execution(instance, plan, policy, rng, record=True, **kw)
+    tr = run_execution(instance, plan, policy, rng, **kw)
     assert rng.draws == []
     return tr
 
@@ -123,8 +123,8 @@ class TestCommands:
         plan = Plan((Path((0, 1)), Path((2, 3))))
         inst = two_lines(plan)
         for k in range(20):
-            assert run_execution(inst, plan, "mcp", run_seed(8, k), record=True).snapshots \
-                == run_execution(inst, plan, "dummy", run_seed(8, k), record=True).snapshots
+            assert run_execution(inst, plan, "mcp", run_seed(8, k)).snapshots \
+                == run_execution(inst, plan, "dummy", run_seed(8, k)).snapshots
 
 
 class TestRunExecution:
@@ -194,8 +194,7 @@ class TestRunExecution:
                 run()
 
     def test_trace_recording(self, pocket_instance, pocket_valid_plan):
-        tr = run_execution(pocket_instance, pocket_valid_plan, "mcp",
-                           run_seed(0, 0), record=True)
+        tr = run_execution(pocket_instance, pocket_valid_plan, "mcp", run_seed(0, 0))
         assert tr.snapshots[0] == (0, 0)
         assert tr.snapshots[-1] == tuple(
             p.last_index for p in pocket_valid_plan.paths)
@@ -210,7 +209,7 @@ class TestRunExecution:
                  1: [(), ((0, 1),), ()]}
         for latency in (0, 2):
             tr = run_execution(two_lines(plan), plan, "mcp", StubRng([]),
-                               schedule=waits, latency=latency, record=True)
+                               schedule=waits, latency=latency)
             # agent 1's message from step 0 is in flight until step latency
             assert tr.status == "deadlock" and tr.makespan is None
             assert tr.messages_sent == 1
@@ -265,7 +264,7 @@ def assert_matches_oracle(instance, plan, policy, rng_of, horizon_cap=None,
                           latency=0):
     """Status, makespan, messages, collisions in order and snapshots agree."""
     new = run_execution(instance, plan, policy, rng_of(), horizon_cap=horizon_cap,
-                        latency=latency, record=True)
+                        latency=latency)
     old = sim_oracle.run_execution(instance, plan, policy, rng_of(),
                                    horizon_cap=horizon_cap, latency=latency,
                                    record=True)
@@ -361,8 +360,7 @@ class TestFspLevels:
     def test_arbitrary_plans(self, paths, latency, seed):
         inst, plan = arbitrary_case(paths)
         for k in range(3):
-            tr = run_execution(inst, plan, "fsp", run_seed(seed, k), latency=latency,
-                               record=True)
+            tr = run_execution(inst, plan, "fsp", run_seed(seed, k), latency=latency)
             self.assert_two_levels(plan, tr.snapshots)
 
     @pytest.mark.parametrize("case", range(4))
@@ -370,8 +368,7 @@ class TestFspLevels:
         inst, plan = solved_plans()[case]
         for latency in range(4):
             for k in range(10):
-                tr = run_execution(inst, plan, "fsp", run_seed(latency, k), latency=latency,
-                                   record=True)
+                tr = run_execution(inst, plan, "fsp", run_seed(latency, k), latency=latency)
                 assert tr.status == "done"
                 self.assert_two_levels(plan, tr.snapshots)
 
@@ -768,11 +765,10 @@ def held_run(plan, schedule, j, y):
     probs = SimpleNamespace(agents=[SimpleNamespace(delay_prob=0.9 if k == j else 0.1)
                                     for k in range(plan.n_agents)])
     free = run_execution(probs, plan, "mcp", SimpleNamespace(random=lambda: 1.0),
-                         schedule=schedule, record=True)
+                         schedule=schedule)
     passed = draws_before_move(plan, free.snapshots, j, y)
     rng = StubRng([1.0] * passed + [0.5] * (cap * plan.n_agents))
-    trace = run_execution(probs, plan, "mcp", rng, schedule=schedule, horizon_cap=cap,
-                          record=True)
+    trace = run_execution(probs, plan, "mcp", rng, schedule=schedule, horizon_cap=cap)
     assert trace.snapshots[-1][j] == y - 1
     return trace
 
