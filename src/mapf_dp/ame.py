@@ -261,13 +261,13 @@ def trace_back(parent: dict[int, int], state: int, n: int) -> list[int]:
 
 def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
         list[int], list[int], list[float]]:
-    """(xs, parked, best) of vertex v over every labeled path of `plan` but
+    """(xs, since, best) of vertex v over every labeled path of `plan` but
     `agent`'s: the departures from v, the x < X_j with l_j(x) = v, in order,
-    X_j of each path j that ends on v, and best[k], the largest label at x+1
-    of the first k departures (-inf if 0).  One pass over the visits at v
-    builds the row, as the low level reads it under labels (AME) for every
-    vertex it reaches, on first read; only that cost model reads labels.  A
-    vertex that no other path visits or ends on gets ([], [], [-inf])."""
+    X_j of the path j parked on v (inf if none), and best[k], the largest
+    label at x+1 of the first k departures (-inf if 0).  One pass over the
+    visits at v builds the row, as the low level reads it under labels (AME)
+    for every vertex it reaches, on first read; only that cost model reads
+    labels.  A vertex no other path visits or ends on gets ([], inf, [-inf])."""
     paths = plan.paths
     xs, best = [], [-INF]
     top = -INF
@@ -278,9 +278,8 @@ def labeled_departure_row(plan: Plan, v: int, agent: int) -> tuple[
             if label > top:
                 top = label
             best.append(top)
-    here = plan.parked.get(v)
-    parked = [since for since, j in here if j != agent] if here else []
-    return xs, parked, best
+    since, j = plan.parked.get(v, (INF, agent))
+    return xs, since if j != agent else INF, best
 
 
 def departure_count(plan: Plan, v: int, agent: int, x: int) -> int:
@@ -300,9 +299,9 @@ def departure_count(plan: Plan, v: int, agent: int, x: int) -> int:
                 break
             if j != agent:
                 count += 1
-    for since, j in plan.parked.get(v, ()):
-        if j != agent and since <= x + 1:
-            count += min(x - since + 2, 3)
+    since, j = plan.parked.get(v, (INF, agent))
+    if j != agent and since <= x + 1:
+        count += min(x - since + 2, 3)
     return count
 
 
@@ -310,7 +309,7 @@ def parked_count(plan: Plan, v: int, agent: int, since: int) -> int:
     """The conflict increment of one more path that ends on v at index `since`
     and stays there, against every path of `plan` but `agent`'s: a departure
     at y >= since - 1 counts min(y - since + 2, 3), as `path_conflicts`
-    counts a parked agent.  Paths parked on v too are not counted, as there."""
+    counts a parked agent."""
     here = plan.visits.get(v, ())
     return sum(min(y - since + 2, 3)
                for y, j in islice(here, bisect_left(here, (since - 1,)), None) if j != agent)
@@ -421,7 +420,7 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
                 entry = rows[nv]
                 if entry is None:
                     entry = rows[nv] = labeled_departure_row(plan, nv, agent)
-                xs, parked, best = entry
+                xs, since, best = entry
                 # the departures from nv below index x: bisect_left(xs, x) too
                 k = bisect_right(xs, xm1)
                 wait = best[k]   # the others' latest departure from nv at an index below x
@@ -434,12 +433,10 @@ def low_level_search(instance: Instance, agent: int, plan: Plan,
                     f_new = g_new + h[nv]
                     if f_new <= limit:   # a Phase-1 state
                         # `departure_count` at nx: departures at x ... x + 2,
-                        # and paths parked since x + 2 or earlier
+                        # and a path parked since x + 2 or earlier
                         count = conflicts + bisect_right(xs, x2, k) - k
-                        if parked:
-                            for since in parked:
-                                if since <= x2:
-                                    count += min(x2 + 1 - since, 3)
+                        if since <= x2:
+                            count += min(x2 + 1 - since, 3)
                         push(queue, (count, f_new, negnx, nv, g_new))
                     else:
                         push(queue, (INF, f_new, negnx, nv, g_new))

@@ -8,15 +8,15 @@ because a finished agent keeps occupying its goal during execution.
 
 Every conflict query goes through one occupancy index of a `Plan` (the
 conflict avoidance table of CBS), keyed by vertex: each vertex's (index,
-agent) visits below each path's last index, in index order, plus one
-"parked at this goal from index X_j on" entry per path, so the goal padding
+agent) visits below each path's last index, in index order, and the one path
+parked on it from index X_j on (two raise ValueError), so the goal padding
 stays implicit and a query costs the visits at its vertex.  Every plan, a
 relabeled one (`Plan.with_labels`) too, builds its index on first use,
-unless `Plan.derive_index` patched it first from another plan's built
-index at the paths that differ, where that costs less; the conflict-tree
-driver derives each root prefix's from the one before and each popped
-node's from the node popped before it, so a node of a large plan pays for
-the paths it changed, not for all of them.  `path_conflicts` finds one
+unless `Plan.derive_index` patched its visits first from another plan's
+built index at the paths that differ, where that costs less; the
+conflict-tree driver derives each root prefix's from the one before and each
+popped node's from the node popped before it, so a node of a large plan pays
+for the paths it changed, not for all of them.  `path_conflicts` finds one
 path's conflicts with the others through it, and holds the vertex, follow
 and parked rules; `enumerate_conflicts` (and so validation) runs it over a
 plan's own index, which `dependency.build_partial_order` reads too.  Each
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import islice
-from operator import itemgetter
 from typing import Optional, Sequence
 
 INF = math.inf
@@ -259,12 +258,12 @@ class Path:
 class Plan:
     """The paths, numbered by agent, and their occupancy index:
     `visits[v]` holds (x, j) for each x < X_j with l_j(x) = v, in order, and
-    `parked[v]` holds (X_j, j) for each path j that ends on v, where it
-    stays, in agent order.  Both are built on first use, unless
-    `derive_index` patched them from another plan's index first.  An index
-    is never changed once built, so two indexes may share the lists of the
-    vertices where they agree.  `swap(j, path)` is the plan with j's path
-    replaced (or appended)."""
+    `parked[v]` is (X_j, j) for the one path j that ends on v, where it
+    stays: two raise ValueError, as no plan of an `Instance` has them.  Both
+    are built on first use, unless `derive_index` patched `visits` first.
+    An index is never changed once built, so two indexes may share the
+    lists of the vertices where they agree.  `swap(j, path)` is the plan
+    with j's path replaced (or appended)."""
 
     paths: tuple[Path, ...]
 
@@ -282,18 +281,18 @@ class Plan:
         return visits
 
     @cached_property
-    def parked(self) -> dict[int, list[tuple[int, int]]]:
-        parked: dict[int, list[tuple[int, int]]] = {}
-        for j, p in enumerate(self.paths):
-            parked.setdefault(p.vertices[-1], []).append((p.last_index, j))
+    def parked(self) -> dict[int, tuple[int, int]]:
+        parked = {p.vertices[-1]: (p.last_index, j) for j, p in enumerate(self.paths)}
+        if len(parked) < len(self.paths):
+            raise ValueError("two paths end on one vertex")
         return parked
 
     def derive_index(self, source: "Plan") -> None:
-        """Build this plan's index from `source`'s, if that is built and this
-        one is not, equal to a fresh build: move the entries of each agent
-        whose vertex tuple differs by identity (or exists in one plan only),
-        and share `source`'s lists at every other vertex.  This plan keeps no
-        reference to `source`.  A plan where more than one agent in
+        """Build this plan's visits from `source`'s, if built there and not
+        here, equal to a fresh build: move the entries of each agent whose
+        vertex tuple differs by identity (or exists in one plan only), and
+        share `source`'s other lists; `parked` is built afresh.  This plan
+        keeps no reference to `source`.  A plan where more than one agent in
         `DERIVE_SPAN` differs (below `DERIVE_SPAN` paths, any agent) is left
         to a fresh build on first use, which then costs less."""
         built, old, new = vars(source), source.paths, self.paths
@@ -304,16 +303,13 @@ class Plan:
         if DERIVE_SPAN * len(changed) > len(new):
             return
         visits: tuple[dict, dict] = ({}, {})   # entries to drop, to add, by vertex
-        parked: tuple[dict, dict] = ({}, {})
         for j in changed:
             for side, paths in ((0, old), (1, new)):   # drop the old entries, add the new
                 if j < len(paths):
                     vs = paths[j].vertices
                     for x in range(len(vs) - 1):
                         visits[side].setdefault(vs[x], []).append((x, j))
-                    parked[side].setdefault(vs[-1], []).append((len(vs) - 1, j))
-        self.visits = _patched(built["visits"], *visits, None)
-        self.parked = _patched(source.parked, *parked, itemgetter(1))
+        self.visits = _patched(built["visits"], *visits)
 
     def swap(self, j: int, path: Path) -> "Plan":
         return Plan(self.paths[:j] + (path,) + self.paths[j + 1:])
@@ -338,19 +334,19 @@ class Plan:
         return Plan(tuple(Path(p.vertices, tuple(lb)) for p, lb in zip(self.paths, labels)))
 
 
-def _patched(index: dict[int, list[tuple[int, int]]], drop: dict[int, list[tuple[int, int]]],
-             add: dict[int, list[tuple[int, int]]], key) -> dict[int, list[tuple[int, int]]]:
-    """A copy of `index` (visits or parked) without the entries of `drop`
-    and with those of `add`, both by vertex, each list kept in the order of
-    `key`: the vertices in `drop` or `add` get new lists, dropped if empty,
-    and every other vertex keeps `index`'s list."""
-    out = dict(index)
+def _patched(visits: dict[int, list[tuple[int, int]]], drop: dict[int, list[tuple[int, int]]],
+             add: dict[int, list[tuple[int, int]]]) -> dict[int, list[tuple[int, int]]]:
+    """A copy of `visits` without the entries of `drop` and with those of
+    `add`, both by vertex, each list kept in order: the vertices in `drop`
+    or `add` get new lists, dropped if empty, and every other vertex keeps
+    `visits`'s list."""
+    out = dict(visits)
     for v in drop.keys() | add.keys():
-        here = list(index.get(v, ()))
+        here = list(visits.get(v, ()))
         for e in drop.get(v, ()):
-            del here[bisect_left(here, e if key is None else key(e), key=key)]
+            del here[bisect_left(here, e)]
         for e in add.get(v, ()):
-            insort(here, e, key=key)
+            insort(here, e)
         if here:
             out[v] = here
         else:
@@ -422,16 +418,16 @@ def check_path_wellformed(instance: Instance, agent: AgentSpec, path: Path) -> l
 
 
 def path_conflicts(plan: Plan, a: int, path: Path, upto: float = INF) -> list[Conflict]:
-    """The conflicts between `path`, as agent a's, and the goal-padded path
-    of each agent b of `plan` with b != a and b < `upto`; a's own entries in
+    """The conflicts between `path`, as agent a's, and the goal-padded path of
+    each agent b of `plan` with b != a and b < `upto`; a's own entries in
     `plan`, if any, are skipped.  The one home of the conflict rules: a state
     of a at (v, x) conflicts with b at (v, x) (vertex), at (v, x - 1) (a
     follows b) and at (v, x + 1) (b follows a).  a's states x < X_a meet b's
-    visits at x - 1 ... x + 1, one bisect into `visits[v]`, and b's parked
-    entry; a parked on its goal from X_a on meets b's visits of that goal
-    from index X_a - 1 on.  Precondition: no two paths end on one goal, as
-    in every plan of an `Instance`; two agents parked on one goal would meet
-    in their parked entries alone, which no query reads."""
+    visits at x - 1 ... x + 1, one bisect into `visits[v]`, and the path
+    parked on v; a parked on its goal from X_a on meets b's visits of that
+    goal from index X_a - 1 on.  Two paths parked on one vertex would meet in
+    their parked entries alone, which no query reads: `path` ending where a
+    path of `plan` ends raises ValueError."""
     V, F = ConflictKind.VERTEX, ConflictKind.FOLLOW
     visits, parked = plan.visits, plan.parked
     vs = path.vertices
@@ -445,14 +441,16 @@ def path_conflicts(plan: Plan, a: int, path: Path, upto: float = INF) -> list[Co
             if b != a and b < upto:
                 conflicts.append(Conflict(V, min(a, b), max(a, b), v, x) if y == x else
                                  Conflict(F, a, b, v, y) if y < x else Conflict(F, b, a, v, x))
-        for since, b in parked.get(v, ()):   # b sits on v from `since` on
-            if b != a and b < upto and since <= x + 1:
-                if since <= x:
-                    conflicts.append(Conflict(V, min(a, b), max(a, b), v, x))
-                if since < x:
-                    conflicts.append(Conflict(F, a, b, v, x - 1))
-                conflicts.append(Conflict(F, b, a, v, x))
+        since, b = parked.get(v, (INF, a))   # b sits on v from `since` on
+        if b != a and b < upto and since <= x + 1:
+            if since <= x:
+                conflicts.append(Conflict(V, min(a, b), max(a, b), v, x))
+            if since < x:
+                conflicts.append(Conflict(F, a, b, v, x - 1))
+            conflicts.append(Conflict(F, b, a, v, x))
     goal, since = vs[-1], len(vs) - 1   # a sits on its goal from `since` on
+    if parked.get(goal, (INF, a))[1] != a:
+        raise ValueError("two paths end on one vertex")
     here = visits.get(goal, ())
     for x, b in islice(here, bisect_left(here, (since - 1,)), None):
         if b != a and b < upto:
@@ -468,11 +466,11 @@ def enumerate_conflicts(plan: Plan) -> list[Conflict]:
     """All vertex/follow violations between goal-padded paths.
 
     Each pair is found once by `path_conflicts`, from its larger id's side,
-    over the plan's own index.  Precondition: no two paths end on one goal.
-    It holds for every plan of an `Instance`, which forbids shared goals,
-    and `validate_plan` returns on a path that misses its goal before it
-    gets here.  The list is unordered: the solvers read its length and its
-    minimum by `Conflict.sort_key`.
+    over the plan's own index, so two paths that end on one vertex raise
+    ValueError: an `Instance` forbids shared goals, and `validate_plan`
+    returns on a path that misses its goal before it gets here.  The list
+    is unordered: the solvers read its length and its minimum by
+    `Conflict.sort_key`.
     """
     conflicts = []
     for a, p in enumerate(plan.paths):

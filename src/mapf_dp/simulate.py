@@ -24,7 +24,10 @@ equals counting messages:
   only grows.
 
 A run deadlocks when no agent is commanded GO and no message was sent in
-the last `latency` steps, so none is in flight.
+the last `latency` steps, so none is in flight.  From latency = horizon cap
+on, no message sent in a run is read before the cap, and none lands, so
+both engines run with min(latency, cap): any latency gives the statistics
+and traces of the cap, and costs no more memory.
 
 `run_execution` is one run, with the local states of every step, the view
 that scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
@@ -321,7 +324,7 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
     collisions: list[Collision] = []
     snapshots = [(0,) * plan.n_agents]
     status, makespan, sent, _ = RunLoop(instance, plan, policy, schedule).run(
-        rng, horizon_cap, latency, collisions, snapshots)
+        rng, horizon_cap, min(latency, horizon_cap), collisions, snapshots)
     return ExecutionTrace(status, makespan, sent, collisions, snapshots)
 
 
@@ -530,6 +533,7 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     check_runs(n_runs)
     check_seed(seed)
     cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
+    latency = min(latency, cap)
     loop = RunLoop(instance, plan, policy)
     if plan.max_index and n_runs * plan.n_agents >= MC_LOCKSTEP_WORK[policy]:
         outcomes = LockStep(loop, cap).outcomes(seed, n_runs, latency)

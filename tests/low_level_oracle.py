@@ -68,7 +68,7 @@ def departure_row(occ: Plan, v: int,
                 counts[y] += 1
             xs.append(x)
             best.append(max(best[-1], paths[j].labels[x + 1]))
-    for since, j in occ.parked.get(v, ()):
+    for since, j in [occ.parked[v]] if v in occ.parked else ():
         if j != agent:
             for y in range(max(since - 1, 0), end + 1):
                 counts[y] += min(y - since + 2, 3)
@@ -84,7 +84,7 @@ def conflict_row(plan: Plan, v: int, agent: int) -> tuple[list[int], list[int]]:
     at v; `row_count` and `row_parked_count` read conflict increments from
     it, and it needs no labels."""
     xs = [x for x, j in plan.visits.get(v, ()) if j != agent]
-    parked = [since for since, j in plan.parked.get(v, ()) if j != agent]
+    parked = [since for since, j in ([plan.parked[v]] if v in plan.parked else ()) if j != agent]
     return xs, parked
 
 

@@ -205,11 +205,22 @@ class TestAvoidance:
         assert expansions == 17
 
 
+def fresh_end(walk, paths) -> int:
+    """The length of the longest prefix of `walk` that ends on no vertex that
+    one of `paths` ends on, as the paths of a plan end on distinct vertices;
+    a draw whose walk has none is rejected."""
+    ends = {p.vertices[-1] for p in paths}
+    fresh = [k for k, v in enumerate(walk, 1) if v not in ends]
+    assume(fresh)
+    return fresh[-1]
+
+
 @st.composite
 def unit_low_level_cases(draw):
     """A replan of adapted CBS on a small grid: 1-4 agents, random walks for
     the agents in the plan (the replanned one included or not yet planned),
-    random constraints on the replanned agent, some on its goal, which may
+    cut to distinct ends, random constraints on the replanned agent, some on
+    its goal, which may
     be its start, an expansion cap of 1-40 or the default, and a key: -1
     (the shortest search) or a bound from the shortest length L* (0 if there
     is none) up to past the shortest search's index cap, 4|V| plus the
@@ -235,7 +246,7 @@ def unit_low_level_cases(draw):
         for _ in range(draw(st.integers(0, 40))):
             options = (vertices[-1],) + graph.adjacency[vertices[-1]]
             vertices.append(options[max(draw(st.integers(-5, 3)), 0) % len(options)])
-        paths.append(Path(tuple(vertices)))
+        paths.append(Path(tuple(vertices[:fresh_end(vertices, paths)])))
     if not draw(st.booleans()):
         paths = paths[:agent]
     vertex = st.one_of(st.integers(0, n_free - 1), st.just(goals[agent]))

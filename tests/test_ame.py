@@ -16,7 +16,7 @@ from mapf_dp.model import (Conflict, ConflictKind, enumerate_conflicts,
                            parse_map, shortest_path_distances)
 from tests.conftest import C2, POCKET
 from tests.low_level_oracle import low_level_search as two_heap_search
-from tests.test_adapted_cbs import spy_low_level
+from tests.test_adapted_cbs import fresh_end, spy_low_level
 from tests.test_occupancy import conflict_increment, wait_bound
 
 
@@ -385,10 +385,11 @@ def test_low_level_gets_its_agents_own_constraints(monkeypatch, solver):
 
 @st.composite
 def low_level_cases(draw):
-    """A replan on a small grid: 1-4 agents, random labeled walks for the
-    agents in the index (the replanned one included or not yet indexed),
-    random constraints on the replanned agent, a key, a small expansion cap,
-    and the hop distances to the goal or, at random, arbitrary ones."""
+    """A replan on a small grid: 1-4 agents, random labeled walks cut to
+    distinct ends for the agents in the index (the replanned one included or
+    not yet indexed), random constraints on the replanned agent, a key, a
+    small expansion cap, and the hop distances to the goal or, at random,
+    arbitrary ones."""
     w, h = draw(st.integers(2, 4)), draw(st.integers(1, 4))
     blocked = draw(st.sets(st.integers(0, w * h - 1), max_size=w * h // 3))
     graph = parse_map("\n".join("".join("@" if y * w + x in blocked else "."
@@ -407,7 +408,8 @@ def low_level_cases(draw):
             options = (vertices[-1],) + graph.adjacency[vertices[-1]]
             vertices.append(options[draw(st.integers(0, 4)) % len(options)])
             labels.append(labels[-1] + draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])))
-        paths.append(Path(tuple(vertices), tuple(labels)))
+        k = fresh_end(vertices, paths)
+        paths.append(Path(tuple(vertices[:k]), tuple(labels[:k])))
     agent = draw(st.integers(0, n - 1))
     if not draw(st.booleans()):
         paths = paths[:agent]   # the root plans `agent` before indexing it

@@ -10,7 +10,7 @@ from mapf_dp.bench import BenchConfig, run_bench
 from mapf_dp.cli import (EXIT_INVALID, EXIT_NO_SOLUTION, EXIT_OK,
                          EXIT_TIMEOUT, EXIT_USAGE, build_parser, main)
 from mapf_dp.dependency import approximate_average_makespan
-from mapf_dp.simulate import RunStats, monte_carlo
+from mapf_dp.simulate import RunStats, default_horizon_cap, monte_carlo
 
 
 def gen_instance(tmp_path, **over):
@@ -343,6 +343,31 @@ class TestSimulate:
                 f"{k}={v:.4f}\n" if isinstance(v, float) else f"{k}={v}\n"
                 for k, v in stats.as_dict().items())
 
+    def test_checksum_mismatch_exit_four(self, tmp_path, capsys):
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        plan, _ = mapio.read_plan(plan_p)
+        mapio.write_plan(plan_p, plan, "0" * 16)
+        assert main(["simulate", str(map_p), str(agents_p), str(plan_p),
+                     "--policy", "dummy", "--runs", "5"]) == EXIT_INVALID
+        captured = capsys.readouterr()
+        assert captured.err == "plan checksum does not match the instance\n"
+        assert "mean_makespan" not in captured.out
+
+    def test_latency_past_the_cap_acts_as_the_cap(self, tmp_path, capsys):
+        # a latency too large for a machine integer once ended in a traceback
+        map_p, agents_p = gen_instance(tmp_path)
+        plan_p = tmp_path / "plan.json"
+        main(["solve", str(map_p), str(agents_p), "--out", str(plan_p)])
+        plan, _ = mapio.read_plan(plan_p)
+        argv = ["simulate", str(map_p), str(agents_p), str(plan_p), "--runs", "20"]
+        printed = []
+        for latency in (default_horizon_cap(plan), 10**30):
+            capsys.readouterr()
+            assert main(argv + ["--latency", str(latency)]) == EXIT_OK
+            printed.append(capsys.readouterr())
+        assert printed[0] == printed[1] and printed[0].err == ""
+        assert "mean_makespan=" in printed[0].out
+
     @pytest.mark.parametrize("options", [["--latency", "-1"], ["--horizon", "0"]])
     def test_bad_latency_or_horizon_exit_one(self, tmp_path, capsys, options):
         map_p, agents_p = gen_instance(tmp_path)
@@ -485,8 +510,12 @@ class TestBench:
         (lambda: BenchConfig(blocked_fraction=2.0),
          "blocked fraction must be in [0, 1], got 2.0"),
         (lambda: BenchConfig(experiment="exp5"), "unknown experiment 'exp5'"),
+        (lambda: BenchConfig(solvers=()), "empty solver set"),
+        (lambda: BenchConfig(solvers=("ame", "x")), "unknown solvers: ['x']"),
+        (lambda: bench.solve_with("x", None, SolveLimits()), "unknown solver 'x'"),
         (lambda: SolveLimits(time_s=0), "time limit must be positive, got 0"),
-    ], ids=["p-hi", "width", "blocked", "experiment", "time-limit"])
+    ], ids=["p-hi", "width", "blocked", "experiment", "no-solver", "unknown-solver",
+            "solve-with-unknown", "time-limit"])
     def test_config_checked_at_construction(self, make, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             make()
@@ -693,6 +722,13 @@ class TestErrors:
                           '{"id": 1, "path": [3, 2, 1, 0]}]}')
         assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_INVALID
         assert "path error: agent 0: vertex 99 is not in the graph" in capsys.readouterr().out
+
+    def test_shared_goal_exit_one(self, tmp_path, capsys):
+        # no two agents may end on one vertex, the invariant of the occupancy index
+        map_p, agents_p, plan_p = head_on_fixture(tmp_path)
+        agents_p.write_text("0,0,0,3,0,0.5\n1,3,0,3,0,0.5\n")
+        assert main(["validate", str(map_p), str(agents_p), str(plan_p)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: goal vertices are not pairwise distinct\n"
 
     def test_duplicate_agent_id_reported(self, tmp_path, capsys):
         map_p, agents_p, plan_p = head_on_fixture(tmp_path)

@@ -313,6 +313,10 @@ class TestComputeLabels:
         lp = compute_labels(Plan((Path(()), Path((1, 2)))), [0.5, 0.5])
         assert [p.labels for p in lp.paths] == [(), (0.0, 2.0)]
 
+    def test_unlabeled_plan_has_no_makespan(self, pocket_long_plan):
+        with pytest.raises(ValueError, match="^plan is not labeled$"):
+            approximate_average_makespan(pocket_long_plan)
+
     def test_empty_path_has_no_makespan(self):
         lp = compute_labels(Plan((Path((0, 1)), Path(()))), [0.5, 0.5])
         with pytest.raises(ValueError, match="^agent 1: empty path$"):

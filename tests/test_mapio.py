@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mapf_dp import AgentSpec, Graph, Instance, Path, Plan, parse_map
-from mapf_dp.mapio import agents_from_text, instance_checksum, plan_from_json, plan_to_json
+from mapf_dp.mapio import (agents_from_text, agents_to_text, instance_checksum, plan_from_json,
+                           plan_to_json)
 from mapf_dp.model import MapError
 
 GRID = parse_map("....\n.@..\n....\n")
@@ -56,6 +57,14 @@ class TestAgentsFromText:
             agents_from_text(GRID, "0,0,0,3,0,1.5\n")
         with pytest.raises(MapError, match=r"^agents line 1: cell \(1, 1\)"):
             agents_from_text(GRID, "0,1,1,3,0,0.5\n")
+
+
+def test_agents_text_needs_a_grid():
+    graph = Graph.from_edges(2, [(0, 1)])
+    with pytest.raises(MapError, match="^agents file needs grid coordinates$"):
+        agents_to_text(Instance(graph, (AgentSpec(0, 0, 1, 0.5),)))
+    with pytest.raises(MapError, match="^agents file needs grid coordinates$"):
+        agents_from_text(graph, "0,0,0,1,0,0.5\n")
 
 
 def test_instance_checksum_needs_a_grid():

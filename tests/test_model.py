@@ -103,12 +103,28 @@ class TestGraphInvariants:
         with pytest.raises(ValueError):
             Graph(((5,), ()))
 
+    def test_rejects_duplicate_neighbours(self):
+        with pytest.raises(ValueError, match="^duplicate neighbors at vertex 1$"):
+            Graph(((1,), (0, 0)))
+
 
 class TestInstanceInvariants:
     def test_duplicate_starts_rejected(self, pocket_graph):
         with pytest.raises(ValueError):
             Instance(pocket_graph, (AgentSpec(0, C1, C2, 0.5),
                                     AgentSpec(1, C1, C3, 0.5)))
+
+    def test_duplicate_goals_rejected(self, pocket_graph):
+        # the invariant that `Plan.parked` rests on: one path parks per goal
+        with pytest.raises(ValueError, match="^goal vertices are not pairwise distinct$"):
+            Instance(pocket_graph, (AgentSpec(0, C1, C3, 0.5),
+                                    AgentSpec(1, C2, C3, 0.5)))
+
+    @pytest.mark.parametrize("start, goal", [(C1, 5), (-1, C3)], ids=["goal", "start"])
+    def test_start_or_goal_outside_graph_rejected(self, pocket_graph, start, goal):
+        with pytest.raises(ValueError, match="^agent 1: start/goal outside graph$"):
+            Instance(pocket_graph, (AgentSpec(0, C2, C4, 0.5),
+                                    AgentSpec(1, start, goal, 0.5)))
 
     def test_ids_must_match_positions(self):
         # written and read back, these agents would come back ordered by id,
@@ -155,6 +171,20 @@ class TestValidatePlan:
         report = validate_plan(pocket_instance, plan)
         assert report.path_errors
         assert not report.conflicts
+
+    @pytest.mark.parametrize("path, error", [
+        (Path(()), "agent 0: empty path"),
+        (Path((C1, C2, C3)), f"agent 0: path starts at {C1}, not {C2}"),
+        (Path((C2, C3, C4)), f"agent 0: path ends at {C4}, not {C3}"),
+        (Path((C2, C3), (1.0, 2.0)), "agent 0: label at index 0 is 1.0, not 0"),
+    ], ids=["empty", "start", "end", "first-label"])
+    def test_path_errors_name_the_agent(self, pocket_instance, pocket_valid_plan, path, error):
+        plan = pocket_valid_plan.swap(0, path)
+        assert validate_plan(pocket_instance, plan).path_errors == [error]
+
+    def test_labels_and_vertices_must_match_in_number(self):
+        with pytest.raises(ValueError, match="^labels and vertices differ in length$"):
+            Path((C1, C2), (0.0,))
 
     def test_padding_blocks_entering_parked_goal(self, pocket_graph):
         # agent 1 wants to cross agent 0's goal after agent 0 parks there

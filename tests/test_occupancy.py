@@ -40,10 +40,8 @@ def vertex_padded(path, x):
 
 def count(occ, vertex, x):
     """Paths of `occ` at (vertex, x), the parked ones included."""
-    n = sum(y == x for y, _ in occ.visits.get(vertex, ()))
-    for since, _ in occ.parked.get(vertex, ()):
-        n += since <= x
-    return n
+    since, _ = occ.parked.get(vertex, (math.inf, None))
+    return sum(y == x for y, _ in occ.visits.get(vertex, ())) + (since <= x)
 
 
 def conflict_increment(occ, vertex, x):
@@ -104,19 +102,44 @@ def labeled(vertices) -> Path:
     return Path(vertices, tuple(float(x) for x in range(len(vertices))))
 
 
-paths_st = st.lists(st.integers(0, 5), min_size=1, max_size=8).map(tuple)
-plans_st = st.lists(paths_st, min_size=1, max_size=6).map(
-    lambda ps: Plan(tuple(Path(p) for p in ps)))
-SHARED_GOAL = Plan((Path((0, 1, 2)), Path((3, 2)), Path((2,)), Path((4, 4, 1, 2, 5))))
+# each path passes the goal of another, where that one parks
+PASSED_GOALS = Plan((Path((0, 1, 2)), Path((3, 2, 2, 1)), Path((4, 4, 1, 2, 5))))
 
 
 @st.composite
 def distinct_goal_plans(draw):
-    """Plans like `plans_st`'s whose paths end on distinct goals, as every
-    plan of an `Instance` does: the precondition of `enumerate_conflicts`."""
+    """Plans of 1-6 paths over vertices 0-5 that end on distinct goals, as
+    every plan of an `Instance` does and as `Plan.parked` requires."""
     goals = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
     body = st.lists(st.integers(0, 5), max_size=7).map(tuple)
     return Plan(tuple(Path(draw(body) + (g,)) for g in goals))
+
+
+@st.composite
+def shared_end_plans(draw):
+    """(plan, k): a plan of `distinct_goal_plans` with one more path, at any
+    position k, that ends on the goal of another."""
+    paths = list(draw(distinct_goal_plans()).paths)
+    body = draw(st.lists(st.integers(0, 5), max_size=7).map(tuple))
+    end = draw(st.sampled_from(paths)).vertices[-1]
+    k = draw(st.integers(0, len(paths)))
+    paths.insert(k, Path(body + (end,)))
+    return Plan(tuple(paths)), k
+
+
+@given(shared_end_plans())
+@example((Plan((Path((0, 1)), Path((2, 3, 1)))), 1))   # agent 1 enters 1, where 0 sits
+def test_shared_end_is_refused(case):
+    # no query answers for a plan that breaks the index's invariant, nor for
+    # a path that ends where a path of the plan ends
+    plan, k = case
+    with pytest.raises(ValueError, match="^two paths end on one vertex$"):
+        enumerate_conflicts(plan)
+    with pytest.raises(ValueError, match="^two paths end on one vertex$"):
+        find_earliest_conflict(Plan(plan.paths))
+    others = Plan(plan.paths[:k] + plan.paths[k + 1:])
+    with pytest.raises(ValueError, match="^two paths end on one vertex$"):
+        path_conflicts(others, others.n_agents, plan.paths[k])
 
 
 @given(distinct_goal_plans())
@@ -134,8 +157,8 @@ def test_earliest_conflict_matches_pairwise_loop(plan):
     assert find_earliest_conflict(plan) == expected
 
 
-@given(plans_st)
-@example(SHARED_GOAL)
+@given(distinct_goal_plans())
+@example(PASSED_GOALS)
 @settings(max_examples=200)
 def test_low_level_increment_matches_pairwise_sum(plan):
     occ = Plan([labeled(p.vertices) for p in plan.paths])
@@ -200,12 +223,15 @@ def test_carried_conflicts_match_enumeration(case):
 
 
 def test_parked_goal_occupies_every_later_index():
-    occ = Plan((Path((0, 1, 2)), Path((3, 2, 2, 2))))
-    assert [count(occ, 2, x) for x in range(-1, 6)] == [0, 0, 1, 2, 2, 2, 2]
+    # agent 1 waits on agent 0's goal 2 and leaves it for its own, 4
+    occ = Plan((Path((0, 1, 2)), Path((3, 2, 2, 2, 4))))
+    assert [count(occ, 2, x) for x in range(-1, 6)] == [0, 0, 1, 2, 2, 1, 1]
     assert count(occ, 1, 1) == 1 and count(occ, 1, 2) == 0
-    assert occ.parked == {2: [(2, 0), (3, 1)]}
+    assert [count(occ, 4, x) for x in range(2, 6)] == [0, 0, 1, 1]
+    # one (X_j, j) per goal
+    assert occ.parked == {2: (2, 0), 4: (4, 1)}
     # visits below each path's last index, by index, then agent
-    assert occ.visits == {0: [(0, 0)], 1: [(1, 0)], 2: [(1, 1), (2, 1)], 3: [(0, 1)]}
+    assert occ.visits == {0: [(0, 0)], 1: [(1, 0)], 2: [(1, 1), (2, 1), (3, 1)], 3: [(0, 1)]}
 
 
 def pinned(occ, a, path):
@@ -238,12 +264,21 @@ def test_window_edges_are_pinned():
     assert pinned(occ, 0, occ.paths[0]) == [(F, 0, 1, 2, 1)]
 
 
-# labeled paths over vertices 0-5; small integer labels make ties between agents
-labeled_path_st = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)),
-                           min_size=1, max_size=8).map(
-    lambda vl: Path(tuple(v for v, _ in vl), tuple(float(lab) for _, lab in vl)))
-# (agent slot, new path)
-swaps_st = st.lists(st.tuples(st.integers(0, 5), labeled_path_st), max_size=8)
+@st.composite
+def labeled_swaps(draw):
+    """1-6 labeled paths over vertices 0-5 that end on distinct goals, and a
+    sequence of swaps (agent, new labeled path to that agent's goal), as
+    the conflict tree makes; small integer labels make ties between agents."""
+    goals = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6, unique=True))
+    body = st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)), max_size=7)
+
+    def labeled_to(goal):
+        vl = draw(body) + [(goal, draw(st.integers(0, 6)))]
+        return Path(tuple(v for v, _ in vl), tuple(float(lab) for _, lab in vl))
+
+    paths = [labeled_to(g) for g in goals]
+    agents = draw(st.lists(st.integers(0, len(goals) - 1), max_size=8))
+    return paths, [(j, labeled_to(goals[j])) for j in agents]
 
 
 def assert_same_index(occ, paths):
@@ -264,46 +299,51 @@ def assert_same_index(occ, paths):
                 assert wait_bound(fresh, agent, v, x) == expected
 
 
-@given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
+@given(labeled_swaps())
 @settings(max_examples=300, deadline=None)
-def test_swapped_index_matches_fresh_build_and_former_view(paths, swaps):
+def test_swapped_index_matches_fresh_build_and_former_view(case):
     # the root appends paths one by one; each child swaps one path
+    paths, swaps = case
     occ = Plan(())
     for j, p in enumerate(paths):
         occ = occ.swap(j, p)
-    paths = list(paths)
-    for slot, p in swaps:
-        j = slot % len(paths)
+    for j, p in swaps:
         occ = occ.swap(j, p)
         paths[j] = p
     assert_same_index(occ, paths)
 
 
-# three paths parked on vertex 2, one since index 0, and one parked on 1
-SHARED_PARKING = ([Path((0, 2), (0.0, 1.0)), Path((1, 0, 2), (0.0, 1.0, 2.0)),
-                   Path((2,), (0.0,)), Path((2, 1), (0.0, 2.0))], [])
+# agent 0 parks on vertex 2 from index 0 on, agent 2 on vertex 1 from 3 on;
+# agent 1 passes vertex 2 and agent 2 waits there, then agent 1 swaps in a
+# path that passes vertex 1
+PASSED_PARKING = ([Path((2,), (0.0,)), Path((1, 2, 0), (0.0, 1.0, 2.0)),
+                   Path((0, 2, 2, 1), (0.0, 1.0, 3.0, 4.0))],
+                  [(1, Path((3, 1, 0), (0.0, 2.0, 3.0)))])
 
 
-@given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
-@example(*SHARED_PARKING)
+@given(labeled_swaps())
+@example(PASSED_PARKING)
 @settings(max_examples=300, deadline=None)
-def test_departure_count_matches_former_counts(paths, swaps):
+def test_departure_count_matches_former_counts(case):
     # the count read off the index equals the per-call row's and the former
     # row's counts[x], or its last entry past the end, at every vertex and
     # index from 0, for every agent left out, whether its own path is in the
     # plan or not; the end entry's count read off the index equals the
     # row's; the departures and their best labels are the former ones, and
-    # AME's labeled row holds the same conflict row
+    # AME's labeled row holds the same conflict row, its one parked path's
+    # `since` or inf
+    paths, swaps = case
     occ = Plan(())
     for j, p in enumerate(paths):
         occ = occ.swap(j, p)
-    for slot, p in swaps:
-        occ = occ.swap(slot % len(paths), p)
+    for j, p in swaps:
+        occ = occ.swap(j, p)
     for agent in range(len(paths) + 1):
         for v in range(7):
             counts, xs, best = former_row(occ, v, agent)
             row = conflict_row(occ, v, agent)
-            assert labeled_departure_row(occ, v, agent) == (*row, best)
+            assert labeled_departure_row(occ, v, agent) == \
+                (row[0], min(row[1], default=math.inf), best)
             assert row[0] == xs
             for x in range(max(p.last_index for p in occ.paths) + 4):
                 assert departure_count(occ, v, agent, x) == row_count(row, x) \
@@ -318,24 +358,18 @@ RING = parse_map("...\n.@.\n...")
 @st.composite
 def parked_count_cases(draw):
     """(plan, a, p): agent a's walk p on `RING`, and a plan of 1-4 other
-    walks, which may end on one vertex, but none on p's last; the plan holds
-    an old walk of a's too, or a is appended after the others."""
-    def walk():
-        vertices = [draw(st.integers(0, RING.n_vertices - 1))]
+    walks that end on distinct vertices, none on p's last; the plan holds
+    an old walk of a's to p's last too, or a is appended after the others."""
+    def walk(end):   # drawn from its end backwards
+        vertices = [end]
         for _ in range(draw(st.integers(0, 7))):
             vertices.append(draw(st.sampled_from(RING.successors[vertices[-1]])))
-        return vertices
+        return Path(tuple(reversed(vertices)))
 
-    p = Path(tuple(walk()))
-    goal = p.vertices[-1]
-    others = []
-    for _ in range(draw(st.integers(1, 4))):
-        vertices = walk()
-        if vertices[-1] == goal:   # step off p's last vertex
-            vertices.append(draw(st.sampled_from(RING.adjacency[goal])))
-        others.append(Path(tuple(vertices)))
+    goal, *ends = draw(st.permutations(range(RING.n_vertices)))[:1 + draw(st.integers(1, 4))]
+    p, others = walk(goal), [walk(e) for e in ends]
     a = draw(st.integers(0, len(others)))
-    old = [Path(tuple(walk()))] if a < len(others) else []
+    old = [walk(goal)] if a < len(others) else []
     return Plan(tuple(others[:a] + old + others[a:])), a, p
 
 
@@ -376,23 +410,23 @@ def relabel(plan):
     return derive(plan, labeled)
 
 
-@given(st.lists(labeled_path_st, min_size=1, max_size=6), swaps_st)
-@example(*SHARED_PARKING)
+@given(labeled_swaps())
+@example(PASSED_PARKING)
 @settings(max_examples=300, deadline=None)
-def test_derived_index_matches_fresh_build(paths, swaps):
+def test_derived_index_matches_fresh_build(case):
     # as in the conflict tree: the root appends paths one by one, each
     # prefix read before the next; each popped node swaps a path, is read,
-    # and may be relabeled; two unrelated plans that share some vertex
-    # tuples, and differ in length, derive from each other
+    # and may be relabeled; unrelated plans that share some vertex tuples,
+    # in other slots or in a plan of another length, derive from each other
+    paths, swaps = case
     occ = Plan(())
     occ.visits
     for j, p in enumerate(paths):
         occ = derive(occ, occ.swap(j, p))
-    for slot, p in swaps:
-        occ = relabel(derive(occ, occ.swap(slot % len(paths), p)))
-    for other in (Plan(paths), Plan(paths[:-1]), Plan((*paths, *(p for _, p in swaps)))):
-        occ = derive(derive(occ, other, patched=False), occ.swap(0, occ.paths[-1]),
-                     patched=False)
+    for j, p in swaps:
+        occ = relabel(derive(occ, occ.swap(j, p)))
+    for other in (Plan(paths), Plan(paths[:-1]), Plan(paths[::-1])):
+        occ = derive(derive(occ, other, patched=False), Plan(occ.paths[::-1]), patched=False)
 
 
 def test_small_plans_are_built_afresh():
@@ -425,14 +459,14 @@ def test_derived_index_keeps_no_source_alive(monkeypatch):
     gc.collect()
     assert gone() is None
     assert plan.visits == {0: [(0, 0)], 1: [(1, 0)], 3: [(0, 1), (1, 1)]}
-    assert plan.parked == {2: [(2, 0)], 4: [(2, 1)]}
+    assert plan.parked == {2: (2, 0), 4: (2, 1)}
 
 
 def test_wait_bound_leaves_the_replanned_agents_labels_out():
     # agent 0 departs vertex 0 with the larger labels; leaving it out must
     # fall back to agent 1's best, not to -inf or to agent 0's own
     occ = Plan((Path((0, 0, 0, 1), (0.0, 5.0, 9.0, 10.0)),
-                     Path((2, 0, 1), (0.0, 1.0, 3.0))))
+                     Path((2, 0, 3), (0.0, 1.0, 3.0))))
     inf = math.inf
     assert [wait_bound(occ, 2, 0, x) for x in (1, 2, 3, 4)] == [-inf, 5.0, 9.0, 10.0]
     assert [wait_bound(occ, 1, 0, x) for x in (1, 2, 3, 4)] == [-inf, 5.0, 9.0, 10.0]

@@ -184,6 +184,28 @@ class TestRunExecution:
         with pytest.raises(ValueError):
             run_execution(pocket_instance, pocket_valid_plan, "mcp", 0, latency=-1)
 
+    def test_rejects_unknown_policy(self, pocket_instance, pocket_valid_plan):
+        # the rule of `check_options`, shared with `monte_carlo`
+        with pytest.raises(ValueError, match="^unknown policy 'xyz'$"):
+            run_execution(pocket_instance, pocket_valid_plan, "xyz", 0)
+        with pytest.raises(ValueError, match="^unknown policy 'xyz'$"):
+            monte_carlo(pocket_instance, pocket_valid_plan, "xyz", 5, 0)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_latency_past_the_cap_acts_as_the_cap(self, policy):
+        # from latency = cap on, no message sent in a run is read before the
+        # cap, and none is out of flight, so a larger latency changes no run:
+        # both engines run with the cap; 10**30 once overflowed their buffers
+        inst, plan = solved_plans()[0]
+        cap = 2 * plan.max_index
+        for n_runs in (4, -(-MC_LOCKSTEP_WORK[policy] // plan.n_agents)):   # loop, lock step
+            stats = [repr(monte_carlo(inst, plan, policy, n_runs, 7, cap, latency))
+                     for latency in (cap, 10**30)]   # repr: a nan mean is not equal to itself
+            assert stats[0] == stats[1]
+        traces = [run_execution(inst, plan, policy, run_seed(7, 0), horizon_cap=cap,
+                                latency=latency) for latency in (cap, 10**30)]
+        assert traces[0] == traces[1]
+
     @pytest.mark.parametrize("cap", [0, -3])
     def test_rejects_horizon_cap_below_one(self, pocket_instance, pocket_valid_plan, cap):
         # the rule of `check_options`, shared with `monte_carlo`
