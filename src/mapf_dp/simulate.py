@@ -54,15 +54,15 @@ agents; a shared 2-vCPU machine, Python 3.11), lock step ran at these
 multiples of the loop's speed (median over the plans, and the range):
 
     runs x agents  ~400             ~480             ~640             ~800
-    mcp            1.00 (0.72-1.29) 1.08 (0.87-1.43) 1.25 (1.01-1.61) 1.48 (1.17-1.81)
-    fsp            0.81 (0.48-1.27) 0.89 (0.56-1.38) 1.04 (0.66-1.55) 1.22 (0.77-1.72)
-    dummy          0.91 (0.64-1.29) 1.03 (0.72-1.36) 1.19 (0.86-1.58) 1.30 (0.97-1.77)
+    mcp            1.14 (0.78-1.39) 1.23 (0.91-1.50) 1.42 (1.06-1.75) 1.58 (1.26-1.96)
+    fsp            0.86 (0.54-1.23) 0.96 (0.63-1.36) 1.14 (0.71-1.56) 1.29 (0.86-1.73)
+    dummy          0.96 (0.69-1.29) 1.12 (0.82-1.42) 1.25 (0.94-1.63) 1.40 (1.12-1.87)
 
 Each threshold is the first product whose median passes 1, but mcp's: at
 400 the benchmark's 20-run calls of its two relabeled 20-agent plans ran
-0.92x and 1.00x in lock step, so mcp's stays at 480.  The benchmark's
-150-run calls, of 20 and 10 agents, ran 1.8x to 2.2x faster in lock step
-(best of 7).
+1.00x and 0.96x in lock step (1.00x both, best of 21), so mcp's stays at
+480.  The benchmark's 150-run calls, of 20 and 10 agents, ran 1.9x to 2.6x
+faster in lock step (best of 7).
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ class ExecutionTrace:
 
 @dataclass
 class RunStats:
-    """Monte Carlo summary.  `messages` is the per-run count of the last
-    completed run, the same for every completed mcp or fsp run."""
+    """Monte Carlo summary.  `messages` is the count that one completed run
+    sends, the same for every one, whether or not any run completes."""
 
     n_runs: int
     mean_makespan: float
@@ -152,7 +152,9 @@ class RunLoop:
     """A plan's tables for running its executions one at a time: each path's
     vertices, the (from, to) vertices of the step out of each state that
     moves (and so draws), None for a wait, the messages sent on entering
-    each state and, under mcp, the waits `schedule or mcp_schedule(plan)`.
+    each state, `messages`, their sum over the states after the first, which
+    a completed run has entered once each, and, under mcp, the waits
+    `schedule or mcp_schedule(plan)`.
     Without a `schedule`, each loop builds the waits by `mcp_schedule`'s one
     sweep: 6-11% of a 16-run mcp call on the benchmark's AME plans of 10 to
     30 agents (best of 21; a shared 2-vCPU machine, Python 3.11)."""
@@ -172,10 +174,12 @@ class RunLoop:
         # sends[i][y]: messages agent i emits on entering local state y
         self.sends = [[plan.n_agents - 1 if policy == "fsp" else 0] * (lx + 1)
                       for lx in self.last]
+        self.messages = (plan.n_agents - 1) * sum(self.last) if policy == "fsp" else 0
         if policy == "mcp":
             self.waits = schedule
             for j, y in (n for per_x in schedule.values() for w in per_x for n in w):
                 self.sends[j][y] += 1   # one message per wait that names it
+                self.messages += y > 0   # no run enters its first state
         self.n_vertices = 1 + max(max(p) for p in self.verts)
 
     def run(self, rng, horizon_cap: int, latency: int,
@@ -370,9 +374,22 @@ class LockStep:
     edge of a move with its direction as the low bit, whether another path
     crosses that edge the other way (only such moves can swap), whether
     entering the state sends a message, under fsp the local state (L once
-    finished) and under mcp the loop's waits as (sender, flat sender state)
-    pairs, padded with (0, 0).  A run that finishes has entered every state
-    once, so it has sent `messages`.  Some path must have two states."""
+    finished) and under mcp the loop's waits as (sender j - waiting agent i,
+    flat sender state) pairs, padded with (0, 0).  A run that finishes has
+    entered every state once, so it has sent `messages`.  Some path must
+    have two states.
+
+    `run_block` finds its sparse cells, the mcp gate's waiting agents and
+    the contested moves, by `np.flatnonzero` on the flat (runs x agents)
+    masks: 2-4 us at 150 x 20, where a 2-D `np.nonzero` takes 11-12 us.
+    Cell r * m + i plus a wait's offset j - i is cell r * m + j, the
+    sender's column, and the padding reads the agent's own state against 0,
+    which always holds.  The vertex table is int32, which numpy sorts
+    fastest: at 150 runs x 20 agents the gather, sort and comparison of the
+    vertex-collision count take 13 us on int32 rows, 14 us on uint16 and
+    18 us on int64.  Under dummy, and for a lone agent, who waits for
+    nobody, GO is the live mask: a run that goes has some agent GO and
+    never deadlocks, so the deadlock test is skipped."""
 
     def __init__(self, loop: RunLoop, horizon_cap: int):
         self.policy = loop.policy
@@ -399,15 +416,16 @@ class LockStep:
         crossers[edge[move], agent] = True
         contested = np.zeros((m, L), bool)
         contested[move] = crossers[back].sum(1) > crossers[back, agent]
-        self.vertex, self.move, self.fail, self.edge, self.contested, self.live, self.level = (
-            a.ravel() for a in (vertex, move, fail, edge, contested, live,
-                                np.where(live, local, L)))
+        self.vertex = vertex.ravel().astype(np.int32 if loop.n_vertices < 1 << 31 else np.int64)
+        self.move, self.fail, self.edge, self.contested, self.live, self.level = (
+            a.ravel() for a in (move, fail, edge, contested, live, np.where(live, local, L)))
 
         sends = np.array([row + [0] * (L - len(row)) for row in loop.sends])
-        self.messages = int(sends[:, 1:].sum())
+        self.messages = loop.messages
         self.sends = (sends > 0).ravel()
         if self.policy == "mcp":
-            s, n, j, y = np.array([(i * L + x, n, j, j * L + y) for i, per_x in loop.waits.items()
+            s, n, j, y = np.array([(i * L + x, n, j - i, j * L + y)
+                                   for i, per_x in loop.waits.items()
                                    for x, w in enumerate(per_x) for n, (j, y) in enumerate(w)],
                                   np.int64).reshape(-1, 4).T
             self.wait_j, self.wait_y = np.zeros((2, m * L, n.max(initial=-1) + 1), np.int64)
@@ -456,7 +474,7 @@ class LockStep:
         history: deque = deque(maxlen=latency + 1)   # their pre-step states
         vertex, move, fail, level = self.vertex, self.move, self.fail, self.level
         pairs = np.arange(1, m)
-        fsp, mcp = self.policy == "fsp" and m > 1, self.policy == "mcp"   # a lone agent never waits
+        fsp, mcp = (self.policy == p and m > 1 for p in ("fsp", "mcp"))   # a lone agent never waits
         for t in range(horizon_cap):
             go = live
             if fsp or mcp:
@@ -470,10 +488,11 @@ class LockStep:
                 # finished, when the run is over
                 go = level[f] <= np.where(s == lo[:, :1], lo[:, 1:2], lo[:, :1])
             elif mcp:
-                r, a = np.nonzero(self.has_wait[f])
-                if len(r):
-                    g = f[r, a]
-                    go[r, a] = (seen[r[:, None], self.wait_j[g]] >= self.wait_y[g]).all(1)
+                c = np.flatnonzero(self.has_wait[f])
+                if len(c):
+                    g = f.ravel()[c]
+                    go.ravel()[c] = (seen.ravel()[c[:, None] + self.wait_j[g]]
+                                     >= self.wait_y[g]).all(1)
             tries = go & move[f]
             n_tries = np.cumsum(tries, 1)
             n = n_tries[:, -1]
@@ -494,9 +513,9 @@ class LockStep:
                 collisions[rows] += (pairs - np.maximum.accumulate(
                     np.where(same, 0, pairs), 1)).sum(1)
             # edge collisions: an undirected edge crossed both ways in one run
-            r, a = np.nonzero(step & self.contested[old])
-            if len(r) > 1:
-                slot = r * self.n_slots + self.edge[old[r, a]]
+            c = np.flatnonzero(step & self.contested[old])
+            if len(c) > 1:
+                slot = c // m * self.n_slots + self.edge[old.ravel()[c]]
                 stamp[slot] = t + 1
                 forward = slot[slot % 2 == 0]
                 swapped = forward[stamp[forward + 1] == t + 1]
@@ -504,14 +523,16 @@ class LockStep:
                     collisions[rows] += np.bincount(np.unique(swapped) // self.n_slots,
                                                     minlength=len(rows))
 
-            going, moved = live.any(1), go.any(1)   # moved: some agent GO or a message in flight
-            if latency:
-                last_sent[rows[(step & self.sends[f]).any(1)]] = t
-                moved |= last_sent[rows] >= t - latency
-            keep = going & moved
+            keep = going = live.any(1)
+            if fsp or mcp:   # else GO is the live mask, and a run goes until it is done
+                moved = go.any(1)   # some agent GO or a message in flight
+                if latency:
+                    last_sent[rows[(step & self.sends[f]).any(1)]] = t
+                    moved |= last_sent[rows] >= t - latency
+                keep = going & moved
             if not keep.all():
                 makespan[rows[~going]] = t + 1
-                deadlock[rows[~moved]] = True
+                deadlock[rows[going & ~keep]] = True
                 rows, f, live, taken, end = (a[keep] for a in (rows, f, live, taken, end))
                 history = deque((h[keep] for h in history), maxlen=latency + 1)
                 if not len(rows):
@@ -542,20 +563,18 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
                     for s in run_seeds(seed, range(n_runs)))
     makespans = []
     collision_counts = []
-    messages = 0
     timeouts = 0
-    for k, (status, makespan, sent, n_collisions) in enumerate(outcomes):
+    for k, (status, makespan, _, n_collisions) in enumerate(outcomes):
         if status == "deadlock":
             raise RuntimeError(f"deadlock during {policy} execution (run {k})")
         if status == "timeout":
             timeouts += 1
         else:
             makespans.append(makespan)
-            messages = sent
         collision_counts.append(n_collisions)
     if makespans:
         mean, half = stats_ci(makespans)
     else:
         mean, half = math.nan, math.nan
     mean_coll, _ = stats_ci(collision_counts)
-    return RunStats(n_runs, mean, half, messages, mean_coll, timeouts, policy)
+    return RunStats(n_runs, mean, half, loop.messages, mean_coll, timeouts, policy)

@@ -413,6 +413,19 @@ class TestMonteCarlo:
         assert s.timeouts == 20
         assert math.isnan(s.mean_makespan)
 
+    @pytest.mark.parametrize("policy", ["mcp", "fsp"])
+    def test_messages_without_a_completed_run(self, policy, blocks):
+        # a one-step horizon cap ends every run before it is done; the count
+        # is still what a completed run sends, on the loop and in lock step
+        inst, plan = lockstep_cases()["random-0"]
+        done = monte_carlo(inst, plan, policy, 4, 3)
+        assert done.timeouts == 0 and done.messages > 0
+        at = lockstep_runs(plan, policy)
+        for n_runs in (at - 1, at):
+            s = monte_carlo(inst, plan, policy, n_runs, 3, horizon_cap=1)
+            assert s.timeouts == n_runs and s.messages == done.messages
+        assert blocks == [at]
+
     def test_rejects_zero_runs(self, pocket_instance, pocket_valid_plan):
         with pytest.raises(ValueError):
             monte_carlo(pocket_instance, pocket_valid_plan, "mcp", 0, 1)
@@ -458,9 +471,19 @@ def looped_stats(instance, plan, policy, n_runs, seed, horizon_cap=None, latency
         traces.append(tr)
     done = [tr for tr in traces if tr.status == "done"]
     mean, half = stats_ci(tr.makespan for tr in done) if done else (math.nan, math.nan)
-    return RunStats(n_runs, mean, half, done[-1].messages_sent if done else 0,
+    messages = run_messages(plan, policy)
+    assert all(tr.messages_sent == messages for tr in done)
+    return RunStats(n_runs, mean, half, messages,
                     stats_ci(len(tr.collisions) for tr in traces)[0],
                     n_runs - len(done), policy).as_dict()
+
+
+def run_messages(plan, policy):
+    """The messages that one completed run sends: one per mcp wait, and
+    m - 1 per fsp advance."""
+    if policy == "mcp":
+        return sum(len(w) for per_x in simulate.mcp_schedule(plan).values() for w in per_x)
+    return (plan.n_agents - 1) * plan.sum_indices if policy == "fsp" else 0
 
 
 @functools.cache
@@ -469,6 +492,10 @@ def lockstep_cases():
     pocket = Instance(corridor, (AgentSpec(0, C2, C3, 0.5), AgentSpec(1, C1, C4, 0.3)))
     crossing = Instance(corridor, (AgentSpec(0, C1, C4, 0.5), AgentSpec(1, C3, POCKET, 0.3)))
     waits_only = Plan((Path((0, 0, 0)), Path((2,))))
+    star_paths = ((4, 0, 2), (1, 0, 4, 0, 1), (2, 0, 1, 0))
+    star = Instance(Graph.from_edges(5, [(0, k) for k in range(1, 5)]),
+                    tuple(AgentSpec(i, p[0], p[-1], q)
+                          for i, (p, q) in enumerate(zip(star_paths, (0.5, 0.3, 0.4)))))
     warehouse = generate_warehouse_instance(WarehouseParams(), 6, (0, 0.5), 1001)
     return {
         **{f"random-{k}": case for k, case in enumerate(solved_plans()[:2])},
@@ -485,6 +512,9 @@ def lockstep_cases():
         "crossing": (crossing, Plan((Path((C1, C1, C1, C2, C3, C4)), Path((C3, C2, POCKET))))),
         # no agent moves, but one path waits twice: this plan runs in lock step
         "waits-only": (two_lines(waits_only), waits_only),
+        # invalid: agent 1 enters the centre again only after messages from
+        # agents 0 and 2, and agent 2 only after messages from 0 and 1
+        "star": (star, Plan(tuple(Path(p) for p in star_paths))),
     }
 
 
@@ -529,7 +559,7 @@ class TestMcpSchedule:
 
     @pytest.mark.parametrize("case", ["solved-0", "solved-1", "solved-2", "solved-3",
                                       "warehouse", "pocket-valid", "pocket-invalid", "swap",
-                                      "one-agent", "crossing", "waits-only"])
+                                      "one-agent", "crossing", "waits-only", "star"])
     def test_matches_reduction_on_named_plans(self, case):
         named = {**{f"solved-{k}": c for k, c in enumerate(solved_plans())}, **lockstep_cases()}
         _, plan = named[case]
@@ -543,7 +573,7 @@ class TestLockStep:
 
     @pytest.mark.parametrize("case", ["random-0", "random-1", "warehouse", "pocket-valid",
                                       "pocket-invalid", "swap", "one-agent", "crossing",
-                                      "waits-only"])
+                                      "waits-only", "star"])
     def test_matches_loop(self, case, blocks, monkeypatch):
         inst, plan = lockstep_cases()[case]
         for policy in POLICIES:
@@ -602,6 +632,16 @@ class TestLockStep:
         lock = LockStep(RunLoop(inst, plan, "dummy"), default_horizon_cap(plan))
         L = len(lock.vertex) // lock.m
         assert {divmod(int(s), L) for s in np.flatnonzero(lock.contested)} == contested
+
+    def test_gate_reads_two_senders(self):
+        # only an invalid plan has a state that waits on two senders: on a
+        # valid one every earlier visitor of a vertex is chained
+        inst, plan = lockstep_cases()["star"]
+        assert max(len(w) for per_x in mcp_schedule(plan).values() for w in per_x) == 2
+        lock = LockStep(RunLoop(inst, plan, "mcp"), default_horizon_cap(plan))
+        assert lock.wait_j.shape[1] == 2
+        stats = monte_carlo(inst, plan, "mcp", 200, 3)
+        assert stats.timeouts == 0 and stats.messages == lock.messages == 8
 
     def test_refills_continue_each_stream(self, monkeypatch):
         # a buffer of one draw per agent refills rows at almost every step
