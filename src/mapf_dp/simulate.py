@@ -31,20 +31,27 @@ and traces of the cap, and costs no more memory.
 
 `run_execution` is one run, with the local states of every step, the view
 that scripted draws use.  `monte_carlo` runs n_runs runs, run k on its own
-generator `run_seed(seed, k)`, on one `RunLoop` per call.  Below its
-policy's `MC_LOCKSTEP_WORK` runs x agents, or when every path has a single
-state, the loop runs them one by one; from there on `LockStep`, built from the loop's
-tables, advances the runs together as (runs, agents) arrays, in as few
-blocks, split evenly, as keep each block's buffer of draws within
-`MC_BUFFER_BYTES`, which bounds its memory at any run count.  Both give the
-same statistics, bit for bit: a run's draws depend only on its own
-generator, which it reads in agent order within a step, one draw per
-commanded move and none for a wait, so the lock-step engine replays each
-run's stream from a per-run buffer and finds the same outcome.  Run k's
-generator is `random.Random((seed + 1) * 2**32 + k)`: one stream per run,
-whatever the order the runs take, and a seed of at least two 32-bit words,
-so `fill_draws` fills the buffers by numpy's MT19937 without a Python call
-per draw.
+stream `run_seed(seed, k)`, on one `RunLoop` per call.  Below its policy's
+`MC_LOCKSTEP_WORK` runs x agents, or when every path has a single state,
+the loop runs them one by one; from there on `LockStep`, built from the
+loop's tables, advances the runs together as (runs, agents) arrays.  Both
+engines take the runs in as few blocks, split evenly, as keep each block's
+rows of draws within `MC_BUFFER_BYTES`, which bounds their memory at any
+run count, and fill each block's rows in one numpy pass, `fill_rows`.  Both
+give the same statistics, bit for bit: a run reads its own stream in agent
+order within a step, one draw per commanded move and none for a wait, so
+the lock-step engine replays each run's stream from its row and finds the
+same outcome.
+
+The stream rule.  Run k of seed s has the 64-bit key mix64(s * 2**32 + k),
+mix64 being SplitMix64's finalizer (Steele, Lea and Flood, "Fast
+Splittable Pseudorandom Number Generators", OOPSLA 2014) and a seed from
+2**32 on first folded to 32 bits (`run_keys`); keys are distinct for
+distinct (s, k) below 2**32.  Its draw n is SplitMix64's output at key +
+(n + 1) * GAMMA, as a 53-bit fraction.  So a draw is a pure function of
+(s, k, n): one stream per run, whatever the order the runs take, any
+non-negative seed, and a row that runs short is refilled from its next
+position directly.
 
 Both engines take one pass per time step.  The loop's pass costs about
 the agents it visits, lock step's a fixed numpy overhead plus a little per
@@ -53,24 +60,28 @@ Timed per call, best of 10, on the 23 plans of the benchmark (6 to 35
 agents; a shared 2-vCPU machine, Python 3.11), lock step ran at these
 multiples of the loop's speed (median over the plans, and the range):
 
-    runs x agents  ~400             ~480             ~640             ~800
-    mcp            1.14 (0.78-1.39) 1.23 (0.91-1.50) 1.42 (1.06-1.75) 1.58 (1.26-1.96)
-    fsp            0.86 (0.54-1.23) 0.96 (0.63-1.36) 1.14 (0.71-1.56) 1.29 (0.86-1.73)
-    dummy          0.96 (0.69-1.29) 1.12 (0.82-1.42) 1.25 (0.94-1.63) 1.40 (1.12-1.87)
+    runs x agents  ~240             ~320             ~400             ~480
+    mcp            0.97 (0.64-1.25) 1.12 (0.82-1.50) 1.23 (0.87-1.79) 1.36 (0.91-2.05)
+    fsp            0.71 (0.39-1.18) 0.86 (0.48-1.40) 1.01 (0.54-1.61) 1.18 (0.65-1.79)
+    dummy          0.82 (0.62-1.14) 0.97 (0.75-1.39) 1.12 (0.84-1.92) 1.32 (0.98-1.83)
 
-Each threshold is the first product whose median passes 1, but mcp's: at
-400 the benchmark's 20-run calls of its two relabeled 20-agent plans ran
-1.00x and 0.96x in lock step (1.00x both, best of 21), so mcp's stays at
-480.  The benchmark's 150-run calls, of 20 and 10 agents, ran 1.9x to 2.6x
+Each threshold is the first product whose median passes 1.  The calls of
+the benchmark that it moves to lock step, all under mcp, ran faster there
+(best of 21): the 20-run calls of the two relabeled 20-agent plans (400)
+1.06x and 1.26x, and the 50-run call of the 7-agent plan (350) 1.36x.
+The benchmark's 150-run calls, of 20 and 10 agents, ran 2.2x to 3.2x
 faster in lock step (best of 7).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from collections import deque
 from dataclasses import asdict, dataclass
+from itertools import chain
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -80,8 +91,17 @@ from .model import Instance, Plan, check_seed
 
 POLICIES = ("mcp", "fsp", "dummy")
 # runs x agents of a call from which it runs in lock step, per policy
-MC_LOCKSTEP_WORK = {"mcp": 480, "fsp": 640, "dummy": 480}
-MC_BUFFER_BYTES = 1 << 22  # most bytes of draws that one lock-step block buffers
+MC_LOCKSTEP_WORK = {"mcp": 320, "fsp": 400, "dummy": 400}
+MC_BUFFER_BYTES = 1 << 22  # most bytes of draws that one block of runs buffers
+# SplitMix64's increment, odd and about 2**64 / golden ratio, and its finalizer's multipliers
+GAMMA, MIX1, MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+MASK64 = (1 << 64) - 1
+# `fill_rows`' operands as numpy scalars (the multipliers, the shifts and
+# 2**-53), as numpy converts a Python number on every call: 25 us less of a
+# 3-run fill of 165 us that starts with cold caches, as each benchmark call
+# does after the benchmark's reference task (mean of 300 rounds)
+U_MIX1, U_MIX2, U30, U27, U31, U11 = (np.uint64(c) for c in (MIX1, MIX2, 30, 27, 31, 11))
+F53 = np.float64(2.0 ** -53)
 
 
 @dataclass
@@ -150,11 +170,14 @@ def check_options(policy: str, latency: int, horizon_cap: Optional[int] = None) 
 
 class RunLoop:
     """A plan's tables for running its executions one at a time: each path's
-    vertices, the (from, to) vertices of the step out of each state that
-    moves (and so draws), None for a wait, the messages sent on entering
+    vertices, the (from, to) vertices of the step out of each state, which
+    moves (and so draws) where they differ, the messages sent on entering
     each state, `messages`, their sum over the states after the first, which
     a completed run has entered once each, and, under mcp, the waits
-    `schedule or mcp_schedule(plan)`.
+    `schedule or mcp_schedule(plan)`.  The steps are built by `zip`, with no
+    wait marker, as the loop compares their two vertices: 8-14 us less per
+    call than marking waits on the benchmark's 10- and 30-agent plans
+    (`timeit`, best of 7), and the runs take as long.
     Without a `schedule`, each loop builds the waits by `mcp_schedule`'s one
     sweep: 6-11% of a 16-run mcp call on the benchmark's AME plans of 10 to
     30 agents (best of 21; a shared 2-vCPU machine, Python 3.11)."""
@@ -167,10 +190,9 @@ class RunLoop:
             schedule = mcp_schedule(plan)
         self.policy = policy
         self.verts = [p.vertices for p in plan.paths]
-        self.last = [p.last_index for p in plan.paths]
+        self.last = [len(p) - 1 for p in self.verts]
         self.delay = [a.delay_prob for a in instance.agents]
-        self.edges = [[(u, v) if u != v else None for u, v in zip(p, p[1:])]
-                      for p in self.verts]
+        self.edges = [list(zip(p, p[1:])) for p in self.verts]
         # sends[i][y]: messages agent i emits on entering local state y
         self.sends = [[plan.n_agents - 1 if policy == "fsp" else 0] * (lx + 1)
                       for lx in self.last]
@@ -180,13 +202,38 @@ class RunLoop:
             for j, y in (n for per_x in schedule.values() for w in per_x for n in w):
                 self.sends[j][y] += 1   # one message per wait that names it
                 self.messages += y > 0   # no run enters its first state
-        self.n_vertices = 1 + max(max(p) for p in self.verts)
+        self.n_vertices = 1 + max(map(max, self.verts))
 
-    def run(self, rng, horizon_cap: int, latency: int,
+    def width(self, horizon_cap: int) -> int:
+        """Draws buffered per run: the mean number of tries of all steps out
+        of a state plus two standard deviations, so that few runs refill
+        their buffer, but no more than a run can take: one per agent and
+        step.  Waits count as moves: the few extra draws per row cost less to
+        fill than counting the moves would."""
+        mean = var = 0.0
+        for n, p in zip(self.last, self.delay):
+            mean += n / (1.0 - p)
+            var += n * p / (1.0 - p) ** 2
+        m = len(self.last)
+        return min(max(m, math.ceil(mean + 2 * math.sqrt(var))), horizon_cap * m)
+
+    def outcomes(self, keys: np.ndarray, horizon_cap: int, latency: int):
+        """`run`'s outcomes of the runs on the streams of `keys`, in order: one
+        bulk fill per block of runs, each row read as the run's first draws,
+        through slices of one flat memoryview, with the keys as Python ints:
+        no numpy object per run."""
+        width = self.width(horizon_cap)
+        for block in run_blocks(keys, width):
+            rows = memoryview(fill_rows(block, width).ravel())
+            for r, key in enumerate(block.tolist()):
+                draw = chain(rows[r * width:(r + 1) * width], stream_from(key, width, width)).__next__
+                yield self.run(draw, horizon_cap, latency)
+
+    def run(self, draw, horizon_cap: int, latency: int,
             collisions: Optional[list] = None, snapshots: Optional[list] = None) -> tuple:
-        """(status, makespan, messages sent, collisions) of one run on `rng`.
-        Each collision is appended to `collisions` and each step's local
-        states to `snapshots`, when given.
+        """(status, makespan, messages sent, collisions) of one run that takes
+        its draws from calls of `draw`.  Each collision is appended to
+        `collisions` and each step's local states to `snapshots`, when given.
 
         Only unfinished agents are visited.  Under fsp an agent at x moves
         only once every other unfinished agent has reached x, so these sit
@@ -198,8 +245,8 @@ class RunLoop:
         first agent, if it is in the front and nobody else is seen behind."""
         verts, last, delay, edges, sends = self.verts, self.last, self.delay, self.edges, self.sends
         fsp, mcp = self.policy == "fsp", self.policy == "mcp"
+        sending = self.policy != "dummy"   # dummy sends nothing: skip the lookup
         waits = self.waits if mcp else None
-        draw = rng.random
         local = [0] * len(last)
         active = [i for i, lx in enumerate(last) if lx]   # the unfinished agents
         unfinished = len(active)
@@ -251,11 +298,10 @@ class RunLoop:
                     if blocked:
                         continue
                     any_go = True
-                e = edges[i][x]
-                if e:                           # a wait never fails
+                u, v = edges[i][x]
+                if u != v:                      # a wait never fails
                     if draw() < delay[i]:
                         continue
-                    u, v = e
                     occ[u] -= 1
                     pairs += occ[v] - occ[u]
                     occ[v] += 1
@@ -271,7 +317,7 @@ class RunLoop:
                     finished = True
                 elif fsp:
                     ahead.append(i)
-                if n := sends[i][x]:
+                if sending and (n := sends[i][x]):
                     messages_sent += n
                     last_sent = t
 
@@ -328,33 +374,88 @@ def run_execution(instance: Instance, plan: Plan, policy: str, rng,
     collisions: list[Collision] = []
     snapshots = [(0,) * plan.n_agents]
     status, makespan, sent, _ = RunLoop(instance, plan, policy, schedule).run(
-        rng, horizon_cap, min(latency, horizon_cap), collisions, snapshots)
+        rng.random, horizon_cap, min(latency, horizon_cap), collisions, snapshots)
     return ExecutionTrace(status, makespan, sent, collisions, snapshots)
 
 
-def run_seeds(master_seed: int, run_indices) -> list[int]:
-    """The seed of each run's generator: (master_seed + 1) * 2**32 + k for
-    run k, distinct for k < 2**32 and never below 2**32."""
-    return [(master_seed + 1) * 2**32 + k for k in run_indices]
+def mix64(z: int) -> int:
+    """SplitMix64's finalizer: a bijection on 64-bit words."""
+    z = (z ^ z >> 30) * MIX1 & MASK64
+    z = (z ^ z >> 27) * MIX2 & MASK64
+    return z ^ z >> 31
 
 
-def run_seed(master_seed: int, run_index: int) -> random.Random:
-    """Counter-split per-run generator, independent of execution order."""
-    return random.Random(run_seeds(master_seed, (run_index,))[0])
+def run_keys(seed: int, runs) -> np.ndarray:
+    """The stream key of run k of `seed`, for each k in `runs`: mix64(s *
+    2**32 + k), where s is the seed itself below 2**32, and else the top 32
+    bits of its 64-bit words, lowest first, each XORed in and mixed by
+    mix64, from 0.  Distinct for distinct (seed, k) with both below 2**32:
+    s * 2**32 + k is then distinct below 2**64, and mix64 is a bijection.
+    On Python ints, which for the few runs of a loop call cost less than
+    the numpy calls of the same mix would."""
+    s = seed
+    if s >> 32:
+        h = 0
+        while s:
+            h = mix64(h ^ s & MASK64)
+            s >>= 64
+        s = h >> 32
+    s <<= 32
+    return np.array([mix64(s + k & MASK64) for k in runs], np.uint64)
 
 
-def fill_draws(row: np.ndarray, seed: int, start: int, mt: np.random.RandomState) -> None:
-    """Write draws start, start + 1, … of `random.Random(seed)` into `row`.
-    From 2**32 on, `random.seed` and `RandomState.seed` of the seed's
-    32-bit words both run MT19937's init_by_array, and `random_sample`
-    returns the same doubles as `random.random`, so `mt` fills the row in
-    bulk.  numpy seeds a one-word key by init_genrand instead, so a smaller
-    seed is refused."""
-    if seed < 1 << 32:
-        raise ValueError(f"fill_draws needs a seed >= 2**32, got {seed}")
-    mt.seed(np.array([seed >> b & 0xFFFFFFFF for b in range(0, seed.bit_length(), 32)],
-                     np.uint32))
-    row[:] = mt.random_sample(start + len(row))[start:]
+@functools.lru_cache(maxsize=16)
+def weyl(width: int) -> np.ndarray:
+    """(1, 2, …, width) * GAMMA, read-only.  A call's fills and refills all
+    share one width, and so do the calls on one plan and instance: cached,
+    they skip two numpy calls, 29 us of the cold 3-run fill above.  The 16
+    rows kept are each the size of one row of draws."""
+    row = np.arange(1, width + 1, dtype=np.uint64) * GAMMA
+    row.flags.writeable = False
+    return row
+
+
+def fill_rows(bases: np.ndarray, width: int) -> np.ndarray:
+    """(len(bases), width) draws: row r holds draws 0 … width - 1 of the
+    stream at bases[r].  Draw n of the stream at K is SplitMix64's output at
+    K + (n + 1) * GAMMA, mix64 of it, whose top 53 bits over 2**53 lie in
+    [0, 1), as `random.random`'s do.  So a draw is a pure function of (K,
+    n), and draws n, n + 1, … of the stream at K are those of the stream at
+    K + n * GAMMA from 0 on, whatever the fills that came before."""
+    z = bases[:, None] + weyl(width)
+    z ^= z >> U30   # mix64, in place
+    z *= U_MIX1
+    z ^= z >> U27
+    z *= U_MIX2
+    z ^= z >> U31
+    z >>= U11
+    return z * F53
+
+
+def stream_from(key: int, start: int, width: int):
+    """The draws of the stream at `key` from position `start` on, filled
+    `width` at a time when reached."""
+    base = np.array([key], np.uint64) + np.array([start], np.uint64) * GAMMA
+    step = np.array([width], np.uint64) * GAMMA
+    while True:
+        yield from memoryview(fill_rows(base, width)[0])
+        base += step
+
+
+def run_seed(master_seed: int, run_index: int) -> SimpleNamespace:
+    """Run `run_index`'s stream of `monte_carlo(seed=master_seed)`, one draw
+    per `.random()`, whatever the order the runs take."""
+    key = int(run_keys(master_seed, (run_index,))[0])
+    return SimpleNamespace(random=stream_from(key, 0, 256).__next__)   # any width, same draws
+
+
+def run_blocks(keys: np.ndarray, width: int) -> list:
+    """`keys` in as few consecutive blocks, split evenly, as keep each block's
+    `width` draws per run within `MC_BUFFER_BYTES`."""
+    n, n_blocks = len(keys), -(-len(keys) // max(1, MC_BUFFER_BYTES // (8 * width)))
+    if n_blocks == 1:
+        return [keys]
+    return [keys[b * n // n_blocks:(b + 1) * n // n_blocks] for b in range(n_blocks)]
 
 
 def check_runs(n_runs: int) -> None:
@@ -402,8 +503,7 @@ class LockStep:
         vertex = np.array([p + p[-1:] * (L - len(p)) for p in loop.verts])
         move = np.zeros((m, L), bool)
         move[:, :-1] = vertex[:, 1:] != vertex[:, :-1]
-        self.delay = np.array(loop.delay)
-        fail = np.where(move, self.delay[:, None], np.where(live, -1.0, 2.0))
+        fail = np.where(move, np.array(loop.delay)[:, None], np.where(live, -1.0, 2.0))
         u, v = vertex[:, :-1][move[:, :-1]], vertex[:, 1:][move[:, :-1]]
         keys, ids = np.unique(np.minimum(u, v) * loop.n_vertices + np.maximum(u, v),
                               return_inverse=True)
@@ -432,32 +532,24 @@ class LockStep:
             self.wait_j[s, n], self.wait_y[s, n] = j, y
             self.has_wait = np.bincount(s, minlength=m * L) > 0
 
-        # draws per run: the mean number of tries of all moves plus two
-        # standard deviations, so that few runs refill their buffer, but no
-        # more than a run can take: one per agent and step
-        moves, q = move.sum(1), 1.0 - self.delay
-        mean, var = (moves / q).sum(), (moves * self.delay / q ** 2).sum()
-        self.width = min(max(m, math.ceil(mean + 2 * math.sqrt(var))), horizon_cap * m)
-        self.mt = np.random.RandomState(0)   # `fill_draws` reseeds it for every row
+        self.width = loop.width(horizon_cap)
 
-    def outcomes(self, seed: int, n_runs: int, latency: int):
-        """(status, makespan, messages sent, collisions) of runs 0 … n_runs - 1
-        in order, computed in as few blocks as `MC_BUFFER_BYTES` allows."""
-        seeds = run_seeds(seed, range(n_runs))
-        n_blocks = -(-n_runs // max(1, MC_BUFFER_BYTES // (8 * self.width)))
-        for block in np.array_split(np.arange(n_runs), n_blocks):
-            yield from self.run_block([seeds[k] for k in block.tolist()], latency)
+    def outcomes(self, keys: np.ndarray, latency: int):
+        """(status, makespan, messages sent, collisions) of the runs on the
+        streams of `keys` in order, computed in as few blocks as
+        `MC_BUFFER_BYTES` allows."""
+        for block in run_blocks(keys, self.width):
+            yield from self.run_block(block, latency)
 
-    def run_block(self, seeds: list[int], latency: int):
-        """The runs on generators `random.Random(seed)` for `seeds`, all
-        advanced one step at a time.  Run r takes its draws in agent order
-        within a step, through row r of a buffer that holds draws start[r],
-        start[r] + 1, … of its stream.  Under fsp and mcp the runs read the
-        oldest of their last latency + 1 pre-step states, as the loop does."""
-        R, m, W, horizon_cap, mt = len(seeds), self.m, self.width, self.horizon_cap, self.mt
-        buf = np.empty((R, W))
-        for row, s in zip(buf, seeds):
-            fill_draws(row, s, 0, mt)
+    def run_block(self, keys: np.ndarray, latency: int):
+        """The runs on the streams of `keys`, all advanced one step at a time.
+        Run r takes its draws in agent order within a step, through row r of
+        a buffer that holds draws start[r], start[r] + 1, … of its stream;
+        the rows that run short in a step are refilled together, from the
+        first draw not taken.  Under fsp and mcp the runs read the oldest of
+        their last latency + 1 pre-step states, as the loop does."""
+        R, m, W, horizon_cap = len(keys), self.m, self.width, self.horizon_cap
+        buf = fill_rows(keys, W)
         draws = buf.ravel()
         start = np.zeros(R, np.int64)           # stream index of each row's first draw
         last_sent = np.full(R, -latency - 1)    # step of the latest message
@@ -496,11 +588,12 @@ class LockStep:
             tries = go & move[f]
             n_tries = np.cumsum(tries, 1)
             n = n_tries[:, -1]
-            for c in np.flatnonzero(taken + n >= end):
+            c = np.flatnonzero(taken + n >= end)
+            if len(c):
                 k = rows[c]
                 start[k] += taken[c] + 1 - k * W
                 taken[c] = k * W - 1
-                fill_draws(buf[k], seeds[k], start[k], mt)
+                buf[k] = fill_rows(keys[k] + start[k].astype(np.uint64) * GAMMA, W)
             step = go & (draws[taken[:, None] + n_tries] >= fail[f])
             taken += n
             old, f = f, f + step
@@ -556,11 +649,11 @@ def monte_carlo(instance: Instance, plan: Plan, policy: str, n_runs: int,
     cap = default_horizon_cap(plan) if horizon_cap is None else horizon_cap
     latency = min(latency, cap)
     loop = RunLoop(instance, plan, policy)
+    keys = run_keys(seed, range(n_runs))
     if plan.max_index and n_runs * plan.n_agents >= MC_LOCKSTEP_WORK[policy]:
-        outcomes = LockStep(loop, cap).outcomes(seed, n_runs, latency)
+        outcomes = LockStep(loop, cap).outcomes(keys, latency)
     else:
-        outcomes = (loop.run(random.Random(s), cap, latency)
-                    for s in run_seeds(seed, range(n_runs)))
+        outcomes = loop.outcomes(keys, cap, latency)
     makespans = []
     collision_counts = []
     timeouts = 0

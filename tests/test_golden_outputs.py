@@ -5,7 +5,8 @@ each experiment.
 The digests were recorded before both generators built their grids directly
 instead of parsing an ASCII map, and before `generate --t-hat-sweep` and
 exp2 shared one sweep; the `results.csv` digests again when run k of a
-Monte Carlo call took the seed (seed + 1) * 2**32 + k.  The bench configs
+Monte Carlo call took the seed (seed + 1) * 2**32 + k, and again when its
+draws became SplitMix64 outputs keyed by (seed, k).  The bench configs
 set a node limit that stops the solves that reach it long before the time
 limit, so each CSV is the same on every machine (see `bench`).  A change that alters a map, an agent line, a
 delay probability, a plan or a Monte Carlo statistic fails here.
@@ -56,14 +57,14 @@ BENCH_COMMON = ["--width", "8", "--height", "8", "--runs", "20", "--seed", "5",
                 "--node-limit", "300"]
 BENCH = {
     "exp1": (["--agents", "4", "--instances", "2"],
-             "a01191c34819179c63b1db59305ef7282056b524db86a0651914bb56510ea5ec"),
+             "c60c471d77fb067ab8cd167d513d4def0397de345bf991500b846e1e13a6064d"),
     "exp2": (["--agents", "4"],
-             "1f34b4c65880c2a115031ecb7def58b367e045b3672736fd64b8abbd9cefd9b2"),
+             "251dcce982ce5da64a35e7e5ffba8a349c4c868f849ae7775a8876a247d021f5"),
     "exp3": (["--instances", "2"],
-             "be09e612055e093cb5cfc1780531d45e6f45df35627587e69387b0a81c437ccf"),
+             "af6595a3bcda8b94eedd5fe2f82152368dc45009748d40260ac8d336a2b2b3b6"),
     "exp4": (["--agents", "4", "--instances", "2", "--policy", "mcp", "--policy", "fsp",
               "--policy", "dummy", "--solver", "ame", "--solver", "adapted-cbs"],
-             "c8c394f8c3a09b2c7341a6286c2437a284e02aa389986c8f2e1c4215feb44cc6"),
+             "ddb5b2fdbf750f527585952c9af4ec5f2bc68536b214fe14d609be649ed33bc3"),
 }
 
 

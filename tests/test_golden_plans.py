@@ -113,10 +113,10 @@ def test_only_ame_reads_labels(monkeypatch):
 
 # monte_carlo(..., 40 runs, seed 7, latency).as_dict() on ame-warehouse-10a-s1001
 GOLDEN_MC = {
-    ("mcp", 0): (45.525, 1.8620495944812243, 106, 0.0),
-    ("fsp", 0): (74.45, 1.8686009849686047, 2079, 0.0),
-    ("dummy", 0): (45.325, 2.2230186856891407, 0, 8.75),
-    ("mcp", 2): (46.05, 1.8606769928697653, 106, 0.0),
+    ("mcp", 0): (44.5, 1.5957102750973566, 106, 0.0),
+    ("fsp", 0): (74.1, 1.8216891569681655, 2079, 0.0),
+    ("dummy", 0): (44.55, 1.9712127986181243, 0, 10.475),
+    ("mcp", 2): (47.35, 1.3527495646332266, 106, 0.0),
 }
 
 

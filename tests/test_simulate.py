@@ -1,6 +1,5 @@
 import functools
 import math
-import random
 import re
 import tracemalloc
 from collections import Counter
@@ -16,8 +15,8 @@ from mapf_dp import (AgentSpec, Graph, Instance, Path, Plan, RunStats,
                      monte_carlo, run_execution, simulate, solve_ame, stats_ci)
 from mapf_dp.dependency import build_partial_order, message_schedule, transitive_reduction
 from mapf_dp.simulate import (MC_LOCKSTEP_WORK, POLICIES, LockStep, RunLoop,
-                               default_horizon_cap, fill_draws, mcp_schedule, run_seed,
-                               run_seeds)
+                               default_horizon_cap, fill_rows, mcp_schedule, run_keys,
+                               run_seed)
 from tests import sim_oracle
 from tests.conftest import C1, C2, C3, C4, POCKET
 
@@ -530,9 +529,9 @@ def blocks(monkeypatch):
     sizes = []
 
     class Spy(LockStep):
-        def run_block(self, seeds, latency):
-            sizes.append(len(seeds))
-            return super().run_block(seeds, latency)
+        def run_block(self, keys, latency):
+            sizes.append(len(keys))
+            return super().run_block(keys, latency)
 
     monkeypatch.setattr(simulate, "LockStep", Spy)
     return sizes
@@ -644,19 +643,15 @@ class TestLockStep:
         assert stats.timeouts == 0 and stats.messages == lock.messages == 8
 
     def test_refills_continue_each_stream(self, monkeypatch):
-        # a buffer of one draw per agent refills rows at almost every step
-        init = LockStep.__init__
-
-        def narrow(self, *args):
-            init(self, *args)
-            self.width = self.m
-
-        monkeypatch.setattr(LockStep, "__init__", narrow)
+        # rows of one draw per agent run short at almost every step, on the
+        # loop (just below the work threshold) and in lock step (at it)
+        monkeypatch.setattr(RunLoop, "width", lambda self, horizon_cap: len(self.last))
         inst, plan = lockstep_cases()["random-0"]
         for policy in POLICIES:
             at = lockstep_runs(plan, policy)
-            assert monte_carlo(inst, plan, policy, at, 5, latency=1).as_dict() \
-                == looped_stats(inst, plan, policy, at, 5, latency=1)
+            for n_runs in (at - 1, at):
+                assert monte_carlo(inst, plan, policy, n_runs, 5, latency=1).as_dict() \
+                    == looped_stats(inst, plan, policy, n_runs, 5, latency=1)
 
     def test_lagged_view_memory_independent_of_latency(self):
         # a latency far past the horizon cap of 1,000: under mcp and fsp no
@@ -705,19 +700,50 @@ class TestLockStep:
         # a hand-made cyclic schedule no plan yields: agent 0 in state 2 waits
         # for agent 1's state 2, and agent 1 in state 1 for agent 0's state 3.
         # A run deadlocks within the cap only if agent 0 makes both its moves
-        # at once, with probability 0.01.  Under seed 27 run 52 is the
+        # at once, with probability 0.01.  Under seed 28 run 156 is the
         # first of the 300 runs
         plan = Plan((Path((0, 1, 2, 2)), Path((5, 5, 5))))
         waits = {0: [(), (), ((1, 2),), ()],
                  1: [((0, 2),), ((0, 3),), ()]}
         monkeypatch.setattr(simulate, "mcp_schedule", lambda plan: waits)
         inst = SimpleNamespace(agents=[SimpleNamespace(delay_prob=p) for p in (0.9, 0.5)])
-        message = "deadlock during mcp execution (run 52)"
+        message = "deadlock during mcp execution (run 156)"
         for run in (monte_carlo, looped_stats):
             with pytest.raises(RuntimeError, match=rf"^{re.escape(message)}$"):
-                run(inst, plan, "mcp", 300, 27, 4)
-        assert monte_carlo(inst, plan, "mcp", 52, 27, 4).as_dict() == \
-            looped_stats(inst, plan, "mcp", 52, 27, 4)
+                run(inst, plan, "mcp", 300, 28, 4)
+        assert monte_carlo(inst, plan, "mcp", 156, 28, 4).as_dict() == \
+            looped_stats(inst, plan, "mcp", 156, 28, 4)
+
+
+MASK64 = 2**64 - 1
+
+
+def mix64(z):
+    """SplitMix64's finalizer on a Python int below 2**64."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & MASK64
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & MASK64
+    return z ^ z >> 31
+
+
+def reference_key(seed, k):
+    """The key rule of `run_keys` in Python ints."""
+    s = seed
+    if s >= 2**32:
+        h = 0
+        while s:
+            h = mix64(h ^ s & MASK64)
+            s >>= 64
+        s = h >> 32
+    return mix64((s << 32) + k & MASK64)
+
+
+def reference_draw(key, n):
+    """Draw n of the stream of `key`, in Python ints."""
+    return (mix64(key + (n + 1) * 0x9E3779B97F4A7C15 & MASK64) >> 11) / 2**53
+
+
+def many_draws(seed, n_runs=200, width=1000):
+    return fill_rows(run_keys(seed, range(n_runs)), width)
 
 
 class TestRunSeeds:
@@ -726,46 +752,74 @@ class TestRunSeeds:
                                        unique=True),
                               min_size=1, max_size=4))
     @example(ks={0: [2**32 - 1], 1: [0]})   # the last run of one seed, the first of the next
-    @example(ks={2**200: [0, 2**32 - 1]})
+    @example(ks={0: [0, 1, 2**32 - 1], 2**32 - 1: [0, 1, 2**32 - 1]})
+    @example(ks={2**200: [0, 2**32 - 1], 2**32: [0], 2**64: [0]})
     def test_plain_rule(self, ks):
-        seeds = {(seed, k): s for seed, runs in ks.items()
-                 for k, s in zip(runs, run_seeds(seed, runs))}
-        assert all(s == (seed + 1) * 2**32 + k for (seed, k), s in seeds.items())
-        assert len(set(seeds.values())) == len(seeds)
-        assert min(seeds.values()) >= 2**32
-        mt = np.random.RandomState(0)
-        row = np.empty(1)
-        for (seed, k), s in seeds.items():
-            fill_draws(row, s, 0, mt)
-            assert run_seed(seed, k).random() == row[0]
+        keys = {(seed, k): int(key) for seed, runs in ks.items()
+                for k, key in zip(runs, run_keys(seed, runs))}
+        assert all(key == reference_key(seed, k) for (seed, k), key in keys.items())
+        # distinct below 2**32, where the seed is not folded
+        small = [key for (seed, _), key in keys.items() if seed < 2**32]
+        assert len(set(small)) == len(small)
+        for (seed, k), key in keys.items():
+            assert run_seed(seed, k).random() == reference_draw(key, 0) \
+                == fill_rows(np.array([key], np.uint64), 1)[0, 0]
 
     @pytest.mark.parametrize("seed, k, first", [
-        (0, 0, 0.11299430095636409),
-        (7, 3, 0.26115269858678347),
-        (2**32, 1, 0.8743142201958094),
-        (2**130 + 99, 199, 0.11839862706482507),
-        (12345, 2**20, 0.19921199002739554),
+        (0, 0, 0.8833108082136426),
+        (7, 3, 0.7421555088010889),
+        (2**32, 1, 0.8136282702983396),
+        (2**130 + 99, 199, 0.08316501230270523),
+        (12345, 2**20, 0.35039414098233024),
     ])
     def test_run_streams_unchanged(self, seed, k, first):
         assert run_seed(seed, k).random() == first
 
     @pytest.mark.parametrize("seed", [2**32, 2**40 + 3, 2**64 - 1])
     def test_fill_matches_python_stream(self, seed):
-        rng = random.Random(seed)
+        # run_seed refills its stream every 256 draws
+        rng = run_seed(seed, 0)
         stream = [rng.random() for _ in range(700)]
-        mt = np.random.RandomState(0)
-        row = np.empty(500)
-        fill_draws(row, seed, 0, mt)
-        assert row.tolist() == stream[:500]
-        # a refill continues the stream past the draws taken
-        fill_draws(row[:400], seed, 300, mt)
-        assert row[:400].tolist() == stream[300:]
+        keys = run_keys(seed, [0, 1])
+        rows = fill_rows(keys, 500)
+        assert rows[0].tolist() == stream[:500]
+        assert stream[:3] == [reference_draw(int(keys[0]), n) for n in range(3)]
+        # a refill continues each row's stream from its own position n, as
+        # the stream at key + n * GAMMA
+        refill = fill_rows(keys + np.array([300, 0], np.uint64) * simulate.GAMMA, 400)
+        assert refill[0].tolist() == stream[300:]
+        assert refill[1].tolist() == rows[1, :400].tolist()
 
-    # numpy seeds a one-word key by init_genrand, not Python's init_by_array
-    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
-    def test_fill_rejects_one_word_seeds(self, seed):
-        with pytest.raises(ValueError, match=r"^fill_draws needs a seed >= 2\*\*32, got \d+$"):
-            fill_draws(np.empty(5), seed, 0, np.random.RandomState(0))
+    @pytest.mark.parametrize("seed", [0, 2**200])
+    def test_uniform(self, seed):
+        # 200,000 draws: mean and variance within 4.5 standard errors of
+        # U(0, 1)'s, and the KS distance below its 0.1% critical value
+        x = np.sort(many_draws(seed).ravel())
+        n = len(x)
+        assert 0 <= x[0] and x[-1] < 1
+        assert abs(x.mean() - 1 / 2) < 4.5 * math.sqrt(1 / 12 / n)
+        assert abs(x.var() - 1 / 12) < 4.5 * math.sqrt((1 / 80 - 1 / 144) / n)
+        cdf = np.arange(1, n + 1) / n
+        assert max((cdf - x).max(), (x - cdf + 1 / n).max()) < 1.95 / math.sqrt(n)
+
+    @pytest.mark.parametrize("seed", [0, 2**200])
+    def test_neighbours_uncorrelated(self, seed):
+        # neighbouring runs, positions and seeds: Pearson correlation within
+        # 4.5 / sqrt(pairs) of 0
+        draws, next_seed = many_draws(seed), many_draws(seed + 1)
+        for x, y in ((draws[:-1], draws[1:]), (draws[:, :-1], draws[:, 1:]),
+                     (draws, next_seed)):
+            assert abs(np.corrcoef(x.ravel(), y.ravel())[0, 1]) < 4.5 / math.sqrt(x.size)
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, 2**200])
+    def test_huge_seeds_accepted(self, seed):
+        assert run_seed(seed, 0).random() != run_seed(seed + 1, 0).random()
+        inst, plan = lockstep_cases()["random-0"]
+        for policy in POLICIES:
+            at = lockstep_runs(plan, policy)
+            for n_runs in (at - 1, at):   # the loop, lock step
+                assert monte_carlo(inst, plan, policy, n_runs, seed).as_dict() \
+                    == looped_stats(inst, plan, policy, n_runs, seed)
 
 
 class TestStatsCi:
